@@ -127,56 +127,45 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _fold_mode(args) -> fm.FoldMode:
+    return fm.FoldMode(_MODELS[args.model], args.mode, _sector(args.alpha), _sector(args.beta))
+
+
+def _drive_values(args, names) -> tuple[float, ...]:
+    """The named drive flags in order; a lone rho drive may also be given as --drive."""
+    vals = []
+    for name in names:
+        val, flag = getattr(args, name), f"--{name}"
+        if len(names) == 1 and name != "drive":
+            val, flag = (args.drive if args.drive is not None else val), f"--drive ({name})"
+        if val is None:
+            raise OutOfRangeError(f"{args.model} requires {flag}")
+        vals.append(_rad(val, args))
+    return tuple(vals)
+
+
+def _opposites_state(args) -> tuple[np.ndarray, object]:
+    """Any two of rho1..rho3 fix the third; a vacuous relation is an error here."""
+    names = ("rho1", "rho2", "rho3")
+    given = {n: _rad(getattr(args, n), args) for n in names if getattr(args, n) is not None}
+    if len(given) != 2:
+        raise OutOfRangeError("opposites requires exactly two of --rho1 --rho2 --rho3")
+    mode = _fold_mode(args)
+    sol = fm.opposites_solve(mode.alpha, mode.beta, **given)
+    if sol.free:
+        raise NoSolutionError("relation is vacuous; the third angle is free")
+    vec = fm.opposites_vector(*(given.get(n, sol.angles[0]) for n in names))
+    return vec, fm.FAMILIES[mode.model].pattern(mode)
+
+
 def _fold_state(args) -> tuple[np.ndarray, object]:
     model = _MODELS[args.model]
-    a, b = _sector(args.alpha), _sector(args.beta)
-    mode = args.mode
-    rho = {i: (None if getattr(args, f"rho{i}") is None else _rad(getattr(args, f"rho{i}"), args))
-           for i in range(1, 7)}
-    drive = None if args.drive is None else _rad(args.drive, args)
-
-    def need(name, val):
-        if val is None:
-            raise OutOfRangeError(f"{args.model} requires {name}")
-        return val
-
-    if model is fm.FoldModel.DEGREE4:
-        return fm.degree4_fold(a, b, mode, need("--drive", drive)), fm.degree4_pattern(a, b)
-    if model is fm.FoldModel.TRIFOLD:
-        return fm.trifold_vector(*fm.trifold(b, mode, need("--drive", drive))), fm.trifold_pattern(b)
-    if model is fm.FoldModel.BOWTIE:
-        d = need("--drive", drive)
-        return fm.bowtie_vector(d, fm.bowtie(b, mode, d)), fm.bowtie_pattern(b, mode)
     if model is fm.FoldModel.OPPOSITES:
-        given = {i: v for i, v in rho.items() if v is not None and i <= 3}
-        if len(given) != 2:
-            raise OutOfRangeError("opposites requires exactly two of --rho1 --rho2 --rho3")
-        sol = fm.opposites_solve(a, b, **{f"rho{i}": v for i, v in given.items()})
-        if sol.free:
-            raise NoSolutionError("relation is vacuous; the third angle is free")
-        full = dict(given)
-        (missing,) = [i for i in (1, 2, 3) if i not in given]
-        full[missing] = sol.angles[0]
-        return fm.opposites_vector(full[1], full[2], full[3]), fm.opposites_pattern(a, b)
-    if model is fm.FoldModel.IGLOO2DOF:
-        r2, r3 = need("--rho2", rho[2]), need("--rho3", rho[3])
-        return (
-            fm.igloo_vector(fm.igloo_rho1(a, b, r2, r3), r2, r3, fm.igloo_rho4(a, b, r2, r3)),
-            fm.igloo_pattern(a, b),
-        )
-    if model is fm.FoldModel.IGLOO1DOF:
-        d = need("--drive (rho4)", drive if drive is not None else rho[4])
-        r1, r2, r3 = fm.igloo_1dof(a, b, mode, d)
-        return fm.igloo_vector(r1, r2, r3, d), fm.igloo_pattern(a, b)
-    if model is fm.FoldModel.TWOPAIR:
-        r1, r2 = need("--rho1", rho[1]), need("--rho2", rho[2])
-        r3, r4 = fm.two_pair_complete(r1, r2)[0]
-        return fm.two_pair_vector(r1, r2, r3, r4), fm.two_pair_pattern()
-    if model is fm.FoldModel.FULLY_GENERAL:
-        r4, r5, r6 = need("--rho4", rho[4]), need("--rho5", rho[5]), need("--rho6", rho[6])
-        return fm.general_fold(r4, r5, r6)[0], g60()
-    r4, r5 = need("--rho4", rho[4]), need("--rho5", rho[5])
-    return fm.almost_general(r4, r5)[0], g60()
+        return _opposites_state(args)
+    fam = fm.FAMILIES[model]
+    drives = _drive_values(args, fam.drives)
+    mode = _fold_mode(args)
+    return fam.solve(mode, drives, cs.DEFAULT_TOL)[0], fam.pattern(mode)
 
 
 def cmd_fold(args) -> int:
@@ -202,41 +191,17 @@ def _infer_format(args, default_fmt: str) -> str:
 
 
 def _write_samples(samples, args, pattern=None, default_fmt="csv") -> int:
-    fmt = _infer_format(args, default_fmt)
-    flat = cs._flatten_samples(samples)
-    if fmt == "csv":
-        _emit(cs.samples_to_csv(flat), args.output)
-    elif fmt == "json":
-        _emit(cs.samples_to_json(flat), args.output)
-    elif fmt == "obj":
-        text, skipped = cs.samples_to_obj(flat, pattern, args.tol)
-        _emit(text, args.output)
-        if skipped:
-            print(f"skipped {skipped} invalid samples", file=sys.stderr)
-    else:
-        raise OutOfRangeError(f"unknown format {fmt!r}")
+    text, skipped = cs.render(samples, _infer_format(args, default_fmt), pattern, args.tol)
+    _emit(text, args.output)
+    if skipped:
+        print(f"skipped {skipped} invalid samples", file=sys.stderr)
     return 0
 
 
-def _pattern_for(model: fm.FoldModel, mode: int, alpha: float, beta: float):
-    if model is fm.FoldModel.DEGREE4:
-        return fm.degree4_pattern(alpha, beta)
-    if model is fm.FoldModel.TRIFOLD:
-        return fm.trifold_pattern(beta)
-    if model is fm.FoldModel.BOWTIE:
-        return fm.bowtie_pattern(beta, mode)
-    if model is fm.FoldModel.OPPOSITES:
-        return fm.opposites_pattern(alpha, beta)
-    if model in (fm.FoldModel.IGLOO2DOF, fm.FoldModel.IGLOO1DOF):
-        return fm.igloo_pattern(alpha, beta)
-    return g60()
-
-
 def cmd_sweep(args) -> int:
-    model = _MODELS[args.model]
-    mode = fm.FoldMode(model, args.mode, _sector(args.alpha), _sector(args.beta))
+    mode = _fold_mode(args)
     result = cs.sweep_model(mode, args.n, tol=args.tol)
-    return _write_samples(result, args, _pattern_for(model, mode.mode, mode.alpha, mode.beta))
+    return _write_samples(result, args, fm.FAMILIES[mode.model].pattern(mode))
 
 
 def cmd_trace(args) -> int:
@@ -284,16 +249,14 @@ def cmd_resch(args) -> int:
     report = "".join(f"{s.branch}: residual {s.residual:.3e}\n" for s in samples)
     if args.output:
         _write_samples(samples, args, pattern)
-        sys.stdout.write(report)
-    else:
-        sys.stdout.write(report)
+    sys.stdout.write(report)
     return 0
 
 
 def cmd_export(args) -> int:
     samples = cs.load_samples_json(args.input)
-    pattern = _pattern_for(_MODELS[args.model], args.mode, _sector(args.alpha), _sector(args.beta))
-    return _write_samples(samples, args, pattern)
+    mode = _fold_mode(args)
+    return _write_samples(samples, args, fm.FAMILIES[mode.model].pattern(mode))
 
 
 _DISPATCH = {

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,65 +25,17 @@ from .core_geometry import (
 )
 from .errors import (
     BranchAmbiguityError,
-    DegenerateConfigurationError,
     NoSolutionError,
     NotClosedError,
     OutOfRangeError,
 )
-from .fold_models import (
-    FoldMode,
-    FoldModel,
-    almost_general,
-    bowtie,
-    bowtie_pattern,
-    bowtie_vector,
-    degree4_fold,
-    degree4_pattern,
-    general_fold,
-    general_rho2,
-    igloo_1dof,
-    igloo_pattern,
-    igloo_rho1,
-    igloo_rho4,
-    igloo_vector,
-    opposites_pattern,
-    opposites_solve,
-    opposites_vector,
-    trifold,
-    trifold_drive_limit,
-    trifold_pattern,
-    trifold_vector,
-    two_pair_complete,
-    two_pair_curve_residual,
-    two_pair_pattern,
-    two_pair_vector,
-)
+from .fold_models import FAMILIES, FoldMode, general_cos_rho2, general_fold
 
 DEFAULT_TOL = 1e-8
 _TRACE_STEP = 0.02
 _NODE_GRAD_TOL = 1e-6
 
 PI = math.pi
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RIGIDFOLD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Order-preserving map, fanned out over threads when allowed to."""
-    items = list(items)
-    n = _thread_count()
-    if n <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -140,124 +90,57 @@ def make_sample(pattern: CreasePattern, rho, branch=0, tol: float = DEFAULT_TOL)
 # ---------------------------------------------------------------------------
 # sweeping
 
-def _sweep_1dof(pattern, drives, assemble, tol, branch) -> CurveTrace:
-    samples = _pmap(lambda d: make_sample(pattern, assemble(d), branch, tol), drives)
-    return CurveTrace(samples=samples, closed=False, note="sweep")
-
-
 def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace | SurfaceGrid:
     """Sample a family: n points over the drive interval, or an n-by-n grid.
 
-    One-parameter families return a CurveTrace ordered by drive value;
-    two-parameter families return a SurfaceGrid.  Grid points outside a
-    family's admissible set are skipped rather than reported as invalid
-    samples, so a returned sample always corresponds to a solve.
+    The family's drive count picks the sampler: one drive is swept over its
+    reachable interval, a drive pair on a relation curve is resampled from
+    a trace of that curve, any other pair over a grid, and a drive triple
+    is drawn at random from a fixed seed.  One-parameter families return a
+    CurveTrace ordered by drive value; two-parameter families return a
+    SurfaceGrid.  Drives where the family has no closing solution are
+    skipped rather than reported as invalid samples, so a returned sample
+    always corresponds to a solve.
     """
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
-    model, m, a, b = mode.model, mode.mode, mode.alpha, mode.beta
+    fam = FAMILIES[mode.model]
+    pattern = fam.pattern(mode)
+    branch = mode.mode if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
+    samples: list[ConfigSample] = []
 
-    if model is FoldModel.DEGREE4:
-        pat = degree4_pattern(a, b)
-        drives = np.linspace(-PI, PI, n)
-        return _sweep_1dof(pat, drives, lambda d: degree4_fold(a, b, m, d), tol, m)
+    def add(drives):
+        try:
+            sols = fam.solve(mode, drives, max(tol, DEFAULT_TOL))
+        except (BranchAmbiguityError, NoSolutionError):
+            return
+        if fam.numbered:
+            samples.extend(make_sample(pattern, v, j + 1, tol) for j, v in enumerate(sols))
+        else:
+            samples.append(make_sample(pattern, sols[0], branch, tol))
 
-    if model is FoldModel.TRIFOLD:
-        pat = trifold_pattern(b)
-        lim = trifold_drive_limit(b)
-        drives = np.linspace(-lim, lim, n)
-        return _sweep_1dof(pat, drives, lambda d: trifold_vector(*trifold(b, m, d)), tol, m)
-
-    if model is FoldModel.BOWTIE:
-        pat = bowtie_pattern(b, m)
-        drives = np.linspace(-PI, PI, n)
-        return _sweep_1dof(pat, drives, lambda d: bowtie_vector(d, bowtie(b, m, d)), tol, m)
-
-    if model is FoldModel.IGLOO1DOF:
-        pat = igloo_pattern(a, b)
-        drives = np.linspace(-PI, PI, n)
-
-        def asm(d):
-            r1, r2, r3 = igloo_1dof(a, b, m, d)
-            return igloo_vector(r1, r2, r3, d)
-
-        return _sweep_1dof(pat, drives, asm, tol, m)
-
-    if model is FoldModel.OPPOSITES:
-        pat = opposites_pattern(a, b)
-        d1 = np.linspace(-PI, PI, n)
-        d2 = np.linspace(-PI, PI, n)
-
-        def solve_point(pair):
-            r1, r2 = pair
-            sol = opposites_solve(a, b, rho1=r1, rho2=r2)
-            r3 = 0.0 if sol.free else sol.angles[0]
-            return make_sample(pat, opposites_vector(r1, r2, r3), 0, tol)
-
-        samples = _pmap(solve_point, [(r1, r2) for r1 in d1 for r2 in d2])
-        return SurfaceGrid(drive1=d1, drive2=d2, samples=samples)
-
-    if model is FoldModel.IGLOO2DOF:
-        pat = igloo_pattern(a, b)
-        d1 = np.linspace(-PI, PI, n)
-        d2 = np.linspace(-PI, PI, n)
-
-        def solve_point(pair):
-            r2, r3 = pair
-            try:
-                r1 = igloo_rho1(a, b, r2, r3)
-                r4 = igloo_rho4(a, b, r2, r3)
-            except BranchAmbiguityError:
-                return None
-            return make_sample(pat, igloo_vector(r1, r2, r3, r4), 0, tol)
-
-        samples = [s for s in _pmap(solve_point, [(r2, r3) for r2 in d1 for r3 in d2]) if s]
-        return SurfaceGrid(drive1=d1, drive2=d2, samples=samples)
-
-    if model is FoldModel.TWOPAIR:
-        trace = trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=_TRACE_STEP, tol=tol)
-        idx = np.linspace(0, len(trace.samples) - 1, n).round().astype(int)
-        pat = two_pair_pattern()
-        out = []
-        for i in idx:
-            r1, r2 = trace.samples[i].rho[:2]
-            r3, r4 = two_pair_complete(r1, r2, tol=max(tol, DEFAULT_TOL))[0]
-            out.append(make_sample(pat, two_pair_vector(r1, r2, r3, r4), 0, tol))
-        return CurveTrace(samples=out, closed=trace.closed, note="resampled relation curve")
-
-    if model is FoldModel.FULLY_GENERAL:
-        pat = g60()
-        rng = np.random.default_rng(0)
-        out = []
-        attempts = 0
-        while len(out) < n and attempts < 40 * n:
-            attempts += 1
-            r4, r5, r6 = rng.uniform(-PI, PI, 3)
-            try:
-                sols = general_fold(r4, r5, r6, tol=max(tol, DEFAULT_TOL))
-            except NoSolutionError:
-                continue
-            for j, v in enumerate(sols):
-                out.append(make_sample(pat, v, j + 1, tol))
-        return CurveTrace(samples=out[:n], closed=False, note="seeded random drive triples")
-
-    if model is FoldModel.ALMOST_GENERAL:
-        pat = g60()
-        d1 = np.linspace(-PI, PI, n)
-        d2 = np.linspace(-PI, PI, n)
-
-        def solve_point(pair):
-            r4, r5 = pair
-            try:
-                sols = almost_general(r4, r5, tol=max(tol, DEFAULT_TOL))
-            except NoSolutionError:
-                return []
-            return [make_sample(pat, v, j + 1, tol) for j, v in enumerate(sols)]
-
-        nested = _pmap(solve_point, [(r4, r5) for r4 in d1 for r5 in d2])
-        return SurfaceGrid(drive1=d1, drive2=d2, samples=[s for batch in nested for s in batch])
-
-    raise OutOfRangeError(f"unknown model {model}")
+    if len(fam.drives) == 1:
+        lim = fam.limit(mode.alpha, mode.beta)
+        for d in np.linspace(-lim, lim, n):
+            add((d,))
+        return CurveTrace(samples=samples, closed=False, note="sweep")
+    if fam.curve is not None:
+        trace = trace_implicit_curve(fam.curve, (0.0, 0.0), step=_TRACE_STEP, tol=tol)
+        for i in np.linspace(0, len(trace.samples) - 1, n).round().astype(int):
+            add(tuple(trace.samples[i].rho[:2]))
+        return CurveTrace(samples=samples, closed=trace.closed, note="resampled relation curve")
+    if len(fam.drives) == 2:
+        axis = np.linspace(-PI, PI, n)
+        for x in axis:
+            for y in axis:
+                add((x, y))
+        return SurfaceGrid(drive1=axis, drive2=axis, samples=samples)
+    rng = np.random.default_rng(0)
+    for _ in range(40 * n):
+        if len(samples) >= n:
+            break
+        add(tuple(rng.uniform(-PI, PI, 3)))
+    return CurveTrace(samples=samples[:n], closed=False, note="seeded random drive triples")
 
 
 # ---------------------------------------------------------------------------
@@ -366,30 +249,15 @@ def admissible_region(rho6: float, grid_n: int = 201, tol: float = DEFAULT_TOL) 
         raise OutOfRangeError(f"grid_n must be >= 2, got {grid_n}")
     axis = np.linspace(-PI, PI, grid_n)
     r4g, r5g = np.meshgrid(axis, axis, indexing="ij")
-    s4, c4 = np.sin(r4g), np.cos(r4g)
-    s5, c5 = np.sin(r5g), np.cos(r5g)
-    s6, c6 = math.sin(rho6), math.cos(rho6)
-    rhs = 0.25 * (
-        1.0 + c6 - 2.0 * s4 * s5 - 2.0 * c6 * s4 * s5 - 2.0 * s5 * s6
-        + c5 * (1.0 + c6 - 4.0 * s4 * s6)
-        + c4 * (1.0 - 3.0 * c6 + c5 * (1.0 + c6) - 2.0 * s5 * s6)
-    )
-    candidate = np.abs(rhs) <= 1.0
-
-    idx = np.argwhere(candidate)
-
-    def closes(ij):
-        i, j = ij
+    rhs = general_cos_rho2(np.sin(r4g), np.cos(r4g), np.sin(r5g), np.cos(r5g),
+                           math.sin(rho6), math.cos(rho6))
+    mask = np.zeros(rhs.shape, dtype=bool)
+    for i, j in np.argwhere(np.abs(rhs) <= 1.0):
         try:
             general_fold(float(axis[i]), float(axis[j]), rho6, tol=tol)
         except NoSolutionError:
-            return False
-        return True
-
-    flags = _pmap(closes, list(map(tuple, idx)))
-    mask = np.zeros_like(candidate)
-    for (i, j), f in zip(idx, flags):
-        mask[i, j] = f
+            continue
+        mask[i, j] = True
     return AdmissibleRegion(rho6=rho6, rho4_axis=axis, rho5_axis=axis, mask=mask)
 
 
@@ -419,21 +287,25 @@ def export(samples, format: str, path: str, pattern: CreasePattern | None = None
     triangular sector faces); invalid samples are skipped and counted.
     """
     flat = _flatten_samples(samples)
-    if not flat:
-        raise OutOfRangeError("nothing to export")
-    if format == "csv":
-        text = samples_to_csv(flat)
-        skipped = 0
-    elif format == "json":
-        text = samples_to_json(flat)
-        skipped = 0
-    elif format == "obj":
-        text, skipped = samples_to_obj(flat, pattern, tol)
-    else:
-        raise OutOfRangeError(f"unknown format {format!r}")
+    text, skipped = render(flat, format, pattern, tol)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
     return ExportReport(written=len(flat) - skipped, skipped=skipped)
+
+
+def render(samples, format: str, pattern: CreasePattern | None = None,
+           tol: float = DEFAULT_TOL) -> tuple[str, int]:
+    """Serialized samples in csv, json or obj, with the count of skipped samples."""
+    flat = _flatten_samples(samples)
+    if not flat:
+        raise OutOfRangeError("nothing to export")
+    if format == "csv":
+        return samples_to_csv(flat), 0
+    if format == "json":
+        return samples_to_json(flat), 0
+    if format == "obj":
+        return samples_to_obj(flat, pattern, tol)
+    raise OutOfRangeError(f"unknown format {format!r}")
 
 
 def samples_to_csv(flat: list[ConfigSample]) -> str:

@@ -10,6 +10,7 @@ flat-folded ends of each branch stay finite.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,9 +55,6 @@ class FoldModel(Enum):
     ALMOST_GENERAL = "almost-general"
 
 
-_TWO_MODE = {FoldModel.DEGREE4, FoldModel.TRIFOLD, FoldModel.BOWTIE, FoldModel.IGLOO1DOF}
-
-
 @dataclass(frozen=True)
 class FoldMode:
     """A family member: model, branch id and sector parameters."""
@@ -67,21 +65,34 @@ class FoldMode:
     beta: float = PI / 3
 
     def __post_init__(self):
-        if self.model in _TWO_MODE and self.mode not in (1, 2):
-            raise OutOfRangeError(f"{self.model.value} mode must be 1 or 2, got {self.mode}")
-        a, b = self.alpha, self.beta
-        if self.model is FoldModel.DEGREE4:
-            _check_degree4_domain(a, b)
-        elif self.model is FoldModel.TRIFOLD:
-            _check_trifold_domain(b)
-        elif self.model is FoldModel.BOWTIE:
-            _check_bowtie_domain(b)
-        elif self.model in (FoldModel.OPPOSITES, FoldModel.IGLOO2DOF, FoldModel.IGLOO1DOF):
-            _check_wedge_domain(a, b)
-        else:
-            # fixed 60-degree families; alpha/beta must stay at the default
-            if abs(a - PI / 3) > 1e-12 or abs(b - PI / 3) > 1e-12:
-                raise OutOfRangeError(f"{self.model.value} has fixed 60-degree sectors")
+        fam = FAMILIES[self.model]
+        if self.mode not in fam.modes:
+            allowed = " or ".join(map(str, fam.modes))
+            raise OutOfRangeError(f"{self.model.value} mode must be {allowed}, got {self.mode}")
+        if fam.domain is not None:
+            fam.domain(self.alpha, self.beta)
+        elif abs(self.alpha - PI / 3) > 1e-12 or abs(self.beta - PI / 3) > 1e-12:
+            raise OutOfRangeError(f"{self.model.value} has fixed 60-degree sectors")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One folding family: crease pattern, modes, drive angles and closed-form solve.
+
+    ``solve(mode, drives, tol)`` returns every closing angle vector for the
+    drive tuple, first branch first.  The callables in ``FAMILIES`` look the
+    evaluators up by module name when called, so a wrapper installed on a
+    module attribute (a profiler, a call counter) sees every call.
+    """
+
+    pattern: Callable[[FoldMode], CreasePattern]
+    solve: Callable[[FoldMode, tuple, float], list[np.ndarray]]
+    drives: tuple[str, ...]  # CLI flag names, in the order solve takes them
+    domain: Callable[[float, float], None] | None = None  # None: fixed 60-degree sectors
+    modes: tuple[int, ...] = (1,)
+    limit: Callable[[float, float], float] = lambda alpha, beta: PI  # 1-DOF drive bound
+    curve: Callable[[float, float], float] | None = None  # relation the drive pair lies on
+    numbered: bool = False  # one sample per solution branch, tagged 1, 2, ...
 
 
 @dataclass(frozen=True)
@@ -338,29 +349,6 @@ def igloo_pattern(alpha: float, beta: float) -> CreasePattern:
     return CreasePattern.from_sectors([alpha, beta, g, g, beta, alpha])
 
 
-def _igloo_chain(alpha: float, beta: float, rho2: float, rho3: float) -> np.ndarray:
-    """Image of the mirrored end crease through the upper half of the vertex."""
-    w = np.array([-1.0, 0.0, 0.0])
-    M = (
-        _rotz(alpha)
-        @ _rotx(rho2)
-        @ _rotz(beta)
-        @ _rotx(rho3)
-        @ _rotz(-(alpha + beta))
-    )
-    return M @ w
-
-
-def _rotx(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _rotz(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def _igloo_fraction(alpha: float, beta: float, rho2: float, rho3: float) -> tuple[float, float]:
     """(num, den) with tan(rho1/2) = num/den for the symmetric completion."""
     sa, ca = math.sin(alpha), math.cos(alpha)
@@ -553,21 +541,21 @@ def general_back_chain(rho4: float, rho5: float, rho6: float) -> np.ndarray:
     )
 
 
+def general_cos_rho2(s4, c4, s5, c5, s6, c6):
+    """cos(rho2) forced by the drives' sines and cosines; elementwise on arrays."""
+    return 0.25 * (
+        1.0 + c6 - 2.0 * s4 * s5 - 2.0 * c6 * s4 * s5 - 2.0 * s5 * s6
+        + c5 * (1.0 + c6 - 4.0 * s4 * s6)
+        + c4 * (1.0 - 3.0 * c6 + c5 * (1.0 + c6) - 2.0 * s5 * s6)
+    )
+
+
 def general_rho2(rho4: float, rho5: float, rho6: float) -> list[float]:
     """The 0, 1 or 2 values of rho2 compatible with the three drive angles."""
     for name, rho in (("rho4", rho4), ("rho5", rho5), ("rho6", rho6)):
         _check_fold_angle(rho, name)
-    s4, c4 = math.sin(rho4), math.cos(rho4)
-    s5, c5 = math.sin(rho5), math.cos(rho5)
-    s6, c6 = math.sin(rho6), math.cos(rho6)
-    rhs = 0.25 * (
-        1.0
-        + c6
-        - 2.0 * s4 * s5
-        - 2.0 * c6 * s4 * s5
-        - 2.0 * s5 * s6
-        + c5 * (1.0 + c6 - 4.0 * s4 * s6)
-        + c4 * (1.0 - 3.0 * c6 + c5 * (1.0 + c6) - 2.0 * s5 * s6)
+    rhs = general_cos_rho2(
+        math.sin(rho4), math.cos(rho4), math.sin(rho5), math.cos(rho5), math.sin(rho6), math.cos(rho6)
     )
     if abs(rhs) > 1.0 + 1e-12:
         return []
@@ -628,6 +616,57 @@ def almost_general(rho4: float, rho5: float, tol: float = _CLOSE_TOL) -> list[np
     equal-angle pair sits on the first two creases."""
     sols = general_fold(rho4, rho5, rho5, tol=tol)
     return [np.roll(v, 2) for v in sols]
+
+
+# ---------------------------------------------------------------------------
+# family table
+
+def _opposites_closing(f: FoldMode, d: tuple, tol: float) -> list[np.ndarray]:
+    sol = opposites_solve(f.alpha, f.beta, rho1=d[0], rho2=d[1])
+    return [opposites_vector(d[0], d[1], 0.0 if sol.free else sol.angles[0])]  # free: rho3 flat
+
+
+FAMILIES: dict[FoldModel, Family] = {
+    FoldModel.DEGREE4: Family(
+        pattern=lambda f: degree4_pattern(f.alpha, f.beta),
+        solve=lambda f, d, tol: [degree4_fold(f.alpha, f.beta, f.mode, d[0])],
+        drives=("drive",), domain=_check_degree4_domain, modes=(1, 2)),
+    FoldModel.TRIFOLD: Family(
+        pattern=lambda f: trifold_pattern(f.beta),
+        solve=lambda f, d, tol: [trifold_vector(*trifold(f.beta, f.mode, d[0]))],
+        drives=("drive",), domain=lambda alpha, beta: _check_trifold_domain(beta), modes=(1, 2),
+        limit=lambda alpha, beta: trifold_drive_limit(beta)),
+    FoldModel.BOWTIE: Family(
+        pattern=lambda f: bowtie_pattern(f.beta, f.mode),
+        solve=lambda f, d, tol: [bowtie_vector(d[0], bowtie(f.beta, f.mode, d[0]))],
+        drives=("drive",), domain=lambda alpha, beta: _check_bowtie_domain(beta), modes=(1, 2)),
+    FoldModel.OPPOSITES: Family(
+        pattern=lambda f: opposites_pattern(f.alpha, f.beta),
+        solve=_opposites_closing,
+        drives=("rho1", "rho2"), domain=_check_wedge_domain),
+    FoldModel.IGLOO2DOF: Family(
+        pattern=lambda f: igloo_pattern(f.alpha, f.beta),
+        solve=lambda f, d, tol: [igloo_vector(igloo_rho1(f.alpha, f.beta, *d), *d,
+                                              igloo_rho4(f.alpha, f.beta, *d))],
+        drives=("rho2", "rho3"), domain=_check_wedge_domain),
+    FoldModel.IGLOO1DOF: Family(
+        pattern=lambda f: igloo_pattern(f.alpha, f.beta),
+        solve=lambda f, d, tol: [igloo_vector(*igloo_1dof(f.alpha, f.beta, f.mode, d[0]), d[0])],
+        drives=("rho4",), domain=_check_wedge_domain, modes=(1, 2)),
+    FoldModel.TWOPAIR: Family(
+        pattern=lambda f: two_pair_pattern(),
+        solve=lambda f, d, tol: [two_pair_vector(*d, r3, r4)
+                                 for r3, r4 in two_pair_complete(*d, tol=tol)],
+        drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2)),
+    FoldModel.FULLY_GENERAL: Family(
+        pattern=lambda f: g60(),
+        solve=lambda f, d, tol: general_fold(*d, tol=tol),
+        drives=("rho4", "rho5", "rho6"), numbered=True),
+    FoldModel.ALMOST_GENERAL: Family(
+        pattern=lambda f: g60(),
+        solve=lambda f, d, tol: almost_general(*d, tol=tol),
+        drives=("rho4", "rho5"), numbered=True),
+}
 
 
 # ---------------------------------------------------------------------------

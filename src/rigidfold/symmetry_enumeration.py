@@ -16,6 +16,7 @@ import numpy as np
 from .core_geometry import g60
 from .errors import OutOfRangeError
 from .second_order_rigidity import (
+    _class_list,
     ray_class_values,
     symmetric_mode_solve,
     symmetry_reduced_system,
@@ -67,16 +68,6 @@ class Table1Row:
     foldable_patterns: tuple[tuple[ColorPattern, str | None, int], ...]
 
 
-def _first_occurrence(seq) -> tuple[int, ...]:
-    relabel: dict = {}
-    out = []
-    for x in seq:
-        if x not in relabel:
-            relabel[x] = len(relabel) + 1
-        out.append(relabel[x])
-    return tuple(out)
-
-
 # the 12 dihedral position maps of a hexagon
 _DIHEDRAL = [lambda i, r=r: (i + r) % 6 for r in range(6)] + [
     lambda i, r=r: (r - i) % 6 for r in range(6)
@@ -88,7 +79,7 @@ def canonical_form(coloring) -> ColorPattern:
     seq = list(coloring)
     if len(seq) != 6:
         raise OutOfRangeError(f"expected 6 labels, got {len(seq)}")
-    best = min(_first_occurrence(seq[g(i)] for i in range(6)) for g in _DIHEDRAL)
+    best = min(tuple(_class_list([seq[g(i)] for i in range(6)])) for g in _DIHEDRAL)
     return ColorPattern(best)
 
 

@@ -3,9 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rigidfold.cli import main
+from rigidfold.config_space import trace_implicit_curve
+from rigidfold.core_geometry import closure_residual
+from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel, two_pair_curve_residual
 
 TRIFOLD_RHO1 = 4.0 * math.atan((2.0 + math.sqrt(3.0)) * math.tan(0.1))
 
@@ -82,10 +86,37 @@ def test_fold_json_format(capsys):
     assert rec["rho2"] == 0.5
 
 
-def test_domain_error_exits_2(capsys):
-    code, _, err = run(capsys, "fold", "trifold", "--beta", "60", "--drive", "2.5")
-    assert code == 2
-    assert "error:" in err
+# (argv, error text); {samples} is a valid json sample file, {empty} holds [], {tmp} is scratch
+DOMAIN_ERRORS = [
+    (["fold", "trifold", "--beta", "60", "--drive", "2.5"], "maps outside"),
+    (["fold", "general", "--alpha", "70", "--rho4", "0.1", "--rho5", "0.2", "--rho6", "0.3"],
+     "fixed 60-degree sectors"),
+    (["fold", "twopair", "--beta", "50", "--rho1", "0", "--rho2", "0"], "fixed 60-degree sectors"),
+    (["sweep", "twopair", "--alpha", "70", "-n", "4"], "fixed 60-degree sectors"),
+    (["export", "{samples}", "--model", "general", "--alpha", "70"], "fixed 60-degree sectors"),
+    (["fold", "bowtie", "--beta", "100", "--drive", "0.5"], "bow tie needs beta"),
+    (["fold", "opposites", "--mode", "9", "--rho1", "0.1", "--rho2", "0.2"], "mode must be 1,"),
+    (["fold", "igloo", "--mode", "2", "--rho2", "0.1", "--rho3", "0.2"], "mode must be 1,"),
+    (["sweep", "opposites", "--mode", "2", "-n", "4"], "mode must be 1,"),
+    (["fold", "degree4", "--mode", "3", "--drive", "0.5"], "mode must be 1 or 2"),
+    (["export", "{samples}", "--model", "degree4", "--mode", "9"], "mode must be 1 or 2"),
+    (["export", "{empty}", "-o", "{tmp}/out.csv"], "nothing to export"),
+    (["export", "{empty}", "-o", "{tmp}/out.json"], "nothing to export"),
+    (["export", "{empty}", "-o", "{tmp}/out.obj"], "nothing to export"),
+]
+
+
+def test_domain_error_exits_2(tmp_path, capsys):
+    samples, empty = tmp_path / "samples.json", tmp_path / "empty.json"
+    assert run(capsys, "fold", "general", "--rho4", "0.1", "--rho5", "0.2", "--rho6", "0.3",
+               "-o", str(samples), "--format", "json")[0] == 0
+    empty.write_text("[]\n")
+    for argv, message in DOMAIN_ERRORS:
+        argv = [a.format(samples=samples, empty=empty, tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, (argv, err)
+    assert not list(tmp_path.glob("out.*"))
 
 
 def test_numerical_error_exits_3(capsys):
@@ -157,3 +188,40 @@ def test_identical_runs_are_byte_identical(tmp_path, capsys):
     run(capsys, "sweep", "igloo", "--alpha", "70", "--beta", "80", "-n", "6", "-o", str(a))
     run(capsys, "sweep", "igloo", "--alpha", "70", "--beta", "80", "-n", "6", "-o", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def _on_curve_pair() -> list[str]:
+    """A folded (rho1, rho2) point of the two-pair curve, as CLI flags."""
+    trace = trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.2)
+    r1, r2 = trace.samples[4].rho[:2]
+    return ["--rho1", repr(float(r1)), "--rho2", repr(float(r2))]
+
+
+FOLD_DRIVES = {
+    FoldModel.DEGREE4: ["--drive", "0.7"],
+    FoldModel.TRIFOLD: ["--drive", "0.4"],
+    FoldModel.BOWTIE: ["--drive", "1.0"],
+    FoldModel.OPPOSITES: ["--rho1", "0.5", "--rho2", "-0.3"],
+    FoldModel.IGLOO2DOF: ["--rho2", "0.5", "--rho3", "-0.3"],
+    FoldModel.IGLOO1DOF: ["--drive", "0.8"],
+    FoldModel.TWOPAIR: None,  # drawn from the traced curve
+    FoldModel.FULLY_GENERAL: ["--rho4", "0.1", "--rho5", "0.2", "--rho6", "0.3"],
+    FoldModel.ALMOST_GENERAL: ["--rho4", "0.3", "--rho5", "0.2"],
+}
+
+
+@pytest.mark.parametrize("model", list(FoldModel), ids=lambda m: m.value)
+def test_every_family_folds_closed_on_its_sweep_pattern(capsys, model):
+    assert model in FAMILIES
+    fam = FAMILIES[model]
+    # the highest mode and off-60-degree sectors where the family allows them
+    alpha, beta = (55.0, 65.0) if fam.domain else (60.0, 60.0)
+    mode = FoldMode(model, max(fam.modes), math.radians(alpha), math.radians(beta))
+    drives = FOLD_DRIVES[model] or _on_curve_pair()
+    code, out, _ = run(capsys, "fold", model.value, "--mode", str(mode.mode), "--alpha", str(alpha),
+                       "--beta", str(beta), *drives, "--format", "json")
+    assert code == 0
+    rec = json.loads(out)[0]
+    rho = np.array([rec[f"rho{i + 1}"] for i in range(len(rec) - 3)])
+    assert np.any(rho != 0.0)
+    assert closure_residual(fam.pattern(mode), rho) < 1e-8

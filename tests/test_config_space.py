@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -201,15 +200,3 @@ def test_csv_uses_twelve_significant_digits():
     s = [ConfigSample(np.array([1.0 / 3.0, 0.0]), residual=1e-15, valid=True)]
     text = samples_to_csv(s)
     assert "0.333333333333" in text
-
-
-def test_thread_env_var_does_not_change_results(monkeypatch):
-    mode = FoldMode(FoldModel.IGLOO2DOF, 1, 1.0, 0.8)
-    monkeypatch.delenv("RIGIDFOLD_THREADS", raising=False)
-    serial = sweep_model(mode, 6)
-    monkeypatch.setenv("RIGIDFOLD_THREADS", "4")
-    threaded = sweep_model(mode, 6)
-    assert len(serial.samples) == len(threaded.samples)
-    for a, b in zip(serial.samples, threaded.samples):
-        assert np.array_equal(a.rho, b.rho)
-        assert a.residual == b.residual
