@@ -18,6 +18,7 @@ import numpy as np
 
 from .core_geometry import (
     CreasePattern,
+    check_fold_angle,
     closure_residual,
     folded_geometry,
     g60,
@@ -29,7 +30,7 @@ from .errors import (
     NotClosedError,
     OutOfRangeError,
 )
-from .fold_models import FAMILIES, FoldMode, general_cos_rho2, general_fold
+from .fold_models import FAMILIES, FoldMode, general_solve
 
 DEFAULT_TOL = 1e-8
 _TRACE_STEP = 0.02
@@ -193,7 +194,9 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
     crossing its node twice, before closing.
     """
     p0 = np.array([float(seed[0]), float(seed[1])])
-    if abs(residual_fn(p0[0], p0[1])) > 1e-7:
+    if not np.all(np.isfinite(p0)):
+        raise OutOfRangeError(f"seed {tuple(p0)} must be finite")
+    if not abs(residual_fn(p0[0], p0[1])) <= 1e-7:
         raise OutOfRangeError(f"seed {tuple(p0)} is not on the curve")
 
     g0 = _grad(residual_fn, p0[0], p0[1])
@@ -244,21 +247,20 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
 # admissible drive region of the fully general family
 
 def admissible_region(rho6: float, grid_n: int = 201, tol: float = DEFAULT_TOL) -> AdmissibleRegion:
-    """Boolean (rho4, rho5) mask: a branch exists and at least one closes."""
+    """Boolean (rho4, rho5) mask: a branch exists and at least one closes.
+
+    The whole grid is decided in one array pass of ``general_solve``, so a
+    cell is admissible exactly when ``general_fold`` at that cell returns.
+    """
     if grid_n < 2:
         raise OutOfRangeError(f"grid_n must be >= 2, got {grid_n}")
+    check_fold_angle(rho6, "rho6")
     axis = np.linspace(-PI, PI, grid_n)
     r4g, r5g = np.meshgrid(axis, axis, indexing="ij")
-    rhs = general_cos_rho2(np.sin(r4g), np.cos(r4g), np.sin(r5g), np.cos(r5g),
-                           math.sin(rho6), math.cos(rho6))
-    mask = np.zeros(rhs.shape, dtype=bool)
-    for i, j in np.argwhere(np.abs(rhs) <= 1.0):
-        try:
-            general_fold(float(axis[i]), float(axis[j]), rho6, tol=tol)
-        except NoSolutionError:
-            continue
-        mask[i, j] = True
-    return AdmissibleRegion(rho6=rho6, rho4_axis=axis, rho5_axis=axis, mask=mask)
+    _, cells = general_solve(r4g.ravel(), r5g.ravel(), rho6, tol=tol)
+    mask = np.zeros(grid_n * grid_n, dtype=bool)
+    mask[cells] = True
+    return AdmissibleRegion(rho6=rho6, rho4_axis=axis, rho5_axis=axis, mask=mask.reshape(grid_n, grid_n))
 
 
 # ---------------------------------------------------------------------------

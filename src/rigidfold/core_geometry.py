@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotClosedError
+from .errors import DomainError, NotClosedError, OutOfRangeError
 
 # Products of a handful of orthogonal 3x3 matrices carry ~1e-15 roundoff,
 # so these thresholds separate genuine violations from noise.
@@ -25,18 +25,35 @@ _UNIT_TOL = 1e-9
 _SECTOR_SUM_TOL = 1e-9
 
 _I3 = np.eye(3)
+_I3.setflags(write=False)
+
+
+def _cross_matrix(u: np.ndarray) -> np.ndarray:
+    """K with K @ x = u x x."""
+    return np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+
+
+def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
+    """c I + s K + (1 - c) u u^T: the rotation by the angle with cosine c and sine s.
+
+    c and s are scalars, or (N, 1, 1) arrays for a stack of N rotations.
+    """
+    return c * _I3 + s * cross + (1.0 - c) * outer
+
+
+def _axis_rotation(axis, theta: float) -> np.ndarray:
+    u = np.asarray(axis, dtype=float)
+    return _rodrigues(_cross_matrix(u), np.outer(u, u), np.cos(theta), np.sin(theta))
 
 
 def rot_x(theta: float) -> np.ndarray:
     """Rotation by theta about the x-axis."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return _axis_rotation((1.0, 0.0, 0.0), theta)
 
 
 def rot_z(theta: float) -> np.ndarray:
     """Rotation by theta about the z-axis."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return _axis_rotation((0.0, 0.0, 1.0), theta)
 
 
 def crease_rotation(crease: np.ndarray, rho: float) -> np.ndarray:
@@ -48,8 +65,7 @@ def crease_rotation(crease: np.ndarray, rho: float) -> np.ndarray:
         raise DomainError("crease must lie in the xy-plane")
     if abs(np.linalg.norm(c) - 1.0) > _UNIT_TOL:
         raise DomainError("crease must be a unit vector")
-    theta = np.arctan2(c[1], c[0])
-    return rot_z(theta) @ rot_x(rho) @ rot_z(-theta)
+    return _axis_rotation(c, rho)
 
 
 def wrap_angle(x: float) -> float:
@@ -60,6 +76,17 @@ def wrap_angle(x: float) -> float:
     return float(np.arctan2(np.sin(x), np.cos(x)))
 
 
+def wrap_angles(rho: np.ndarray) -> np.ndarray:
+    """wrap_angle elementwise, as one array expression."""
+    return np.where(np.abs(rho) <= np.pi, rho, np.arctan2(np.sin(rho), np.cos(rho)))
+
+
+def check_fold_angle(rho: float, name: str = "drive"):
+    """Reject a folding angle outside [-pi, pi]; NaN and infinities are outside."""
+    if not abs(rho) <= np.pi + 1e-12:
+        raise OutOfRangeError(f"{name} must lie in [-pi, pi], got {rho}")
+
+
 def as_fold_angles(angles, n: int | None = None) -> np.ndarray:
     """Validate and normalize a folding-angle vector."""
     rho = np.asarray(angles, dtype=float)
@@ -67,7 +94,12 @@ def as_fold_angles(angles, n: int | None = None) -> np.ndarray:
         raise DomainError("folding angles must form a 1-d sequence")
     if n is not None and rho.size != n:
         raise DomainError(f"expected {n} folding angles, got {rho.size}")
-    return np.array([wrap_angle(x) for x in rho])
+    return wrap_angles(rho)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -76,14 +108,18 @@ class CreasePattern:
 
     sector_angles[i] is the angle from crease i to crease i+1 (cyclically);
     the sectors always sum to 2*pi because the paper around the vertex is
-    developable.
+    developable.  cross[k] and outer[k] are the cross-product matrix and the
+    outer product u u^T of crease k, the fixed parts of its Rodrigues
+    rotation.  All four arrays are read-only.
     """
 
     creases: np.ndarray
     sector_angles: np.ndarray = field(default=None)  # type: ignore[assignment]
+    cross: np.ndarray = field(init=False, repr=False, compare=False)
+    outer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        creases = np.asarray(self.creases, dtype=float)
+        creases = np.array(self.creases, dtype=float)
         if creases.ndim != 2 or creases.shape[1] != 3:
             raise DomainError("creases must be an (n, 3) array")
         if creases.shape[0] < 3:
@@ -104,8 +140,10 @@ class CreasePattern:
             given = np.asarray(given, dtype=float)
             if given.shape != sectors.shape or np.any(np.abs(given - sectors) > 1e-8):
                 raise DomainError("sector_angles disagree with crease directions")
-        object.__setattr__(self, "creases", creases)
-        object.__setattr__(self, "sector_angles", sectors)
+        object.__setattr__(self, "creases", _read_only(creases))
+        object.__setattr__(self, "sector_angles", _read_only(sectors))
+        object.__setattr__(self, "cross", _read_only(np.stack([_cross_matrix(u) for u in creases])))
+        object.__setattr__(self, "outer", _read_only(np.einsum("ki,kj->kij", creases, creases)))
 
     @classmethod
     def from_sectors(cls, sector_angles) -> "CreasePattern":
@@ -128,23 +166,63 @@ class CreasePattern:
         return np.arctan2(self.creases[:, 1], self.creases[:, 0])
 
 
+_G60 = CreasePattern.from_sectors(np.full(6, np.pi / 3.0))
+
+
 def g60() -> CreasePattern:
-    """Degree-6 vertex with all sectors equal to 60 degrees."""
-    return CreasePattern.from_sectors(np.full(6, np.pi / 3.0))
+    """Degree-6 vertex with all sectors equal to 60 degrees (one shared, read-only instance)."""
+    return _G60
+
+
+def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool = False) -> np.ndarray:
+    """Batched products of crease rotations, each built by Rodrigues' formula.
+
+    ``angles`` is an (N, m) array.  Row r gives the product
+    R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
+    indices ``creases`` (default: the whole fan in order, m = n).  Returns
+    the (N, 3, 3) products; with ``frames`` the (N, m, 3, 3) running
+    products instead.  Without frames only the running product is kept, so
+    memory stays O(N).  Rows are independent: a row gives the same bits
+    whatever else is in the batch.
+    """
+    rho = np.asarray(angles, dtype=float)
+    order = range(pattern.n) if creases is None else creases
+    if rho.ndim != 2 or rho.shape[1] != len(order):
+        raise DomainError(f"expected an (N, {len(order)}) angle array, got shape {rho.shape}")
+    c = np.cos(rho)[:, :, None, None]
+    s = np.sin(rho)[:, :, None, None]
+    out = np.empty(rho.shape + (3, 3)) if frames else None
+    acc = None
+    for j, k in enumerate(order):
+        rot = _rodrigues(pattern.cross[k], pattern.outer[k], c[:, j], s[:, j])
+        acc = rot if acc is None else acc @ rot
+        if frames:
+            out[:, j] = acc
+    return out if frames else acc
+
+
+def _distance_from_identity(products: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each 3x3 matrix from the identity."""
+    return np.sqrt(np.square(products - _I3).sum(axis=(-2, -1)))
+
+
+def closure_residuals(pattern: CreasePattern, angles) -> np.ndarray:
+    """Closure residual of each row of an (N, n) folding-angle array."""
+    rho = np.asarray(angles, dtype=float)
+    if rho.ndim != 2:
+        raise DomainError("folding-angle rows must form a 2-d array")
+    return _distance_from_identity(rotation_products(pattern, wrap_angles(rho)))
 
 
 def closure_matrix(pattern: CreasePattern, angles) -> np.ndarray:
     """Product of crease rotations; identity exactly on the configuration space."""
-    rho = as_fold_angles(angles, pattern.n)
-    out = _I3
-    for c, r in zip(pattern.creases, rho):
-        out = out @ crease_rotation(c, r)
-    return out
+    return rotation_products(pattern, as_fold_angles(angles, pattern.n)[None])[0]
 
 
 def closure_residual(pattern: CreasePattern, angles) -> float:
     """Frobenius distance of the closure matrix from the identity."""
-    return float(np.linalg.norm(closure_matrix(pattern, angles) - _I3))
+    rho = as_fold_angles(angles, pattern.n)
+    return float(_distance_from_identity(rotation_products(pattern, rho[None]))[0])
 
 
 @dataclass(frozen=True)
@@ -164,12 +242,9 @@ class FoldedState:
 def folded_geometry(pattern: CreasePattern, angles, tol: float = GEOMETRY_TOL) -> FoldedState:
     """Folded frames and crease images; raises if the vector does not close."""
     rho = as_fold_angles(angles, pattern.n)
-    frames = np.empty((pattern.n, 3, 3))
-    acc = _I3
-    for k, (c, r) in enumerate(zip(pattern.creases, rho)):
-        acc = acc @ crease_rotation(c, r)
-        frames[k] = acc
-    residual = float(np.linalg.norm(acc - _I3))
+    frames = rotation_products(pattern, rho[None], frames=True)
+    residual = float(_distance_from_identity(frames[:, -1])[0])  # the bits closure_residual gives
+    frames = frames[0]
     if residual > tol:
         raise NotClosedError(
             f"folding angles do not close (residual {residual:.3e} > {tol:.1e})",

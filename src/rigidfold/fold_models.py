@@ -18,10 +18,13 @@ import numpy as np
 
 from .core_geometry import (
     CreasePattern,
+    check_fold_angle,
     closure_residual,
-    crease_rotation,
+    closure_residuals,
     g60,
+    rotation_products,
     wrap_angle,
+    wrap_angles,
 )
 from .errors import (
     BranchAmbiguityError,
@@ -123,11 +126,6 @@ def _check_wedge_domain(alpha: float, beta: float):
         raise OutOfRangeError(f"need alpha, beta > 0 with alpha + beta < pi: {alpha}, {beta}")
 
 
-def _check_fold_angle(rho: float, name: str = "drive"):
-    if abs(rho) > PI + 1e-12:
-        raise OutOfRangeError(f"{name} must lie in [-pi, pi], got {rho}")
-
-
 def _tan_half_scaled(mult: float, rho: float) -> float:
     """2*atan(mult * tan(rho/2)) through atan2, finite at rho = +/-pi."""
     return 2.0 * math.atan2(mult * math.sin(0.5 * rho), math.cos(0.5 * rho))
@@ -184,7 +182,7 @@ def degree4_fold(alpha: float, beta: float, mode: int, rho_drive: float) -> np.n
     """Angle 4-vector of the chosen mode; drive is rho2 (mode 1) or rho1 (mode 2)."""
     if mode not in (1, 2):
         raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
-    _check_fold_angle(rho_drive)
+    check_fold_angle(rho_drive)
     p, q = degree4_multipliers(alpha, beta)
     if mode == 1:
         rho1 = _tan_half_scaled(p.value, rho_drive)
@@ -220,7 +218,7 @@ def trifold(beta: float, mode: int, rho_drive: float) -> tuple[float, float]:
     """(rho1, rho2) of the trifold; mode 1 drives rho2, mode 2 drives rho1."""
     if mode not in (1, 2):
         raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
-    _check_fold_angle(rho_drive)
+    check_fold_angle(rho_drive)
     m = trifold_multiplier(beta)
     other = 4.0 * math.atan(m * math.tan(0.25 * rho_drive))
     if abs(other) > PI + 1e-12:
@@ -273,7 +271,7 @@ def bowtie_multiplier(beta: float, mode: int) -> float:
 
 def bowtie(beta: float, mode: int, rho1: float) -> float:
     """rho2 of the bow tie from rho1 via the mode's half-angle ratio."""
-    _check_fold_angle(rho1, "rho1")
+    check_fold_angle(rho1, "rho1")
     return _tan_half_scaled(bowtie_multiplier(beta, mode), rho1)
 
 
@@ -317,7 +315,7 @@ def opposites_solve(
     if len(given) != 2:
         raise OutOfRangeError(f"exactly two angles must be given, got {len(given)}")
     for i in given:
-        _check_fold_angle(known[i], f"rho{i}")
+        check_fold_angle(known[i], f"rho{i}")
     (unknown,) = [i for i in (1, 2, 3) if i not in given]
     c12, c23, c13 = math.sin(alpha), math.sin(beta), math.sin(alpha + beta)
     s = {i: math.sin(0.5 * known[i]) for i in given}
@@ -375,8 +373,8 @@ def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
     are reported.
     """
     _check_wedge_domain(alpha, beta)
-    _check_fold_angle(rho2, "rho2")
-    _check_fold_angle(rho3, "rho3")
+    check_fold_angle(rho2, "rho2")
+    check_fold_angle(rho3, "rho3")
     if max(abs(rho2), abs(rho3)) < _AMBIGUOUS_TOL:
         return 0.0  # flat to working precision; the fraction would be noise / noise
     num, den = _igloo_fraction(alpha, beta, rho2, rho3)
@@ -416,7 +414,7 @@ def igloo_1dof(alpha: float, beta: float, mode: int, rho4: float) -> tuple[float
     _check_wedge_domain(alpha, beta)
     if mode not in (1, 2):
         raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
-    _check_fold_angle(rho4, "rho4")
+    check_fold_angle(rho4, "rho4")
     pa, pb = pleat_multiplier(alpha), pleat_multiplier(beta)
     t = math.tan(0.25 * rho4)
     if mode == 1:
@@ -476,8 +474,8 @@ def two_pair_complete(rho1: float, rho2: float, tol: float = _CLOSE_TOL) -> list
     only combinations whose full 6-vector closes survive.  Off-curve input
     or a spurious branch yields no closing candidate.
     """
-    _check_fold_angle(rho1, "rho1")
-    _check_fold_angle(rho2, "rho2")
+    check_fold_angle(rho1, "rho1")
+    check_fold_angle(rho2, "rho2")
     if abs(two_pair_curve_residual(rho1, rho2)) > _CURVE_TOL:
         raise InconsistentPointError(
             f"({rho1}, {rho2}) is not on the two-pair curve "
@@ -522,23 +520,52 @@ def two_pair_complete(rho1: float, rho2: float, tol: float = _CLOSE_TOL) -> list
 # fully general and almost general (fixed 60-degree sectors)
 
 _C3 = np.array([-0.5, math.sqrt(3.0) / 2.0, 0.0])
+_RHO2_SLACK = 1e-12  # |cos rho2| up to 1 + this still has the branch rho2 = 0 or pi
+_AXIS_TOL = 1e-12  # back chain closer than this to the first crease leaves rho1 free
+
+
+def _drive_arrays(**drives) -> list[np.ndarray]:
+    """Validated drive angles as equal-length 1-d arrays; scalars broadcast."""
+    arrays = [np.ravel(a).astype(float) for a in np.broadcast_arrays(*drives.values())]
+    for name, a in zip(drives, arrays):
+        bad = ~(np.abs(a) <= PI + 1e-12)  # NaN and infinities are bad too
+        if bad.any():
+            check_fold_angle(a[bad][0], name)
+    return arrays
+
+
+def _back_chains(rho4: np.ndarray, rho5: np.ndarray, rho6: np.ndarray) -> np.ndarray:
+    return rotation_products(g60(), -np.stack([rho6, rho5, rho4], axis=1), creases=(5, 4, 3)) @ _C3
+
+
+def _rho2_branches(rho4: np.ndarray, rho5: np.ndarray, rho6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, exists): rho2 = +/-r where a branch exists; r = 0 is one branch."""
+    rhs = general_cos_rho2(np.sin(rho4), np.cos(rho4), np.sin(rho5), np.cos(rho5),
+                           np.sin(rho6), np.cos(rho6))
+    exists = np.abs(rhs) <= 1.0 + _RHO2_SLACK
+    return np.arccos(np.clip(rhs, -1.0, 1.0)), exists
+
+
+def _rho1(rho2: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """rho1 turning the forward image of the third crease onto the back chain."""
+    v1 = (math.sqrt(3.0) / 2.0) * np.cos(0.5 * rho2) ** 2
+    v2 = (math.sqrt(3.0) / 2.0) * np.sin(rho2)
+    return wrap_angles(np.arctan2(back[:, 2], back[:, 1]) - np.arctan2(v2, v1))
+
+
+def _rho3(rho1, rho2, rho4, rho5, rho6) -> np.ndarray:
+    """Angle of R3 = (R1 R2)^T (R4 R5 R6)^T about the third crease."""
+    M = rotation_products(g60(), -np.stack([rho2, rho1, rho6, rho5, rho4], axis=1),
+                          creases=(1, 0, 5, 4, 3))
+    w0 = 0.5 * (M[:, 2, 1] - M[:, 1, 2])
+    w1 = 0.5 * (M[:, 0, 2] - M[:, 2, 0])
+    return np.arctan2(w0 * _C3[0] + w1 * _C3[1], 0.5 * (M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2] - 1.0))
 
 
 def general_c3_image(rho1: float, rho2: float) -> np.ndarray:
     """Third crease direction after folding the first two creases."""
-    G = g60()
-    return crease_rotation(G.creases[0], rho1) @ crease_rotation(G.creases[1], rho2) @ _C3
-
-
-def general_back_chain(rho4: float, rho5: float, rho6: float) -> np.ndarray:
-    """Third crease direction reached backwards through creases 6, 5, 4."""
-    G = g60()
-    return (
-        crease_rotation(G.creases[5], -rho6)
-        @ crease_rotation(G.creases[4], -rho5)
-        @ crease_rotation(G.creases[3], -rho4)
-        @ _C3
-    )
+    r1, r2 = _drive_arrays(rho1=rho1, rho2=rho2)
+    return rotation_products(g60(), np.stack([r1, r2], axis=1), creases=(0, 1))[0] @ _C3
 
 
 def general_cos_rho2(s4, c4, s5, c5, s6, c6):
@@ -552,63 +579,60 @@ def general_cos_rho2(s4, c4, s5, c5, s6, c6):
 
 def general_rho2(rho4: float, rho5: float, rho6: float) -> list[float]:
     """The 0, 1 or 2 values of rho2 compatible with the three drive angles."""
-    for name, rho in (("rho4", rho4), ("rho5", rho5), ("rho6", rho6)):
-        _check_fold_angle(rho, name)
-    rhs = general_cos_rho2(
-        math.sin(rho4), math.cos(rho4), math.sin(rho5), math.cos(rho5), math.sin(rho6), math.cos(rho6)
-    )
-    if abs(rhs) > 1.0 + 1e-12:
+    r, exists = _rho2_branches(*_drive_arrays(rho4=rho4, rho5=rho5, rho6=rho6))
+    if not exists[0]:
         return []
-    r = math.acos(max(-1.0, min(1.0, rhs)))
+    r = float(r[0])
     return [r] if r == 0.0 else [r, -r]
 
 
 def general_rho1(rho2: float, rho4: float, rho5: float, rho6: float) -> float:
     """rho1 aligning the forward image of the third crease with the back chain."""
-    _check_fold_angle(rho2, "rho2")
-    u = general_back_chain(rho4, rho5, rho6)
-    if math.hypot(u[1], u[2]) < 1e-12:
+    r2, r4, r5, r6 = _drive_arrays(rho2=rho2, rho4=rho4, rho5=rho5, rho6=rho6)
+    back = _back_chains(r4, r5, r6)
+    if math.hypot(back[0, 1], back[0, 2]) < _AXIS_TOL:
         raise DegenerateConfigurationError(
             "back chain leaves the third crease on the rotation axis; rho1 is free"
         )
-    v = np.array([
-        (1.0 - 3.0 * math.cos(rho2)) / 4.0,
-        (math.sqrt(3.0) / 2.0) * math.cos(0.5 * rho2) ** 2,
-        (math.sqrt(3.0) / 2.0) * math.sin(rho2),
-    ])
-    return wrap_angle(math.atan2(u[2], u[1]) - math.atan2(v[2], v[1]))
+    return float(_rho1(r2, back)[0])
 
 
 def general_rho3(rho1: float, rho2: float, rho4: float, rho5: float, rho6: float) -> float:
     """Remaining angle, read off the loop-closure product as an axis rotation."""
-    G = g60()
-    R12 = crease_rotation(G.creases[0], rho1) @ crease_rotation(G.creases[1], rho2)
-    R456 = (
-        crease_rotation(G.creases[3], rho4)
-        @ crease_rotation(G.creases[4], rho5)
-        @ crease_rotation(G.creases[5], rho6)
-    )
-    M = R12.T @ R456.T
-    w = 0.5 * np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
-    return math.atan2(float(w @ _C3), 0.5 * (np.trace(M) - 1.0))
+    return float(_rho3(*_drive_arrays(rho1=rho1, rho2=rho2, rho4=rho4, rho5=rho5, rho6=rho6))[0])
+
+
+def general_solve(rho4, rho5, rho6, tol: float = _CLOSE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Every closing 6-vector of a batch of drive triples, in one array pass.
+
+    The drives broadcast to N triples.  Returns (vectors, drive): an (M, 6)
+    array of closing angle vectors and, for each, the index of its drive
+    triple.  Rows come in drive order, the +rho2 branch before the -rho2
+    one.  A branch is kept when |cos rho2| <= 1 + 1e-12, the back chain
+    does not leave the third crease on the first crease's axis, and the
+    full vector closes below ``tol``.
+    """
+    r4, r5, r6 = _drive_arrays(rho4=rho4, rho5=rho5, rho6=rho6)
+    r, exists = _rho2_branches(r4, r5, r6)
+    back = _back_chains(r4, r5, r6)
+    exists &= np.hypot(back[:, 1], back[:, 2]) >= _AXIS_TOL
+    keep = np.stack([exists, exists & (r != 0.0)], axis=1)
+    drive, branch = np.nonzero(keep)  # row-major: drive order, + branch first
+    rho2 = np.where(branch == 0, r[drive], -r[drive])
+    r4, r5, r6 = r4[drive], r5[drive], r6[drive]
+    rho1 = _rho1(rho2, back[drive])
+    rho3 = _rho3(rho1, rho2, r4, r5, r6)
+    vecs = np.stack([rho1, rho2, rho3, r4, r5, r6], axis=1)
+    closes = closure_residuals(g60(), vecs) < tol
+    return vecs[closes], drive[closes]
 
 
 def general_fold(rho4: float, rho5: float, rho6: float, tol: float = _CLOSE_TOL) -> list[np.ndarray]:
     """All closing 6-vectors for the drive triple, one per rho2 branch."""
-    pattern = g60()
-    out = []
-    for rho2 in general_rho2(rho4, rho5, rho6):
-        try:
-            rho1 = general_rho1(rho2, rho4, rho5, rho6)
-        except DegenerateConfigurationError:
-            continue
-        rho3 = general_rho3(rho1, rho2, rho4, rho5, rho6)
-        vec = np.array([rho1, rho2, rho3, rho4, rho5, rho6])
-        if closure_residual(pattern, vec) < tol:
-            out.append(vec)
-    if not out:
+    vecs, _ = general_solve(rho4, rho5, rho6, tol)
+    if not len(vecs):
         raise NoSolutionError(f"no closing branch for drives ({rho4}, {rho5}, {rho6})")
-    return out
+    return list(vecs)
 
 
 def almost_general(rho4: float, rho5: float, tol: float = _CLOSE_TOL) -> list[np.ndarray]:
@@ -681,7 +705,7 @@ def resch_fold(t: float) -> dict[str, np.ndarray]:
     share with their neighbors.  All vertices sit on 60-degree patterns.
     """
     limit = trifold_drive_limit(PI / 3.0)
-    if abs(t) > limit + 1e-12:
+    if not abs(t) <= limit + 1e-12:
         raise OutOfRangeError(f"drive {t} outside reachable interval [-{limit}, {limit}]")
     third = PI / 3.0
     t1, t2 = trifold(third, 1, t)

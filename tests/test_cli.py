@@ -103,6 +103,11 @@ DOMAIN_ERRORS = [
     (["export", "{empty}", "-o", "{tmp}/out.csv"], "nothing to export"),
     (["export", "{empty}", "-o", "{tmp}/out.json"], "nothing to export"),
     (["export", "{empty}", "-o", "{tmp}/out.obj"], "nothing to export"),
+    (["fold", "degree4", "--drive", "nan"], "drive must lie in [-pi, pi], got nan"),
+    (["resch", "--drive", "nan"], "drive nan outside reachable interval"),
+    (["region", "--rho6", "nan"], "rho6 must lie in [-pi, pi], got nan"),
+    (["region", "--rho6", "5"], "rho6 must lie in [-pi, pi], got 5.0"),
+    (["trace", "--seed1", "nan"], "must be finite"),
 ]
 
 

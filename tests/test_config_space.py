@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from rigidfold.config_space import (
     trace_implicit_curve,
 )
 from rigidfold.core_geometry import g60
-from rigidfold.errors import OutOfRangeError
-from rigidfold.fold_models import FoldMode, FoldModel, two_pair_curve_residual
+from rigidfold.errors import NoSolutionError, OutOfRangeError
+from rigidfold.fold_models import FoldMode, FoldModel, general_fold, two_pair_curve_residual
 
 PI = math.pi
 G = g60()
@@ -133,6 +134,42 @@ def test_admissible_region_point_reflection():
 def test_admissible_region_needs_grid():
     with pytest.raises(OutOfRangeError):
         admissible_region(0.0, grid_n=1)
+
+
+def _rodrigues_residual(rho):
+    """Closure residual on the 60-degree vertex, from its own rotation product."""
+    acc = np.eye(3)
+    for k, a in enumerate(rho):
+        t = k * PI / 3.0
+        u = np.array([math.cos(t), math.sin(t), 0.0])
+        K = np.array([[0.0, 0.0, u[1]], [0.0, 0.0, -u[0]], [-u[1], u[0], 0.0]])
+        acc = acc @ (math.cos(a) * np.eye(3) + math.sin(a) * K + (1.0 - math.cos(a)) * np.outer(u, u))
+    return float(np.linalg.norm(acc - np.eye(3)))
+
+
+@pytest.mark.parametrize("rho6", [0.0, 0.4, 0.8])
+def test_admissible_region_is_where_general_fold_solves(rho6):
+    """A cell is admissible exactly when the scalar solve returns there; at
+    rho6 = 0 this includes cells with |cos rho2| just above 1."""
+    region = admissible_region(rho6, grid_n=41)
+    axis = region.rho4_axis
+    solved = np.zeros_like(region.mask)
+    for i, r4 in enumerate(axis):
+        for j, r5 in enumerate(axis):
+            try:
+                sols = general_fold(float(r4), float(r5), rho6)
+            except NoSolutionError:
+                continue
+            solved[i, j] = True
+            assert max(_rodrigues_residual(v) for v in sols) < 1e-8
+    assert np.array_equal(region.mask, solved)
+
+
+def test_admissible_region_default_grid_is_fast():
+    start = time.perf_counter()
+    region = admissible_region(0.8, grid_n=201)
+    assert time.perf_counter() - start < 5.0
+    assert region.mask.shape == (201, 201) and region.mask.any()
 
 
 # --- export ----------------------------------------------------------------------

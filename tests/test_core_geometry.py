@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rigidfold.core_geometry import (
     CreasePattern,
     closure_matrix,
     closure_residual,
+    closure_residuals,
     crease_rotation,
     folded_geometry,
     g60,
     rot_x,
     rot_z,
+    rotation_products,
     self_intersects,
     triangles_interiors_intersect,
     wrap_angle,
@@ -170,3 +172,70 @@ def test_flat_folded_state_self_intersects():
     pat = CreasePattern.from_sectors([math.pi / 2.0] * 4)
     state = folded_geometry(pat, [math.pi, math.pi, math.pi, math.pi], tol=1e-9)
     assert self_intersects(pat, state)
+
+
+# --- batched Rodrigues kernel ------------------------------------------------
+
+def _reference_frames(sectors, rho):
+    """Running products of c I + s K + (1 - c) u u^T, one crease at a time."""
+    thetas = np.concatenate([[0.0], np.cumsum(sectors)[:-1]])
+    frames = np.empty((len(rho), len(thetas), 3, 3))
+    for r, row in enumerate(rho):
+        acc = np.eye(3)
+        for k, (t, a) in enumerate(zip(thetas, row)):
+            u = np.array([math.cos(t), math.sin(t), 0.0])
+            K = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+            acc = acc @ (math.cos(a) * np.eye(3) + math.sin(a) * K + (1.0 - math.cos(a)) * np.outer(u, u))
+            frames[r, k] = acc
+    return frames
+
+
+@st.composite
+def _fan_and_angles(draw):
+    n = draw(st.integers(3, 8))
+    weights = np.array(draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n)))  # every sector < pi
+    sectors = 2.0 * math.pi * weights / weights.sum()
+    rows = draw(st.integers(1, 5))
+    flat = draw(st.lists(st.floats(-math.pi, math.pi), min_size=rows * n, max_size=rows * n))
+    return sectors, np.array(flat).reshape(rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fan_and_angles())
+def test_kernel_matches_a_reference_rodrigues_product(case):
+    sectors, rho = case
+    pat = CreasePattern.from_sectors(sectors)
+    want = _reference_frames(sectors, rho)
+    frames = rotation_products(pat, rho, frames=True)
+    assert frames.shape == want.shape
+    assert np.max(np.abs(frames - want)) < 1e-14
+    assert np.array_equal(rotation_products(pat, rho), frames[:, -1])
+    want_res = np.linalg.norm(want[:, -1] - np.eye(3), axis=(1, 2))
+    assert np.max(np.abs(closure_residuals(pat, rho) - want_res)) < 1e-14
+
+
+def test_batched_residuals_equal_single_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for pat in (g60(), CreasePattern.from_sectors([0.9, 1.3, 0.6, 2.0 * math.pi - 2.8])):
+        rho = rng.uniform(-math.pi, math.pi, (500, pat.n))
+        rho[:50] *= 1e-3  # near-flat rows, residuals near roundoff
+        batch = closure_residuals(pat, rho)
+        for k in range(len(rho)):
+            assert closure_residual(pat, rho[k]) == batch[k]
+            assert folded_geometry(pat, rho[k], tol=10.0).residual == batch[k]
+
+
+def test_g60_is_one_read_only_pattern():
+    assert g60() is g60()
+    with pytest.raises(ValueError):
+        g60().creases[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        g60().sector_angles[0] = 1.0
+    assert g60().creases[0, 0] == 1.0
+
+
+def test_kernel_rejects_a_wrong_angle_shape():
+    with pytest.raises(DomainError):
+        rotation_products(g60(), np.zeros((2, 5)))
+    with pytest.raises(DomainError):
+        closure_residuals(g60(), np.zeros(6))
