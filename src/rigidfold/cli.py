@@ -8,6 +8,7 @@ codes: 0 success, 2 domain error, 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -215,8 +216,8 @@ def cmd_trace(args) -> int:
             r3, r4 = fm.two_pair_complete(r1, r2, tol=max(args.tol, cs.DEFAULT_TOL))[0]
         except RigidFoldError:
             continue
-        completed.append(cs.make_sample(pattern, fm.two_pair_vector(r1, r2, r3, r4), tol=args.tol))
-    return _write_samples(completed, args, pattern)
+        completed.append(fm.two_pair_vector(r1, r2, r3, r4))
+    return _write_samples(cs.make_samples(pattern, completed, [0] * len(completed), args.tol), args, pattern)
 
 
 def cmd_region(args) -> int:
@@ -244,8 +245,7 @@ def cmd_region(args) -> int:
 def cmd_resch(args) -> int:
     vertices = fm.resch_fold(_rad(args.drive, args))
     pattern = g60()
-    samples = [cs.make_sample(pattern, vec, branch=vid, tol=args.tol)
-               for vid, vec in vertices.items()]
+    samples = cs.make_samples(pattern, list(vertices.values()), list(vertices), args.tol)
     report = "".join(f"{s.branch}: residual {s.residual:.3e}\n" for s in samples)
     if args.output:
         _write_samples(samples, args, pattern)
@@ -270,9 +270,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -19,10 +19,11 @@ import numpy as np
 from .core_geometry import (
     CreasePattern,
     check_fold_angle,
-    closure_residual,
+    crease_images,
+    folded_frames,
     folded_geometry,
     g60,
-    self_intersects,
+    self_intersections,
 )
 from .errors import (
     BranchAmbiguityError,
@@ -77,15 +78,27 @@ class ExportReport:
     skipped: int
 
 
+def make_samples(pattern: CreasePattern, rows, branches, tol: float = DEFAULT_TOL) -> list[ConfigSample]:
+    """Evaluate closure and the self-intersection test for each row of an (N, n) angle array.
+
+    One kernel call gives every row's residual and frames; the rows that
+    close below ``tol`` are then tested for self-intersection in one pass.
+    ``branches`` tags the rows in order.
+    """
+    if len(rows) == 0:
+        return []
+    rho = np.asarray(rows, dtype=float)
+    residuals, frames = folded_frames(pattern, rho)
+    closed = residuals < tol
+    valid = np.zeros(len(rho), dtype=bool)
+    valid[closed] = ~self_intersections(pattern, crease_images(pattern, frames[closed]))
+    return [ConfigSample(rho=r, residual=float(res), valid=bool(v), branch=b)
+            for r, res, v, b in zip(rho, residuals, valid, branches, strict=True)]
+
+
 def make_sample(pattern: CreasePattern, rho, branch=0, tol: float = DEFAULT_TOL) -> ConfigSample:
     """Evaluate closure and the self-intersection test for one angle vector."""
-    rho = np.asarray(rho, dtype=float)
-    residual = closure_residual(pattern, rho)
-    valid = False
-    if residual < tol:
-        state = folded_geometry(pattern, rho, tol=tol)
-        valid = not self_intersects(pattern, state)
-    return ConfigSample(rho=rho, residual=residual, valid=valid, branch=branch)
+    return make_samples(pattern, np.asarray(rho, dtype=float)[None], [branch], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +114,16 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
     CurveTrace ordered by drive value; two-parameter families return a
     SurfaceGrid.  Drives where the family has no closing solution are
     skipped rather than reported as invalid samples, so a returned sample
-    always corresponds to a solve.
+    always corresponds to a solve.  The solved vectors are evaluated
+    together by one ``make_samples`` call.
     """
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
     fam = FAMILIES[mode.model]
     pattern = fam.pattern(mode)
     branch = mode.mode if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
-    samples: list[ConfigSample] = []
+    vectors: list[np.ndarray] = []
+    branches: list[int] = []
 
     def add(drives):
         try:
@@ -116,32 +131,36 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
         except (BranchAmbiguityError, NoSolutionError):
             return
         if fam.numbered:
-            samples.extend(make_sample(pattern, v, j + 1, tol) for j, v in enumerate(sols))
+            vectors.extend(sols)
+            branches.extend(range(1, len(sols) + 1))
         else:
-            samples.append(make_sample(pattern, sols[0], branch, tol))
+            vectors.append(sols[0])
+            branches.append(branch)
 
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)
         for d in np.linspace(-lim, lim, n):
             add((d,))
-        return CurveTrace(samples=samples, closed=False, note="sweep")
+        return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=False, note="sweep")
     if fam.curve is not None:
         trace = trace_implicit_curve(fam.curve, (0.0, 0.0), step=_TRACE_STEP, tol=tol)
         for i in np.linspace(0, len(trace.samples) - 1, n).round().astype(int):
             add(tuple(trace.samples[i].rho[:2]))
-        return CurveTrace(samples=samples, closed=trace.closed, note="resampled relation curve")
+        return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=trace.closed,
+                          note="resampled relation curve")
     if len(fam.drives) == 2:
         axis = np.linspace(-PI, PI, n)
         for x in axis:
             for y in axis:
                 add((x, y))
-        return SurfaceGrid(drive1=axis, drive2=axis, samples=samples)
+        return SurfaceGrid(drive1=axis, drive2=axis, samples=make_samples(pattern, vectors, branches, tol))
     rng = np.random.default_rng(0)
     for _ in range(40 * n):
-        if len(samples) >= n:
+        if len(vectors) >= n:
             break
         add(tuple(rng.uniform(-PI, PI, 3)))
-    return CurveTrace(samples=samples[:n], closed=False, note="seeded random drive triples")
+    return CurveTrace(samples=make_samples(pattern, vectors[:n], branches[:n], tol), closed=False,
+                      note="seeded random drive triples")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ else in the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +111,8 @@ class CreasePattern:
     the sectors always sum to 2*pi because the paper around the vertex is
     developable.  cross[k] and outer[k] are the cross-product matrix and the
     outer product u u^T of crease k, the fixed parts of its Rodrigues
-    rotation.  All four arrays are read-only.
+    rotation.  All four arrays are read-only.  Two patterns are equal, and
+    hash alike, when their creases are equal.
     """
 
     creases: np.ndarray
@@ -144,6 +146,13 @@ class CreasePattern:
         object.__setattr__(self, "sector_angles", _read_only(sectors))
         object.__setattr__(self, "cross", _read_only(np.stack([_cross_matrix(u) for u in creases])))
         object.__setattr__(self, "outer", _read_only(np.einsum("ki,kj->kij", creases, creases)))
+
+    def __eq__(self, other) -> bool:
+        """Patterns are equal when their creases are; anything else is unequal."""
+        return isinstance(other, CreasePattern) and np.array_equal(self.creases, other.creases)
+
+    def __hash__(self) -> int:
+        return hash((self.creases + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0, which compares equal
 
     @classmethod
     def from_sectors(cls, sector_angles) -> "CreasePattern":
@@ -239,142 +248,120 @@ class FoldedState:
     residual: float
 
 
+def folded_frames(pattern: CreasePattern, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Closure residuals (N,) and face frames (N, n, 3, 3) of an (N, n) folding-angle array.
+
+    Both come from one kernel call: each residual is its last frame's
+    distance from the identity, the bits ``closure_residual`` gives.
+    """
+    rho = np.asarray(angles, dtype=float)
+    if rho.ndim != 2:
+        raise DomainError("folding-angle rows must form a 2-d array")
+    frames = rotation_products(pattern, wrap_angles(rho), frames=True)
+    return _distance_from_identity(frames[:, -1]), frames
+
+
+def crease_images(pattern: CreasePattern, frames: np.ndarray) -> np.ndarray:
+    """Image of crease k under face frame k, for (..., n, 3, 3) frames."""
+    return np.einsum("...kij,kj->...ki", frames, pattern.creases)
+
+
 def folded_geometry(pattern: CreasePattern, angles, tol: float = GEOMETRY_TOL) -> FoldedState:
     """Folded frames and crease images; raises if the vector does not close."""
-    rho = as_fold_angles(angles, pattern.n)
-    frames = rotation_products(pattern, rho[None], frames=True)
-    residual = float(_distance_from_identity(frames[:, -1])[0])  # the bits closure_residual gives
-    frames = frames[0]
+    residuals, frames = folded_frames(pattern, as_fold_angles(angles, pattern.n)[None])
+    residual, frames = float(residuals[0]), frames[0]
     if residual > tol:
         raise NotClosedError(
             f"folding angles do not close (residual {residual:.3e} > {tol:.1e})",
             residual=residual,
         )
-    images = np.einsum("kij,kj->ki", frames, pattern.creases)
-    return FoldedState(face_frames=frames, crease_images=images, residual=residual)
+    return FoldedState(face_frames=frames, crease_images=crease_images(pattern, frames), residual=residual)
 
 
 # --- self-intersection test -------------------------------------------------
 #
 # Each sector folds to the triangle (origin, image of crease k, image of
-# crease k+1) at unit radius.  Adjacent sectors share a crease and every
-# sector shares the origin apex, so only interior overlap of non-adjacent
-# triangles counts as self-intersection.
+# crease k+1) at unit radius.  Every sector shares the origin apex, so two
+# triangles overlap in their interiors exactly when their cones do; adjacent
+# sectors share a crease, so only non-adjacent pairs are tested.
 
 
-def _tri_normal(tri: np.ndarray) -> np.ndarray:
-    return np.cross(tri[1] - tri[0], tri[2] - tri[0])
+@functools.cache
+def _sector_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the non-adjacent sectors of an n-fan (read-only)."""
+    i, j = np.triu_indices(n, 2)
+    keep = j - i != n - 1
+    return _read_only(i[keep]), _read_only(j[keep])
 
 
-def _plane_clip_segment(tri: np.ndarray, dists: np.ndarray, eps: float):
-    """Chord of a triangle cut by another triangle's plane.
+# The helpers below hold 3-vectors with their coordinates on the first axis,
+# so each product is three whole-array operations over every state and pair.
 
-    Returns the chord endpoints when the plane passes through the triangle's
-    interior, or None when contact is confined to the boundary.
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.stack([x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]])
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _meet(sector: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Where a sector's tip-to-tip edge crosses a plane its tips lie at signed distances d from."""
+    a, b = sector[:, 0], sector[:, 1]
+    return a + d[0] / (d[0] - d[1]) * (b - a)
+
+
+def _inside(sector: np.ndarray, wedge: np.ndarray, eps: float) -> np.ndarray:
+    """Whether a tip or the bisector of ``sector`` lies strictly inside ``wedge``."""
+    sides = _dot(sector[:, :2, None], wedge[:, None, 3:])  # [tip, edge normal]
+    return (sides > eps).all(axis=1).any(axis=0) | (sides.sum(axis=0) > eps).all(axis=0)
+
+
+def self_intersections(pattern: CreasePattern, images, eps: float = TRIANGLE_EPS) -> np.ndarray:
+    """Whether any two non-adjacent folded sectors overlap, for each row of (N, n, 3) crease images.
+
+    Every non-adjacent sector pair of every row is decided at once.  A
+    sector whose normal e_k x e_k+1 is shorter than eps has no interior and
+    meets nothing.  Otherwise take the signed distances of each sector's two
+    tips from the other sector's plane:
+
+    * transversal pair: each sector's tips lie strictly on opposite sides of
+      the other's plane.  The tip-to-tip edges cross the planes' common line
+      at p_i and p_j, and the sectors overlap when min(|p_i|, p_j . p_i/|p_i|)
+      exceeds eps;
+    * coplanar pair: all four distances are below eps.  The sectors overlap
+      when a tip or the bisector of one wedge lies strictly inside the
+      other: x is strictly inside the wedge from a to b with unit normal m
+      when (a x x) . m and (x x b) . m both exceed eps.
+
+    Any other pair touches at most along its boundary.
     """
-    sign = np.where(dists > eps, 1, np.where(dists < -eps, -1, 0))
-    if np.all(sign >= 0) or np.all(sign <= 0):
-        # no transversal crossing: contact, if any, is boundary-only
-        return None
-    pts = []
-    for a in range(3):
-        b = (a + 1) % 3
-        da, db = dists[a], dists[b]
-        if sign[a] == 0:
-            pts.append(tri[a])
-        if sign[a] * sign[b] < 0:
-            t = da / (da - db)
-            pts.append(tri[a] + t * (tri[b] - tri[a]))
-    if len(pts) < 2:
-        return None
-    pts = np.asarray(pts)
-    # keep the two extreme points along the chord direction
-    d = pts[-1] - pts[0]
-    if np.linalg.norm(d) < eps:
-        return None
-    t = pts @ d
-    return pts[np.argmin(t)], pts[np.argmax(t)]
-
-
-def _coplanar_overlap_area(t1: np.ndarray, t2: np.ndarray, normal: np.ndarray) -> float:
-    """Area of the 2-d intersection of two coplanar triangles."""
-    axis = int(np.argmax(np.abs(normal)))
-    keep = [i for i in range(3) if i != axis]
-    p1 = t1[:, keep]
-    p2 = t2[:, keep]
-
-    def signed_area(poly):
-        x, y = poly[:, 0], poly[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-    def clip(subject, a, b):
-        # Sutherland-Hodgman against the half-plane left of a->b
-        out = []
-        m = len(subject)
-        for i in range(m):
-            p, q = subject[i], subject[(i + 1) % m]
-            side_p = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-            side_q = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-            if side_p >= 0:
-                out.append(p)
-            if side_p * side_q < 0:
-                t = side_p / (side_p - side_q)
-                out.append(p + t * (q - p))
-        return out
-
-    if signed_area(p1) < 0:
-        p1 = p1[::-1]
-    if signed_area(p2) < 0:
-        p2 = p2[::-1]
-    poly = [p1[0], p1[1], p1[2]]
-    for a in range(3):
-        poly = clip(poly, p2[a], p2[(a + 1) % 3])
-        if len(poly) < 3:
-            return 0.0
-    return abs(signed_area(np.asarray(poly)))
-
-
-def triangles_interiors_intersect(t1: np.ndarray, t2: np.ndarray, eps: float = TRIANGLE_EPS) -> bool:
-    """Whether two triangles overlap beyond boundary contact."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    n1 = _tri_normal(t1)
-    n2 = _tri_normal(t2)
-    if np.linalg.norm(n1) < eps or np.linalg.norm(n2) < eps:
-        return False  # degenerate triangle has no interior
-    d2 = (t2 - t1[0]) @ n1 / np.linalg.norm(n1)
-    d1 = (t1 - t2[0]) @ n2 / np.linalg.norm(n2)
-    if np.all(np.abs(d2) < eps) and np.all(np.abs(d1) < eps):
-        return _coplanar_overlap_area(t1, t2, n1) > eps
-    seg1 = _plane_clip_segment(t1, d1, eps)
-    seg2 = _plane_clip_segment(t2, d2, eps)
-    if seg1 is None or seg2 is None:
-        return False
-    # both chords lie on the plane-intersection line; compare 1-d intervals
-    axis = seg1[1] - seg1[0]
-    norm = np.linalg.norm(axis)
-    if norm < eps:
-        return False
-    axis = axis / norm
-    a0, a1 = 0.0, norm
-    b0, b1 = sorted(((seg2[0] - seg1[0]) @ axis, (seg2[1] - seg1[0]) @ axis))
-    overlap = min(a1, b1) - max(a0, b0)
-    return overlap > eps
+    e = np.asarray(images, dtype=float)
+    if e.ndim != 3 or e.shape[1:] != (pattern.n, 3):
+        raise DomainError(f"expected (N, {pattern.n}, 3) crease images, got shape {e.shape}")
+    a = np.moveaxis(e, 2, 0)
+    b = np.roll(a, -1, axis=2)
+    normal = _cross(a, b)
+    size = np.sqrt(_dot(normal, normal))
+    i, j = _sector_pairs(pattern.n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate sectors are masked below
+        m = normal / size
+        # per sector: tips a and b, normal, and m x a, b x m, since (a x x) . m = x . (m x a)
+        sector = np.stack([a, b, normal, _cross(m, a), _cross(b, m)], axis=1)
+        si, sj = sector[..., i], sector[..., j]
+        di = _dot(si[:, :2], sj[:, 2:3]) / size[:, j]  # tips of sector i from plane j
+        dj = _dot(sj[:, :2], si[:, 2:3]) / size[:, i]
+        pi, pj = _meet(si, di), _meet(sj, dj)
+        length = np.sqrt(_dot(pi, pi))
+        along = _dot(pj, pi / length)
+    transversal = ((di.max(axis=0) > eps) & (di.min(axis=0) < -eps) & (dj.max(axis=0) > eps)
+                   & (dj.min(axis=0) < -eps) & (np.minimum(length, along) > eps))
+    flat = (np.abs(di) < eps).all(axis=0) & (np.abs(dj) < eps).all(axis=0)
+    coplanar = flat & (_inside(sj, si, eps) | _inside(si, sj, eps))
+    solid = (size[:, i] >= eps) & (size[:, j] >= eps)
+    return np.any(solid & (transversal | coplanar), axis=1)
 
 
 def self_intersects(pattern: CreasePattern, state: FoldedState, eps: float = TRIANGLE_EPS) -> bool:
     """Whether any two non-adjacent folded sectors overlap in their interiors."""
-    n = pattern.n
-    origin = np.zeros(3)
-    tris = [
-        np.stack([origin, state.crease_images[k], state.crease_images[(k + 1) % n]])
-        for k in range(n)
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = (j - i) % n
-            if gap in (1, n - 1):
-                continue
-            if triangles_interiors_intersect(tris[i], tris[j], eps):
-                return True
-    return False
+    return bool(self_intersections(pattern, state.crease_images[None], eps)[0])

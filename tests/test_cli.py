@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rigidfold import cli
 from rigidfold.cli import main
 from rigidfold.config_space import trace_implicit_curve
 from rigidfold.core_geometry import closure_residual
@@ -139,6 +140,22 @@ def test_io_error_exits_4(capsys):
 def test_usage_error_exits_2(capsys):
     assert run(capsys, "fold", "nosuchmodel", "--drive", "0.1")[0] == 2
     assert run(capsys, "trace", "--no-such-flag")[0] == 2
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        runs = [run(capsys, *argv) for argv in (["--help"], ["--help"], ["fold", "nosuchmodel"],
+                                                 ["fold", "nosuchmodel"], ["table"])]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1].startswith("usage: rigidfold")
+    assert runs[2] == runs[3] and runs[2][0] == 2 and "invalid choice: 'nosuchmodel'" in runs[2][2]
+    assert runs[4][0] == 0
 
 
 def test_missing_drive_reports_domain_error(capsys):

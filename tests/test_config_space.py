@@ -12,17 +12,29 @@ from rigidfold.config_space import (
     ConfigSample,
     CurveTrace,
     SurfaceGrid,
+    _correct,
     admissible_region,
     export,
     load_samples_json,
     make_sample,
+    make_samples,
     samples_to_csv,
     sweep_model,
     trace_implicit_curve,
 )
-from rigidfold.core_geometry import g60
+from rigidfold.core_geometry import folded_geometry, g60, self_intersections
 from rigidfold.errors import NoSolutionError, OutOfRangeError
-from rigidfold.fold_models import FoldMode, FoldModel, general_fold, two_pair_curve_residual
+from rigidfold.fold_models import (
+    FAMILIES,
+    FoldMode,
+    FoldModel,
+    general_fold,
+    two_pair_complete,
+    two_pair_curve_residual,
+    two_pair_pattern,
+    two_pair_vector,
+)
+from triangle_oracle import triangle_self_intersects
 
 PI = math.pi
 G = g60()
@@ -39,6 +51,63 @@ def test_make_sample_open_chain_is_invalid():
     s = make_sample(G, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert not s.valid
     assert s.residual > 0.1
+
+
+def _family_modes():
+    """Every family and mode at (60, 60), (55, 65) and (70, 50) degrees where its sectors may vary."""
+    for alpha, beta in ((60.0, 60.0), (55.0, 65.0), (70.0, 50.0)):
+        for model, fam in FAMILIES.items():
+            if fam.domain is None and alpha != 60.0:
+                continue
+            for m in fam.modes:
+                yield FoldMode(model, m, math.radians(alpha), math.radians(beta))
+
+
+@pytest.mark.parametrize("mode", list(_family_modes()),
+                         ids=lambda f: f"{f.model.value}-{f.mode}-{math.degrees(f.alpha):.0f}-{math.degrees(f.beta):.0f}")
+def test_sweep_verdicts_match_the_triangle_oracle(mode):
+    """The batched cone-crossing test decides each closing sweep state as triangle clipping does."""
+    fam = FAMILIES[mode.model]
+    pattern = fam.pattern(mode)
+    result = sweep_model(mode, 8 if len(fam.drives) == 2 else 80)  # grids are n by n
+    closing = [s for s in result.samples if s.residual < 1e-8]
+    assert closing
+    states = [folded_geometry(pattern, s.rho, tol=1e-8) for s in closing]
+    want = [triangle_self_intersects(pattern, st) for st in states]
+    assert self_intersections(pattern, np.stack([st.crease_images for st in states])).tolist() == want
+    assert [s.valid for s in closing] == [not w for w in want]
+
+
+def test_two_pair_red_state_intersects():
+    """Criterion 5's red state closes, and some completion of it self-intersects."""
+    seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10)
+    pattern = two_pair_pattern()
+    states = [folded_geometry(pattern, two_pair_vector(seed[0], seed[1], r3, r4), tol=1e-8)
+              for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1]), tol=1e-8)]
+    verdicts = self_intersections(pattern, np.stack([st.crease_images for st in states]))
+    assert verdicts.tolist() == [triangle_self_intersects(pattern, st) for st in states]
+    assert verdicts.any()
+
+
+def test_make_samples_rows_equal_make_sample_bit_for_bit():
+    rng = np.random.default_rng(3)
+    closing = [s.rho for s in sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 60).samples]
+    rows = np.concatenate([closing, rng.uniform(-PI, PI, (20, 6)), [[PI, PI, 0.0, PI, PI, 0.0]], [np.zeros(6)]])
+    branches = list(range(len(rows)))
+    batch = make_samples(G, rows, branches)
+    assert any(s.valid for s in batch) and any(s.residual < 1e-8 and not s.valid for s in batch)
+    for row, branch, got in zip(rows, branches, batch):
+        want = make_sample(G, row, branch)
+        assert np.array_equal(got.rho, want.rho)
+        assert (got.residual, got.valid, got.branch) == (want.residual, want.valid, want.branch)
+    assert make_samples(G, [], []) == []
+
+
+def test_long_sweep_is_fast():
+    start = time.perf_counter()
+    trace = sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 1000)
+    assert time.perf_counter() - start < 0.5
+    assert len(trace.samples) == 1000
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Rotation algebra, closure residual, folded geometry, intersection tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,11 +18,12 @@ from rigidfold.core_geometry import (
     rot_x,
     rot_z,
     rotation_products,
+    self_intersections,
     self_intersects,
-    triangles_interiors_intersect,
     wrap_angle,
 )
 from rigidfold.errors import DomainError, NotClosedError
+from triangle_oracle import triangle_self_intersects, triangles_interiors_intersect
 
 # a 6-vector that closes on g60: trifold line at beta = 60 degrees,
 # companion = 4*atan(-(2+sqrt(3))*tan(drive/4)) for drive -0.4
@@ -79,6 +81,21 @@ def test_pattern_validation():
         CreasePattern.from_sectors([1.0, 1.0, 1.0])  # sum != 2*pi
     with pytest.raises(DomainError):
         CreasePattern(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))  # too few
+
+
+def test_patterns_compare_by_creases():
+    a = CreasePattern.from_sectors([math.pi / 3.0] * 6)
+    assert a == g60() and not a != g60()
+    assert hash(a) == hash(g60())
+    assert len({a, g60()}) == 1
+    flipped = np.array(g60().creases)
+    flipped[:, 2] = -0.0  # compares equal to +0.0, so it must hash alike too
+    assert CreasePattern(flipped) == g60() and hash(CreasePattern(flipped)) == hash(g60())
+    other = CreasePattern.from_sectors([0.9, 1.1, 0.7, 2.0 * math.pi - 2.7])
+    assert other != g60() and not other == g60()
+    assert CreasePattern.from_sectors([math.pi / 2.0] * 4) != other  # same n, other creases
+    assert (g60() == "g60") is False
+    assert (g60() == g60().creases) is False
 
 
 def test_g60_is_equilateral():
@@ -172,6 +189,28 @@ def test_flat_folded_state_self_intersects():
     pat = CreasePattern.from_sectors([math.pi / 2.0] * 4)
     state = folded_geometry(pat, [math.pi, math.pi, math.pi, math.pi], tol=1e-9)
     assert self_intersects(pat, state)
+
+
+@pytest.mark.parametrize("sectors", [[math.pi / 3.0] * 6, [math.pi / 2.0] * 4], ids=["g60", "square"])
+def test_flat_stacks_match_the_triangle_oracle(sectors):
+    """Every {-pi, 0, pi}^n state that closes stacks its sectors in one plane:
+    the coplanar branch of the batched test must agree with triangle clipping."""
+    pat = CreasePattern.from_sectors(sectors)
+    stacks = np.array(list(itertools.product((-math.pi, 0.0, math.pi), repeat=pat.n)))
+    stacks = stacks[closure_residuals(pat, stacks) < 1e-9]
+    images = np.stack([folded_geometry(pat, rho, tol=1e-9).crease_images for rho in stacks])
+    batch = self_intersections(pat, images)
+    want = [triangle_self_intersects(pat, folded_geometry(pat, rho, tol=1e-9)) for rho in stacks]
+    assert batch.tolist() == want
+    assert 0 < sum(want) < len(want)  # both verdicts occur
+    assert [self_intersects(pat, folded_geometry(pat, rho, tol=1e-9)) for rho in stacks] == want
+
+
+def test_self_intersections_rejects_a_wrong_image_shape():
+    with pytest.raises(DomainError):
+        self_intersections(g60(), np.zeros((2, 5, 3)))
+    with pytest.raises(DomainError):
+        self_intersections(g60(), np.zeros((6, 3)))
 
 
 # --- batched Rodrigues kernel ------------------------------------------------
