@@ -166,7 +166,7 @@ def _fold_state(args) -> tuple[np.ndarray, object]:
     fam = fm.FAMILIES[model]
     drives = _drive_values(args, fam.drives)
     mode = _fold_mode(args)
-    return fam.solve(mode, drives, cs.DEFAULT_TOL)[0], fam.pattern(mode)
+    return fam.fold(mode, drives, cs.DEFAULT_TOL)[0], fam.pattern(mode)
 
 
 def cmd_fold(args) -> int:
@@ -209,14 +209,10 @@ def cmd_trace(args) -> int:
     seed = (_rad(args.seed1, args), _rad(args.seed2, args))
     trace = cs.trace_implicit_curve(fm.two_pair_curve_residual, seed, step=args.step, tol=args.tol)
     pattern = fm.two_pair_pattern()
-    completed = []
-    for s in trace.samples:
-        r1, r2 = float(s.rho[0]), float(s.rho[1])
-        try:
-            r3, r4 = fm.two_pair_complete(r1, r2, tol=max(args.tol, cs.DEFAULT_TOL))[0]
-        except RigidFoldError:
-            continue
-        completed.append(fm.two_pair_vector(r1, r2, r3, r4))
+    points = np.array([s.rho[:2] for s in trace.samples])
+    sol = fm.two_pair_solve(points[:, 0], points[:, 1], tol=max(args.tol, cs.DEFAULT_TOL))
+    first = fm.drive_ranks(sol.drive) == 0  # each point's best completion; points with none are skipped
+    completed = sol.vectors[first]
     return _write_samples(cs.make_samples(pattern, completed, [0] * len(completed), args.tol), args, pattern)
 
 

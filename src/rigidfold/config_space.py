@@ -18,24 +18,20 @@ import numpy as np
 
 from .core_geometry import (
     CreasePattern,
+    as_fold_angles,
     check_fold_angle,
     crease_images,
     folded_frames,
-    folded_geometry,
     g60,
     self_intersections,
 )
-from .errors import (
-    BranchAmbiguityError,
-    NoSolutionError,
-    NotClosedError,
-    OutOfRangeError,
-)
-from .fold_models import FAMILIES, FoldMode, general_solve
+from .errors import OutOfRangeError
+from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
 
 DEFAULT_TOL = 1e-8
 _TRACE_STEP = 0.02
 _NODE_GRAD_TOL = 1e-6
+_SKIPPED = (NO_SOLUTION, AMBIGUOUS)  # reasons a sweep skips a drive for; any other one raises
 
 PI = math.pi
 
@@ -114,53 +110,52 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
     CurveTrace ordered by drive value; two-parameter families return a
     SurfaceGrid.  Drives where the family has no closing solution are
     skipped rather than reported as invalid samples, so a returned sample
-    always corresponds to a solve.  The solved vectors are evaluated
-    together by one ``make_samples`` call.
+    always corresponds to a solve.  Each sampler solves all of its drives
+    with one ``Family.solve`` call and evaluates the solved vectors with
+    one ``make_samples`` call.
     """
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
     fam = FAMILIES[mode.model]
     pattern = fam.pattern(mode)
     branch = mode.mode if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
-    vectors: list[np.ndarray] = []
-    branches: list[int] = []
 
-    def add(drives):
-        try:
-            sols = fam.solve(mode, drives, max(tol, DEFAULT_TOL))
-        except (BranchAmbiguityError, NoSolutionError):
-            return
+    def solved(drives: np.ndarray) -> tuple[np.ndarray, list]:
+        """Closing vectors and branch tags of an (N, k) drive array, skipping unsolvable drives."""
+        sol = fam.solve(mode, drives, max(tol, DEFAULT_TOL))
+        fam.raise_first(mode, drives, sol.reason, max(tol, DEFAULT_TOL), skip=_SKIPPED)
+        rank = drive_ranks(sol.drive)
         if fam.numbered:
-            vectors.extend(sols)
-            branches.extend(range(1, len(sols) + 1))
-        else:
-            vectors.append(sols[0])
-            branches.append(branch)
+            return sol.vectors, (rank + 1).tolist()
+        first = rank == 0
+        return sol.vectors[first], [branch] * int(first.sum())
 
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)
-        for d in np.linspace(-lim, lim, n):
-            add((d,))
+        vectors, branches = solved(np.linspace(-lim, lim, n)[:, None])
         return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=False, note="sweep")
     if fam.curve is not None:
         trace = trace_implicit_curve(fam.curve, (0.0, 0.0), step=_TRACE_STEP, tol=tol)
-        for i in np.linspace(0, len(trace.samples) - 1, n).round().astype(int):
-            add(tuple(trace.samples[i].rho[:2]))
+        picks = np.linspace(0, len(trace.samples) - 1, n).round().astype(int)
+        vectors, branches = solved(np.array([trace.samples[i].rho[:2] for i in picks]))
         return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=trace.closed,
                           note="resampled relation curve")
     if len(fam.drives) == 2:
         axis = np.linspace(-PI, PI, n)
-        for x in axis:
-            for y in axis:
-                add((x, y))
+        vectors, branches = solved(np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
         return SurfaceGrid(drive1=axis, drive2=axis, samples=make_samples(pattern, vectors, branches, tol))
+    # Blocks of n triples draw the same stream as one triple at a time; the
+    # budget of 40 n triples and the cut at n vectors keep the scalar sampler's rows.
     rng = np.random.default_rng(0)
-    for _ in range(40 * n):
-        if len(vectors) >= n:
-            break
-        add(tuple(rng.uniform(-PI, PI, 3)))
-    return CurveTrace(samples=make_samples(pattern, vectors[:n], branches[:n], tol), closed=False,
-                      note="seeded random drive triples")
+    blocks, branches, budget = [], [], 40 * n
+    while len(branches) < n and budget:
+        block = min(n, budget)
+        budget -= block
+        vectors, tags = solved(rng.uniform(-PI, PI, (block, 3)))
+        blocks.append(vectors)
+        branches += tags
+    return CurveTrace(samples=make_samples(pattern, np.concatenate(blocks)[:n], branches[:n], tol),
+                      closed=False, note="seeded random drive triples")
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +181,24 @@ def _node_directions(fn, p: np.ndarray, r: float) -> list[np.ndarray]:
     return dirs
 
 
-def _correct(fn, q: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+def _correct(fn, q: np.ndarray, tol: float) -> tuple[np.ndarray, float | None]:
     """Newton along the gradient (orthogonal to the tangent); near-singular
-    gradients leave the point as predicted so the walker crosses nodes."""
+    gradients leave the point as predicted so the walker crosses nodes.
+
+    Returns the corrected point and fn there, or None in place of fn when
+    the corrector diverged.
+    """
     for _ in range(25):
         f = fn(q[0], q[1])
         if abs(f) <= 1e-12:
-            return q, True
+            return q, f
         grd = _grad(fn, q[0], q[1])
         g2 = float(grd @ grd)
         if g2 < _NODE_GRAD_TOL**2:
-            return q, True
+            return q, f
         q = q - f * grd / g2
-    return q, abs(fn(q[0], q[1])) <= tol
+    f = fn(q[0], q[1])
+    return q, f if abs(f) <= tol else None
 
 
 def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: float = DEFAULT_TOL,
@@ -215,14 +215,15 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
     p0 = np.array([float(seed[0]), float(seed[1])])
     if not np.all(np.isfinite(p0)):
         raise OutOfRangeError(f"seed {tuple(p0)} must be finite")
-    if not abs(residual_fn(p0[0], p0[1])) <= 1e-7:
+    f0 = residual_fn(p0[0], p0[1])
+    if not abs(f0) <= 1e-7:
         raise OutOfRangeError(f"seed {tuple(p0)} is not on the curve")
 
     g0 = _grad(residual_fn, p0[0], p0[1])
     if float(np.hypot(*g0)) < _NODE_GRAD_TOL:
         dirs = _node_directions(residual_fn, p0, step)
         if not dirs:
-            return CurveTrace(samples=[ConfigSample(p0, abs(residual_fn(*p0)), True, 0)],
+            return CurveTrace(samples=[ConfigSample(p0, abs(f0), True, 0)],
                               closed=True, note="isolated zero")
         tangent = dirs[0]
     else:
@@ -230,14 +231,14 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
         tangent = tangent / np.linalg.norm(tangent)
     start_dir = tangent.copy()
 
-    samples = [ConfigSample(p0.copy(), abs(residual_fn(*p0)), True, 0)]
+    samples = [ConfigSample(p0.copy(), abs(f0), True, 0)]
     p = p0.copy()
     closed = False
     note = ""
     for i in range(max_steps):
         q = p + step * tangent
-        q, ok = _correct(residual_fn, q, tol)
-        if not ok:
+        q, f = _correct(residual_fn, q, tol)
+        if f is None:
             note = f"corrector diverged at step {i}"
             break
         move = q - p
@@ -252,7 +253,7 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
             new_tan = np.array([g[1], -g[0]]) / gn
             if float(new_tan @ move) < 0.0:
                 new_tan = -new_tan
-        samples.append(ConfigSample(q.copy(), abs(residual_fn(*q)), abs(residual_fn(*q)) < tol, 0))
+        samples.append(ConfigSample(q.copy(), abs(f), abs(f) < tol, 0))
         p, tangent = q, new_tan
         if i > 4 and float(np.linalg.norm(p - p0)) < 0.75 * step and float(tangent @ start_dir) > 0.7:
             closed = True
@@ -276,7 +277,7 @@ def admissible_region(rho6: float, grid_n: int = 201, tol: float = DEFAULT_TOL) 
     check_fold_angle(rho6, "rho6")
     axis = np.linspace(-PI, PI, grid_n)
     r4g, r5g = np.meshgrid(axis, axis, indexing="ij")
-    _, cells = general_solve(r4g.ravel(), r5g.ravel(), rho6, tol=tol)
+    cells = general_solve(r4g.ravel(), r5g.ravel(), rho6, tol=tol).drive
     mask = np.zeros(grid_n * grid_n, dtype=bool)
     mask[cells] = True
     return AdmissibleRegion(rho6=rho6, rho4_axis=axis, rho5_axis=axis, mask=mask.reshape(grid_n, grid_n))
@@ -365,31 +366,29 @@ def load_samples_json(path: str) -> list[ConfigSample]:
 
 def samples_to_obj(flat: list[ConfigSample], pattern: CreasePattern | None,
                    tol: float = DEFAULT_TOL) -> tuple[str, int]:
+    """One mesh object per valid sample, all folded by one kernel call.
+
+    A sample is skipped when it is invalid, when its residual is not below
+    ``tol``, or when it does not close on ``pattern`` (default ``g60()``)
+    within max(tol, twice its own residual): it came from another pattern.
+    """
+    if pattern is None and any(len(s.rho) != 6 for s in flat):
+        raise OutOfRangeError("obj export needs an explicit pattern for non-6-crease samples")
+    pat = g60() if pattern is None else pattern
+    kept = [m for m, s in enumerate(flat) if s.valid and not s.residual >= tol]  # NaN: re-fold decides
     lines = []
-    skipped = 0
-    offset = 0
-    for m, s in enumerate(flat):
-        pat = pattern
-        if pat is None:
-            if len(s.rho) != 6:
-                raise OutOfRangeError("obj export needs an explicit pattern for non-6-crease samples")
-            pat = g60()
-        if not s.valid or s.residual >= tol:
-            skipped += 1
-            continue
-        try:
-            state = folded_geometry(pat, s.rho, tol=max(tol, s.residual * 2 + 1e-300))
-        except NotClosedError:  # sample came from a different pattern
-            skipped += 1
-            continue
-        lines.append(f"o sample_{m:04d}")
-        lines.append("v 0 0 0")
-        for tip in state.crease_images:
-            lines.append("v " + " ".join(_fmt(float(c)) for c in tip))
-        k = pat.n
-        for i in range(k):
-            a = offset + 2 + i
-            b = offset + 2 + (i + 1) % k
-            lines.append(f"f {offset + 1} {a} {b}")
-        offset += k + 1
-    return "\n".join(lines) + "\n", skipped
+    written = 0
+    if kept:
+        residuals, frames = folded_frames(pat, np.array([as_fold_angles(flat[m].rho, pat.n) for m in kept]))
+        for m, residual, tips in zip(kept, residuals, crease_images(pat, frames)):
+            if residual > max(tol, flat[m].residual * 2 + 1e-300):  # sample came from a different pattern
+                continue
+            offset = written * (pat.n + 1)
+            lines.append(f"o sample_{m:04d}")
+            lines.append("v 0 0 0")
+            for tip in tips:
+                lines.append("v " + " ".join(_fmt(float(c)) for c in tip))
+            for i in range(pat.n):
+                lines.append(f"f {offset + 1} {offset + 2 + i} {offset + 2 + (i + 1) % pat.n}")
+            written += 1
+    return "\n".join(lines) + "\n", len(flat) - written

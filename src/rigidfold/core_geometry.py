@@ -27,6 +27,7 @@ _SECTOR_SUM_TOL = 1e-9
 
 _I3 = np.eye(3)
 _I3.setflags(write=False)
+_SMALL = 256  # rows up to which the rotation kernel builds every rotation at once
 
 
 def _cross_matrix(u: np.ndarray) -> np.ndarray:
@@ -37,7 +38,7 @@ def _cross_matrix(u: np.ndarray) -> np.ndarray:
 def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
     """c I + s K + (1 - c) u u^T: the rotation by the angle with cosine c and sine s.
 
-    c and s are scalars, or (N, 1, 1) arrays for a stack of N rotations.
+    c and s are scalars, or (..., 1, 1) arrays for a stack of rotations.
     """
     return c * _I3 + s * cross + (1.0 - c) * outer
 
@@ -69,22 +70,24 @@ def crease_rotation(crease: np.ndarray, rho: float) -> np.ndarray:
     return _axis_rotation(c, rho)
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap into (-pi, pi]; values already in [-pi, pi] pass through."""
-    x = float(x)
-    if -np.pi <= x <= np.pi:
-        return x
-    return float(np.arctan2(np.sin(x), np.cos(x)))
-
-
 def wrap_angles(rho: np.ndarray) -> np.ndarray:
-    """wrap_angle elementwise, as one array expression."""
+    """Wrap into (-pi, pi], elementwise; values already in [-pi, pi] pass through."""
     return np.where(np.abs(rho) <= np.pi, rho, np.arctan2(np.sin(rho), np.cos(rho)))
+
+
+def wrap_angle(x: float) -> float:
+    """wrap_angles for one angle."""
+    return float(wrap_angles(float(x)))
+
+
+def outside_fold_range(rho):
+    """Whether each angle lies outside [-pi, pi] (with 1e-12 slack); NaN and infinities do."""
+    return ~(np.abs(rho) <= np.pi + 1e-12)
 
 
 def check_fold_angle(rho: float, name: str = "drive"):
     """Reject a folding angle outside [-pi, pi]; NaN and infinities are outside."""
-    if not abs(rho) <= np.pi + 1e-12:
+    if outside_fold_range(rho):
         raise OutOfRangeError(f"{name} must lie in [-pi, pi], got {rho}")
 
 
@@ -126,6 +129,8 @@ class CreasePattern:
             raise DomainError("creases must be an (n, 3) array")
         if creases.shape[0] < 3:
             raise DomainError("a vertex needs at least three creases")
+        if not np.all(np.isfinite(creases)):
+            raise DomainError("creases must be finite")
         norms = np.linalg.norm(creases, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise DomainError("creases must be unit vectors")
@@ -140,7 +145,7 @@ class CreasePattern:
         given = self.sector_angles
         if given is not None:
             given = np.asarray(given, dtype=float)
-            if given.shape != sectors.shape or np.any(np.abs(given - sectors) > 1e-8):
+            if given.shape != sectors.shape or not np.all(np.abs(given - sectors) <= 1e-8):
                 raise DomainError("sector_angles disagree with crease directions")
         object.__setattr__(self, "creases", _read_only(creases))
         object.__setattr__(self, "sector_angles", _read_only(sectors))
@@ -158,7 +163,9 @@ class CreasePattern:
     def from_sectors(cls, sector_angles) -> "CreasePattern":
         """Build the pattern with crease 1 on the +x axis."""
         sectors = np.asarray(sector_angles, dtype=float)
-        if np.any(sectors <= 0):
+        if not np.all(np.isfinite(sectors)):
+            raise DomainError("sector angles must be finite")
+        if not np.all(sectors > 0):
             raise DomainError("sector angles must be positive")
         if abs(sectors.sum() - 2.0 * np.pi) > _SECTOR_SUM_TOL:
             raise DomainError("sector angles must sum to 2*pi")
@@ -190,9 +197,11 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
     R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
     indices ``creases`` (default: the whole fan in order, m = n).  Returns
     the (N, 3, 3) products; with ``frames`` the (N, m, 3, 3) running
-    products instead.  Without frames only the running product is kept, so
-    memory stays O(N).  Rows are independent: a row gives the same bits
-    whatever else is in the batch.
+    products instead.  Up to ``_SMALL`` rows all m rotations are built in
+    one array expression, which saves per-call overhead; above it they are
+    built one crease at a time and only the running product is kept, which
+    is faster there and keeps memory O(N).  Rows are independent: a row
+    gives the same bits whatever else is in the batch.
     """
     rho = np.asarray(angles, dtype=float)
     order = range(pattern.n) if creases is None else creases
@@ -200,10 +209,13 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
         raise DomainError(f"expected an (N, {len(order)}) angle array, got shape {rho.shape}")
     c = np.cos(rho)[:, :, None, None]
     s = np.sin(rho)[:, :, None, None]
+    small = len(rho) <= _SMALL
+    if small:
+        rots = _rodrigues(pattern.cross[list(order)], pattern.outer[list(order)], c, s)
     out = np.empty(rho.shape + (3, 3)) if frames else None
     acc = None
     for j, k in enumerate(order):
-        rot = _rodrigues(pattern.cross[k], pattern.outer[k], c[:, j], s[:, j])
+        rot = rots[:, j] if small else _rodrigues(pattern.cross[k], pattern.outer[k], c[:, j], s[:, j])
         acc = rot if acc is None else acc @ rot
         if frames:
             out[:, j] = acc

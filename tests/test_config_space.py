@@ -19,11 +19,12 @@ from rigidfold.config_space import (
     make_sample,
     make_samples,
     samples_to_csv,
+    samples_to_obj,
     sweep_model,
     trace_implicit_curve,
 )
 from rigidfold.core_geometry import folded_geometry, g60, self_intersections
-from rigidfold.errors import NoSolutionError, OutOfRangeError
+from rigidfold.errors import NoSolutionError, NotClosedError, OutOfRangeError
 from rigidfold.fold_models import (
     FAMILIES,
     FoldMode,
@@ -108,6 +109,38 @@ def test_long_sweep_is_fast():
     trace = sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 1000)
     assert time.perf_counter() - start < 0.5
     assert len(trace.samples) == 1000
+
+
+@pytest.mark.parametrize("n", [16, 1000])
+def test_general_sweep_equals_one_triple_at_a_time(n):
+    """The block draws keep the rows of a sampler drawing one triple at a time,
+    with its budget of 40 n triples and its cut at n vectors."""
+    rng = np.random.default_rng(0)
+    vectors, branches = [], []
+    for _ in range(40 * n):
+        if len(vectors) >= n:
+            break
+        try:
+            sols = general_fold(*rng.uniform(-PI, PI, 3))
+        except NoSolutionError:
+            continue
+        vectors += sols
+        branches += range(1, len(sols) + 1)
+    got = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), n).samples
+    assert len(got) == n
+    assert np.array(vectors[:n]).tobytes() == np.array([s.rho for s in got]).tobytes()
+    assert branches[:n] == [s.branch for s in got]
+
+
+def test_criterion_3_plan_is_fast():
+    """Every family sweep of criterion 3 is one batched solve and one make_samples call."""
+    plan = [(FoldModel.DEGREE4, 1000), (FoldModel.TRIFOLD, 1000), (FoldModel.BOWTIE, 1000),
+            (FoldModel.IGLOO1DOF, 1000), (FoldModel.OPPOSITES, 32), (FoldModel.IGLOO2DOF, 32),
+            (FoldModel.TWOPAIR, 1000), (FoldModel.FULLY_GENERAL, 1000), (FoldModel.ALMOST_GENERAL, 32)]
+    start = time.perf_counter()
+    for model, n in plan:
+        assert len(sweep_model(FoldMode(model, 1, PI / 3.0, PI / 3.0), n).samples) >= 1000
+    assert time.perf_counter() - start < 0.6
 
 
 @pytest.mark.parametrize(
@@ -293,6 +326,40 @@ def test_obj_export_skips_invalid_samples(tmp_path):
     report = export(samples, "obj", str(tmp_path / "mixed.obj"))
     assert report.skipped == 1
     assert report.written == 8
+
+
+def _obj_one_sample_at_a_time(flat, pattern, tol=1e-8):
+    """The obj text built with one folded_geometry call per sample."""
+    lines, skipped, offset = [], 0, 0
+    for m, s in enumerate(flat):
+        if not s.valid or s.residual >= tol:
+            skipped += 1
+            continue
+        try:
+            state = folded_geometry(pattern, s.rho, tol=max(tol, s.residual * 2 + 1e-300))
+        except NotClosedError:
+            skipped += 1
+            continue
+        lines += [f"o sample_{m:04d}", "v 0 0 0"]
+        lines += ["v " + " ".join(f"{float(c):.12g}" for c in tip) for tip in state.crease_images]
+        k = pattern.n
+        lines += [f"f {offset + 1} {offset + 2 + i} {offset + 2 + (i + 1) % k}" for i in range(k)]
+        offset += pattern.n + 1
+    return "\n".join(lines) + "\n", skipped
+
+
+def test_obj_export_equals_folding_one_sample_at_a_time():
+    """One folded_frames call for all samples writes the bytes of one call per sample,
+    skipping invalid samples and samples that close only on another pattern."""
+    general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 200).samples
+    other = sweep_model(FoldMode(FoldModel.IGLOO2DOF, 1, 1.0, 0.8), 6).samples  # closes on its own pattern
+    flat = general + other + [ConfigSample(np.ones(6), residual=1.0, valid=False)]
+    assert any(not s.valid for s in general)
+    text, skipped = samples_to_obj(flat, None)
+    assert (text, skipped) == _obj_one_sample_at_a_time(flat, G)
+    assert skipped >= len(other)
+    with pytest.raises(OutOfRangeError):
+        samples_to_obj(flat + [ConfigSample(np.zeros(4), residual=0.0, valid=True)], None)
 
 
 def test_export_rejects_unknown_format_and_empty_input(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidfold.core_geometry import (
+    _SMALL,
     CreasePattern,
     closure_matrix,
     closure_residual,
@@ -81,6 +82,20 @@ def test_pattern_validation():
         CreasePattern.from_sectors([1.0, 1.0, 1.0])  # sum != 2*pi
     with pytest.raises(DomainError):
         CreasePattern(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))  # too few
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_creases_and_sectors_are_rejected(bad):
+    with pytest.raises(DomainError):
+        CreasePattern.from_sectors([1.0, 1.0, bad, 2.0 * math.pi - 2.0])
+    with pytest.raises(DomainError):
+        CreasePattern.from_sectors([bad, 1.0, 1.0, 1.0])
+    creases = np.array(g60().creases)
+    creases[2, 0] = bad
+    with pytest.raises(DomainError):
+        CreasePattern(creases)
+    with pytest.raises(DomainError):
+        CreasePattern(g60().creases, sector_angles=[math.pi / 3.0] * 5 + [bad])
 
 
 def test_patterns_compare_by_creases():
@@ -262,6 +277,19 @@ def test_batched_residuals_equal_single_calls_bit_for_bit():
         for k in range(len(rho)):
             assert closure_residual(pat, rho[k]) == batch[k]
             assert folded_geometry(pat, rho[k], tol=10.0).residual == batch[k]
+
+
+def test_kernel_bits_do_not_depend_on_the_batch_size():
+    """Batches on both sides of the kernel's small-batch path give each row the same bits."""
+    rng = np.random.default_rng(12)
+    rho = rng.uniform(-math.pi, math.pi, (_SMALL + 40, 6))
+    frames = rotation_products(g60(), rho, frames=True)
+    sub = rotation_products(g60(), rho[:, 1:4], creases=(5, 0, 2))
+    for start in (0, 17, _SMALL - 2, _SMALL + 37):
+        rows = slice(start, start + 3)
+        assert np.array_equal(frames[rows], rotation_products(g60(), rho[rows], frames=True))
+        assert np.array_equal(sub[rows], rotation_products(g60(), rho[rows, 1:4], creases=(5, 0, 2)))
+        assert np.array_equal(closure_residuals(g60(), rho)[rows], closure_residuals(g60(), rho[rows]))
 
 
 def test_g60_is_one_read_only_pattern():

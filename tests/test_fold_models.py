@@ -11,13 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigidfold.config_space import trace_implicit_curve
 from rigidfold.core_geometry import closure_residual, g60, wrap_angle
 from rigidfold.errors import (
     InconsistentPointError,
     NoSolutionError,
     OutOfRangeError,
+    RigidFoldError,
 )
 from rigidfold.fold_models import (
+    AMBIGUOUS,
+    FAMILIES,
+    NO_COMPLETION,
+    NO_SOLUTION,
+    OFF_CURVE,
+    OUT_OF_RANGE,
+    REASON_ERRORS,
+    SOLVED,
     FoldMode,
     FoldModel,
     almost_general,
@@ -49,6 +59,7 @@ from rigidfold.fold_models import (
     two_pair_complete,
     two_pair_curve_residual,
     two_pair_pattern,
+    two_pair_solve,
     two_pair_vector,
 )
 
@@ -292,6 +303,69 @@ def test_two_pair_rejects_off_curve_input():
         two_pair_complete(1.0, 0.0)
 
 
+def _two_pair_complete_loop(rho1, rho2, tol):
+    """Completions found one candidate at a time with ``math``: the reference for the batched solve.
+
+    Returns the kept completions (None off the curve, [] when no candidate
+    closes) and the number of closing candidates before the dedupe.
+    """
+    def circle(a, b, c):  # roots of a cos x + b sin x = c in (-pi, pi]
+        r = math.hypot(a, b)
+        if r < 1e-12 or abs(c / r) > 1.0 + 1e-9:
+            return []
+        phi, off = math.atan2(b, a), math.acos(max(-1.0, min(1.0, c / r)))
+        roots = [wrap_angle(phi + off), wrap_angle(phi - off)]
+        return roots[:1] if abs(roots[0] - roots[1]) < 1e-12 else roots
+
+    if abs(two_pair_curve_residual(rho1, rho2)) > 1e-7:
+        return None, 0
+    if rho1 == 0.0 and rho2 == 0.0:
+        return [(0.0, 0.0)], 1
+    c1, s1, c2, s2 = math.cos(rho1), math.sin(rho1), math.cos(rho2), math.sin(rho2)
+    a4, b4, c4 = 2.0 + 2.0 * c1, -4.0 * s1, 4.0 * c2 + 3.0 * math.cos(2.0 * rho2) - 1.0 - 2.0 * c1
+    rho4s = circle(a4, b4, c4)
+    if not rho4s and math.hypot(a4, b4) < 1e-12 and abs(c4) < 1e-9:
+        rho4s = list(np.linspace(-PI, PI, 49)[:-1])  # the rho4 relation is vacuous at rho1 = pi
+    found = []
+    for rho4 in rho4s:
+        c5 = (1.0 + 3.0 * math.cos(2.0 * rho1)) * math.cos(rho4) - 3.0 * (c1 - 1.0) * s1 * math.sin(rho4)
+        for rho3 in circle(1.0 + 3.0 * math.cos(2.0 * rho2), -3.0 * (c2 - 1.0) * s2, c5):
+            res = closure_residual(G, two_pair_vector(rho1, rho2, rho3, rho4))
+            if res < tol:
+                found.append((res, rho3, rho4))
+    kept = []
+    for _, rho3, rho4 in sorted(found, key=lambda t: t[0]):
+        if all(math.hypot(rho3 - a, rho4 - b) > 1e-6 for a, b in kept):
+            kept.append((rho3, rho4))
+    return kept, len(found)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-2, 0.0])
+def test_two_pair_solve_matches_the_one_candidate_loop(tol):
+    """Same completions, order and reasons as checking one candidate at a time; the loose
+    tolerance keeps near-duplicate candidates next to the node, which the dedupe must drop."""
+    curve = [tuple(map(float, s.rho[:2]))
+             for s in trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.05).samples[::3]]
+    slopes = (4.0 + math.sqrt(15.0), 4.0 - math.sqrt(15.0), 1.0)  # the node's two branches, and off them
+    node = [(r, m * r) for m in slopes for r in (1e-5, 1e-6, 3e-7, 1e-7)]
+    corners = [(a, b) for a in (PI, -PI) for b in (PI, -PI)]
+    drives = np.array(curve + node + corners + [(0.0, 0.0), (1.0, 0.0), (PI, 1.2309594173407747)])
+    sol = two_pair_solve(drives[:, 0], drives[:, 1], tol)
+    deduped = 0
+    for k, (r1, r2) in enumerate(drives):
+        want, found = _two_pair_complete_loop(r1, r2, tol)
+        got = sol.vectors[sol.drive == k][:, 4:]
+        if want is None:
+            assert sol.reason[k] == OFF_CURVE
+            continue
+        assert sol.reason[k] == (SOLVED if want else NO_COMPLETION)
+        assert len(got) == len(want)
+        for (r3, r4), (w3, w4) in zip(got, want):
+            assert fold_eq(r3, w3) and fold_eq(r4, w4)
+        deduped += found > len(want)
+    assert deduped or tol != 1e-2
+
+
 # --- general and almost general -------------------------------------------------
 
 def test_general_x_identity():
@@ -392,3 +466,100 @@ def test_fold_mode_validation():
         FoldMode(FoldModel.TRIFOLD, 3, PI / 3.0, PI / 3.0)
     with pytest.raises(OutOfRangeError):
         FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, 2.5)  # beta outside (0, 2pi/3)
+
+
+# --- batched family solves ---------------------------------------------------------
+
+_BAD = [math.nan, math.inf, -math.inf, 4.0, -3.2, PI + 1e-9]  # drives outside [-pi, pi]
+_TETRA = math.acos(-1.0 / 3.0)  # near (a, a) = (1.9106332362490182, ...) the igloo fraction is 0/0
+
+
+def _drive_corpus(model: FoldModel, mode: FoldMode) -> np.ndarray:
+    """Drives of every kind for a family: a sweep, the edges, exact zeros and drives that fail."""
+    fam = FAMILIES[model]
+    rng = np.random.default_rng(31)
+    if len(fam.drives) == 1:
+        lim = fam.limit(mode.alpha, mode.beta)
+        d = np.concatenate([np.linspace(-lim, lim, 41), np.linspace(-PI, PI, 13), [0.0, -0.0, PI, -PI], _BAD])
+        return d[:, None]
+    if model is FoldModel.TWOPAIR:
+        trace = trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.05)
+        curve = [s.rho[:2] for s in trace.samples[::7]]
+        special = [(0.0, 0.0), (1.0, 0.0), (0.3, 0.2), (PI, PI), (-PI, PI), (PI, 1.2309594173407747)]
+        return np.array(curve + special + [(b, 0.0) for b in _BAD] + [(0.0, b) for b in _BAD])
+    if len(fam.drives) == 2:
+        axis = np.linspace(-PI, PI, 9)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        extra = [(0.0, 0.0), (1e-13, -1e-13), (1.9106332362490182, 1.9106332362490188),
+                 (-1.9106332362490182, -1.9106332362490188), (_TETRA, _TETRA)]
+        return np.concatenate([grid, rng.uniform(-PI, PI, (40, 2)), extra,
+                               [(b, 0.3) for b in _BAD], [(0.3, b) for b in _BAD]])
+    triples = [(2.197659, -0.666474, -0.12765), (0.0, 0.0, 0.0), (PI, PI, PI)]
+    return np.concatenate([rng.uniform(-PI, PI, (120, 3)), triples,
+                           [(b, 0.1, 0.2) for b in _BAD], [(0.1, 0.2, b) for b in _BAD]])
+
+
+def _batch_cases():
+    for model, fam in FAMILIES.items():
+        for alpha, beta in ((60.0, 60.0), (55.0, 65.0)):
+            if fam.domain is None and alpha != 60.0:
+                continue
+            for m in fam.modes:
+                yield FoldMode(model, m, math.radians(alpha), math.radians(beta))
+
+
+_CASE_IDS = lambda f: f"{f.model.value}-{f.mode}-{math.degrees(f.alpha):.0f}"
+
+
+@pytest.mark.parametrize("mode", list(_batch_cases()), ids=_CASE_IDS)
+def test_batched_solve_rows_equal_one_drive_calls(mode):
+    """Row k of a batched solve is the one-drive call bit for bit, and each failed
+    drive's reason code names the exception (type and message) that call raises."""
+    fam = FAMILIES[mode.model]
+    drives = _drive_corpus(mode.model, mode)
+    sol = fam.solve(mode, drives, 1e-8)
+    assert sol.reason.shape == (len(drives),)
+    assert np.all(np.diff(sol.drive) >= 0)
+    seen = set()
+    for k, row in enumerate(drives):
+        got = sol.vectors[sol.drive == k]
+        try:
+            want = fam.fold(mode, tuple(row), 1e-8)
+        except RigidFoldError as err:
+            code = int(sol.reason[k])
+            assert code != SOLVED and len(got) == 0
+            assert type(err) is REASON_ERRORS[code]
+            with pytest.raises(type(err)) as again:
+                fam.raise_first(mode, drives[k:k + 1], sol.reason[k:k + 1], 1e-8)
+            assert str(again.value) == str(err)
+            seen.add(code)
+            continue
+        assert sol.reason[k] == SOLVED
+        want = np.array(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert OUT_OF_RANGE in seen  # the corpus reaches the failure paths
+    if mode.model is FoldModel.IGLOO2DOF and mode.alpha == PI / 3.0:
+        assert AMBIGUOUS in seen
+    if mode.model is FoldModel.TWOPAIR:
+        assert {OFF_CURVE, NO_COMPLETION} <= seen
+    if mode.model in (FoldModel.FULLY_GENERAL, FoldModel.ALMOST_GENERAL):
+        assert NO_SOLUTION in seen
+
+
+def _own_residual(sectors, rho) -> float:
+    """Closure residual from a Rodrigues product written here, not the package's kernel."""
+    acc = np.eye(3)
+    for t, a in zip(np.concatenate([[0.0], np.cumsum(sectors)[:-1]]), rho):
+        u = np.array([math.cos(t), math.sin(t), 0.0])
+        K = np.array([[0.0, 0.0, u[1]], [0.0, 0.0, -u[0]], [-u[1], u[0], 0.0]])
+        acc = acc @ (math.cos(a) * np.eye(3) + math.sin(a) * K + (1.0 - math.cos(a)) * np.outer(u, u))
+    return float(np.linalg.norm(acc - np.eye(3)))
+
+
+@pytest.mark.parametrize("mode", list(_batch_cases()), ids=_CASE_IDS)
+def test_batched_solve_vectors_close(mode):
+    fam = FAMILIES[mode.model]
+    sol = fam.solve(mode, _drive_corpus(mode.model, mode), 1e-8)
+    assert len(sol.vectors)
+    sectors = fam.pattern(mode).sector_angles
+    assert max(_own_residual(sectors, v) for v in sol.vectors) < 1e-8
