@@ -27,7 +27,6 @@ _SECTOR_SUM_TOL = 1e-9
 
 _I3 = np.eye(3)
 _I3.setflags(write=False)
-_SMALL = 256  # rows up to which the rotation kernel builds every rotation at once
 
 
 def _cross_matrix(u: np.ndarray) -> np.ndarray:
@@ -38,7 +37,7 @@ def _cross_matrix(u: np.ndarray) -> np.ndarray:
 def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
     """c I + s K + (1 - c) u u^T: the rotation by the angle with cosine c and sine s.
 
-    c and s are scalars, or (..., 1, 1) arrays for a stack of rotations.
+    c and s are scalars, or (N, 1, 1) arrays for a stack of N rotations.
     """
     return c * _I3 + s * cross + (1.0 - c) * outer
 
@@ -197,11 +196,9 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
     R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
     indices ``creases`` (default: the whole fan in order, m = n).  Returns
     the (N, 3, 3) products; with ``frames`` the (N, m, 3, 3) running
-    products instead.  Up to ``_SMALL`` rows all m rotations are built in
-    one array expression, which saves per-call overhead; above it they are
-    built one crease at a time and only the running product is kept, which
-    is faster there and keeps memory O(N).  Rows are independent: a row
-    gives the same bits whatever else is in the batch.
+    products instead.  Without frames only the running product is kept, so
+    memory stays O(N).  Rows are independent: a row gives the same bits
+    whatever else is in the batch.
     """
     rho = np.asarray(angles, dtype=float)
     order = range(pattern.n) if creases is None else creases
@@ -209,13 +206,10 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
         raise DomainError(f"expected an (N, {len(order)}) angle array, got shape {rho.shape}")
     c = np.cos(rho)[:, :, None, None]
     s = np.sin(rho)[:, :, None, None]
-    small = len(rho) <= _SMALL
-    if small:
-        rots = _rodrigues(pattern.cross[list(order)], pattern.outer[list(order)], c, s)
     out = np.empty(rho.shape + (3, 3)) if frames else None
     acc = None
     for j, k in enumerate(order):
-        rot = rots[:, j] if small else _rodrigues(pattern.cross[k], pattern.outer[k], c[:, j], s[:, j])
+        rot = _rodrigues(pattern.cross[k], pattern.outer[k], c[:, j], s[:, j])
         acc = rot if acc is None else acc @ rot
         if frames:
             out[:, j] = acc
