@@ -207,7 +207,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     seed = (_rad(args.seed1, args), _rad(args.seed2, args))
-    trace = cs.trace_implicit_curve(fm.two_pair_curve_residual, seed, step=args.step, tol=args.tol)
+    trace = cs.trace_implicit_curve(fm.two_pair_curve_residual, seed, step=args.step, tol=args.tol,
+                                    gradient=fm.two_pair_curve_gradient)
+    if not trace.closed:
+        print(f"warning: trace did not close: {trace.note}", file=sys.stderr)
     pattern = fm.two_pair_pattern()
     points = np.array([s.rho[:2] for s in trace.samples])
     sol = fm.two_pair_solve(points[:, 0], points[:, 1], tol=max(args.tol, cs.DEFAULT_TOL))

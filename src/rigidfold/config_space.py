@@ -10,6 +10,7 @@ its two loops cross.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -135,7 +136,8 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
         vectors, branches = solved(np.linspace(-lim, lim, n)[:, None])
         return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=False, note="sweep")
     if fam.curve is not None:
-        trace = trace_implicit_curve(fam.curve, (0.0, 0.0), step=_TRACE_STEP, tol=tol)
+        trace = trace_implicit_curve(fam.curve, (0.0, 0.0), step=_TRACE_STEP, tol=tol,
+                                     gradient=fam.curve_gradient)
         picks = np.linspace(0, len(trace.samples) - 1, n).round().astype(int)
         vectors, branches = solved(np.array([trace.samples[i].rho[:2] for i in picks]))
         return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=trace.closed,
@@ -161,101 +163,115 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
 # ---------------------------------------------------------------------------
 # implicit-curve tracing
 
-def _grad(fn, x: float, y: float, h: float = 1e-6) -> np.ndarray:
-    return np.array([
-        (fn(x + h, y) - fn(x - h, y)) / (2.0 * h),
-        (fn(x, y + h) - fn(x, y - h)) / (2.0 * h),
-    ])
+def _central_gradient(fn, x: float, y: float, h: float = 1e-6) -> tuple[float, float]:
+    return (fn(x + h, y) - fn(x - h, y)) / (2.0 * h), (fn(x, y + h) - fn(x, y - h)) / (2.0 * h)
 
 
-def _node_directions(fn, p: np.ndarray, r: float) -> list[np.ndarray]:
-    """Zero-crossing directions of fn on a small circle around a singular point."""
+def _node_directions(fn, p: tuple[float, float], r: float) -> np.ndarray:
+    """Zero-crossing directions of fn on a small circle around a singular point, as (k, 2) rows.
+
+    The 721 circle points are evaluated with one array call of ``fn``.
+    """
     thetas = np.linspace(-PI, PI, 721)
-    vals = np.array([fn(p[0] + r * math.cos(t), p[1] + r * math.sin(t)) for t in thetas])
-    dirs = []
-    for i in range(len(thetas) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0 or a * b < 0.0:
-            t = thetas[i] if a == 0.0 else thetas[i] + (thetas[i + 1] - thetas[i]) * abs(a) / (abs(a) + abs(b))
-            dirs.append(np.array([math.cos(t), math.sin(t)]))
-    return dirs
+    vals = fn(p[0] + r * np.cos(thetas), p[1] + r * np.sin(thetas))
+    a, b = vals[:-1], vals[1:]
+    hits = np.flatnonzero((a == 0.0) | (a * b < 0.0))
+    a, b = np.abs(a[hits]), np.abs(b[hits])
+    frac = np.divide(a, a + b, out=np.zeros_like(a), where=a != 0.0)  # a zero on the circle is its own direction
+    t = thetas[hits] + (thetas[hits + 1] - thetas[hits]) * frac
+    return np.column_stack([np.cos(t), np.sin(t)])
 
 
-def _correct(fn, q: np.ndarray, tol: float) -> tuple[np.ndarray, float | None]:
+def _correct(fn, q, tol: float, gradient=None) -> tuple[tuple[float, float], float | None]:
     """Newton along the gradient (orthogonal to the tangent); near-singular
     gradients leave the point as predicted so the walker crosses nodes.
 
-    Returns the corrected point and fn there, or None in place of fn when
-    the corrector diverged.
+    ``gradient(x, y)`` returns fn's two partial derivatives; by default they
+    are central differences of fn.  Returns the corrected point and fn
+    there, or None in place of fn when the corrector diverged.
     """
+    if gradient is None:
+        gradient = functools.partial(_central_gradient, fn)
+    x, y = float(q[0]), float(q[1])
     for _ in range(25):
-        f = fn(q[0], q[1])
+        f = fn(x, y)
         if abs(f) <= 1e-12:
-            return q, f
-        grd = _grad(fn, q[0], q[1])
-        g2 = float(grd @ grd)
+            return (x, y), f
+        gx, gy = gradient(x, y)
+        g2 = gx * gx + gy * gy
         if g2 < _NODE_GRAD_TOL**2:
-            return q, f
-        q = q - f * grd / g2
-    f = fn(q[0], q[1])
-    return q, f if abs(f) <= tol else None
+            return (x, y), f
+        x, y = x - f * gx / g2, y - f * gy / g2
+    f = fn(x, y)
+    return (x, y), f if abs(f) <= tol else None
 
 
 def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: float = DEFAULT_TOL,
-                         max_steps: int = 20000) -> CurveTrace:
+                         max_steps: int = 20000, gradient=None) -> CurveTrace:
     """Predictor-corrector walk along one connected zero-set component.
 
-    The tangent is the 90-degree rotation of the central-difference
-    gradient, oriented to keep moving forward; where the gradient is
-    near-singular (a node) the walker keeps its previous direction and
-    marches straight through.  The trace closes when it returns to the
-    seed with a matching direction, so a figure-eight is traversed fully,
-    crossing its node twice, before closing.
+    ``residual_fn(x, y)`` must be elementwise on float arrays too: the node
+    scan evaluates it on a whole circle of points in one call.
+    ``gradient(x, y)`` returns its two partial derivatives at a point; by
+    default they are central differences of ``residual_fn``.  ``step`` must
+    be finite and positive.
+
+    The tangent is the 90-degree rotation of the gradient, oriented to keep
+    moving forward; where the gradient is near-singular (a node) the walker
+    keeps its previous direction and marches straight through.  The trace
+    closes when it returns to the seed with a matching direction, so a
+    figure-eight is traversed fully, crossing its node twice, before closing.
+    The walk runs on Python floats: every step is a handful of scalar
+    operations, which numpy 2-vectors would only slow down.
     """
-    p0 = np.array([float(seed[0]), float(seed[1])])
-    if not np.all(np.isfinite(p0)):
-        raise OutOfRangeError(f"seed {tuple(p0)} must be finite")
-    f0 = residual_fn(p0[0], p0[1])
+    if not (math.isfinite(step) and step > 0.0):
+        raise OutOfRangeError(f"trace step must be finite and > 0, got {step}")
+    x0, y0 = float(seed[0]), float(seed[1])
+    if not (math.isfinite(x0) and math.isfinite(y0)):
+        raise OutOfRangeError(f"seed {(x0, y0)} must be finite")
+    f0 = residual_fn(x0, y0)
     if not abs(f0) <= 1e-7:
-        raise OutOfRangeError(f"seed {tuple(p0)} is not on the curve")
+        raise OutOfRangeError(f"seed {(x0, y0)} is not on the curve")
+    if gradient is None:
+        gradient = functools.partial(_central_gradient, residual_fn)
 
-    g0 = _grad(residual_fn, p0[0], p0[1])
-    if float(np.hypot(*g0)) < _NODE_GRAD_TOL:
-        dirs = _node_directions(residual_fn, p0, step)
-        if not dirs:
-            return CurveTrace(samples=[ConfigSample(p0, abs(f0), True, 0)],
+    gx, gy = gradient(x0, y0)
+    gn = math.hypot(gx, gy)
+    if gn < _NODE_GRAD_TOL:
+        dirs = _node_directions(residual_fn, (x0, y0), step)
+        if not len(dirs):
+            return CurveTrace(samples=[ConfigSample(np.array([x0, y0]), abs(f0), True, 0)],
                               closed=True, note="isolated zero")
-        tangent = dirs[0]
+        tx, ty = float(dirs[0, 0]), float(dirs[0, 1])
     else:
-        tangent = np.array([g0[1], -g0[0]])
-        tangent = tangent / np.linalg.norm(tangent)
-    start_dir = tangent.copy()
+        tx, ty = gy / gn, -gx / gn
+    sx, sy = tx, ty  # start direction
 
-    samples = [ConfigSample(p0.copy(), abs(f0), True, 0)]
-    p = p0.copy()
+    samples = [ConfigSample(np.array([x0, y0]), abs(f0), True, 0)]
+    x, y = x0, y0
     closed = False
     note = ""
     for i in range(max_steps):
-        q = p + step * tangent
-        q, f = _correct(residual_fn, q, tol)
+        (qx, qy), f = _correct(residual_fn, (x + step * tx, y + step * ty), tol, gradient)
         if f is None:
             note = f"corrector diverged at step {i}"
             break
-        move = q - p
-        if float(np.linalg.norm(move)) < 1e-12:
+        mx, my = qx - x, qy - y
+        mn = math.hypot(mx, my)
+        if mn < 1e-12:
             note = f"stalled at step {i}"
             break
-        g = _grad(residual_fn, q[0], q[1])
-        gn = float(np.hypot(*g))
+        gx, gy = gradient(qx, qy)
+        gn = math.hypot(gx, gy)
         if gn < _NODE_GRAD_TOL:
-            new_tan = move / np.linalg.norm(move)  # straight through the node
+            tx, ty = mx / mn, my / mn  # straight through the node
         else:
-            new_tan = np.array([g[1], -g[0]]) / gn
-            if float(new_tan @ move) < 0.0:
-                new_tan = -new_tan
-        samples.append(ConfigSample(q.copy(), abs(f), abs(f) < tol, 0))
-        p, tangent = q, new_tan
-        if i > 4 and float(np.linalg.norm(p - p0)) < 0.75 * step and float(tangent @ start_dir) > 0.7:
+            tx, ty = gy / gn, -gx / gn
+            if tx * mx + ty * my < 0.0:
+                tx, ty = -tx, -ty
+        samples.append(ConfigSample(np.array([qx, qy]), abs(f), abs(f) < tol, 0))
+        x, y = qx, qy
+        if i > 4 and math.hypot(x - x0, y - y0) < 0.75 * step and tx * sx + ty * sy > 0.7:
             closed = True
             break
     else:

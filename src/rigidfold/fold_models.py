@@ -126,6 +126,7 @@ class Family:
     modes: tuple[int, ...] = (1,)
     limit: Callable[[float, float], float] = lambda alpha, beta: PI  # 1-DOF drive bound
     curve: Callable[[float, float], float] | None = None  # relation the drive pair lies on
+    curve_gradient: Callable[[float, float], tuple[float, float]] | None = None  # of ``curve``
     numbered: bool = False  # one sample per solution branch, tagged 1, 2, ...
 
     def raise_first(self, mode: FoldMode, drives: np.ndarray, reason: np.ndarray, tol: float,
@@ -604,6 +605,21 @@ def two_pair_curve_residual(rho1, rho2):
     return lhs - rhs
 
 
+def two_pair_curve_gradient(rho1, rho2):
+    """(d/drho1, d/drho2) of ``two_pair_curve_residual``: the tracer's analytic gradient.
+
+    Elementwise on arrays; scalars take ``math.sin`` for the same reason the
+    residual takes ``math.cos``.
+    """
+    s = np.sin if isinstance(rho1, np.ndarray) or isinstance(rho2, np.ndarray) else math.sin
+    plus = -54.0 * s(2.0 * (rho1 + rho2)) + 24.0 * s(rho1 + rho2)  # terms in rho1 + rho2
+    minus = 18.0 * s(2.0 * (rho1 - rho2)) + 40.0 * s(rho1 - rho2)  # terms in rho1 - rho2
+    one_two, two_one = s(rho1 - 2.0 * rho2), s(2.0 * rho1 - rho2)
+    d1 = -24.0 * s(rho1) - 12.0 * s(2.0 * rho1) + plus + minus + 24.0 * one_two + 48.0 * two_one
+    d2 = -24.0 * s(rho2) - 12.0 * s(2.0 * rho2) + plus - minus - 48.0 * one_two - 24.0 * two_one
+    return d1, d2
+
+
 def two_pair_solve(rho1, rho2, tol: float = _CLOSE_TOL) -> Solved:
     """Every closing completion of a batch of (rho1, rho2) drive pairs, in one array pass.
 
@@ -838,7 +854,8 @@ FAMILIES: dict[FoldModel, Family] = {
         solve=lambda f, d, tol: two_pair_solve(*np.asarray(d, dtype=float).T, tol=tol),
         fold=lambda f, d, tol: [two_pair_vector(*d, r3, r4)
                                 for r3, r4 in two_pair_complete(*d, tol=tol)],
-        drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2)),
+        drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2),
+        curve_gradient=lambda rho1, rho2: two_pair_curve_gradient(rho1, rho2)),
     FoldModel.FULLY_GENERAL: Family(
         pattern=lambda f: g60(),
         solve=lambda f, d, tol: general_solve(*np.asarray(d, dtype=float).T, tol=tol),

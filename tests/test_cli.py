@@ -109,6 +109,10 @@ DOMAIN_ERRORS = [
     (["region", "--rho6", "nan"], "rho6 must lie in [-pi, pi], got nan"),
     (["region", "--rho6", "5"], "rho6 must lie in [-pi, pi], got 5.0"),
     (["trace", "--seed1", "nan"], "must be finite"),
+    (["trace", "--step", "nan"], "step must be finite and > 0, got nan"),
+    (["trace", "--step", "inf"], "step must be finite and > 0, got inf"),
+    (["trace", "--step", "-0.2"], "step must be finite and > 0, got -0.2"),
+    (["trace", "--step", "0"], "step must be finite and > 0, got 0.0"),
 ]
 
 
@@ -123,6 +127,12 @@ def test_domain_error_exits_2(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and message in err, (argv, err)
     assert not list(tmp_path.glob("out.*"))
+
+
+def test_trace_warns_when_it_does_not_close(tmp_path, capsys):
+    code, out, err = run(capsys, "trace", "--step", "1e-4", "-o", str(tmp_path / "open.csv"))
+    assert (code, out, err) == (0, "", "warning: trace did not close: step budget exhausted\n")
+    assert run(capsys, "trace", "--step", "0.2", "-o", str(tmp_path / "closed.csv")) == (0, "", "")
 
 
 def test_numerical_error_exits_3(capsys):

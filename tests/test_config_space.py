@@ -31,6 +31,7 @@ from rigidfold.fold_models import (
     FoldModel,
     general_fold,
     two_pair_complete,
+    two_pair_curve_gradient,
     two_pair_curve_residual,
     two_pair_pattern,
     two_pair_vector,
@@ -214,6 +215,69 @@ def test_trace_two_pair_figure_eight():
     assert interior, "trace never re-crossed the node"
     for s in trace.samples:
         assert abs(two_pair_curve_residual(*s.rho)) < 1e-8
+
+
+def _reference_trace(fn, seed, step, tol=1e-8, max_steps=20000):
+    """The numpy-vector walker with central differences and a one-point-at-a-time
+    node scan, kept as the reference for the float walker."""
+
+    def grad(x, y, h=1e-6):
+        return np.array([(fn(x + h, y) - fn(x - h, y)) / (2.0 * h), (fn(x, y + h) - fn(x, y - h)) / (2.0 * h)])
+
+    def correct(q):
+        for _ in range(25):
+            f = fn(q[0], q[1])
+            if abs(f) <= 1e-12:
+                return q, f
+            g = grad(q[0], q[1])
+            g2 = float(g @ g)
+            if g2 < 1e-12:
+                return q, f
+            q = q - f * g / g2
+        f = fn(q[0], q[1])
+        return q, f if abs(f) <= tol else None
+
+    p0 = np.array(seed, dtype=float)
+    g0 = grad(*p0)
+    if float(np.hypot(*g0)) < 1e-6:
+        thetas = np.linspace(-PI, PI, 721)
+        vals = [fn(p0[0] + step * math.cos(t), p0[1] + step * math.sin(t)) for t in thetas]
+        i = next(i for i in range(720) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0)
+        a, b = abs(vals[i]), abs(vals[i + 1])
+        t = thetas[i] + (thetas[i + 1] - thetas[i]) * a / (a + b)
+        tangent = np.array([math.cos(t), math.sin(t)])
+    else:
+        tangent = np.array([g0[1], -g0[0]]) / np.linalg.norm(g0)
+    start, points, p = tangent.copy(), [p0], p0
+    for i in range(max_steps):
+        q, f = correct(p + step * tangent)
+        if f is None:
+            return points, False, f"corrector diverged at step {i}"
+        move = q - p
+        if float(np.linalg.norm(move)) < 1e-12:
+            return points, False, f"stalled at step {i}"
+        g = grad(q[0], q[1])
+        if float(np.hypot(*g)) < 1e-6:
+            tangent = move / np.linalg.norm(move)
+        else:
+            tangent = np.array([g[1], -g[0]]) / float(np.hypot(*g))
+            if float(tangent @ move) < 0.0:
+                tangent = -tangent
+        points.append(q)
+        p = q
+        if i > 4 and float(np.linalg.norm(p - p0)) < 0.75 * step and float(tangent @ start) > 0.7:
+            return points, True, ""
+    return points, False, "step budget exhausted"
+
+
+@pytest.mark.parametrize("step", [0.02, 0.05, 0.2])
+@pytest.mark.parametrize("gradient", [two_pair_curve_gradient, None], ids=["analytic", "central"])
+def test_float_walker_matches_the_vector_walker(step, gradient):
+    points, closed, note = _reference_trace(two_pair_curve_residual, (0.0, 0.0), step)
+    trace = trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step, gradient=gradient)
+    assert (len(trace.samples), trace.closed, trace.note) == (len(points), closed, note)
+    assert closed
+    assert np.abs(np.array([s.rho for s in trace.samples]) - np.array(points)).max() < 1e-9
 
 
 # --- admissible region -----------------------------------------------------------

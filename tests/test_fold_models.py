@@ -57,6 +57,7 @@ from rigidfold.fold_models import (
     trifold_pattern,
     trifold_vector,
     two_pair_complete,
+    two_pair_curve_gradient,
     two_pair_curve_residual,
     two_pair_pattern,
     two_pair_solve,
@@ -270,6 +271,19 @@ def test_two_pair_curve_is_swap_symmetric():
     for _ in range(50):
         x, y = rng.uniform(-PI, PI, 2)
         assert abs(two_pair_curve_residual(x, y) - two_pair_curve_residual(y, x)) < 1e-10
+
+
+def test_two_pair_curve_gradient_matches_complex_step():
+    """The analytic gradient against Im f(x + ih) / h of the residual itself, so no
+    formula is typed twice; complex arrays take the residual's ``np.cos`` path."""
+    x, y = np.random.default_rng(8).uniform(-PI, PI, (2, 1000))
+    h = 1e-30
+    want = np.stack([two_pair_curve_residual(x + 1j * h, y + 0j).imag / h,
+                     two_pair_curve_residual(x + 0j, y + 1j * h).imag / h])
+    got = np.stack(two_pair_curve_gradient(x, y))
+    assert np.all(np.hypot(*(got - want)) < 1e-12 * np.hypot(*want))
+    scalar = np.array([two_pair_curve_gradient(float(a), float(b)) for a, b in zip(x[:20], y[:20])])
+    assert np.allclose(scalar, got[:, :20].T, rtol=0.0, atol=1e-12)  # the math.sin path
 
 
 def test_two_pair_completion_at_origin():
