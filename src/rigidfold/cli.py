@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config_space as cs
 from . import fold_models as fm
-from .core_geometry import g60
+from .core_geometry import check_fold_angle, g60
 from .errors import NoSolutionError, OutOfRangeError, RigidFoldError
 from .symmetry_enumeration import classify_g60
 
@@ -207,6 +207,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_trace(args) -> int:
     seed = (_rad(args.seed1, args), _rad(args.seed2, args))
+    check_fold_angle(seed[0], "seed1")  # the relation is 2pi-periodic: a seed outside traces no folding
+    check_fold_angle(seed[1], "seed2")
     trace = cs.trace_implicit_curve(fm.two_pair_curve_residual, seed, step=args.step, tol=args.tol,
                                     gradient=fm.two_pair_curve_gradient)
     if not trace.closed:
@@ -231,10 +233,10 @@ def cmd_region(args) -> int:
         }
         _emit(json.dumps(payload) + "\n", args.output)
     elif fmt == "csv":
-        lines = ["rho4,rho5,admissible"]
-        for i, r4 in enumerate(region.rho4_axis):
-            for j, r5 in enumerate(region.rho5_axis):
-                lines.append(f"{r4:.12g},{r5:.12g},{'true' if region.mask[i, j] else 'false'}")
+        rho5 = region.rho5_axis.tolist()
+        lines = ["rho4,rho5,admissible"] + [
+            "%.12g,%.12g,%s" % (r4, r5, "true" if ok else "false")
+            for r4, row in zip(region.rho4_axis.tolist(), region.mask.tolist()) for r5, ok in zip(rho5, row)]
         _emit("\n".join(lines) + "\n", args.output)
     else:
         raise OutOfRangeError(f"region supports csv or json, not {fmt!r}")

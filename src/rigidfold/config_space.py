@@ -310,17 +310,15 @@ def _flatten_samples(samples) -> list[ConfigSample]:
     return list(samples)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def export(samples, format: str, path: str, pattern: CreasePattern | None = None,
            tol: float = DEFAULT_TOL) -> ExportReport:
     """Write samples to csv, json or obj.
 
     csv: one row per sample, angle columns then residual, valid, branch,
     12 significant digits, LF line endings.  json: an array of objects
-    with the same keys, floats at full round-trip precision.  obj: one
+    with the same keys, written as ``json.dumps(records, indent=1)`` writes
+    it: floats at full round-trip precision, NaN, Infinity and -Infinity
+    for non-finite values.  obj: one
     mesh object per valid sample (vertex at the origin, unit crease tips,
     triangular sector faces); invalid samples are skipped and counted.
     """
@@ -347,36 +345,98 @@ def render(samples, format: str, pattern: CreasePattern | None = None,
 
 
 def samples_to_csv(flat: list[ConfigSample]) -> str:
+    """One row per sample: angles, residual, valid, branch; floats to 12 significant digits.
+
+    Each row is one ``%`` template per angle count; a row narrower than the
+    header gets its blank angle columns before ``residual``.
+    """
     width = max(len(s.rho) for s in flat)
-    header = ",".join([f"rho{i + 1}" for i in range(width)] + ["residual", "valid", "branch"])
-    lines = [header]
+    lines = [",".join([f"rho{i + 1}" for i in range(width)] + ["residual", "valid", "branch"])]
+    templates: dict[int, str] = {}
     for s in flat:
-        angles = [_fmt(float(x)) for x in s.rho] + [""] * (width - len(s.rho))
-        lines.append(",".join(angles + [_fmt(s.residual), "true" if s.valid else "false", str(s.branch)]))
+        rho = np.asarray(s.rho, dtype=float).tolist()
+        row = templates.get(len(rho))
+        if row is None:
+            row = templates[len(rho)] = "%.12g," * len(rho) + "," * (width - len(rho)) + "%.12g,%s,%s"
+        lines.append(row % (*rho, s.residual, "true" if s.valid else "false", s.branch))
     return "\n".join(lines) + "\n"
 
 
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it: its repr, or NaN, Infinity or -Infinity."""
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
 def samples_to_json(flat: list[ConfigSample]) -> str:
-    objs = []
+    """The text of ``json.dumps(records, indent=1)``, one ``%`` template per angle count.
+
+    Floats are filled in as their repr, which is what json.dumps writes; a
+    record holding a non-finite value writes it as NaN, Infinity or -Infinity.
+    """
+    templates: dict[int, str] = {}
+    records = []
     for s in flat:
-        rec: dict = {f"rho{i + 1}": float(x) for i, x in enumerate(s.rho)}
-        rec["residual"] = float(s.residual)
-        rec["valid"] = bool(s.valid)
-        rec["branch"] = s.branch if isinstance(s.branch, str) else int(s.branch)
-        objs.append(rec)
-    return json.dumps(objs, indent=1) + "\n"
+        fields = (*np.asarray(s.rho, dtype=float).tolist(), float(s.residual))
+        record = templates.get(len(fields))
+        if record is None:
+            keys = [f"rho{i + 1}" for i in range(len(fields) - 1)] + ["residual", "valid", "branch"]
+            record = templates[len(fields)] = " {\n" + ",\n".join(f'  "{k}": %s' for k in keys) + "\n }"
+        if not math.isfinite(sum(fields)):
+            fields = tuple(map(_json_float, fields))
+        branch = json.dumps(s.branch) if isinstance(s.branch, str) else int(s.branch)
+        records.append(record % (*fields, "true" if s.valid else "false", branch))
+    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+
+
+def _angle_keys(path: str, i: int, keys) -> list[str]:
+    """The rhoN keys of record ``i`` in angle order; raises when a sample field is missing."""
+    for name in ("residual", "valid", "branch"):
+        if name not in keys:
+            raise OutOfRangeError(f"{path}: record {i} has no {name!r}")
+    try:
+        angles = sorted((k for k in keys if k.startswith("rho")), key=lambda k: int(k[3:]))
+    except ValueError:
+        raise OutOfRangeError(f"{path}: record {i} has a rho key that is not rhoN") from None
+    if not angles:
+        raise OutOfRangeError(f"{path}: record {i} has no rhoN key")
+    return angles
 
 
 def load_samples_json(path: str) -> list[ConfigSample]:
-    """Inverse of the json export; residuals round-trip bit-exactly."""
+    """Inverse of the json export; residuals round-trip bit-exactly.
+
+    The rhoN keys are ordered once for each distinct key set.  Input that is
+    not a json array of sample records raises OutOfRangeError naming the
+    file and the first bad record.
+    """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as e:
+            raise OutOfRangeError(f"{path} is not json: {e}") from None
+    if not isinstance(data, list):
+        raise OutOfRangeError(f"{path} is not a json array of sample records")
+    angle_keys: dict[tuple, list[str]] = {}
     out = []
-    for rec in data:
-        keys = sorted((k for k in rec if k.startswith("rho")), key=lambda k: int(k[3:]))
-        rho = np.array([rec[k] for k in keys])
-        out.append(ConfigSample(rho=rho, residual=rec["residual"], valid=rec["valid"],
-                                branch=rec["branch"]))
+    for i, rec in enumerate(data):
+        if not isinstance(rec, dict):
+            raise OutOfRangeError(f"{path}: record {i} is not an object")
+        keys = tuple(rec)
+        angles = angle_keys.get(keys)
+        if angles is None:
+            angles = angle_keys[keys] = _angle_keys(path, i, keys)
+        try:
+            rho = np.array([rec[k] for k in angles])
+        except ValueError:  # nested lists of unequal length
+            rho = None
+        residual, valid, branch = rec["residual"], rec["valid"], rec["branch"]
+        if rho is None or rho.ndim != 1 or rho.dtype.kind not in "biuf" or not isinstance(residual, (int, float)):
+            raise OutOfRangeError(f"{path}: record {i} has an angle or residual that is not a number")
+        if not isinstance(valid, bool) or not isinstance(branch, (int, str)):
+            raise OutOfRangeError(f"{path}: record {i} needs a true/false valid and an integer or string branch")
+        out.append(ConfigSample(rho=rho.astype(float, copy=False), residual=residual, valid=valid, branch=branch))
     return out
 
 
@@ -387,24 +447,23 @@ def samples_to_obj(flat: list[ConfigSample], pattern: CreasePattern | None,
     A sample is skipped when it is invalid, when its residual is not below
     ``tol``, or when it does not close on ``pattern`` (default ``g60()``)
     within max(tol, twice its own residual): it came from another pattern.
+    Each object is one ``%`` template: its name, the apex, the crease tips
+    to 12 significant digits and the fan of sector faces.
     """
     if pattern is None and any(len(s.rho) != 6 for s in flat):
         raise OutOfRangeError("obj export needs an explicit pattern for non-6-crease samples")
     pat = g60() if pattern is None else pattern
     kept = [m for m, s in enumerate(flat) if s.valid and not s.residual >= tol]  # NaN: re-fold decides
-    lines = []
-    written = 0
+    objects = []
     if kept:
-        residuals, frames = folded_frames(pat, np.array([as_fold_angles(flat[m].rho, pat.n) for m in kept]))
-        for m, residual, tips in zip(kept, residuals, crease_images(pat, frames)):
+        n = pat.n
+        residuals, frames = folded_frames(pat, np.array([as_fold_angles(flat[m].rho, n) for m in kept]))
+        tips = crease_images(pat, frames).reshape(len(kept), 3 * n).tolist()
+        fan = [c for i in range(n) for c in (0, 1 + i, 1 + (i + 1) % n)]  # face corners; 0 is the apex
+        template = "o sample_%04d\nv 0 0 0\n" + "v %.12g %.12g %.12g\n" * n + "f %d %d %d\n" * n
+        for m, residual, xyz in zip(kept, residuals.tolist(), tips):
             if residual > max(tol, flat[m].residual * 2 + 1e-300):  # sample came from a different pattern
                 continue
-            offset = written * (pat.n + 1)
-            lines.append(f"o sample_{m:04d}")
-            lines.append("v 0 0 0")
-            for tip in tips:
-                lines.append("v " + " ".join(_fmt(float(c)) for c in tip))
-            for i in range(pat.n):
-                lines.append(f"f {offset + 1} {offset + 2 + i} {offset + 2 + (i + 1) % pat.n}")
-            written += 1
-    return "\n".join(lines) + "\n", len(flat) - written
+            apex = len(objects) * (n + 1) + 1
+            objects.append(template % (m, *xyz, *[apex + c for c in fan]))
+    return "".join(objects) or "\n", len(flat) - len(objects)

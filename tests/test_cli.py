@@ -87,6 +87,20 @@ def test_fold_json_format(capsys):
     assert rec["rho2"] == 0.5
 
 
+# Malformed json sample files, written to {tmp} by the test below
+MALFORMED = {
+    "notjson.json": "rho1 = 0.1\n",
+    "object.json": '{"rho1": 0.1, "residual": 0.0, "valid": true, "branch": 0}\n',
+    "notrecord.json": "[[0.1, 0.2, 0.3]]\n",
+    "noresidual.json": '[{"rho1": 0.1, "valid": true, "branch": 0}]\n',
+    "norho.json": '[{"residual": 0.0, "valid": true, "branch": 0}]\n',
+    "badkey.json": '[{"rho1": 0.1, "rhox": 0.2, "residual": 0.0, "valid": true, "branch": 0}]\n',
+    "nullangle.json": '[{"rho1": null, "residual": 0.0, "valid": true, "branch": 0}]\n',
+    "textresidual.json": '[{"rho1": 0.1, "residual": "0", "valid": true, "branch": 0}]\n',
+    "textvalid.json": '[{"rho1": 0.1, "residual": 0.0, "valid": "false", "branch": 0}]\n',
+    "listbranch.json": '[{"rho1": 0.1, "residual": 0.0, "valid": true, "branch": [1]}]\n',
+}
+
 # (argv, error text); {samples} is a valid json sample file, {empty} holds [], {tmp} is scratch
 DOMAIN_ERRORS = [
     (["fold", "trifold", "--beta", "60", "--drive", "2.5"], "maps outside"),
@@ -108,7 +122,24 @@ DOMAIN_ERRORS = [
     (["resch", "--drive", "nan"], "drive nan outside reachable interval"),
     (["region", "--rho6", "nan"], "rho6 must lie in [-pi, pi], got nan"),
     (["region", "--rho6", "5"], "rho6 must lie in [-pi, pi], got 5.0"),
-    (["trace", "--seed1", "nan"], "must be finite"),
+    (["trace", "--seed1", "nan"], "seed1 must lie in [-pi, pi], got nan"),
+    (["trace", "--seed1", "6.283185307179586", "--seed2", "0", "--step", "0.2"],
+     "seed1 must lie in [-pi, pi], got 6.283185307179586"),
+    (["trace", "--seed2", "-4", "-o", "{tmp}/out.csv"], "seed2 must lie in [-pi, pi], got -4.0"),
+    (["export", "{tmp}/notjson.json", "-o", "{tmp}/out.csv"], "notjson.json is not json: Expecting value"),
+    (["export", "{tmp}/object.json", "-o", "{tmp}/out.csv"], "object.json is not a json array of sample records"),
+    (["export", "{tmp}/notrecord.json", "-o", "{tmp}/out.csv"], "notrecord.json: record 0 is not an object"),
+    (["export", "{tmp}/noresidual.json", "-o", "{tmp}/out.csv"], "noresidual.json: record 0 has no 'residual'"),
+    (["export", "{tmp}/norho.json", "-o", "{tmp}/out.json"], "norho.json: record 0 has no rhoN key"),
+    (["export", "{tmp}/badkey.json", "-o", "{tmp}/out.csv"],
+     "badkey.json: record 0 has a rho key that is not rhoN"),
+    (["export", "{tmp}/nullangle.json", "-o", "{tmp}/out.csv"],
+     "nullangle.json: record 0 has an angle or residual"),
+    (["export", "{tmp}/textresidual.json", "-o", "{tmp}/out.obj"],
+     "textresidual.json: record 0 has an angle or residual"),
+    (["export", "{tmp}/textvalid.json", "-o", "{tmp}/out.csv"], "textvalid.json: record 0 needs a true/false valid"),
+    (["export", "{tmp}/listbranch.json", "-o", "{tmp}/out.json"],
+     "listbranch.json: record 0 needs a true/false valid and an integer or string branch"),
     (["trace", "--step", "nan"], "step must be finite and > 0, got nan"),
     (["trace", "--step", "inf"], "step must be finite and > 0, got inf"),
     (["trace", "--step", "-0.2"], "step must be finite and > 0, got -0.2"),
@@ -121,6 +152,8 @@ def test_domain_error_exits_2(tmp_path, capsys):
     assert run(capsys, "fold", "general", "--rho4", "0.1", "--rho5", "0.2", "--rho6", "0.3",
                "-o", str(samples), "--format", "json")[0] == 0
     empty.write_text("[]\n")
+    for name, text in MALFORMED.items():
+        (tmp_path / name).write_text(text)
     for argv, message in DOMAIN_ERRORS:
         argv = [a.format(samples=samples, empty=empty, tmp=tmp_path) for a in argv]
         code, out, err = run(capsys, *argv)

@@ -19,11 +19,19 @@ from rigidfold.config_space import (
     make_sample,
     make_samples,
     samples_to_csv,
+    samples_to_json,
     samples_to_obj,
     sweep_model,
     trace_implicit_curve,
 )
-from rigidfold.core_geometry import folded_geometry, g60, self_intersections
+from rigidfold.core_geometry import (
+    as_fold_angles,
+    crease_images,
+    folded_frames,
+    folded_geometry,
+    g60,
+    self_intersections,
+)
 from rigidfold.errors import NoSolutionError, NotClosedError, OutOfRangeError
 from rigidfold.fold_models import (
     FAMILIES,
@@ -437,3 +445,88 @@ def test_csv_uses_twelve_significant_digits():
     s = [ConfigSample(np.array([1.0 / 3.0, 0.0]), residual=1e-15, valid=True)]
     text = samples_to_csv(s)
     assert "0.333333333333" in text
+
+
+# --- reference writers -------------------------------------------------------------
+# The per-float formatters the block templates replaced, kept as the byte-level
+# reference: json through json.dumps(indent=1), csv and obj one f"{x:.12g}" per float.
+
+def _reference_csv(flat):
+    width = max(len(s.rho) for s in flat)
+    lines = [",".join([f"rho{i + 1}" for i in range(width)] + ["residual", "valid", "branch"])]
+    for s in flat:
+        angles = [f"{float(x):.12g}" for x in s.rho] + [""] * (width - len(s.rho))
+        lines.append(",".join(angles + [f"{s.residual:.12g}", "true" if s.valid else "false", str(s.branch)]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(flat):
+    objs = []
+    for s in flat:
+        rec = {f"rho{i + 1}": float(x) for i, x in enumerate(s.rho)}
+        rec["residual"] = float(s.residual)
+        rec["valid"] = bool(s.valid)
+        rec["branch"] = s.branch if isinstance(s.branch, str) else int(s.branch)
+        objs.append(rec)
+    return json.dumps(objs, indent=1) + "\n"
+
+
+def _reference_obj(flat, pattern, tol=1e-8):
+    kept = [m for m, s in enumerate(flat) if s.valid and not s.residual >= tol]
+    lines, written = [], 0
+    if kept:
+        rows = np.array([as_fold_angles(flat[m].rho, pattern.n) for m in kept])
+        residuals, frames = folded_frames(pattern, rows)
+        for m, residual, tips in zip(kept, residuals, crease_images(pattern, frames)):
+            if residual > max(tol, flat[m].residual * 2 + 1e-300):
+                continue
+            offset = written * (pattern.n + 1)
+            lines += [f"o sample_{m:04d}", "v 0 0 0"]
+            lines += ["v " + " ".join(f"{float(c):.12g}" for c in tip) for tip in tips]
+            lines += [f"f {offset + 1} {offset + 2 + i} {offset + 2 + (i + 1) % pattern.n}"
+                      for i in range(pattern.n)]
+            written += 1
+    return "\n".join(lines) + "\n", len(flat) - written
+
+
+def _reference_corpus():
+    """(samples, pattern) groups: every family's sweeps, a 600-sample general mix, edge values."""
+    groups = []
+    for model in FoldModel:
+        fam = FAMILIES[model]
+        for alpha, beta in [(60.0, 60.0), (55.0, 65.0)] if fam.domain else [(60.0, 60.0)]:
+            for m in fam.modes:
+                mode = FoldMode(model, m, math.radians(alpha), math.radians(beta))
+                groups.append((sweep_model(mode, 5).samples, fam.pattern(mode)))
+    general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 600).samples
+    assert len(general) == 600 and 0 < sum(s.valid for s in general) < 600
+    groups.append((general, G))
+    nan, inf = math.nan, math.inf
+    edge = [
+        ConfigSample(np.array([nan, 0.1, -0.0, 1e22, 5e-324, -inf]), 0, True, 'quote " and \\ back'),
+        ConfigSample(np.array([inf, -0.0, 1.0 / 3.0, 2.0, -1.5, 1e-300]), nan, True, "ñandú 日本"),
+        ConfigSample(np.zeros(6), -0.0, True, 3),
+        ConfigSample(np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]), inf, False, 0),
+        ConfigSample(np.array([1e300, -1e300, 123456789012345.0, 0.5, 0.25, 0.0]), 1e-20, True, "x"),
+    ]
+    groups.append((edge, G))
+    groups.append((edge + [ConfigSample(np.array([0.1, -0.0, nan, 5e-324]), 2, False, "four")], None))
+    groups.append(([s for s in general if not s.valid][:5], G))  # every obj sample skipped
+    return groups
+
+
+def test_writers_match_the_reference_formatters(tmp_path):
+    """The template writers write the per-float writers' bytes; json load-and-write is bit-exact."""
+    for k, (flat, pattern) in enumerate(_reference_corpus()):
+        assert samples_to_csv(flat) == _reference_csv(flat), k
+        text = samples_to_json(flat)
+        assert text == _reference_json(flat), k
+        path = tmp_path / f"group{k}.json"
+        path.write_text(text)
+        assert samples_to_json(load_samples_json(str(path))) == text, k
+        if pattern is not None:
+            with np.errstate(invalid="ignore"):  # re-folding an infinite angle wraps it to NaN
+                obj = samples_to_obj(flat, pattern)
+                assert obj == _reference_obj(flat, pattern), k
+            if all(not s.valid for s in flat):
+                assert obj == ("\n", len(flat))
