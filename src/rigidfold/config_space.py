@@ -408,7 +408,8 @@ def load_samples_json(path: str) -> list[ConfigSample]:
     """Inverse of the json export; residuals round-trip bit-exactly.
 
     The rhoN keys are ordered once for each distinct key set.  Input that is
-    not a json array of sample records raises OutOfRangeError naming the
+    not a json array of sample records, or a record flagged valid whose
+    angles or residual are not finite, raises OutOfRangeError naming the
     file and the first bad record.
     """
     with open(path) as fh:
@@ -427,8 +428,9 @@ def load_samples_json(path: str) -> list[ConfigSample]:
         angles = angle_keys.get(keys)
         if angles is None:
             angles = angle_keys[keys] = _angle_keys(path, i, keys)
+        vals = [rec[k] for k in angles]
         try:
-            rho = np.array([rec[k] for k in angles])
+            rho = np.array(vals)
         except ValueError:  # nested lists of unequal length
             rho = None
         residual, valid, branch = rec["residual"], rec["valid"], rec["branch"]
@@ -436,6 +438,9 @@ def load_samples_json(path: str) -> list[ConfigSample]:
             raise OutOfRangeError(f"{path}: record {i} has an angle or residual that is not a number")
         if not isinstance(valid, bool) or not isinstance(branch, (int, str)):
             raise OutOfRangeError(f"{path}: record {i} needs a true/false valid and an integer or string branch")
+        # the float sum is finite for finite angles unless it overflows: then ask numpy
+        if valid and not (-math.inf < residual < math.inf and (math.isfinite(sum(vals)) or np.isfinite(rho).all())):
+            raise OutOfRangeError(f"{path}: record {i} is flagged valid but has an angle or residual that is not finite")
         out.append(ConfigSample(rho=rho.astype(float, copy=False), residual=residual, valid=valid, branch=branch))
     return out
 

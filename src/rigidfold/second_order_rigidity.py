@@ -15,12 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_geometry import CreasePattern
-from .errors import OutOfRangeError
+from .errors import NumericalError, OutOfRangeError
 
 _NULL_TOL = 1e-12
 _RAY_TOL = 1e-9
 _DEDUPE_TOL = 1e-6
-_CONE_SAMPLES = 64
+_DISTINCT_TOL = 1e-9
+_RANK_TOL = 1e-9
+# fixed generic directions (eigen-coordinates of Qn) projected to witness cone points
+_WITNESS_DIRS = np.cos(np.outer(np.arange(1.0, 5.0), np.arange(1.0, 7.0)))
 
 
 @dataclass(frozen=True)
@@ -35,17 +38,18 @@ class VelocityVector:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Real velocity rays compatible with a coloring, or the lack thereof."""
+    """Real velocity rays compatible with a coloring, or the lack thereof.
+
+    ``witness`` is a ray whose class values are pairwise distinct, or None
+    when every real ray merges two classes (the ray belongs to a coarser
+    coloring); ``dof`` is the solution dimension at the witness.
+    """
 
     color_pattern: tuple[int, ...]
     velocities: tuple[VelocityVector, ...]
     foldable: bool
-
-
-def _skew_xy(c: np.ndarray) -> np.ndarray:
-    # in-plane crease: only the planar part of the cross-product matrix survives
-    lx, ly = float(c[0]), float(c[1])
-    return np.array([[0.0, 0.0, ly], [0.0, 0.0, -lx], [-ly, lx, 0.0]])
+    witness: VelocityVector | None
+    dof: int | None
 
 
 def first_order_matrix(pattern: CreasePattern, v) -> np.ndarray:
@@ -53,10 +57,9 @@ def first_order_matrix(pattern: CreasePattern, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (pattern.n,):
         raise OutOfRangeError(f"expected {pattern.n} velocities, got shape {v.shape}")
-    out = np.zeros((3, 3))
-    for vi, c in zip(v, pattern.creases):
-        out += vi * _skew_xy(c)
-    return out
+    # in-plane creases: only the planar part of the cross-product matrix survives
+    sx, sy = v @ pattern.creases[:, :2]
+    return np.array([[0.0, 0.0, sy], [0.0, 0.0, -sx], [-sy, sx, 0.0]])
 
 
 def second_order_matrix(pattern: CreasePattern, v) -> np.ndarray:
@@ -64,22 +67,13 @@ def second_order_matrix(pattern: CreasePattern, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (pattern.n,):
         raise OutOfRangeError(f"expected {pattern.n} velocities, got shape {v.shape}")
-    cs = pattern.creases
-    out = np.zeros((3, 3))
-    for i in range(pattern.n):
-        for j in range(pattern.n):
-            a, b = (i, j) if i <= j else (j, i)
-            lix, liy = cs[i][0], cs[i][1]
-            ljx, ljy = cs[j][0], cs[j][1]
-            lax, lay = cs[a][0], cs[a][1]
-            lbx, lby = cs[b][0], cs[b][1]
-            m = np.array([
-                [-liy * ljy, lay * lbx, 0.0],
-                [lax * lby, -lix * ljx, 0.0],
-                [0.0, 0.0, -lix * ljx - liy * ljy],
-            ])
-            out += v[i] * v[j] * m
-    return out
+    X, Y = v * pattern.creases[:, 0], v * pattern.creases[:, 1]
+    sx, sy = X.sum(), Y.sum()
+    # sum over i < j of v_i v_j (l_i x l_j)_z, the sine form of the reduced system
+    a = Y @ (np.cumsum(X) - X) - X @ (np.cumsum(Y) - Y)
+    return np.array([[-sy * sy, sx * sy - a, 0.0],
+                     [sx * sy + a, -sx * sx, 0.0],
+                     [0.0, 0.0, -sx * sx - sy * sy]])
 
 
 def _class_list(color_pattern) -> list[int]:
@@ -132,58 +126,78 @@ def _normalize_ray(v: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _separates(X: np.ndarray) -> bool:
+    """True when no two rows of X coincide: some point of the span of X's
+    columns (or X itself, for one vector) has pairwise distinct classes."""
+    k = X.shape[0]
+    gaps = np.abs(X[:, None] - X[None, :]).reshape(k, k, -1).max(axis=2)
+    return np.count_nonzero(gaps <= _DISTINCT_TOL) == k  # the diagonal only
+
+
 def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
     """All real velocity rays whose class structure matches the coloring.
 
-    The first-order condition is linear, so its solution space is the null
-    space of L.  Within that space the quadratic condition defines a cone;
-    rays are harvested from the eigen-decomposition of the restricted
-    quadratic form (null eigenvectors, balanced mixes of positive/negative
-    eigenvectors, and a fixed batch of seeded random cone points), then
+    The first-order condition is linear: its solutions are null(L), with
+    basis N.  There the quadratic condition is the cone of Qn = N^T Q N,
+    decided exactly from its eigenvalues.  Qn definite (or null(L) empty):
+    no real ray.  Qn semidefinite: the cone is null(Qn).  Qn indefinite of
+    rank >= 3: an irreducible quadric spanning null(L).  Qn indefinite of
+    rank 2: the two hyperplanes sqrt(l+) a.w = +-sqrt(-l-) b.w, each plus
+    null(Qn).  A ray with pairwise distinct class values exists when some
+    piece of the cone (the subspace, either hyperplane, or the quadric
+    through its span null(L)) lies in no merge hyperplane x_p = x_q.
+
+    Rays returned: the null eigenvectors of Qn, the balanced mixes of each
+    positive/negative eigenpair and, when a distinct ray exists, the first
+    cone point with distinct classes from a fixed list (the witness);
     deduplicated and sorted.  No real ray means not foldable.
     """
     cls = _class_list(color_pattern)
     L, Q, E = symmetry_reduced_system(pattern, cls)
-    k = Q.shape[0]
 
     _, sv, vt = np.linalg.svd(L)
     rank = int(np.sum(sv > _NULL_TOL))
     N = vt[rank:].T  # k x m null-space basis
     m = N.shape[1]
 
-    cone_points: list[np.ndarray] = []
-    if m > 0:
-        Qn = N.T @ Q @ N
-        lam, W = np.linalg.eigh(Qn)
-        zero_idx = [i for i in range(m) if abs(lam[i]) <= _NULL_TOL]
-        pos_idx = [i for i in range(m) if lam[i] > _NULL_TOL]
-        neg_idx = [i for i in range(m) if lam[i] < -_NULL_TOL]
-        for i in zero_idx:
-            cone_points.append(W[:, i])
-        for i in pos_idx:
-            for j in neg_idx:
-                a = np.sqrt(-lam[j])
-                b = np.sqrt(lam[i])
-                cone_points.append(a * W[:, i] + b * W[:, j])
-                cone_points.append(a * W[:, i] - b * W[:, j])
-        if pos_idx and neg_idx:
-            rng = np.random.default_rng(0)
-            P = W[:, pos_idx]
-            Ng = W[:, neg_idx]
-            for _ in range(_CONE_SAMPLES):
-                x = rng.standard_normal(m)
-                xp = P @ (P.T @ x)
-                xn = Ng @ (Ng.T @ x)
-                qp = float(xp @ Qn @ xp)
-                qn = -float(xn @ Qn @ xn)
-                if qp > _NULL_TOL and qn > _NULL_TOL:
-                    cone_points.append(xp / np.sqrt(qp) + xn / np.sqrt(qn))
+    lam, W = np.linalg.eigh(N.T @ Q @ N) if m else (np.zeros(0), np.zeros((0, 0)))
+    V = N @ W  # eigenvectors of Qn in class coordinates
+    pos, neg = lam > _NULL_TOL, lam < -_NULL_TOL
+    zero = ~(pos | neg)
+    cone_points = list(V[:, zero].T)
+    for i in np.flatnonzero(pos):
+        for j in np.flatnonzero(neg):
+            a, b = np.sqrt(-lam[j]), np.sqrt(lam[i])
+            cone_points += [a * V[:, i] + b * V[:, j], a * V[:, i] - b * V[:, j]]
+
+    indefinite = pos.any() and neg.any()
+    if not indefinite:
+        distinct = zero.any() and _separates(V[:, zero])
+    elif pos.sum() + neg.sum() > 2:
+        distinct = _separates(V)
+    else:  # the last two mixes span the two hyperplanes, modulo null(Qn)
+        distinct = any(_separates(np.column_stack([x, V[:, zero]])) for x in cone_points[-2:])
+
+    witness = None
+    if distinct:
+        # fixed generic directions projected onto the cone: unit Qn-weight
+        # on each signed part, +-1 between them, the null part as it is
+        U = _WITNESS_DIRS[:, :m]
+        Y = np.where(zero, U, 0.0)
+        if indefinite:
+            Y[:, pos] = U[:, pos] / np.sqrt(U[:, pos] ** 2 @ lam[pos])[:, None]
+            Y[:, neg] = U[:, neg] / np.sqrt(U[:, neg] ** 2 @ -lam[neg])[:, None]
+            Y = np.vstack([Y, np.where(neg, -Y, Y)])
+        witness = next((x for x in map(_normalize_ray, Y @ V.T) if _separates(x) and _on_cone(L, Q, x)), None)
+        if witness is None:
+            raise NumericalError(f"coloring {cls} has a ray with distinct classes, "
+                                 "but no witness cone point was found")
+        cone_points.insert(0, witness)  # kept over its duplicates
 
     rays: list[np.ndarray] = []
     seen: set = set()
-    for w in cone_points:
-        x = N @ w
-        if np.max(np.abs(L @ x)) > _RAY_TOL or abs(x @ Q @ x) > _RAY_TOL:
+    for x in cone_points:
+        if not _on_cone(L, Q, x):
             continue
         v6 = _normalize_ray(E @ x)
         if v6 is None:
@@ -199,18 +213,23 @@ def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
         color_pattern=tuple(cls),
         velocities=tuple(VelocityVector(tuple(float(x) for x in v)) for v in rays),
         foldable=bool(rays),
+        witness=None if witness is None else VelocityVector(tuple(float(x) for x in E @ witness)),
+        dof=None if witness is None else _ray_dof(L, Q, witness),
     )
+
+
+def _on_cone(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> bool:
+    return np.max(np.abs(L @ x)) <= _RAY_TOL and abs(x @ Q @ x) <= _RAY_TOL
+
+
+def _ray_dof(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> int:
+    """Class count minus the rank of L stacked with the quadratic gradient at x."""
+    J = np.vstack([L, 2.0 * (Q @ x)[None, :]])
+    return int(L.shape[1] - np.linalg.matrix_rank(J, tol=_RANK_TOL))
 
 
 def ray_class_values(color_pattern, velocity: VelocityVector | np.ndarray) -> np.ndarray:
     """Per-class velocity values of a ray, indexed by class label order."""
     cls = _class_list(color_pattern)
     v = velocity.as_array() if isinstance(velocity, VelocityVector) else np.asarray(velocity, float)
-    k = max(cls)
-    vals = np.zeros(k)
-    seen = [False] * k
-    for c, x in zip(cls, v):
-        if not seen[c - 1]:
-            vals[c - 1] = x
-            seen[c - 1] = True
-    return vals
+    return v[[cls.index(c) for c in range(1, max(cls) + 1)]]

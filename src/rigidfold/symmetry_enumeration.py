@@ -11,19 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core_geometry import g60
 from .errors import OutOfRangeError
-from .second_order_rigidity import (
-    _class_list,
-    ray_class_values,
-    symmetric_mode_solve,
-    symmetry_reduced_system,
-)
-
-_DISTINCT_TOL = 1e-9
-_RANK_TOL = 1e-9
+from .second_order_rigidity import _class_list, symmetric_mode_solve
 
 #: conventional representative coloring -> family name (keys need not be canonical)
 NAMED_REPRESENTATIVES = {
@@ -112,31 +102,15 @@ def enumerate_patterns(k: int) -> list[ColorPattern]:
     return [p for p in _all_patterns() if p.k == k]
 
 
-def _distinct_class_rays(pattern, pat: ColorPattern):
-    """Rays whose class velocities are pairwise distinct (the coloring is exact)."""
-    sol = symmetric_mode_solve(pattern, pat)
-    out = []
-    for vel in sol.velocities:
-        vals = ray_class_values(pat, vel)
-        k = len(vals)
-        if all(abs(vals[p] - vals[q]) > _DISTINCT_TOL for p in range(k) for q in range(p + 1, k)):
-            out.append(vals)
-    return out
-
-
-def _ray_dof(L: np.ndarray, Q: np.ndarray, vals: np.ndarray) -> int:
-    J = np.vstack([L, 2.0 * (Q @ vals)[None, :]])
-    return int(L.shape[1] - np.linalg.matrix_rank(J, tol=_RANK_TOL))
-
-
 def classify_g60() -> list[Table1Row]:
     """Classify every bracelet pattern on the flat 60-degree vertex.
 
     A pattern counts as foldable only if some real velocity ray keeps all
-    of its classes at pairwise distinct values; rays that merge classes
-    belong to a coarser pattern.  DOF is the generic solution dimension at
-    a found ray: class count minus the rank of the combined linear
-    constraint and the gradient of the quadratic one.
+    of its classes at pairwise distinct values (the solve's witness ray);
+    rays that merge classes belong to a coarser pattern.  DOF is the
+    generic solution dimension at the witness: class count minus the rank
+    of the combined linear constraint and the gradient of the quadratic
+    one.
     """
     G = g60()
     rows = []
@@ -144,11 +118,8 @@ def classify_g60() -> list[Table1Row]:
         pats = enumerate_patterns(k)
         foldable = []
         for pat in pats:
-            rays = _distinct_class_rays(G, pat)
-            if not rays:
-                continue
-            L, Q, _ = symmetry_reduced_system(G, pat)
-            dof = min(_ray_dof(L, Q, vals) for vals in rays)
-            foldable.append((pat, NAMED_PATTERNS.get(pat.classes), dof))
+            sol = symmetric_mode_solve(G, pat)
+            if sol.witness is not None:
+                foldable.append((pat, NAMED_PATTERNS.get(pat.classes), sol.dof))
         rows.append(Table1Row(k=k, pattern_count=len(pats), foldable_patterns=tuple(foldable)))
     return rows

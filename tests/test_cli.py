@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def test_table_text(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 7  # header + one row per class count
     assert "trifold" in out and "fully general" in out
+
+
+def test_readme_table_block_is_the_table_output(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```\n$ rigidfold table\n", 1)[1].split("```", 1)[0]
+    assert run(capsys, "table") == (0, block, "")
 
 
 def test_table_json(capsys):
@@ -99,6 +106,10 @@ MALFORMED = {
     "textresidual.json": '[{"rho1": 0.1, "residual": "0", "valid": true, "branch": 0}]\n',
     "textvalid.json": '[{"rho1": 0.1, "residual": 0.0, "valid": "false", "branch": 0}]\n',
     "listbranch.json": '[{"rho1": 0.1, "residual": 0.0, "valid": true, "branch": [1]}]\n',
+    "infangle.json": '[{"rho1": Infinity, "rho2": 0.1, "rho3": 0.1, "rho4": 0.1, "rho5": 0.1, "rho6": 0.1, '
+                     '"residual": 0.0, "valid": true, "branch": 1}]\n',
+    "nanresidual.json": '[{"rho1": 0.1, "residual": NaN, "valid": false, "branch": 0}, '
+                        '{"rho1": 0.1, "residual": NaN, "valid": true, "branch": 0}]\n',
 }
 
 # (argv, error text); {samples} is a valid json sample file, {empty} holds [], {tmp} is scratch
@@ -140,6 +151,12 @@ DOMAIN_ERRORS = [
     (["export", "{tmp}/textvalid.json", "-o", "{tmp}/out.csv"], "textvalid.json: record 0 needs a true/false valid"),
     (["export", "{tmp}/listbranch.json", "-o", "{tmp}/out.json"],
      "listbranch.json: record 0 needs a true/false valid and an integer or string branch"),
+    (["export", "{tmp}/infangle.json", "-o", "{tmp}/out.obj"],
+     "infangle.json: record 0 is flagged valid but has an angle or residual that is not finite"),
+    (["export", "{tmp}/infangle.json", "-o", "{tmp}/out.csv"],
+     "infangle.json: record 0 is flagged valid but has an angle or residual that is not finite"),
+    (["export", "{tmp}/nanresidual.json", "-o", "{tmp}/out.csv"],
+     "nanresidual.json: record 1 is flagged valid but has an angle or residual that is not finite"),
     (["trace", "--step", "nan"], "step must be finite and > 0, got nan"),
     (["trace", "--step", "inf"], "step must be finite and > 0, got inf"),
     (["trace", "--step", "-0.2"], "step must be finite and > 0, got -0.2"),

@@ -515,15 +515,36 @@ def _reference_corpus():
     return groups
 
 
+def _finite(s: ConfigSample) -> bool:
+    return bool(np.isfinite(s.rho).all()) and math.isfinite(s.residual)
+
+
+def test_loader_keeps_a_valid_record_whose_angle_sum_overflows(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('[{"rho1": 1e308, "rho2": 1e308, "residual": 0.0, "valid": true, "branch": 1}]\n')
+    (s,) = load_samples_json(str(path))
+    assert s.valid and s.rho.tolist() == [1e308, 1e308]
+
+
 def test_writers_match_the_reference_formatters(tmp_path):
-    """The template writers write the per-float writers' bytes; json load-and-write is bit-exact."""
+    """The template writers write the per-float writers' bytes; json load-and-write is bit-exact.
+
+    The loader refuses a record flagged valid with a non-finite angle or
+    residual; flagged invalid, the same record round-trips bit-exactly."""
     for k, (flat, pattern) in enumerate(_reference_corpus()):
         assert samples_to_csv(flat) == _reference_csv(flat), k
         text = samples_to_json(flat)
         assert text == _reference_json(flat), k
         path = tmp_path / f"group{k}.json"
         path.write_text(text)
-        assert samples_to_json(load_samples_json(str(path))) == text, k
+        if all(_finite(s) or not s.valid for s in flat):
+            assert samples_to_json(load_samples_json(str(path))) == text, k
+        else:
+            with pytest.raises(OutOfRangeError, match="flagged valid but has an angle or residual"):
+                load_samples_json(str(path))
+            invalid = [ConfigSample(s.rho, s.residual, s.valid and _finite(s), s.branch) for s in flat]
+            path.write_text(samples_to_json(invalid))
+            assert samples_to_json(load_samples_json(str(path))) == path.read_text(), k
         if pattern is not None:
             with np.errstate(invalid="ignore"):  # re-folding an infinite angle wraps it to NaN
                 obj = samples_to_obj(flat, pattern)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rigidfold.core_geometry import closure_matrix, closure_residual, g60
+from rigidfold.core_geometry import CreasePattern, closure_matrix, closure_residual, g60
 from rigidfold.second_order_rigidity import (
     ModeSolution,
     VelocityVector,
@@ -15,6 +15,7 @@ from rigidfold.second_order_rigidity import (
     symmetric_mode_solve,
     symmetry_reduced_system,
 )
+from rigidfold.symmetry_enumeration import _restricted_growth, classify_g60, enumerate_patterns
 
 G = g60()
 
@@ -58,6 +59,40 @@ def test_second_order_matrix_collapses_to_scalar():
     expected = np.array([[0.0, -A_12, 0.0], [A_12, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert np.allclose(M, expected, atol=1e-12)
     assert math.isclose(scalar_form(TRIFOLD), A_12, rel_tol=1e-12)
+
+
+def _reference_first_order(pattern, v):
+    out = np.zeros((3, 3))
+    for vi, (lx, ly, _) in zip(v, pattern.creases):
+        out += vi * np.array([[0.0, 0.0, ly], [0.0, 0.0, -lx], [-ly, lx, 0.0]])
+    return out
+
+
+def _reference_second_order(pattern, v):
+    cs = pattern.creases
+    out = np.zeros((3, 3))
+    for i in range(pattern.n):
+        for j in range(pattern.n):
+            a, b = min(i, j), max(i, j)
+            out += v[i] * v[j] * np.array([
+                [-cs[i][1] * cs[j][1], cs[a][1] * cs[b][0], 0.0],
+                [cs[a][0] * cs[b][1], -cs[i][0] * cs[j][0], 0.0],
+                [0.0, 0.0, -cs[i][0] * cs[j][0] - cs[i][1] * cs[j][1]],
+            ])
+    return out
+
+
+def test_order_matrices_equal_the_per_crease_sums():
+    """The closed-form sums equal the per-crease (pair) loops up to rounding."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(4, 9))
+        sectors = rng.uniform(0.5, 1.5, n)
+        pattern = CreasePattern.from_sectors(sectors / sectors.sum() * 2.0 * math.pi)
+        v = rng.normal(size=n)
+        for fast, slow in [(first_order_matrix, _reference_first_order),
+                           (second_order_matrix, _reference_second_order)]:
+            assert np.allclose(fast(pattern, v), slow(pattern, v), rtol=1e-12, atol=1e-12 * (v @ v))
 
 
 def test_second_order_scalar_drives_quadratic_residual_growth():
@@ -136,3 +171,119 @@ def test_normalization_and_determinism():
         assert va.rho_dot == vb.rho_dot
         first = next(x for x in va.rho_dot if abs(x) > 1e-12)
         assert math.isclose(first, 1.0, abs_tol=1e-12)
+
+
+# The seeded random cone sampler that the exact analysis replaced, kept as the
+# reference: null eigenvectors and balanced mixes of the restricted form, plus
+# 64 random cone points from default_rng(0), filtered by both order conditions.
+def _reference_harvest(pattern, coloring):
+    L, Q, E = symmetry_reduced_system(pattern, coloring)
+    _, sv, vt = np.linalg.svd(L)
+    N = vt[int(np.sum(sv > 1e-12)):].T
+    m = N.shape[1]
+    points = []
+    if m > 0:
+        Qn = N.T @ Q @ N
+        lam, W = np.linalg.eigh(Qn)
+        pos = [i for i in range(m) if lam[i] > 1e-12]
+        neg = [i for i in range(m) if lam[i] < -1e-12]
+        points += [W[:, i] for i in range(m) if abs(lam[i]) <= 1e-12]
+        for i in pos:
+            for j in neg:
+                a, b = np.sqrt(-lam[j]), np.sqrt(lam[i])
+                points += [a * W[:, i] + b * W[:, j], a * W[:, i] - b * W[:, j]]
+        if pos and neg:
+            rng = np.random.default_rng(0)
+            P, Ng = W[:, pos], W[:, neg]
+            for _ in range(64):
+                x = rng.standard_normal(m)
+                xp, xn = P @ (P.T @ x), Ng @ (Ng.T @ x)
+                qp, qn = float(xp @ Qn @ xp), -float(xn @ Qn @ xn)
+                if qp > 1e-12 and qn > 1e-12:
+                    points.append(xp / np.sqrt(qp) + xn / np.sqrt(qn))
+    rays = []
+    for w in points:
+        x = N @ w
+        if np.max(np.abs(L @ x)) <= 1e-9 and abs(x @ Q @ x) <= 1e-9:
+            v = E @ x
+            rays.append(x / v[np.flatnonzero(np.abs(v) > 1e-12)[0]])
+    return L, Q, rays
+
+
+def _distinct(vals):
+    return all(abs(vals[p] - vals[q]) > 1e-9 for p in range(len(vals)) for q in range(p + 1, len(vals)))
+
+
+def _reference_census(pattern, coloring):
+    """(foldable with distinct classes, DOF) as the census read the harvest."""
+    L, Q, rays = _reference_harvest(pattern, coloring)
+    dofs = [L.shape[1] - np.linalg.matrix_rank(np.vstack([L, 2.0 * (Q @ x)[None, :]]), tol=1e-9)
+            for x in rays if _distinct(x)]
+    return bool(dofs), min(dofs, default=None)
+
+
+def test_exact_census_matches_the_seeded_harvest():
+    for k in range(1, 7):
+        for pat in enumerate_patterns(k):
+            sol = symmetric_mode_solve(G, pat)
+            assert ((sol.witness is not None), sol.dof) == _reference_census(G, pat), str(pat)
+
+
+@pytest.mark.parametrize("sectors_deg", [
+    (50, 70, 60, 60, 60, 60),
+    (40, 80, 50, 70, 55, 65),
+    (30, 90, 45, 75, 100, 20),
+])
+def test_foldable_matches_the_seeded_harvest_off_60_degrees(sectors_deg):
+    pattern = CreasePattern.from_sectors(np.radians(sectors_deg))
+    for coloring in _restricted_growth(6):  # every coloring, one per set partition
+        sol = symmetric_mode_solve(pattern, coloring)
+        _, _, rays = _reference_harvest(pattern, coloring)
+        assert sol.foldable == bool(rays), coloring
+        assert (sol.witness is not None) == any(_distinct(x) for x in rays), coloring
+
+
+def _merged_pairs(coloring, v):
+    vals = ray_class_values(coloring, v)
+    return {(p, q) for p in range(len(vals)) for q in range(p + 1, len(vals)) if abs(vals[p] - vals[q]) <= 1e-9}
+
+
+def test_rank_2_cones_are_decided_line_by_line():
+    """A rank-2 indefinite form on a plane null(L) makes the cone two lines.
+
+    On the 60-degree vertex both lines of 112113 set classes 2 and 3 equal
+    (L already forces it), so 112113 is not in the census.  With sectors
+    50, 70, 60, 60, 60, 60 the two lines of 123123 merge different pairs:
+    L forces no merge, yet no ray is exact.  There 112134 has one exact line,
+    and its witness lies on it."""
+    sol = symmetric_mode_solve(G, (1, 1, 2, 1, 1, 3))
+    assert sol.foldable and len(sol.velocities) == 2
+    assert [_merged_pairs((1, 1, 2, 1, 1, 3), v) for v in sol.velocities] == [{(1, 2)}, {(1, 2)}]
+    assert sol.witness is None and sol.dof is None
+    census = {str(p) for row in classify_g60() for p, _, _ in row.foldable_patterns}
+    assert "112113" not in census and "111232" in census
+
+    skew = CreasePattern.from_sectors(np.radians([50, 70, 60, 60, 60, 60]))
+    sol = symmetric_mode_solve(skew, (1, 2, 3, 1, 2, 3))
+    assert sorted(map(sorted, (_merged_pairs((1, 2, 3, 1, 2, 3), v) for v in sol.velocities))) == [
+        [(0, 1)], [(1, 2)]]
+    assert sol.witness is None
+    sol = symmetric_mode_solve(skew, (1, 1, 2, 1, 3, 4))
+    assert len(sol.velocities) == 2 and sol.dof == 1
+    assert sorted(len(_merged_pairs((1, 1, 2, 1, 3, 4), v)) for v in sol.velocities) == [0, 2]
+    assert not _merged_pairs((1, 1, 2, 1, 3, 4), sol.witness)
+
+
+def test_every_census_ray_satisfies_both_order_conditions():
+    for k in range(1, 7):
+        for pat in enumerate_patterns(k):
+            sol = symmetric_mode_solve(G, pat)
+            again = symmetric_mode_solve(G, pat)
+            assert sol == again  # deterministic, bit for bit
+            for vv in sol.velocities:
+                v = vv.as_array()
+                assert np.linalg.norm(first_order_matrix(G, v)) < 1e-8, str(pat)
+                assert abs(scalar_form(v)) < 1e-7, str(pat)
+            if sol.witness is not None:
+                assert sol.witness in sol.velocities
+                assert _distinct(ray_class_values(pat, sol.witness))

@@ -185,6 +185,14 @@ def test_classification_table():
     assert [len(r.foldable_patterns) for r in rows] == [0, 2, 2, 2, 1, 1]
 
 
+def test_classify_g60_is_fast():
+    """The census decides every cone exactly, with no random cone samples."""
+    classify_g60()  # builds the cached pattern enumeration
+    start = time.perf_counter()
+    classify_g60()
+    assert time.perf_counter() - start < 0.04
+
+
 def test_rows_are_table1row_instances():
     rows = classify_g60()
     assert all(isinstance(r, Table1Row) for r in rows)
