@@ -123,8 +123,9 @@ def _table_text(rows) -> str:
 
 
 def cmd_table(args) -> int:
+    fmt = _infer_format(args, ("text", "json"), "text")
     rows = classify_g60()
-    _emit(_table_json(rows) if args.format == "json" else _table_text(rows), args.output)
+    _emit(_table_json(rows) if fmt == "json" else _table_text(rows), args.output)
     return 0
 
 
@@ -166,13 +167,14 @@ def _fold_state(args) -> tuple[np.ndarray, object]:
     fam = fm.FAMILIES[model]
     drives = _drive_values(args, fam.drives)
     mode = _fold_mode(args)
-    return fam.fold(mode, drives, cs.DEFAULT_TOL)[0], fam.pattern(mode)
+    return fam.fold(mode, drives)[0], fam.pattern(mode)
 
 
 def cmd_fold(args) -> int:
+    fmt = _infer_format(args, ("text", "json"), "text")
     vec, pattern = _fold_state(args)
     sample = cs.make_sample(pattern, vec, branch=args.mode, tol=args.tol)
-    if args.format == "json":
+    if fmt == "json":
         _emit(cs.samples_to_json([sample]), args.output)
     else:
         angles = " ".join(f"{x:.12g}" for x in sample.rho)
@@ -181,18 +183,24 @@ def cmd_fold(args) -> int:
     return 0
 
 
-def _infer_format(args, default_fmt: str) -> str:
-    if args.format:
-        return args.format
-    if args.output:
+def _infer_format(args, supported: tuple[str, ...], default: str) -> str:
+    """--format, else the -o extension when it names a format, else ``default``.
+
+    A format outside the command's ``supported`` set raises OutOfRangeError (exit 2).
+    """
+    fmt = args.format
+    if not fmt and args.output:
         ext = args.output.rsplit(".", 1)[-1].lower()
-        if ext in ("csv", "json", "obj"):
-            return ext
-    return default_fmt
+        fmt = ext if ext in ("csv", "json", "obj") else None
+    fmt = fmt or default
+    if fmt not in supported:
+        names = f"{', '.join(supported[:-1])} or {supported[-1]}"
+        raise OutOfRangeError(f"{args.command} supports {names}, not {fmt!r}")
+    return fmt
 
 
-def _write_samples(samples, args, pattern=None, default_fmt="csv") -> int:
-    text, skipped = cs.render(samples, _infer_format(args, default_fmt), pattern, args.tol)
+def _write_samples(samples, args, pattern=None) -> int:
+    text, skipped = cs.render(samples, _infer_format(args, ("csv", "json", "obj"), "csv"), pattern, args.tol)
     _emit(text, args.output)
     if skipped:
         print(f"skipped {skipped} invalid samples", file=sys.stderr)
@@ -223,7 +231,7 @@ def cmd_trace(args) -> int:
 
 def cmd_region(args) -> int:
     region = cs.admissible_region(_rad(args.rho6, args), grid_n=args.n, tol=args.tol)
-    fmt = _infer_format(args, "json")
+    fmt = _infer_format(args, ("csv", "json"), "json")
     if fmt == "json":
         payload = {
             "rho6": region.rho6,
@@ -232,14 +240,12 @@ def cmd_region(args) -> int:
             "mask": [[bool(x) for x in row] for row in region.mask],
         }
         _emit(json.dumps(payload) + "\n", args.output)
-    elif fmt == "csv":
+    else:
         rho5 = region.rho5_axis.tolist()
         lines = ["rho4,rho5,admissible"] + [
             "%.12g,%.12g,%s" % (r4, r5, "true" if ok else "false")
             for r4, row in zip(region.rho4_axis.tolist(), region.mask.tolist()) for r5, ok in zip(rho5, row)]
         _emit("\n".join(lines) + "\n", args.output)
-    else:
-        raise OutOfRangeError(f"region supports csv or json, not {fmt!r}")
     return 0
 
 

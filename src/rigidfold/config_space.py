@@ -27,9 +27,8 @@ from .core_geometry import (
     self_intersections,
 )
 from .errors import OutOfRangeError
-from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
+from .fold_models import AMBIGUOUS, DEFAULT_TOL, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
 
-DEFAULT_TOL = 1e-8
 _TRACE_STEP = 0.02
 _NODE_GRAD_TOL = 1e-6
 _SKIPPED = (NO_SOLUTION, AMBIGUOUS)  # reasons a sweep skips a drive for; any other one raises
@@ -124,7 +123,7 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
     def solved(drives: np.ndarray) -> tuple[np.ndarray, list]:
         """Closing vectors and branch tags of an (N, k) drive array, skipping unsolvable drives."""
         sol = fam.solve(mode, drives, max(tol, DEFAULT_TOL))
-        fam.raise_first(mode, drives, sol.reason, max(tol, DEFAULT_TOL), skip=_SKIPPED)
+        fam.raise_first(mode, drives, sol.reason, skip=_SKIPPED)
         rank = drive_ranks(sol.drive)
         if fam.numbered:
             return sol.vectors, (rank + 1).tolist()

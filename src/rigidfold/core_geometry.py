@@ -19,7 +19,6 @@ from .errors import DomainError, NotClosedError, OutOfRangeError
 
 # Products of a handful of orthogonal 3x3 matrices carry ~1e-15 roundoff,
 # so these thresholds separate genuine violations from noise.
-CLOSURE_TOL = 1e-9
 GEOMETRY_TOL = 1e-6
 TRIANGLE_EPS = 1e-9
 _UNIT_TOL = 1e-9
@@ -42,41 +41,9 @@ def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
     return c * _I3 + s * cross + (1.0 - c) * outer
 
 
-def _axis_rotation(axis, theta: float) -> np.ndarray:
-    u = np.asarray(axis, dtype=float)
-    return _rodrigues(_cross_matrix(u), np.outer(u, u), np.cos(theta), np.sin(theta))
-
-
-def rot_x(theta: float) -> np.ndarray:
-    """Rotation by theta about the x-axis."""
-    return _axis_rotation((1.0, 0.0, 0.0), theta)
-
-
-def rot_z(theta: float) -> np.ndarray:
-    """Rotation by theta about the z-axis."""
-    return _axis_rotation((0.0, 0.0, 1.0), theta)
-
-
-def crease_rotation(crease: np.ndarray, rho: float) -> np.ndarray:
-    """Rotation by rho about the line through an in-plane unit crease."""
-    c = np.asarray(crease, dtype=float)
-    if c.shape != (3,):
-        raise DomainError(f"crease must be a 3-vector, got shape {c.shape}")
-    if abs(c[2]) > _UNIT_TOL:
-        raise DomainError("crease must lie in the xy-plane")
-    if abs(np.linalg.norm(c) - 1.0) > _UNIT_TOL:
-        raise DomainError("crease must be a unit vector")
-    return _axis_rotation(c, rho)
-
-
 def wrap_angles(rho: np.ndarray) -> np.ndarray:
     """Wrap into (-pi, pi], elementwise; values already in [-pi, pi] pass through."""
     return np.where(np.abs(rho) <= np.pi, rho, np.arctan2(np.sin(rho), np.cos(rho)))
-
-
-def wrap_angle(x: float) -> float:
-    """wrap_angles for one angle."""
-    return float(wrap_angles(float(x)))
 
 
 def outside_fold_range(rho):
@@ -227,11 +194,6 @@ def closure_residuals(pattern: CreasePattern, angles) -> np.ndarray:
     if rho.ndim != 2:
         raise DomainError("folding-angle rows must form a 2-d array")
     return _distance_from_identity(rotation_products(pattern, wrap_angles(rho)))
-
-
-def closure_matrix(pattern: CreasePattern, angles) -> np.ndarray:
-    """Product of crease rotations; identity exactly on the configuration space."""
-    return rotation_products(pattern, as_fold_angles(angles, pattern.n)[None])[0]
 
 
 def closure_residual(pattern: CreasePattern, angles) -> float:

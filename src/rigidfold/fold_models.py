@@ -7,8 +7,9 @@ tangent relations are evaluated through two-argument arctangents so the
 flat-folded ends of each branch stay finite.
 
 Every relation is written once, elementwise in numpy: a family's ``solve``
-applies it to a whole drive array, and the scalar evaluators apply it to
-one drive and turn a failed row into the exception its reason code names.
+applies it to a whole drive array, and ``Family.fold``, which every scalar
+evaluator calls, is the same solve on one drive that raises the exception
+a failed drive's reason code names.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
 _SING_TOL = 1e-12
 _AMBIGUOUS_TOL = 1e-12
 _CURVE_TOL = 1e-7
-_CLOSE_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # closure residual below which a solved vector, and a sample, counts as closed
 _DEDUPE_TOL = 1e-6
 _RESCH_TOL = 1e-6
 
@@ -111,16 +112,13 @@ class Family:
     """One folding family: crease pattern, modes, drive angles and closed-form solve.
 
     ``solve(mode, drives, tol)`` solves an (N, k) drive array in one pass and
-    returns a ``Solved``.  ``fold(mode, drives, tol)`` is the one-drive call:
-    every closing angle vector of one drive tuple, first branch first, or the
-    exception its reason code stands for.  The callables in ``FAMILIES`` look
-    the evaluators up by module name when called, so a wrapper installed on a
-    module attribute (a profiler, a call counter) sees every call.
+    returns a ``Solved``; ``fold`` is its one-drive call.  The callables in
+    ``FAMILIES`` look the solves up by module name when called, so a wrapper
+    installed on a module attribute (a profiler, a call counter) sees every call.
     """
 
     pattern: Callable[[FoldMode], CreasePattern]
     solve: Callable[[FoldMode, np.ndarray, float], Solved]
-    fold: Callable[[FoldMode, tuple, float], list[np.ndarray]]
     drives: tuple[str, ...]  # CLI flag names, in the order solve takes them
     domain: Callable[[float, float], None] | None = None  # None: fixed 60-degree sectors
     modes: tuple[int, ...] = (1,)
@@ -129,22 +127,47 @@ class Family:
     curve_gradient: Callable[[float, float], tuple[float, float]] | None = None  # of ``curve``
     numbered: bool = False  # one sample per solution branch, tagged 1, 2, ...
 
-    def raise_first(self, mode: FoldMode, drives: np.ndarray, reason: np.ndarray, tol: float,
-                    skip: tuple[int, ...] = ()):
-        """Raise the one-drive exception of the first drive whose reason is neither solved nor in ``skip``."""
-        bad = np.flatnonzero((reason != SOLVED) & ~np.isin(reason, skip))
-        if len(bad):
-            row = tuple(drives[bad[0]])
-            self.fold(mode, row, tol)
-            raise REASON_ERRORS[int(reason[bad[0]])](f"drive {row} fails with reason {reason[bad[0]]}")
+    def fold(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+        """Every closing angle vector of one drive tuple, first branch first: a one-row ``solve``.
+
+        A drive that fails raises the exception its reason code stands for.
+        """
+        row = np.array([drives], dtype=float)
+        sol = self.solve(mode, row, tol)
+        self.raise_first(mode, row, sol.reason)
+        return list(sol.vectors)
+
+    def raise_first(self, mode: FoldMode, drives: np.ndarray, reason: np.ndarray, skip: tuple[int, ...] = ()):
+        """Raise the one-drive exception of the first drive of an (N, k) array whose reason is
+        neither solved nor in ``skip``, built from that reason code and the drive's values."""
+        failed = reason != SOLVED
+        for code in skip:
+            failed &= reason != code
+        if not failed.any():
+            return
+        first = int(failed.argmax())
+        code, row = int(reason[first]), drives[first].tolist()
+        values = ", ".join(map(str, row))
+        if code == OUT_OF_RANGE:
+            _drive_columns(*row, names=self.drives)  # raises for a drive outside [-pi, pi]
+            limit = self.limit(mode.alpha, mode.beta)
+            text = f"drive {values} maps outside [-pi, pi]; reachable |drive| <= {limit}"
+        elif code == OFF_CURVE:
+            text = f"({values}) is not on the {mode.model.value} curve (defect {self.curve(*row):.3e})"
+        elif code == NO_COMPLETION:
+            text = f"no completion of ({values}) closes; point lies on a spurious branch"
+        elif code == AMBIGUOUS:
+            text = "half-angle fraction is 0/0 at " + ", ".join(f"{n}={x}" for n, x in zip(self.drives, row))
+        else:
+            text = f"no closing branch for drives ({values})"
+        raise REASON_ERRORS[code](text)
 
 
 @dataclass(frozen=True)
 class Multiplier:
-    """Constant tangent ratio of a 1-DOF mode, with its half-angle-tangent equivalent."""
+    """Constant tangent ratio of a 1-DOF mode."""
 
     value: float
-    tan_half_value: float
 
 
 def _check_degree4_domain(alpha: float, beta: float):
@@ -248,12 +271,7 @@ def degree4_multipliers(alpha: float, beta: float) -> tuple[Multiplier, Multipli
     ss = math.sin(0.5 * (alpha + beta))
     if abs(cd) < _SING_TOL or abs(ss) < _SING_TOL:
         raise SingularParameterError(f"degenerate sector pair alpha={alpha}, beta={beta}")
-    p = math.cos(0.5 * (alpha + beta)) / cd
-    q = math.sin(0.5 * (alpha - beta)) / ss
-    ta, tb = math.tan(0.5 * alpha), math.tan(0.5 * beta)
-    p_half = (1.0 - ta * tb) / (1.0 + ta * tb)
-    q_half = (ta - tb) / (ta + tb)
-    return Multiplier(p, p_half), Multiplier(q, q_half)
+    return Multiplier(math.cos(0.5 * (alpha + beta)) / cd), Multiplier(math.sin(0.5 * (alpha - beta)) / ss)
 
 
 def _degree4_rows(alpha: float, beta: float, mode: int, drive):
@@ -268,10 +286,8 @@ def _degree4_rows(alpha: float, beta: float, mode: int, drive):
 
 def degree4_fold(alpha: float, beta: float, mode: int, rho_drive: float) -> np.ndarray:
     """Angle 4-vector of the chosen mode; drive is rho2 (mode 1) or rho1 (mode 2)."""
-    if mode not in (1, 2):
-        raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
-    check_fold_angle(rho_drive)
-    return _degree4_rows(alpha, beta, mode, float(rho_drive))[0]
+    f = FoldMode(FoldModel.DEGREE4, mode, alpha, beta)
+    return FAMILIES[f.model].fold(f, (rho_drive,))[0]
 
 
 def pleat_multiplier(x: float) -> float:
@@ -312,16 +328,8 @@ def _trifold_rows(beta: float, mode: int, drive):
 
 def trifold(beta: float, mode: int, rho_drive: float) -> tuple[float, float]:
     """(rho1, rho2) of the trifold; mode 1 drives rho2, mode 2 drives rho1."""
-    if mode not in (1, 2):
-        raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
-    check_fold_angle(rho_drive)
-    vec, reason = _trifold_rows(beta, mode, float(rho_drive))
-    if reason:
-        raise OutOfRangeError(
-            f"drive {rho_drive} maps outside [-pi, pi] (companion {float(vec[mode - 1])}); "
-            f"reachable |drive| <= {trifold_drive_limit(beta)}"
-        )
-    return float(vec[0]), float(vec[1])
+    f = FoldMode(FoldModel.TRIFOLD, mode, PI / 3.0, beta)
+    return tuple(FAMILIES[f.model].fold(f, (rho_drive,))[0][:2].tolist())
 
 
 def trifold_drive_limit(beta: float) -> float:
@@ -373,8 +381,8 @@ def _bowtie_rows(beta: float, mode: int, rho1):
 
 def bowtie(beta: float, mode: int, rho1: float) -> float:
     """rho2 of the bow tie from rho1 via the mode's half-angle ratio."""
-    check_fold_angle(rho1, "rho1")
-    return float(_bowtie_rows(beta, mode, float(rho1))[0][2])
+    f = FoldMode(FoldModel.BOWTIE, mode, PI / 3.0, beta)
+    return float(FAMILIES[f.model].fold(f, (rho1,))[0][2])
 
 
 def bowtie_vector(rho1, rho2) -> np.ndarray:
@@ -556,12 +564,8 @@ def igloo_1dof(alpha: float, beta: float, mode: int, rho4: float) -> tuple[float
     them and uses its own rho3 branch.  At beta = pi/2 the first crease
     stays flat (rho1 = 0) and rho2 = +/- rho4/2.
     """
-    _check_wedge_domain(alpha, beta)
-    if mode not in (1, 2):
-        raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
-    check_fold_angle(rho4, "rho4")
-    vec = _igloo_1dof_rows(alpha, beta, mode, float(rho4))[0]
-    return float(vec[0]), float(vec[1]), float(vec[2])
+    f = FoldMode(FoldModel.IGLOO1DOF, mode, alpha, beta)
+    return tuple(FAMILIES[f.model].fold(f, (rho4,))[0][:3].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +624,7 @@ def two_pair_curve_gradient(rho1, rho2):
     return d1, d2
 
 
-def two_pair_solve(rho1, rho2, tol: float = _CLOSE_TOL) -> Solved:
+def two_pair_solve(rho1, rho2, tol: float = DEFAULT_TOL) -> Solved:
     """Every closing completion of a batch of (rho1, rho2) drive pairs, in one array pass.
 
     Per drive, rho4 solves a linear-in-(cos, sin) equation (sampled at 48
@@ -677,27 +681,15 @@ def two_pair_solve(rho1, rho2, tol: float = _CLOSE_TOL) -> Solved:
     return Solved(vecs, drive, reason)
 
 
-def two_pair_complete(rho1: float, rho2: float, tol: float = _CLOSE_TOL) -> list[tuple[float, float]]:
+def two_pair_complete(rho1: float, rho2: float, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
     """(rho3, rho4) completions of an on-curve (rho1, rho2) pair.
 
     rho4 solves a linear-in-(cos, sin) equation, then rho3 another one;
     only combinations whose full 6-vector closes survive.  Off-curve input
     or a spurious branch yields no closing candidate.
     """
-    vecs, _, (reason,) = two_pair_solve(rho1, rho2, tol)
-    if reason == OUT_OF_RANGE:
-        check_fold_angle(rho1, "rho1")
-        check_fold_angle(rho2, "rho2")
-    if reason == OFF_CURVE:
-        raise InconsistentPointError(
-            f"({rho1}, {rho2}) is not on the two-pair curve "
-            f"(defect {two_pair_curve_residual(rho1, rho2):.3e})"
-        )
-    if reason == NO_COMPLETION:
-        raise InconsistentPointError(
-            f"no completion of ({rho1}, {rho2}) closes; point lies on a spurious branch"
-        )
-    return [(float(r3), float(r4)) for r3, r4 in vecs[:, 4:]]
+    vecs = FAMILIES[FoldModel.TWOPAIR].fold(FoldMode(FoldModel.TWOPAIR), (rho1, rho2), tol)
+    return [(float(v[4]), float(v[5])) for v in vecs]
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +752,7 @@ def general_rho2(rho4: float, rho5: float, rho6: float) -> list[float]:
     return [r] if r == 0.0 else [r, -r]
 
 
-def general_solve(rho4, rho5, rho6, tol: float = _CLOSE_TOL) -> Solved:
+def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     """Every closing 6-vector of a batch of drive triples, in one array pass.
 
     The drives broadcast to N triples.  Rows come in drive order, the +rho2
@@ -786,21 +778,15 @@ def general_solve(rho4, rho5, rho6, tol: float = _CLOSE_TOL) -> Solved:
     return Solved(vecs[closes], drive[closes], reason)
 
 
-def general_fold(rho4: float, rho5: float, rho6: float, tol: float = _CLOSE_TOL) -> list[np.ndarray]:
+def general_fold(rho4: float, rho5: float, rho6: float, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """All closing 6-vectors for the drive triple, one per rho2 branch."""
-    vecs, _, reason = general_solve(rho4, rho5, rho6, tol)
-    if (reason == OUT_OF_RANGE).any():  # name the drive outside [-pi, pi]
-        _drive_columns(rho4, rho5, rho6, names=("rho4", "rho5", "rho6"))
-    if not len(vecs):
-        raise NoSolutionError(f"no closing branch for drives ({rho4}, {rho5}, {rho6})")
-    return list(vecs)
+    return FAMILIES[FoldModel.FULLY_GENERAL].fold(FoldMode(FoldModel.FULLY_GENERAL), (rho4, rho5, rho6), tol)
 
 
-def almost_general(rho4: float, rho5: float, tol: float = _CLOSE_TOL) -> list[np.ndarray]:
+def almost_general(rho4: float, rho5: float, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Closing 6-vectors with the last two drives tied, re-rooted so the
     equal-angle pair sits on the first two creases."""
-    sols = general_fold(rho4, rho5, rho5, tol=tol)
-    return [np.roll(v, 2) for v in sols]
+    return FAMILIES[FoldModel.ALMOST_GENERAL].fold(FoldMode(FoldModel.ALMOST_GENERAL), (rho4, rho5), tol)
 
 
 def _almost_general_solve(drives, tol: float) -> Solved:
@@ -811,60 +797,44 @@ def _almost_general_solve(drives, tol: float) -> Solved:
 # ---------------------------------------------------------------------------
 # family table
 
-def _opposites_closing(f: FoldMode, d: tuple, tol: float) -> list[np.ndarray]:
-    sol = opposites_solve(f.alpha, f.beta, rho1=d[0], rho2=d[1])
-    return [opposites_vector(d[0], d[1], 0.0 if sol.free else sol.angles[0])]  # free: rho3 flat
-
-
 FAMILIES: dict[FoldModel, Family] = {
     FoldModel.DEGREE4: Family(
         pattern=lambda f: degree4_pattern(f.alpha, f.beta),
         solve=_batched(lambda f, x: _degree4_rows(f.alpha, f.beta, f.mode, x)),
-        fold=lambda f, d, tol: [degree4_fold(f.alpha, f.beta, f.mode, d[0])],
         drives=("drive",), domain=_check_degree4_domain, modes=(1, 2)),
     FoldModel.TRIFOLD: Family(
         pattern=lambda f: trifold_pattern(f.beta),
         solve=_batched(lambda f, x: _trifold_rows(f.beta, f.mode, x)),
-        fold=lambda f, d, tol: [trifold_vector(*trifold(f.beta, f.mode, d[0]))],
         drives=("drive",), domain=lambda alpha, beta: _check_trifold_domain(beta), modes=(1, 2),
         limit=lambda alpha, beta: trifold_drive_limit(beta)),
     FoldModel.BOWTIE: Family(
         pattern=lambda f: bowtie_pattern(f.beta, f.mode),
         solve=_batched(lambda f, x: _bowtie_rows(f.beta, f.mode, x)),
-        fold=lambda f, d, tol: [bowtie_vector(d[0], bowtie(f.beta, f.mode, d[0]))],
         drives=("drive",), domain=lambda alpha, beta: _check_bowtie_domain(beta), modes=(1, 2)),
     FoldModel.OPPOSITES: Family(
         pattern=lambda f: opposites_pattern(f.alpha, f.beta),
         solve=_batched(lambda f, x, y: _opposites_rows(f.alpha, f.beta, x, y)),
-        fold=_opposites_closing,
         drives=("rho1", "rho2"), domain=_check_wedge_domain),
     FoldModel.IGLOO2DOF: Family(
         pattern=lambda f: igloo_pattern(f.alpha, f.beta),
         solve=_batched(lambda f, x, y: _igloo_rows(f.alpha, f.beta, x, y)),
-        fold=lambda f, d, tol: [igloo_vector(igloo_rho1(f.alpha, f.beta, *d), *d,
-                                             igloo_rho4(f.alpha, f.beta, *d))],
         drives=("rho2", "rho3"), domain=_check_wedge_domain),
     FoldModel.IGLOO1DOF: Family(
         pattern=lambda f: igloo_pattern(f.alpha, f.beta),
         solve=_batched(lambda f, x: _igloo_1dof_rows(f.alpha, f.beta, f.mode, x)),
-        fold=lambda f, d, tol: [igloo_vector(*igloo_1dof(f.alpha, f.beta, f.mode, d[0]), d[0])],
         drives=("rho4",), domain=_check_wedge_domain, modes=(1, 2)),
     FoldModel.TWOPAIR: Family(
         pattern=lambda f: two_pair_pattern(),
         solve=lambda f, d, tol: two_pair_solve(*np.asarray(d, dtype=float).T, tol=tol),
-        fold=lambda f, d, tol: [two_pair_vector(*d, r3, r4)
-                                for r3, r4 in two_pair_complete(*d, tol=tol)],
         drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2),
         curve_gradient=lambda rho1, rho2: two_pair_curve_gradient(rho1, rho2)),
     FoldModel.FULLY_GENERAL: Family(
         pattern=lambda f: g60(),
         solve=lambda f, d, tol: general_solve(*np.asarray(d, dtype=float).T, tol=tol),
-        fold=lambda f, d, tol: general_fold(*d, tol=tol),
         drives=("rho4", "rho5", "rho6"), numbered=True),
     FoldModel.ALMOST_GENERAL: Family(
         pattern=lambda f: g60(),
         solve=lambda f, d, tol: _almost_general_solve(d, tol),
-        fold=lambda f, d, tol: almost_general(*d, tol=tol),
         drives=("rho4", "rho5"), numbered=True),
 }
 

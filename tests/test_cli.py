@@ -51,6 +51,20 @@ def test_table_json(capsys):
             assert set(f) == {"pattern", "name", "dof"}
 
 
+def test_table_and_fold_take_json_from_the_output_extension(tmp_path, capsys):
+    """-o *.json writes json; another extension, or --format text, keeps the text default."""
+    text = run(capsys, "table")[1]
+    assert run(capsys, "table", "-o", str(tmp_path / "t.json")) == (0, "", "")
+    assert (tmp_path / "t.json").read_text() == run(capsys, "table", "--format", "json")[1]
+    assert run(capsys, "table", "-o", str(tmp_path / "t.txt")) == (0, "", "")
+    assert (tmp_path / "t.txt").read_text() == text == run(capsys, "table", "--format", "text")[1]
+    assert run(capsys, "fold", "trifold", "--drive", "0.1", "-o", str(tmp_path / "f.json")) == (0, "", "")
+    [record] = json.loads((tmp_path / "f.json").read_text())
+    assert record["valid"] and record["branch"] == 1
+    assert run(capsys, "fold", "trifold", "--drive", "0.1", "-o", str(tmp_path / "f.txt")) == (0, "", "")
+    assert (tmp_path / "f.txt").read_text().startswith("rho = [")
+
+
 def test_fold_trifold_example(capsys):
     code, out, _ = run(capsys, "fold", "trifold", "--beta", "60", "--mode", "1",
                        "--drive", "-0.4")
@@ -161,6 +175,12 @@ DOMAIN_ERRORS = [
     (["trace", "--step", "inf"], "step must be finite and > 0, got inf"),
     (["trace", "--step", "-0.2"], "step must be finite and > 0, got -0.2"),
     (["trace", "--step", "0"], "step must be finite and > 0, got 0.0"),
+    (["table", "--format", "csv"], "table supports text or json, not 'csv'"),
+    (["table", "-o", "{tmp}/out.obj"], "table supports text or json, not 'obj'"),
+    (["fold", "trifold", "--drive", "0.1", "--format", "obj"], "fold supports text or json, not 'obj'"),
+    (["fold", "trifold", "--drive", "0.1", "-o", "{tmp}/out.csv"], "fold supports text or json, not 'csv'"),
+    (["region", "--rho6", "0.8", "-n", "3", "--format", "obj"], "region supports csv or json, not 'obj'"),
+    (["sweep", "trifold", "-n", "4", "--format", "text"], "sweep supports csv, json or obj, not 'text'"),
 ]
 
 

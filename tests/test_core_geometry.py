@@ -9,18 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from rigidfold.core_geometry import (
     CreasePattern,
-    closure_matrix,
     closure_residual,
     closure_residuals,
-    crease_rotation,
     folded_geometry,
     g60,
-    rot_x,
-    rot_z,
     rotation_products,
     self_intersections,
     self_intersects,
-    wrap_angle,
+    wrap_angles,
 )
 from rigidfold.errors import DomainError, NotClosedError
 from triangle_oracle import triangle_self_intersects, triangles_interiors_intersect
@@ -33,37 +29,44 @@ CLOSING = np.array([_RHO1, -0.4, _RHO1, -0.4, _RHO1, -0.4])
 
 @given(st.floats(-50.0, 50.0))
 def test_wrap_angle_congruent_and_in_range(x):
-    w = wrap_angle(x)
+    w = float(wrap_angles(x))
     assert -math.pi <= w <= math.pi
     assert math.isclose(math.cos(w), math.cos(x), abs_tol=1e-12)
     assert math.isclose(math.sin(w), math.sin(x), abs_tol=1e-12)
 
 
 def test_wrap_angle_fixed_points():
-    assert wrap_angle(math.pi) == math.pi
-    assert wrap_angle(-math.pi) == -math.pi
-    assert wrap_angle(0.0) == 0.0
+    assert wrap_angles(math.pi) == math.pi
+    assert wrap_angles(-math.pi) == -math.pi
+    assert wrap_angles(0.0) == 0.0
 
 
 def test_rotation_constructors_are_rotations():
+    """Each single-crease rotation, crease 0 on the x-axis included, is proper orthogonal."""
     for theta in (0.0, 0.3, -1.2, math.pi):
-        for R in (rot_x(theta), rot_z(theta)):
+        for k in range(6):
+            R = rotation_products(g60(), [[theta]], creases=(k,))[0]
             assert np.allclose(R @ R.T, np.eye(3), atol=1e-14)
             assert math.isclose(np.linalg.det(R), 1.0, abs_tol=1e-14)
 
 
 def test_crease_rotation_fixes_its_axis():
+    pat = CreasePattern.from_sectors([0.7, 1.9, 2.0 * math.pi - 2.6])  # crease 1 at angle 0.7
     c = np.array([math.cos(0.7), math.sin(0.7), 0.0])
-    R = crease_rotation(c, 1.1)
+    R = rotation_products(pat, [[1.1]], creases=(1,))[0]
     assert np.allclose(R @ c, c, atol=1e-14)
-    assert np.allclose(crease_rotation(c, 0.0), np.eye(3), atol=1e-15)
+    assert np.allclose(rotation_products(pat, [[0.0]], creases=(1,))[0], np.eye(3), atol=1e-15)
 
 
-def test_crease_rotation_rejects_bad_axes():
-    with pytest.raises(DomainError):
-        crease_rotation(np.array([0.0, 0.0, 1.0]), 0.5)  # out of plane
-    with pytest.raises(DomainError):
-        crease_rotation(np.array([2.0, 0.0, 0.0]), 0.5)  # not unit
+def test_pattern_rejects_bad_crease_axes():
+    """A crease pattern, the source of every crease rotation, takes only in-plane unit creases."""
+    out_of_plane, not_unit = np.array(g60().creases), np.array(g60().creases)
+    out_of_plane[2] = [0.0, 0.0, 1.0]
+    not_unit[2] *= 2.0
+    with pytest.raises(DomainError, match="xy-plane"):
+        CreasePattern(out_of_plane)
+    with pytest.raises(DomainError, match="unit vectors"):
+        CreasePattern(not_unit)
 
 
 def test_pattern_from_sectors_round_trips():
@@ -120,7 +123,7 @@ def test_g60_is_equilateral():
 
 def test_flat_state_closes_exactly():
     assert closure_residual(g60(), np.zeros(6)) < 1e-15
-    assert np.allclose(closure_matrix(g60(), np.zeros(6)), np.eye(3), atol=1e-15)
+    assert np.allclose(rotation_products(g60(), np.zeros((1, 6)))[0], np.eye(3), atol=1e-15)
 
 
 def test_known_closing_vector():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidfold.config_space import trace_implicit_curve
-from rigidfold.core_geometry import closure_residual, g60, wrap_angle
+from rigidfold.core_geometry import closure_residual, g60, wrap_angles
 from rigidfold.errors import (
     InconsistentPointError,
     NoSolutionError,
@@ -71,12 +71,12 @@ G = g60()
 
 def fold_eq(a: float, b: float, tol: float = 1e-12) -> bool:
     """Angle equality modulo 2*pi, with +pi and -pi identified."""
-    d = abs(wrap_angle(a - b))
+    d = abs(wrap_angles(a - b))
     return min(d, 2.0 * PI - d) < tol or abs(d - PI) < tol and _both_flat(a, b)
 
 
 def _both_flat(a: float, b: float) -> bool:
-    return abs(abs(wrap_angle(a)) - PI) < 1e-9 and abs(abs(wrap_angle(b)) - PI) < 1e-9
+    return abs(abs(wrap_angles(a)) - PI) < 1e-9 and abs(abs(wrap_angles(b)) - PI) < 1e-9
 
 
 # --- degree 4 ----------------------------------------------------------------
@@ -328,7 +328,7 @@ def _two_pair_complete_loop(rho1, rho2, tol):
         if r < 1e-12 or abs(c / r) > 1.0 + 1e-9:
             return []
         phi, off = math.atan2(b, a), math.acos(max(-1.0, min(1.0, c / r)))
-        roots = [wrap_angle(phi + off), wrap_angle(phi - off)]
+        roots = [float(wrap_angles(phi + off)), float(wrap_angles(phi - off))]
         return roots[:1] if abs(roots[0] - roots[1]) < 1e-12 else roots
 
     if abs(two_pair_curve_residual(rho1, rho2)) > 1e-7:
@@ -524,11 +524,23 @@ def _batch_cases():
 
 _CASE_IDS = lambda f: f"{f.model.value}-{f.mode}-{math.degrees(f.alpha):.0f}"
 
+# the scalar evaluator of each family that has one, on one drive tuple of Python floats
+_SCALAR = {
+    FoldModel.DEGREE4: lambda f, d: degree4_fold(f.alpha, f.beta, f.mode, *d),
+    FoldModel.TRIFOLD: lambda f, d: trifold(f.beta, f.mode, *d),
+    FoldModel.BOWTIE: lambda f, d: bowtie(f.beta, f.mode, *d),
+    FoldModel.IGLOO1DOF: lambda f, d: igloo_1dof(f.alpha, f.beta, f.mode, *d),
+    FoldModel.TWOPAIR: lambda f, d: two_pair_complete(*d),
+    FoldModel.FULLY_GENERAL: lambda f, d: general_fold(*d),
+    FoldModel.ALMOST_GENERAL: lambda f, d: almost_general(*d),
+}
+
 
 @pytest.mark.parametrize("mode", list(_batch_cases()), ids=_CASE_IDS)
 def test_batched_solve_rows_equal_one_drive_calls(mode):
     """Row k of a batched solve is the one-drive call bit for bit, and each failed
-    drive's reason code names the exception (type and message) that call raises."""
+    drive's reason code names the exception (type and message) that call, the
+    family's scalar evaluator and ``raise_first`` all raise."""
     fam = FAMILIES[mode.model]
     drives = _drive_corpus(mode.model, mode)
     sol = fam.solve(mode, drives, 1e-8)
@@ -544,14 +556,20 @@ def test_batched_solve_rows_equal_one_drive_calls(mode):
             assert code != SOLVED and len(got) == 0
             assert type(err) is REASON_ERRORS[code]
             with pytest.raises(type(err)) as again:
-                fam.raise_first(mode, drives[k:k + 1], sol.reason[k:k + 1], 1e-8)
+                fam.raise_first(mode, drives[k:k + 1], sol.reason[k:k + 1])
             assert str(again.value) == str(err)
+            assert "np.float64(" not in str(err)
+            if mode.model in _SCALAR:
+                with pytest.raises(type(err)) as scalar:
+                    _SCALAR[mode.model](mode, row.tolist())
+                assert str(scalar.value) == str(err)
             seen.add(code)
             continue
         assert sol.reason[k] == SOLVED
         want = np.array(want)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert OUT_OF_RANGE in seen  # the corpus reaches the failure paths
+    fam.raise_first(mode, drives, sol.reason, skip=tuple(seen))  # nothing left to raise
     if mode.model is FoldModel.IGLOO2DOF and mode.alpha == PI / 3.0:
         assert AMBIGUOUS in seen
     if mode.model is FoldModel.TWOPAIR:
