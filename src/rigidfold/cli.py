@@ -250,6 +250,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_resch(args) -> int:
+    _infer_format(args, ("csv", "json", "obj"), "csv")  # an unknown format fails with or without -o
     vertices = fm.resch_fold(_rad(args.drive, args))
     pattern = g60()
     samples = cs.make_samples(pattern, list(vertices.values()), list(vertices), args.tol)

@@ -3,9 +3,9 @@
 Samples are angle vectors tagged with their loop-closure defect and a
 validity verdict (closes and does not self-intersect).  One-parameter
 families are swept over their reachable drive interval, two-parameter
-families over a grid; the two-pair relation curve is traced with a
-predictor-corrector walker that can march straight through the node where
-its two loops cross.
+families over a grid; ``twopair`` sweeps sample the node loop of the
+Weierstrass quartic.  The predictor-corrector walker, which marches through
+that node, remains only for ``trace`` and generic curves.
 """
 
 from __future__ import annotations
@@ -104,10 +104,10 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
     """Sample a family: n points over the drive interval, or an n-by-n grid.
 
     The family's drive count picks the sampler: one drive is swept over its
-    reachable interval, a drive pair on a relation curve is resampled from
-    a trace of that curve, any other pair over a grid, and a drive triple
-    is drawn at random from a fixed seed.  One-parameter families return a
-    CurveTrace ordered by drive value; two-parameter families return a
+    reachable interval, a drive pair on a relation curve at n points of its
+    node loop, any other pair over a grid, and a drive triple is drawn at
+    random from a fixed seed.  One-parameter families return a CurveTrace
+    ordered by drive value or arclength; two-parameter families return a
     SurfaceGrid.  Drives where the family has no closing solution are
     skipped rather than reported as invalid samples, so a returned sample
     always corresponds to a solve.  Each sampler solves all of its drives
@@ -134,13 +134,8 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
         lim = fam.limit(mode.alpha, mode.beta)
         vectors, branches = solved(np.linspace(-lim, lim, n)[:, None])
         return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=False, note="sweep")
-    if fam.curve is not None:
-        trace = trace_implicit_curve(fam.curve, (0.0, 0.0), step=_TRACE_STEP, tol=tol,
-                                     gradient=fam.curve_gradient)
-        picks = np.linspace(0, len(trace.samples) - 1, n).round().astype(int)
-        vectors, branches = solved(np.array([trace.samples[i].rho[:2] for i in picks]))
-        return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=trace.closed,
-                          note="resampled relation curve")
+    if fam.loop is not None:
+        return CurveTrace(samples=make_samples(pattern, *solved(fam.loop(n)), tol), closed=True, note="node loop")
     if len(fam.drives) == 2:
         axis = np.linspace(-PI, PI, n)
         vectors, branches = solved(np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))

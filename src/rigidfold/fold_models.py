@@ -124,7 +124,7 @@ class Family:
     modes: tuple[int, ...] = (1,)
     limit: Callable[[float, float], float] = lambda alpha, beta: PI  # 1-DOF drive bound
     curve: Callable[[float, float], float] | None = None  # relation the drive pair lies on
-    curve_gradient: Callable[[float, float], tuple[float, float]] | None = None  # of ``curve``
+    loop: Callable[[int], np.ndarray] | None = None  # n drive pairs around ``curve``'s node loop
     numbered: bool = False  # one sample per solution branch, tagged 1, 2, ...
 
     def fold(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -624,6 +624,50 @@ def two_pair_curve_gradient(rho1, rho2):
     return d1, d2
 
 
+# two_pair_curve_residual = -128 P / ((1 + t1^2)^2 (1 + t2^2)^2), t = tan(rho/2), P = sum _TWO_PAIR_P[i, j] t1^i t2^j
+_TWO_PAIR_P = np.array([[0, 0, -1, 0, -1], [0, 8, 0, -4, 0], [-1, 0, -5, 0, 2], [0, -4, 0, 2, 0], [-1, 0, 2, 0, 0]])
+_TWO_PAIR_TURN = 1.3602216639894433  # R*, the node loop's largest |rho1|: a root of disc_t2(P)
+_LOOP_T = np.tan(_TWO_PAIR_TURN / 2.0 * np.sin(np.linspace(0.0, PI / 2.0, 96, endpoint=False)[1:]))  # dense near R*
+
+
+def two_pair_quartic(t) -> np.ndarray:
+    """(N, 5) coefficients, highest first, of P(t, s) in s; P is symmetric: in t2 at t1 = t or in t1 at t2 = t."""
+    return np.power.outer(np.asarray(t, dtype=float), np.arange(5)) @ _TWO_PAIR_P[:, ::-1]
+
+
+def _two_pair_roots(t) -> np.ndarray:
+    """(N, 4) complex roots s of P(t, s) from one ``eigvals`` call, reversed where 2 t^2 - 1 is the smaller end."""
+    q = two_pair_quartic(t)
+    rev = np.abs(q[:, :1]) < np.abs(q[:, 4:])  # near 2 t^2 = 1 a root runs off to infinity; never exactly
+    q = np.where(rev, q[:, ::-1], q)
+    z = np.linalg.eigvals(np.concatenate([-q[:, None, 1:] / q[:, :1, None], np.eye(3, 4)[None].repeat(len(q), 0)], 1))
+    return np.divide(1.0, z, out=z, where=rev)
+
+
+def two_pair_node_loop(n: int) -> np.ndarray:
+    """(n, 2) distinct (rho1, rho2) pairs around the figure-eight through (0, 0), from (0, 0) on.
+
+    One ``eigvals`` call on a rho1 grid over (0, R*) lays out the loop by symmetry, as ``trace`` walks it; a
+    second solves each arclength target where |slope| <= 1.  For even n the targets past halfway, where the
+    loop recrosses the node, move on by half a spacing.
+    """
+    z = _two_pair_roots(_LOOP_T)
+    t2 = np.sort(np.where((z.imag == 0.0) & (z.real >= 0.0) & (z.real <= _LOOP_T[:, None]), z.real, np.inf), axis=1)
+    arc = 2.0 * np.arctan(np.concatenate([[[0.0, 0.0]], np.column_stack([_LOOP_T, t2[:, 0]]),  # node to diagonal
+                                          np.column_stack([_LOOP_T, t2[:, 1]])[t2[:, 1] < np.inf][::-1]]))
+    loop = np.concatenate([0.0 - arc, 0.0 - arc[::-1, ::-1], arc[1:, ::-1], arc[::-1]])  # lobe III, lobe I
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(loop, axis=0).T))])
+    k = np.arange(n)
+    target = (k + 0.5 * (n % 2 == 0) * (k >= n // 2)) * s[-1] / n
+    d = np.abs(np.diff(loop, axis=0))[np.searchsorted(s, target, side="right") - 1]  # of each target's segment
+    steep = (d[:, 1] > d[:, 0])[:, None]
+    guess = np.column_stack([np.interp(target, s, loop[:, 0]), np.interp(target, s, loop[:, 1])])
+    g = np.where(steep, guess[:, ::-1], guess)  # (fixed, free): fix rho2 where the loop is steep
+    z = _two_pair_roots(np.tan(g[:, 0] / 2.0))
+    g[:, 1] = 2.0 * np.arctan(z[k, np.abs(z - np.tan(g[:, 1] / 2.0)[:, None]).argmin(axis=1)].real)
+    return np.where(steep, g[:, ::-1], g)
+
+
 def two_pair_solve(rho1, rho2, tol: float = DEFAULT_TOL) -> Solved:
     """Every closing completion of a batch of (rho1, rho2) drive pairs, in one array pass.
 
@@ -827,7 +871,7 @@ FAMILIES: dict[FoldModel, Family] = {
         pattern=lambda f: two_pair_pattern(),
         solve=lambda f, d, tol: two_pair_solve(*np.asarray(d, dtype=float).T, tol=tol),
         drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2),
-        curve_gradient=lambda rho1, rho2: two_pair_curve_gradient(rho1, rho2)),
+        loop=lambda n: two_pair_node_loop(n)),
     FoldModel.FULLY_GENERAL: Family(
         pattern=lambda f: g60(),
         solve=lambda f, d, tol: general_solve(*np.asarray(d, dtype=float).T, tol=tol),

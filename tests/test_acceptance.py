@@ -131,6 +131,8 @@ def test_criterion_3_universal_closure():
     for model, mode, n in plan:
         result = sweep_model(FoldMode(model, mode, PI / 3.0, PI / 3.0), n)
         assert len(result.samples) >= 1000
+        if model is FoldModel.TWOPAIR:  # every (rho1, rho2) drive row a distinct state of the curve
+            assert len(np.unique([s.rho[[0, 2]] for s in result.samples], axis=0)) == len(result.samples)
         peak = max(s.residual for s in result.samples)
         if peak > worst:
             worst, worst_model = peak, model.value

@@ -181,6 +181,9 @@ DOMAIN_ERRORS = [
     (["fold", "trifold", "--drive", "0.1", "-o", "{tmp}/out.csv"], "fold supports text or json, not 'csv'"),
     (["region", "--rho6", "0.8", "-n", "3", "--format", "obj"], "region supports csv or json, not 'obj'"),
     (["sweep", "trifold", "-n", "4", "--format", "text"], "sweep supports csv, json or obj, not 'text'"),
+    (["resch", "--drive", "0.3", "--format", "xml"], "resch supports csv, json or obj, not 'xml'"),
+    (["resch", "--drive", "0.3", "--format", "xml", "-o", "{tmp}/out.csv"],
+     "resch supports csv, json or obj, not 'xml'"),
 ]
 
 

@@ -186,6 +186,38 @@ def test_two_pair_sweep_reports_closure():
     assert trace.closed
 
 
+@pytest.fixture(scope="module")
+def walked_loop():
+    """The step-0.02 walk around the two-pair figure-eight: the oracle for the sampled loop."""
+    trace = trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.02, gradient=two_pair_curve_gradient)
+    assert trace.closed
+    return np.array([s.rho for s in trace.samples])
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.hypot(*(a[:, None, :] - b[None, :, :]).transpose(2, 0, 1))
+
+
+def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``a`` to its nearest row of ``b``."""
+    return _distances(a, b).min(axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 16, 1000])
+def test_two_pair_sweep_samples_distinct_states_of_the_walked_loop(n, walked_loop):
+    rows = np.array([s.rho[[0, 2]] for s in sweep_model(FoldMode(FoldModel.TWOPAIR), n).samples])  # (rho1, rho2)
+    assert len(rows) == n
+    assert rows[0].tolist() == [0.0, 0.0] and not np.signbit(rows[0]).any()
+    pairs = _distances(rows, rows)
+    np.fill_diagonal(pairs, np.inf)
+    length = np.hypot(*np.diff(walked_loop, axis=0).T).sum()
+    assert pairs.min() >= 0.25 * length / n  # pairwise distinct, and no near-copies either
+    assert np.abs(two_pair_curve_residual(rows[:, 0], rows[:, 1])).max() <= 1e-10
+    assert _gaps(rows, walked_loop).max() <= 0.03
+    if n == 1000:
+        assert _gaps(walked_loop, rows).max() <= 0.03
+
+
 def test_sweep_needs_two_points():
     with pytest.raises(OutOfRangeError):
         sweep_model(FoldMode(FoldModel.TRIFOLD), 1)

@@ -30,6 +30,7 @@ from rigidfold.fold_models import (
     SOLVED,
     FoldMode,
     FoldModel,
+    _two_pair_roots,
     almost_general,
     bowtie,
     bowtie_multiplier,
@@ -59,7 +60,9 @@ from rigidfold.fold_models import (
     two_pair_complete,
     two_pair_curve_gradient,
     two_pair_curve_residual,
+    two_pair_node_loop,
     two_pair_pattern,
+    two_pair_quartic,
     two_pair_solve,
     two_pair_vector,
 )
@@ -284,6 +287,31 @@ def test_two_pair_curve_gradient_matches_complex_step():
     assert np.all(np.hypot(*(got - want)) < 1e-12 * np.hypot(*want))
     scalar = np.array([two_pair_curve_gradient(float(a), float(b)) for a, b in zip(x[:20], y[:20])])
     assert np.allclose(scalar, got[:, :20].T, rtol=0.0, atol=1e-12)  # the math.sin path
+
+
+def test_two_pair_quartic_roots_lie_on_the_curve():
+    """Every real root of the quartic in either chart is on the curve, also where its
+    leading coefficient 2 t^2 - 1 vanishes and one root runs off to infinity."""
+    edge = 1.0 / math.sqrt(2.0)
+    t = np.concatenate([np.tan(np.linspace(-1.5, 1.5, 61) / 2.0), [edge, np.nextafter(edge, 0.0), -edge]])
+    assert np.abs(two_pair_quartic(t)[-3:, 0]).max() < 1e-15  # the leading coefficient at the edge
+    z = _two_pair_roots(t)
+    row, k = np.nonzero((z.imag == 0.0) & np.isfinite(z.real))
+    assert len(row) > len(t)
+    fixed, free = 2.0 * np.arctan(t[row]), 2.0 * np.arctan(z[row, k].real)
+    assert np.abs(two_pair_curve_residual(fixed, free)).max() < 1e-10
+    assert np.abs(two_pair_curve_residual(free, fixed)).max() < 1e-10  # the same rows serve the t1 chart
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=400))
+def test_two_pair_node_loop_gives_n_distinct_points_on_the_curve(n):
+    rows = two_pair_node_loop(n)
+    assert rows.shape == (n, 2) and rows[0].tolist() == [0.0, 0.0]
+    assert len(np.unique(rows, axis=0)) == n
+    assert np.abs(two_pair_curve_residual(rows[:, 0], rows[:, 1])).max() < 1e-10
+    if n % 2:  # the targets past halfway are the point images of those before it
+        assert np.abs(rows[1:n // 2 + 1] + rows[n // 2 + 1:][::-1]).max() < 1e-9
 
 
 def test_two_pair_completion_at_origin():

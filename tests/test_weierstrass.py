@@ -1,0 +1,104 @@
+"""Exact certificates for the two-pair relation in Weierstrass form t = tan(rho/2).
+
+The relation is derived here from the crease rotations themselves, not
+re-typed: closure R1 R2 R3 R4 R5 R6 = I gives A = R1 R2 R3 R4 = R6^T R5^T,
+and since R5 fixes u4 and R6 fixes u5, u5^T A u4 = u5^T u4 = cos 60 = 1/2
+whatever rho3 and rho4 are.  Every identity below is proved in exact
+rational arithmetic.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+from rigidfold import fold_models  # noqa: E402
+from rigidfold.config_space import trace_implicit_curve  # noqa: E402
+from rigidfold.core_geometry import g60, rotation_products  # noqa: E402
+from rigidfold.fold_models import (  # noqa: E402
+    _TWO_PAIR_P,
+    _TWO_PAIR_TURN,
+    two_pair_curve_gradient,
+    two_pair_curve_residual,
+    two_pair_quartic,
+)
+
+t1, t2 = sp.symbols("t1 t2", real=True)
+CREASES = [sp.Matrix([sp.cos(k * sp.pi / 3), sp.sin(k * sp.pi / 3), 0]) for k in range(6)]
+
+
+def rotation(u, t):
+    """Rodrigues' rotation about u by rho = 2 atan(t): c I + s [u]x + (1 - c) u u^T in tan-half form."""
+    c, s = (1 - t**2) / (1 + t**2), 2 * t / (1 + t**2)
+    cross = sp.Matrix([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
+    return c * sp.eye(3) + s * cross + (1 - c) * u * u.T
+
+
+@pytest.fixture(scope="module")
+def relation():
+    """(numerator, denominator) of u5^T A u4 - 1/2, A the product of the first four rotations."""
+    a = rotation(CREASES[0], t1) * rotation(CREASES[1], t1) * rotation(CREASES[2], t2) * rotation(CREASES[3], t2)
+    return sp.fraction(sp.cancel((CREASES[5].T * a * CREASES[4])[0] - sp.Rational(1, 2)))
+
+
+@pytest.fixture(scope="module")
+def P():
+    """P(t1, t2) from the stored coefficient matrix: sum of _TWO_PAIR_P[i, j] t1^i t2^j."""
+    return sum(int(c) * t1**i * t2**j for (i, j), c in np.ndenumerate(_TWO_PAIR_P))
+
+
+def test_symbolic_rotations_are_the_kernels():
+    rho = np.array([[0.3, -1.1, 0.7, 2.0]])
+    want = rotation_products(g60(), rho, creases=(0, 1, 2, 3))[0]
+    got = sp.eye(3)
+    for k, r in enumerate(rho[0]):
+        got = got * rotation(CREASES[k], sp.Float(math.tan(r / 2.0), 30))
+    assert np.abs(np.array(got.evalf(), dtype=float) - want).max() < 1e-14
+    assert np.abs(np.array(sp.Matrix.hstack(*CREASES).T.evalf(), dtype=float) - g60().creases).max() < 1e-15
+
+
+def test_relation_is_three_halves_P_over_its_denominator(relation, P):
+    """P is built from the stored coefficients, so this also pins them to the derived relation."""
+    num, den = relation
+    assert sp.expand(num - 3 * P) == 0
+    assert sp.expand(den - 2 * (1 + t1**2) ** 2 * (1 + t2**2) ** 2) == 0
+
+
+def test_coefficient_function_rows_are_P(P):
+    for k in range(-3, 4):  # exact in floats for small integers
+        want = sp.Poly(P.subs(t1, k), t2).all_coeffs()
+        want = [0] * (5 - len(want)) + want
+        assert two_pair_quartic(np.array([float(k)]))[0].tolist() == [float(c) for c in want]
+
+
+def test_curve_residual_is_minus_128_P_over_its_denominator(monkeypatch, P):
+    """The program's own residual expression, evaluated on symbols, equals -128 P / den."""
+    r1, r2 = sp.symbols("r1 r2", real=True)
+    monkeypatch.setattr(fold_models, "math", type("symbolic", (), {"cos": staticmethod(sp.cos)}))
+    expr = sp.expand_trig(sp.nsimplify(two_pair_curve_residual(r1, r2), rational=True))  # its floats are integers
+    half = {sp.cos(r1): (1 - t1**2) / (1 + t1**2), sp.sin(r1): 2 * t1 / (1 + t1**2),
+            sp.cos(r2): (1 - t2**2) / (1 + t2**2), sp.sin(r2): 2 * t2 / (1 + t2**2)}
+    assert sp.cancel(expr.subs(half) + 128 * P / ((1 + t1**2) ** 2 * (1 + t2**2) ** 2)) == 0
+
+
+def test_node_slopes_are_four_plus_minus_root_fifteen(P):
+    poly = sp.Poly(P, t1, t2)
+    assert all(i + j >= 2 for i, j in poly.monoms())  # (0, 0) is a singular point
+    cone = sum(c * t1**i * t2**j for (i, j), c in poly.terms() if i + j == 2)
+    m = sp.symbols("m")
+    assert set(sp.solve(sp.expand(cone.subs(t2, m * t1) / t1**2), m)) == {4 - sp.sqrt(15), 4 + sp.sqrt(15)}
+
+
+def test_P_is_swap_symmetric(P):
+    assert sp.expand(P - P.subs({t1: t2, t2: t1}, simultaneous=True)) == 0
+
+
+def test_turning_value_is_the_outermost_root_of_the_discriminant(P):
+    disc = sp.Poly(sp.discriminant(P, t2), t1)
+    lo, hi = (sp.Rational(math.tan((_TWO_PAIR_TURN + d) / 2.0)) for d in (-1e-12, 1e-12))
+    assert disc.eval(lo) * disc.eval(hi) < 0  # a root of disc_t2(P) lies within 1e-12 of R*
+    assert max(disc.real_roots()) <= hi  # and it is the largest one
+    walk = trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.02, gradient=two_pair_curve_gradient)
+    assert abs(max(abs(s.rho[0]) for s in walk.samples) - _TWO_PAIR_TURN) < 1e-6
