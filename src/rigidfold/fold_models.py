@@ -772,12 +772,6 @@ def _rho3(rho1, rho2, rho4, rho5, rho6) -> np.ndarray:
     return np.arctan2(w0 * _C3[0] + w1 * _C3[1], 0.5 * (M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2] - 1.0))
 
 
-def general_c3_image(rho1: float, rho2: float) -> np.ndarray:
-    """Third crease direction after folding the first two creases."""
-    (r1, r2), _ = _drive_columns(rho1, rho2, names=("rho1", "rho2"))
-    return rotation_products(g60(), np.stack([r1, r2], axis=1), creases=(0, 1))[0] @ _C3
-
-
 def general_cos_rho2(s4, c4, s5, c5, s6, c6):
     """cos(rho2) forced by the drives' sines and cosines; elementwise on arrays."""
     return 0.25 * (
@@ -785,15 +779,6 @@ def general_cos_rho2(s4, c4, s5, c5, s6, c6):
         + c5 * (1.0 + c6 - 4.0 * s4 * s6)
         + c4 * (1.0 - 3.0 * c6 + c5 * (1.0 + c6) - 2.0 * s5 * s6)
     )
-
-
-def general_rho2(rho4: float, rho5: float, rho6: float) -> list[float]:
-    """The 0, 1 or 2 values of rho2 compatible with the three drive angles."""
-    r, exists = _rho2_branches(*_drive_columns(rho4, rho5, rho6, names=("rho4", "rho5", "rho6"))[0])
-    if not exists[0]:
-        return []
-    r = float(r[0])
-    return [r] if r == 0.0 else [r, -r]
 
 
 def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:

@@ -10,7 +10,8 @@ folding modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +23,6 @@ _RAY_TOL = 1e-9
 _DEDUPE_TOL = 1e-6
 _DISTINCT_TOL = 1e-9
 _RANK_TOL = 1e-9
-# fixed generic directions (eigen-coordinates of Qn) projected to witness cone points
-_WITNESS_DIRS = np.cos(np.outer(np.arange(1.0, 5.0), np.arange(1.0, 7.0)))
 
 
 @dataclass(frozen=True)
@@ -36,20 +35,54 @@ class VelocityVector:
         return np.asarray(self.rho_dot, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSolution:
     """Real velocity rays compatible with a coloring, or the lack thereof.
 
     ``witness`` is a ray whose class values are pairwise distinct, or None
     when every real ray merges two classes (the ray belongs to a coarser
     coloring); ``dof`` is the solution dimension at the witness.
+    ``velocities`` and ``foldable`` are read from the solve's cone points
+    on first access.
     """
 
     color_pattern: tuple[int, ...]
-    velocities: tuple[VelocityVector, ...]
-    foldable: bool
     witness: VelocityVector | None
     dof: int | None
+    _cone: tuple = field(repr=False)  # (L, Q, E, class-space cone points)
+
+    @cached_property
+    def velocities(self) -> tuple[VelocityVector, ...]:
+        """The cone points that pass both order conditions, deduplicated and sorted."""
+        L, Q, E, points = self._cone
+        rays: list[np.ndarray] = []
+        seen: set = set()
+        for x in points:
+            if not _on_cone(L, Q, x):
+                continue
+            v6 = _normalize_ray(E @ x)
+            if v6 is None:
+                continue
+            key = tuple(np.round(v6 / _DEDUPE_TOL).astype(np.int64))
+            if key in seen:
+                continue
+            seen.add(key)
+            rays.append(v6)
+        rays.sort(key=lambda v: tuple(v))
+        return tuple(VelocityVector(tuple(float(x) for x in v)) for v in rays)
+
+    @property
+    def foldable(self) -> bool:
+        return bool(self.velocities)
+
+    def _key(self):
+        return self.color_pattern, self.velocities, self.witness, self.dof
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, ModeSolution) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def first_order_matrix(pattern: CreasePattern, v) -> np.ndarray:
@@ -91,6 +124,24 @@ def _class_list(color_pattern) -> list[int]:
     return out
 
 
+def _reduced_systems(pattern: CreasePattern, groups):
+    """Stacked (L, Q, E) per group of (B, n) label arrays sharing a class count k."""
+    th = pattern.crease_angles
+    C = np.vstack([np.cos(th), np.sin(th)])
+    S = np.triu(np.sin(th[None] - th[:, None]), 1)  # S[i, j] = sin(th_j - th_i), i < j
+    for labels in groups:
+        E = (labels[:, :, None] == np.arange(1, labels.max() + 1)).astype(float)
+        M = E.transpose(0, 2, 1) @ S @ E
+        yield C @ E, 0.5 * (M + M.transpose(0, 2, 1)), E
+
+
+def _checked_labels(pattern: CreasePattern, color_pattern) -> list[int]:
+    cls = _class_list(color_pattern)
+    if len(cls) != pattern.n:
+        raise OutOfRangeError(f"coloring length {len(cls)} != {pattern.n} creases")
+    return cls
+
+
 def symmetry_reduced_system(pattern: CreasePattern, color_pattern):
     """Reduce both order conditions by a coloring.
 
@@ -100,23 +151,8 @@ def symmetry_reduced_system(pattern: CreasePattern, color_pattern):
     holds.  E is the n-by-k class indicator, so the full velocity vector
     is E x.
     """
-    cls = _class_list(color_pattern)
-    n = pattern.n
-    if len(cls) != n:
-        raise OutOfRangeError(f"coloring length {len(cls)} != {n} creases")
-    k = max(cls)
-    th = pattern.crease_angles
-    E = np.zeros((n, k))
-    for i, c in enumerate(cls):
-        E[i, c - 1] = 1.0
-    L = np.vstack([np.cos(th), np.sin(th)]) @ E
-    S = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            S[i, j] = np.sin(th[j] - th[i])
-    M = E.T @ S @ E
-    Q = 0.5 * (M + M.T)
-    return L, Q, E
+    L, Q, E = next(_reduced_systems(pattern, [np.array([_checked_labels(pattern, color_pattern)])]))
+    return L[0], Q[0], E[0]
 
 
 def _normalize_ray(v: np.ndarray) -> np.ndarray | None:
@@ -134,8 +170,8 @@ def _separates(X: np.ndarray) -> bool:
     return np.count_nonzero(gaps <= _DISTINCT_TOL) == k  # the diagonal only
 
 
-def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
-    """All real velocity rays whose class structure matches the coloring.
+def solve_modes(pattern: CreasePattern, colorings) -> list[ModeSolution]:
+    """All real velocity rays whose class structure matches each coloring.
 
     The first-order condition is linear: its solutions are null(L), with
     basis N.  There the quadratic condition is the cone of Qn = N^T Q N,
@@ -147,21 +183,40 @@ def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
     piece of the cone (the subspace, either hyperplane, or the quadric
     through its span null(L)) lies in no merge hyperplane x_p = x_q.
 
-    Rays returned: the null eigenvectors of Qn, the balanced mixes of each
+    Rays: the null eigenvectors of Qn, the balanced mixes of each
     positive/negative eigenpair and, when a distinct ray exists, the first
     cone point with distinct classes from a fixed list (the witness);
     deduplicated and sorted.  No real ray means not foldable.
+
+    The systems are stacked by class count k: one ``svd`` per k and one
+    ``eigh`` per (k, rank of L); only the decision runs row by row.
     """
-    cls = _class_list(color_pattern)
-    L, Q, E = symmetry_reduced_system(pattern, cls)
+    labels = [_checked_labels(pattern, c) for c in colorings]
+    ks = np.array([max(cls) for cls in labels], dtype=int)
+    groups = [np.flatnonzero(ks == k) for k in np.unique(ks)]
+    out: list = [None] * len(labels)
+    systems = _reduced_systems(pattern, [np.array([labels[i] for i in g]) for g in groups])
+    for group, (L, Q, E) in zip(groups, systems):
+        _, sv, vt = np.linalg.svd(L)
+        ranks = np.sum(sv > _NULL_TOL, axis=1)
+        for rank in np.unique(ranks):
+            at = np.flatnonzero(ranks == rank)
+            N = vt[at, rank:].transpose(0, 2, 1)  # k x m null-space bases, m may be 0
+            lam, W = np.linalg.eigh(N.transpose(0, 2, 1) @ Q[at] @ N)
+            V = N @ W  # eigenvectors of Qn in class coordinates
+            for a, l, v in zip(at, lam, V):
+                i = group[a]
+                out[i] = _decide(labels[i], L[a], Q[a], E[a], l, v)
+    return out
 
-    _, sv, vt = np.linalg.svd(L)
-    rank = int(np.sum(sv > _NULL_TOL))
-    N = vt[rank:].T  # k x m null-space basis
-    m = N.shape[1]
 
-    lam, W = np.linalg.eigh(N.T @ Q @ N) if m else (np.zeros(0), np.zeros((0, 0)))
-    V = N @ W  # eigenvectors of Qn in class coordinates
+def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
+    """One coloring's rays: the one-row call of :func:`solve_modes`."""
+    return solve_modes(pattern, [color_pattern])[0]
+
+
+def _decide(cls, L, Q, E, lam, V) -> ModeSolution:
+    """One coloring's witness, DOF and cone points from the eigenpairs (lam, V) of Qn."""
     pos, neg = lam > _NULL_TOL, lam < -_NULL_TOL
     zero = ~(pos | neg)
     cone_points = list(V[:, zero].T)
@@ -180,9 +235,10 @@ def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
 
     witness = None
     if distinct:
-        # fixed generic directions projected onto the cone: unit Qn-weight
-        # on each signed part, +-1 between them, the null part as it is
-        U = _WITNESS_DIRS[:, :m]
+        # fixed generic directions (eigen-coordinates of Qn) projected onto
+        # the cone: unit Qn-weight on each signed part, +-1 between them,
+        # the null part as it is
+        U = np.cos(np.outer(np.arange(1.0, 5.0), np.arange(1.0, len(lam) + 1.0)))
         Y = np.where(zero, U, 0.0)
         if indefinite:
             Y[:, pos] = U[:, pos] / np.sqrt(U[:, pos] ** 2 @ lam[pos])[:, None]
@@ -194,27 +250,11 @@ def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
                                  "but no witness cone point was found")
         cone_points.insert(0, witness)  # kept over its duplicates
 
-    rays: list[np.ndarray] = []
-    seen: set = set()
-    for x in cone_points:
-        if not _on_cone(L, Q, x):
-            continue
-        v6 = _normalize_ray(E @ x)
-        if v6 is None:
-            continue
-        key = tuple(np.round(v6 / _DEDUPE_TOL).astype(np.int64))
-        if key in seen:
-            continue
-        seen.add(key)
-        rays.append(v6)
-    rays.sort(key=lambda v: tuple(v))
-
     return ModeSolution(
         color_pattern=tuple(cls),
-        velocities=tuple(VelocityVector(tuple(float(x) for x in v)) for v in rays),
-        foldable=bool(rays),
         witness=None if witness is None else VelocityVector(tuple(float(x) for x in E @ witness)),
         dof=None if witness is None else _ray_dof(L, Q, witness),
+        _cone=(L, Q, E, cone_points),
     )
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .core_geometry import g60
 from .errors import OutOfRangeError
-from .second_order_rigidity import _class_list, symmetric_mode_solve
+from .second_order_rigidity import _class_list, solve_modes
 
 #: conventional representative coloring -> family name (keys need not be canonical)
 NAMED_REPRESENTATIVES = {
@@ -112,14 +112,12 @@ def classify_g60() -> list[Table1Row]:
     of the combined linear constraint and the gradient of the quadratic
     one.
     """
-    G = g60()
+    pats = _all_patterns()
+    sols = solve_modes(g60(), pats)  # one batched solve; only witness and dof are read
     rows = []
     for k in range(1, 7):
-        pats = enumerate_patterns(k)
-        foldable = []
-        for pat in pats:
-            sol = symmetric_mode_solve(G, pat)
-            if sol.witness is not None:
-                foldable.append((pat, NAMED_PATTERNS.get(pat.classes), sol.dof))
-        rows.append(Table1Row(k=k, pattern_count=len(pats), foldable_patterns=tuple(foldable)))
+        group = [(pat, sol) for pat, sol in zip(pats, sols) if pat.k == k]
+        foldable = tuple((pat, NAMED_PATTERNS.get(pat.classes), sol.dof)
+                         for pat, sol in group if sol.witness is not None)
+        rows.append(Table1Row(k=k, pattern_count=len(group), foldable_patterns=foldable))
     return rows

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from general_oracle import general_c3_image, general_rho2
 from rigidfold.config_space import (
     _correct,
     admissible_region,
@@ -25,8 +26,6 @@ from rigidfold.fold_models import (
     FoldModel,
     bowtie,
     general_fold,
-    general_c3_image,
-    general_rho2,
     igloo_1dof,
     opposites_pattern,
     opposites_vector,

@@ -14,6 +14,7 @@ from rigidfold.core_geometry import closure_residual
 from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel, two_pair_curve_residual
 
 TRIFOLD_RHO1 = 4.0 * math.atan((2.0 + math.sqrt(3.0)) * math.tan(0.1))
+DATA = Path(__file__).resolve().parent / "data"  # the census bytes of `table` and `table --format json`
 
 
 def run(capsys, *argv):
@@ -49,6 +50,13 @@ def test_table_json(capsys):
     for r in rows:
         for f in r["foldable"]:
             assert set(f) == {"pattern", "name", "dof"}
+
+
+@pytest.mark.parametrize("argv, fixture", [([], "table.txt"), (["--format", "json"], "table.json")])
+def test_table_bytes_equal_the_committed_census(tmp_path, capsys, argv, fixture):
+    out = tmp_path / "out"
+    assert run(capsys, "table", *argv, "-o", str(out)) == (0, "", "")
+    assert out.read_bytes() == (DATA / fixture).read_bytes()
 
 
 def test_table_and_fold_take_json_from_the_output_extension(tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from general_oracle import general_c3_image, general_rho2
 from rigidfold.config_space import trace_implicit_curve
 from rigidfold.core_geometry import closure_residual, g60, wrap_angles
 from rigidfold.errors import (
@@ -39,9 +40,7 @@ from rigidfold.fold_models import (
     degree4_fold,
     degree4_multipliers,
     degree4_pattern,
-    general_c3_image,
     general_fold,
-    general_rho2,
     igloo_1dof,
     igloo_pattern,
     igloo_rho1,

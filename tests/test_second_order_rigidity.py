@@ -12,6 +12,7 @@ from rigidfold.second_order_rigidity import (
     first_order_matrix,
     ray_class_values,
     second_order_matrix,
+    solve_modes,
     symmetric_mode_solve,
     symmetry_reduced_system,
 )
@@ -229,11 +230,10 @@ def test_exact_census_matches_the_seeded_harvest():
             assert ((sol.witness is not None), sol.dof) == _reference_census(G, pat), str(pat)
 
 
-@pytest.mark.parametrize("sectors_deg", [
-    (50, 70, 60, 60, 60, 60),
-    (40, 80, 50, 70, 55, 65),
-    (30, 90, 45, 75, 100, 20),
-])
+OFF_60 = [(50, 70, 60, 60, 60, 60), (40, 80, 50, 70, 55, 65), (30, 90, 45, 75, 100, 20)]
+
+
+@pytest.mark.parametrize("sectors_deg", OFF_60)
 def test_foldable_matches_the_seeded_harvest_off_60_degrees(sectors_deg):
     pattern = CreasePattern.from_sectors(np.radians(sectors_deg))
     for coloring in _restricted_growth(6):  # every coloring, one per set partition
@@ -287,3 +287,30 @@ def test_every_census_ray_satisfies_both_order_conditions():
             if sol.witness is not None:
                 assert sol.witness in sol.velocities
                 assert _distinct(ray_class_values(pat, sol.witness))
+
+
+@pytest.mark.parametrize("sectors_deg", [None, *OFF_60])
+def test_batched_solve_equals_the_one_row_solves(sectors_deg):
+    """Every coloring, stacked by class count and grouped by rank, comes back in
+    its own place, equal to its one-row solve; no row builds rays until read."""
+    pattern = G if sectors_deg is None else CreasePattern.from_sectors(np.radians(sectors_deg))
+    colorings = list(_restricted_growth(6))
+    batched = solve_modes(pattern, colorings)
+    assert not any("velocities" in vars(sol) for sol in batched)
+    assert [sol.color_pattern for sol in batched] == colorings
+    assert batched == [symmetric_mode_solve(pattern, c) for c in colorings]
+    ranks = [np.linalg.matrix_rank(symmetry_reduced_system(pattern, c)[0], tol=1e-12) for c in colorings]
+    assert len({(max(c), r) for c, r in zip(colorings, ranks)}) >= 7  # 10 (k, rank) groups on g60
+    assert solve_modes(pattern, []) == []
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_all_distinct_coloring_of_an_equal_sector_vertex_has_the_generic_dof(n):
+    """n creases, n classes: L has rank 2 and the cone spans null(L), so the
+    witness ray has n - 3 degrees of freedom (the null space is wider than six
+    columns from n = 9 on)."""
+    pattern = CreasePattern.from_sectors(np.full(n, 2.0 * math.pi / n))
+    sol = symmetric_mode_solve(pattern, range(n))
+    assert sol.witness is not None and sol.dof == n - 3
+    assert _distinct(ray_class_values(range(n), sol.witness))
+    assert sol.witness in sol.velocities

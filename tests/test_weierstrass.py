@@ -1,10 +1,11 @@
-"""Exact certificates for the two-pair relation in Weierstrass form t = tan(rho/2).
+"""Exact certificates for the Weierstrass (t = tan(rho/2)) relations of the families.
 
 The relation is derived here from the crease rotations themselves, not
 re-typed: closure R1 R2 R3 R4 R5 R6 = I gives A = R1 R2 R3 R4 = R6^T R5^T,
 and since R5 fixes u4 and R6 fixes u5, u5^T A u4 = u5^T u4 = cos 60 = 1/2
-whatever rho3 and rho4 are.  Every identity below is proved in exact
-rational arithmetic.
+whatever rho3 and rho4 are.  The fully general family's cos rho2 comes
+from the same closure read along the first and third creases.  Every
+identity below is proved in exact rational arithmetic.
 """
 
 import math
@@ -18,8 +19,11 @@ from rigidfold import fold_models  # noqa: E402
 from rigidfold.config_space import trace_implicit_curve  # noqa: E402
 from rigidfold.core_geometry import g60, rotation_products  # noqa: E402
 from rigidfold.fold_models import (  # noqa: E402
+    _C3,
     _TWO_PAIR_P,
     _TWO_PAIR_TURN,
+    general_cos_rho2,
+    general_solve,
     two_pair_curve_gradient,
     two_pair_curve_residual,
     two_pair_quartic,
@@ -102,3 +106,34 @@ def test_turning_value_is_the_outermost_root_of_the_discriminant(P):
     assert max(disc.real_roots()) <= hi  # and it is the largest one
     walk = trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.02, gradient=two_pair_curve_gradient)
     assert abs(max(abs(s.rho[0]) for s in walk.samples) - _TWO_PAIR_TURN) < 1e-6
+
+
+def test_general_cos_rho2_is_the_first_crease_component_of_the_back_chain():
+    """Closure gives R1 R2 R3 = R6^T R5^T R4^T.  Applied to c3, which R3 fixes,
+    and read along c1, which R1 fixes: c1.R2 c3 = c1.R6^T R5^T R4^T c3 (what
+    ``_back_chains`` computes).  The left side is linear in cos rho2; solving
+    for it gives exactly the program's expression, run on symbols."""
+    t4, t5, t6, cos2 = sp.symbols("t4 t5 t6 cos2", real=True)
+    back = (CREASES[0].T * rotation(CREASES[5], -t6) * rotation(CREASES[4], -t5)
+            * rotation(CREASES[3], -t4) * CREASES[2])[0]
+    forward = (CREASES[0].T * rotation(CREASES[1], t2) * CREASES[2])[0]
+    forward = sp.cancel(forward.subs(t2, sp.sqrt((1 - cos2) / (1 + cos2))))  # even in t2
+    assert sp.Poly(forward, cos2).degree() == 1
+    [solved] = sp.solve(sp.Eq(forward, back), cos2)
+
+    def sin_cos(t):
+        return 2 * t / (1 + t**2), (1 - t**2) / (1 + t**2)
+
+    program = sp.nsimplify(general_cos_rho2(*sin_cos(t4), *sin_cos(t5), *sin_cos(t6)), rational=True)
+    assert sp.cancel(solved - program) == 0
+
+
+def test_general_branches_satisfy_the_first_crease_matching():
+    """The matching condition holds numerically on every closing general branch."""
+    rng = np.random.default_rng(11)
+    sol = general_solve(*rng.uniform(-math.pi, math.pi, (3, 200)))
+    assert len(sol.drive) > 100
+    rho = sol.vectors
+    forward = rotation_products(g60(), rho[:, 1:2], creases=(1,)) @ _C3
+    back = rotation_products(g60(), -rho[:, [5, 4, 3]], creases=(5, 4, 3)) @ _C3
+    assert np.abs(forward[:, 0] - back[:, 0]).max() < 1e-14
