@@ -200,10 +200,13 @@ def _infer_format(args, supported: tuple[str, ...], default: str) -> str:
 
 
 def _write_samples(samples, args, pattern=None) -> int:
-    text, skipped = cs.render(samples, _infer_format(args, ("csv", "json", "obj"), "csv"), pattern, args.tol)
+    text, invalid, foreign = cs.render(samples, _infer_format(args, ("csv", "json", "obj"), "csv"), pattern, args.tol)
     _emit(text, args.output)
-    if skipped:
-        print(f"skipped {skipped} invalid samples", file=sys.stderr)
+    if invalid:
+        print(f"skipped {invalid} invalid samples", file=sys.stderr)
+    if foreign:
+        print(f"skipped {foreign} samples that do not close on the export pattern (pick theirs with --model)",
+              file=sys.stderr)
     return 0
 
 

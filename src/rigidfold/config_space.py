@@ -317,24 +317,26 @@ def export(samples, format: str, path: str, pattern: CreasePattern | None = None
     triangular sector faces); invalid samples are skipped and counted.
     """
     flat = _flatten_samples(samples)
-    text, skipped = render(flat, format, pattern, tol)
+    text, invalid, foreign = render(flat, format, pattern, tol)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
-    return ExportReport(written=len(flat) - skipped, skipped=skipped)
+    return ExportReport(written=len(flat) - invalid - foreign, skipped=invalid + foreign)
 
 
 def render(samples, format: str, pattern: CreasePattern | None = None,
-           tol: float = DEFAULT_TOL) -> tuple[str, int]:
-    """Serialized samples in csv, json or obj, with the count of skipped samples."""
+           tol: float = DEFAULT_TOL) -> tuple[str, int, int]:
+    """Serialized samples in csv, json or obj, with the counts of invalid and of foreign (non-closing) obj samples."""
     flat = _flatten_samples(samples)
     if not flat:
         raise OutOfRangeError("nothing to export")
     if format == "csv":
-        return samples_to_csv(flat), 0
+        return samples_to_csv(flat), 0, 0
     if format == "json":
-        return samples_to_json(flat), 0
+        return samples_to_json(flat), 0, 0
     if format == "obj":
-        return samples_to_obj(flat, pattern, tol)
+        text, skipped = samples_to_obj(flat, pattern, tol)
+        invalid = sum(not s.valid or s.residual >= tol for s in flat)  # the samples skipped before folding
+        return text, invalid, skipped - invalid
     raise OutOfRangeError(f"unknown format {format!r}")
 
 

@@ -27,10 +27,8 @@ _SECTOR_SUM_TOL = 1e-9
 _I3 = np.eye(3)
 _I3.setflags(write=False)
 
-
-def _cross_matrix(u: np.ndarray) -> np.ndarray:
-    """K with K @ x = u x x."""
-    return np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+# K with K @ x = u x x, flattened: its off-diagonal slots, and the component of u and sign in each
+_CROSS_SLOTS, _CROSS_AXES, _CROSS_SIGNS = [1, 2, 3, 5, 6, 7], [2, 1, 2, 0, 1, 0], np.array([-1.0, 1, 1, -1, -1, 1])
 
 
 def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
@@ -97,26 +95,32 @@ class CreasePattern:
             raise DomainError("a vertex needs at least three creases")
         if not np.all(np.isfinite(creases)):
             raise DomainError("creases must be finite")
-        norms = np.linalg.norm(creases, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+        if np.any(np.abs(np.sqrt(np.square(creases).sum(axis=1)) - 1.0) > _UNIT_TOL):
             raise DomainError("creases must be unit vectors")
         if np.any(np.abs(creases[:, 2]) > _UNIT_TOL):
             raise DomainError("creases must lie in the xy-plane")
+        self._fill(creases, self.sector_angles)
+
+    def _fill(self, creases: np.ndarray, given=None) -> "CreasePattern":
+        """Check the order of finite unit creases in the xy-plane, set all four arrays and return self."""
         thetas = np.unwrap(np.arctan2(creases[:, 1], creases[:, 0]))
-        if np.any(np.diff(thetas) <= 0):
-            raise DomainError("creases must be in counterclockwise order")
         sectors = np.diff(np.append(thetas, thetas[0] + 2.0 * np.pi))
+        if np.any(sectors[:-1] <= 0):
+            raise DomainError("creases must be in counterclockwise order")
         if abs(sectors.sum() - 2.0 * np.pi) > _SECTOR_SUM_TOL:
             raise DomainError("sector angles must sum to 2*pi")
-        given = self.sector_angles
         if given is not None:
             given = np.asarray(given, dtype=float)
             if given.shape != sectors.shape or not np.all(np.abs(given - sectors) <= 1e-8):
                 raise DomainError("sector_angles disagree with crease directions")
+        cross = np.zeros((len(creases), 9))
+        cross[:, _CROSS_SLOTS] = creases[:, _CROSS_AXES] * _CROSS_SIGNS  # -0.0 where the axis is 0.0
         object.__setattr__(self, "creases", _read_only(creases))
         object.__setattr__(self, "sector_angles", _read_only(sectors))
-        object.__setattr__(self, "cross", _read_only(np.stack([_cross_matrix(u) for u in creases])))
-        object.__setattr__(self, "outer", _read_only(np.einsum("ki,kj->kij", creases, creases)))
+        object.__setattr__(self, "cross", _read_only(cross.reshape(-1, 3, 3)))
+        outer = creases[:, :, None] * creases[:, None, :] + 0.0  # + 0.0: every zero product is +0.0
+        object.__setattr__(self, "outer", _read_only(outer))
+        return self
 
     def __eq__(self, other) -> bool:
         """Patterns are equal when their creases are; anything else is unequal."""
@@ -136,8 +140,10 @@ class CreasePattern:
         if abs(sectors.sum() - 2.0 * np.pi) > _SECTOR_SUM_TOL:
             raise DomainError("sector angles must sum to 2*pi")
         thetas = np.concatenate([[0.0], np.cumsum(sectors[:-1])])
+        if len(thetas) < 3:
+            raise DomainError("a vertex needs at least three creases")
         creases = np.stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)], axis=1)
-        return cls(creases)
+        return object.__new__(cls)._fill(creases)  # finite unit creases in the xy-plane: only their order is checked
 
     @property
     def n(self) -> int:
@@ -162,10 +168,10 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
     ``angles`` is an (N, m) array.  Row r gives the product
     R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
     indices ``creases`` (default: the whole fan in order, m = n).  Returns
-    the (N, 3, 3) products; with ``frames`` the (N, m, 3, 3) running
-    products instead.  Without frames only the running product is kept, so
-    memory stays O(N).  Rows are independent: a row gives the same bits
-    whatever else is in the batch.
+    the (N, 3, 3) products, identities when m = 0; with ``frames`` the
+    (N, m, 3, 3) running products instead.  Without frames only the running
+    product is kept, so memory stays O(N).  Rows are independent: a row
+    gives the same bits whatever else is in the batch.
     """
     rho = np.asarray(angles, dtype=float)
     order = range(pattern.n) if creases is None else creases
@@ -174,7 +180,7 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
     c = np.cos(rho)[:, :, None, None]
     s = np.sin(rho)[:, :, None, None]
     out = np.empty(rho.shape + (3, 3)) if frames else None
-    acc = None
+    acc = np.tile(_I3, (len(rho), 1, 1)) if len(order) == 0 else None
     for j, k in enumerate(order):
         rot = _rodrigues(pattern.cross[k], pattern.outer[k], c[:, j], s[:, j])
         acc = rot if acc is None else acc @ rot
@@ -255,79 +261,66 @@ def folded_geometry(pattern: CreasePattern, angles, tol: float = GEOMETRY_TOL) -
 
 
 @functools.cache
-def _sector_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), i < j, of the non-adjacent sectors of an n-fan (read-only)."""
+def _gram_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Flat indices (read-only) of the factors of each normal e_k x e_k+1 in an (n, 3) image array,
+    and, per non-adjacent pair (i, j), of the entries of G = e n^T, H = e e^T and |n| the test reads."""
     i, j = np.triu_indices(n, 2)
-    keep = j - i != n - 1
-    return _read_only(i[keep]), _read_only(j[keep])
-
-
-# The helpers below hold 3-vectors with their coordinates on the first axis,
-# so each product is three whole-array operations over every state and pair.
-
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.stack([x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]])
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-
-
-def _meet(sector: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Where a sector's tip-to-tip edge crosses a plane its tips lie at signed distances d from."""
-    a, b = sector[:, 0], sector[:, 1]
-    return a + d[0] / (d[0] - d[1]) * (b - a)
-
-
-def _inside(sector: np.ndarray, wedge: np.ndarray, eps: float) -> np.ndarray:
-    """Whether a tip or the bisector of ``sector`` lies strictly inside ``wedge``."""
-    sides = _dot(sector[:, :2, None], wedge[:, None, 3:])  # [tip, edge normal]
-    return (sides > eps).all(axis=1).any(axis=0) | (sides.sum(axis=0) > eps).all(axis=0)
+    tips = np.array([[i, i + 1], [j, (j + 1) % n]])[..., j - i != n - 1]  # [side, tip, pair], i < j non-adjacent
+    left = (3 * np.arange(n)[:, None, None] + np.array([[1, 2, 0], [2, 0, 1]])).transpose(1, 0, 2).reshape(2, -1)
+    g = tips.transpose(1, 0, 2) * n + tips[::-1, 0]  # [tip, side]: a_i . n_j and a_j . n_i, then the next tips
+    h = tips[:, None, :, None] * n + np.stack([tips, tips[::-1]], axis=1)[:, :, None]  # [wedge, own/other, tip, tip]
+    return tuple(_read_only(t) for t in (left, np.roll(left[::-1], -3, axis=1), g, h, tips[::-1, 0]))
 
 
 def self_intersections(pattern: CreasePattern, images, eps: float = TRIANGLE_EPS) -> np.ndarray:
     """Whether any two non-adjacent folded sectors overlap, for each row of (N, n, 3) crease images.
 
-    Every non-adjacent sector pair of every row is decided at once.  A
-    sector whose normal e_k x e_k+1 is shorter than eps has no interior and
-    meets nothing.  Otherwise take the signed distances of each sector's two
-    tips from the other sector's plane:
+    Every non-adjacent sector pair of every row is decided at once from the
+    Gram products G = a_p . n_q and H = a_p . a_q of the images a_k and the
+    sector normals n_k = a_k x a_k+1.  A sector whose normal is shorter than
+    eps has no interior and meets nothing.  Otherwise take the signed
+    distances d = G / |n| of each sector's two tips from the other's plane:
 
     * transversal pair: each sector's tips lie strictly on opposite sides of
       the other's plane.  The tip-to-tip edges cross the planes' common line
-      at p_i and p_j, and the sectors overlap when min(|p_i|, p_j . p_i/|p_i|)
-      exceeds eps;
+      at p_i = (1 - t) a_i + t a_i+1, t = d0 / (d0 - d1), and at p_j, and the
+      sectors overlap when min(|p_i|, p_j . p_i/|p_i|), bilinear in H, exceeds eps;
     * coplanar pair: all four distances are below eps.  The sectors overlap
       when a tip or the bisector of one wedge lies strictly inside the
-      other: x is strictly inside the wedge from a to b with unit normal m
-      when (a x x) . m and (x x b) . m both exceed eps.
+      other: when, for the wedge from a to b, x . (m x a) = ((x.b)(a.a) - (x.a)(a.b)) / |n|
+      and x . (b x m) = ((x.a)(b.b) - (x.b)(a.b)) / |n|, m = n / |n|, both exceed eps.
 
     Any other pair touches at most along its boundary.
     """
     e = np.asarray(images, dtype=float)
-    if e.ndim != 3 or e.shape[1:] != (pattern.n, 3):
-        raise DomainError(f"expected (N, {pattern.n}, 3) crease images, got shape {e.shape}")
-    a = np.moveaxis(e, 2, 0)
-    b = np.roll(a, -1, axis=2)
-    normal = _cross(a, b)
-    size = np.sqrt(_dot(normal, normal))
-    i, j = _sector_pairs(pattern.n)
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate sectors are masked below
-        m = normal / size
-        # per sector: tips a and b, normal, and m x a, b x m, since (a x x) . m = x . (m x a)
-        sector = np.stack([a, b, normal, _cross(m, a), _cross(b, m)], axis=1)
-        si, sj = sector[..., i], sector[..., j]
-        di = _dot(si[:, :2], sj[:, 2:3]) / size[:, j]  # tips of sector i from plane j
-        dj = _dot(sj[:, :2], si[:, 2:3]) / size[:, i]
-        pi, pj = _meet(si, di), _meet(sj, dj)
-        length = np.sqrt(_dot(pi, pi))
-        along = _dot(pj, pi / length)
-    transversal = ((di.max(axis=0) > eps) & (di.min(axis=0) < -eps) & (dj.max(axis=0) > eps)
-                   & (dj.min(axis=0) < -eps) & (np.minimum(length, along) > eps))
-    flat = (np.abs(di) < eps).all(axis=0) & (np.abs(dj) < eps).all(axis=0)
-    coplanar = flat & (_inside(sj, si, eps) | _inside(si, sj, eps))
-    solid = (size[:, i] >= eps) & (size[:, j] >= eps)
-    return np.any(solid & (transversal | coplanar), axis=1)
+    n = pattern.n
+    if e.ndim != 3 or e.shape[1:] != (n, 3):
+        raise DomainError(f"expected (N, {n}, 3) crease images, got shape {e.shape}")
+    left, right, gi, hi, si = _gram_tables(n)
+    terms = e.reshape(len(e), 3 * n).take(left, axis=1) * e.reshape(len(e), 3 * n).take(right, axis=1)
+    normal = (terms[:, 0] - terms[:, 1]).reshape(e.shape)
+    sizes = np.sqrt(np.square(normal).sum(axis=2)).take(si, axis=1)  # (N, side, pair): |n_j|, |n_i|
+    g = (e @ normal.transpose(0, 2, 1)).reshape(len(e), n * n).take(gi, axis=1)  # (N, tip, side, pair)
+    h = (e @ e.transpose(0, 2, 1)).reshape(len(e), n * n).take(hi, axis=1)  # (N, wedge, block, tip, tip, pair)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate sectors are masked at the end
+        d0, d1 = g[:, 0] / sizes, g[:, 1] / sizes
+        t = d0 / (d0 - d1)
+        ti, tj, ui, uj = t[:, 0], t[:, 1], 1.0 - t[:, 0], 1.0 - t[:, 1]
+        own, other = h[:, 0, 0], h[:, 0, 1]
+        length = np.sqrt(ui * ui * own[:, 0, 0] + 2.0 * ti * ui * own[:, 0, 1] + ti * ti * own[:, 1, 1])
+        along = (ui * (uj * other[:, 0, 0] + tj * other[:, 0, 1])
+                 + ti * (uj * other[:, 1, 0] + tj * other[:, 1, 1])) / length
+        straddle = (np.maximum(d0, d1) > eps) & (np.minimum(d0, d1) < -eps)
+        hit = straddle.all(axis=1) & (np.minimum(length, along) > eps)
+        r, k = np.nonzero(((np.abs(d0) < eps) & (np.abs(d1) < eps)).all(axis=1))  # coplanar pairs
+        if len(r):
+            wedge, width = h[r, ..., k], sizes[r, ::-1, k][:, :, None]  # (|n_i|, |n_j|) for wedges i and j
+            aa, ab, bb = wedge[:, :, 0, 0, :1], wedge[:, :, 0, 0, 1:], wedge[:, :, 0, 1, 1:]
+            xa, xb = wedge[:, :, 1, 0], wedge[:, :, 1, 1]  # (M, wedge, tip): x . a and x . b
+            s1, s2 = (xb * aa - xa * ab) / width, (xa * bb - xb * ab) / width
+            inside = ((s1 > eps) & (s2 > eps)).any(axis=2) | ((s1.sum(axis=2) > eps) & (s2.sum(axis=2) > eps))
+            hit[r, k] |= inside.any(axis=1)
+    return np.any((sizes >= eps).all(axis=1) & hit, axis=1)
 
 
 def self_intersects(pattern: CreasePattern, state: FoldedState, eps: float = TRIANGLE_EPS) -> bool:

@@ -338,3 +338,28 @@ def test_every_family_folds_closed_on_its_sweep_pattern(capsys, model):
     rho = np.array([rec[f"rho{i + 1}"] for i in range(len(rec) - 3)])
     assert np.any(rho != 0.0)
     assert closure_residual(fam.pattern(mode), rho) < 1e-8
+
+
+FOREIGN = "samples that do not close on the export pattern (pick theirs with --model)"
+
+
+def test_obj_export_counts_invalid_and_foreign_samples_apart(tmp_path, capsys):
+    """Valid samples of another pattern are not called invalid, and --model folds them."""
+    trifold, general, both = tmp_path / "tf.json", tmp_path / "general.json", tmp_path / "both.json"
+    assert run(capsys, "sweep", "trifold", "--beta", "50", "-n", "8", "-o", str(trifold)) == (0, "", "")
+    assert run(capsys, "sweep", "general", "-n", "8", "-o", str(general)) == (0, "", "")
+    records = json.loads(general.read_text())
+    invalid = sum(not r["valid"] for r in records)
+    assert 0 < invalid < len(records)
+    both.write_text(json.dumps(records + json.loads(trifold.read_text())))
+
+    out = tmp_path / "out.obj"
+    assert run(capsys, "export", str(trifold), "-o", str(out)) == (0, "", f"skipped 8 {FOREIGN}\n")
+    assert out.read_text().count("o sample_") == 0
+    assert run(capsys, "export", str(trifold), "--model", "trifold", "--beta", "50", "-o", str(out)) == (0, "", "")
+    assert out.read_text().count("o sample_") == 8
+    assert run(capsys, "export", str(general), "-o", str(out)) == (0, "", f"skipped {invalid} invalid samples\n")
+    assert out.read_text().count("o sample_") == len(records) - invalid
+    code, _, err = run(capsys, "export", str(both), "-o", str(out))
+    assert (code, err) == (0, f"skipped {invalid} invalid samples\nskipped 8 {FOREIGN}\n")
+    assert out.read_text().count("o sample_") == len(records) - invalid

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from cone_oracle import cone_self_intersections
 from rigidfold.config_space import (
     AdmissibleRegion,
     ConfigSample,
@@ -86,6 +87,23 @@ def test_sweep_verdicts_match_the_triangle_oracle(mode):
     want = [triangle_self_intersects(pattern, st) for st in states]
     assert self_intersections(pattern, np.stack([st.crease_images for st in states])).tolist() == want
     assert [s.valid for s in closing] == [not w for w in want]
+
+
+@pytest.mark.parametrize("model, n", [
+    (FoldModel.DEGREE4, 1000), (FoldModel.TRIFOLD, 1000), (FoldModel.BOWTIE, 1000), (FoldModel.IGLOO1DOF, 1000),
+    (FoldModel.OPPOSITES, 32), (FoldModel.IGLOO2DOF, 32), (FoldModel.TWOPAIR, 1000), (FoldModel.FULLY_GENERAL, 1000),
+    (FoldModel.ALMOST_GENERAL, 32),
+], ids=lambda x: getattr(x, "value", x))
+def test_criterion_3_sweep_verdicts_match_the_cone_oracle(model, n):
+    """Every state of the acceptance sweeps (60-degree sectors) gets the oracle's verdict."""
+    mode = FoldMode(model, 1, PI / 3.0, PI / 3.0)
+    pattern = FAMILIES[model].pattern(mode)
+    samples = sweep_model(mode, n).samples
+    residuals, frames = folded_frames(pattern, np.array([s.rho for s in samples]))
+    assert residuals.max() < 1e-8
+    want = cone_self_intersections(pattern, crease_images(pattern, frames))
+    assert np.array_equal(self_intersections(pattern, crease_images(pattern, frames)), want)
+    assert [s.valid for s in samples] == (~want).tolist()
 
 
 def test_two_pair_red_state_intersects():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cone_oracle import cone_self_intersections
 from rigidfold.core_geometry import (
     CreasePattern,
     closure_residual,
     closure_residuals,
+    crease_images,
     folded_geometry,
     g60,
     rotation_products,
@@ -19,6 +21,7 @@ from rigidfold.core_geometry import (
     wrap_angles,
 )
 from rigidfold.errors import DomainError, NotClosedError
+from rigidfold.fold_models import bowtie_pattern, general_solve, trifold_pattern
 from triangle_oracle import triangle_self_intersects, triangles_interiors_intersect
 
 # a 6-vector that closes on g60: trifold line at beta = 60 degrees,
@@ -223,6 +226,68 @@ def test_flat_stacks_match_the_triangle_oracle(sectors):
     assert [self_intersects(pat, folded_geometry(pat, rho, tol=1e-9)) for rho in stacks] == want
 
 
+# a 180-degree sector folds to a segment: its normal is zero and it has no interior
+ZERO_AREA = [math.pi, math.pi / 3.0, math.pi / 3.0, math.pi / 6.0, math.pi / 12.0, math.pi / 12.0]
+CORPUS_PATTERNS = {
+    "g60": g60(),
+    "50-70-60-60-55-65": CreasePattern.from_sectors(np.radians([50.0, 70.0, 60.0, 60.0, 55.0, 65.0])),
+    "bowtie-40": bowtie_pattern(math.radians(40.0), 1),
+    "trifold-50": trifold_pattern(math.radians(50.0)),
+    "zero-area": CreasePattern.from_sectors(ZERO_AREA),
+}
+
+
+def _images(pattern, rho):
+    return crease_images(pattern, rotation_products(pattern, wrap_angles(np.asarray(rho, dtype=float)), frames=True))
+
+
+@pytest.mark.parametrize("name", list(CORPUS_PATTERNS))
+def test_lattice_verdicts_match_the_cone_oracle(name):
+    """Every state of {0, +-pi/2, +-pi}^6, closing or not: rich in flat, coplanar and edge-on pairs."""
+    pat = CORPUS_PATTERNS[name]
+    lattice = np.array(list(itertools.product((0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi), repeat=6)))
+    images = _images(pat, lattice)
+    want = cone_self_intersections(pat, images)
+    assert np.array_equal(self_intersections(pat, images), want)
+    assert 0 < want.sum() < len(want)
+
+
+def test_general_states_match_the_cone_oracle():
+    rng = np.random.default_rng(14)
+    vectors = general_solve(*rng.uniform(-math.pi, math.pi, (3, 3000))).vectors
+    assert len(vectors) >= 4000
+    images = _images(g60(), vectors)
+    want = cone_self_intersections(g60(), images)
+    assert np.array_equal(self_intersections(g60(), images), want)
+    assert 0 < want.sum() < len(want)
+
+
+@st.composite
+def _fan_and_lattice_angles(draw):
+    n = draw(st.integers(4, 8))
+    weights = np.array(draw(st.lists(st.floats(0.35, 1.0), min_size=n, max_size=n)))  # every sector < pi
+    sectors = 2.0 * math.pi * weights / weights.sum()
+    if draw(st.booleans()):  # a 180-degree sector
+        sectors = np.concatenate([[math.pi], math.pi * weights[1:] / weights[1:].sum()])
+    steps = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+    rows = draw(st.integers(1, 6))
+    rho = draw(st.lists(st.one_of(steps, st.floats(-math.pi, math.pi)), min_size=rows * n, max_size=rows * n))
+    return sectors, np.array(rho).reshape(rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fan_and_lattice_angles())
+def test_verdicts_match_the_cone_oracle_on_any_fan(case):
+    sectors, rho = case
+    pat = CreasePattern.from_sectors(sectors)
+    images = _images(pat, rho)
+    assert np.array_equal(self_intersections(pat, images), cone_self_intersections(pat, images))
+
+
+def test_self_intersections_of_no_rows():
+    assert self_intersections(g60(), np.zeros((0, 6, 3))).shape == (0,)
+
+
 def test_self_intersections_rejects_a_wrong_image_shape():
     with pytest.raises(DomainError):
         self_intersections(g60(), np.zeros((2, 5, 3)))
@@ -303,8 +368,65 @@ def test_g60_is_one_read_only_pattern():
     assert g60().creases[0, 0] == 1.0
 
 
+def test_an_empty_chain_is_the_identity():
+    rho = np.zeros((3, 0))
+    assert np.array_equal(rotation_products(g60(), rho, creases=()), np.tile(np.eye(3), (3, 1, 1)))
+    assert rotation_products(g60(), rho, creases=(), frames=True).shape == (3, 0, 3, 3)
+    assert rotation_products(g60(), np.zeros((0, 0)), creases=()).shape == (0, 3, 3)
+
+
 def test_kernel_rejects_a_wrong_angle_shape():
     with pytest.raises(DomainError):
         rotation_products(g60(), np.zeros((2, 5)))
     with pytest.raises(DomainError):
         closure_residuals(g60(), np.zeros(6))
+
+
+# --- crease pattern construction ---------------------------------------------
+
+def _reference_pattern(sectors):
+    """creases, sector_angles, cross and outer of from_sectors, built one crease at a time."""
+    thetas = np.concatenate([[0.0], np.cumsum(sectors[:-1])])
+    creases = np.stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)], axis=1)
+    unwrapped = np.unwrap(np.arctan2(creases[:, 1], creases[:, 0]))
+    sector_angles = np.diff(np.append(unwrapped, unwrapped[0] + 2.0 * np.pi))
+    cross = np.stack([np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]) for u in creases])
+    outer = np.einsum("ki,kj->kij", creases, creases)
+    return creases, sector_angles, cross, outer
+
+
+def test_pattern_arrays_equal_the_reference_construction_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n = int(rng.integers(3, 13))
+        weights = rng.uniform(0.05, 1.0, n)
+        sectors = 2.0 * math.pi * weights / weights.sum()
+        if sectors.max() >= math.pi:  # the fan's creases would not turn counterclockwise
+            continue
+        want = _reference_pattern(sectors)
+        for pat in (CreasePattern.from_sectors(sectors), CreasePattern(want[0]), CreasePattern(want[0], want[1])):
+            got = (pat.creases, pat.sector_angles, pat.cross, pat.outer)
+            assert [a.shape for a in got] == [a.shape for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # signs of zeros included
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CreasePattern(np.zeros((4, 2))), "creases must be an (n, 3) array"),
+    (lambda: CreasePattern(np.eye(3)[:2]), "a vertex needs at least three creases"),
+    (lambda: CreasePattern.from_sectors([math.pi, math.pi]), "a vertex needs at least three creases"),
+    (lambda: CreasePattern([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [-1.0, 0.0, 0.0]]), "creases must be finite"),
+    (lambda: CreasePattern([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]), "creases must be unit vectors"),
+    (lambda: CreasePattern([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [-1.0, 0.0, 0.0]]), "creases must lie in the xy-plane"),
+    (lambda: CreasePattern([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+     "creases must be in counterclockwise order"),
+    (lambda: CreasePattern(g60().creases, np.full(6, 1.0)), "sector_angles disagree with crease directions"),
+    (lambda: CreasePattern(g60().creases, np.full(5, math.pi / 3.0)), "sector_angles disagree with crease directions"),
+    (lambda: CreasePattern.from_sectors([1.0, math.inf, 1.0]), "sector angles must be finite"),
+    (lambda: CreasePattern.from_sectors([-1.0, 1.0, 2.0 * math.pi]), "sector angles must be positive"),
+    (lambda: CreasePattern.from_sectors([1.0, 1.0, 1.0]), "sector angles must sum to 2*pi"),
+    (lambda: CreasePattern.from_sectors([]), "sector angles must sum to 2*pi"),
+])
+def test_pattern_errors_keep_their_messages(build, message):
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == message

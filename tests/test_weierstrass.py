@@ -22,6 +22,8 @@ from rigidfold.fold_models import (  # noqa: E402
     _C3,
     _TWO_PAIR_P,
     _TWO_PAIR_TURN,
+    degree4_multipliers,
+    degree4_pattern,
     general_cos_rho2,
     general_solve,
     two_pair_curve_gradient,
@@ -137,3 +139,47 @@ def test_general_branches_satisfy_the_first_crease_matching():
     forward = rotation_products(g60(), rho[:, 1:2], creases=(1,)) @ _C3
     back = rotation_products(g60(), -rho[:, [5, 4, 3]], creases=(5, 4, 3)) @ _C3
     assert np.abs(forward[:, 0] - back[:, 0]).max() < 1e-14
+
+
+# --- degree-4 multipliers ------------------------------------------------------
+#
+# Sectors (pi - beta, alpha, beta, pi - alpha) with tan(alpha/2) = 1/2 and
+# tan(beta/2) = 1/3 put every crease at a rational point of the unit circle,
+# so the closure of each mode is an identity of rational functions of t.
+
+HALF_ALPHA, HALF_BETA = sp.Rational(1, 2), sp.Rational(1, 3)
+P4 = (1 - HALF_ALPHA * HALF_BETA) / (1 + HALF_ALPHA * HALF_BETA)  # 5/7
+Q4 = (HALF_ALPHA - HALF_BETA) / (HALF_ALPHA + HALF_BETA)  # 1/5
+
+
+def _degree4_creases():
+    """Creases 1 to 4, each the last turned about z by the sector between them."""
+    creases = [sp.Matrix([1, 0, 0])]
+    for half in (1 / HALF_BETA, HALF_ALPHA, HALF_BETA):  # tan of half of pi - beta, alpha, beta
+        creases.append(rotation(sp.Matrix([0, 0, 1]), half) * creases[-1])
+    return creases
+
+
+def _closure(creases, tangents):
+    product = sp.eye(3)
+    for u, tangent in zip(creases, tangents):
+        product = (product * rotation(u, tangent)).applyfunc(sp.cancel)
+    return product
+
+
+def test_degree4_multipliers_are_the_half_angle_ratios():
+    alpha, beta = 2.0 * math.atan(0.5), 2.0 * math.atan(1.0 / 3.0)
+    p, q = degree4_multipliers(alpha, beta)
+    assert (P4, Q4) == (sp.Rational(5, 7), sp.Rational(1, 5))
+    assert abs(p.value - 5.0 / 7.0) < 1e-15 and abs(q.value - 0.2) < 1e-15
+    creases = np.array(sp.Matrix.hstack(*_degree4_creases()).T, dtype=float)
+    assert np.abs(creases - degree4_pattern(alpha, beta).creases).max() < 1e-15
+
+
+def test_degree4_modes_close_exactly():
+    """Mode 1 (p t, t, -p t, t) and mode 2 (t, q t, t, -q t) multiply to I for every t."""
+    creases = _degree4_creases()
+    t = sp.symbols("t", real=True)
+    assert _closure(creases, (P4 * t, t, -P4 * t, t)) == sp.eye(3)
+    assert _closure(creases, (t, Q4 * t, t, -Q4 * t)) == sp.eye(3)
+    assert _closure(creases, (Q4 * t, t, -Q4 * t, t)) != sp.eye(3)  # the other multiplier does not close mode 1
