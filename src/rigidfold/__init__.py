@@ -6,13 +6,17 @@ equilateral pattern, closed-form evaluators for each foldable family, and
 configuration-space sampling with csv/json/obj export.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config_space import (
     AdmissibleRegion,
     ConfigSample,
     CurveTrace,
     ExportReport,
+    Samples,
     SurfaceGrid,
     admissible_region,
+    as_samples,
     export,
     load_samples_json,
     make_sample,
@@ -103,87 +107,6 @@ from .symmetry_enumeration import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibleRegion",
-    "BranchAmbiguityError",
-    "ColorPattern",
-    "ConfigSample",
-    "CreasePattern",
-    "CurveTrace",
-    "DegenerateConfigurationError",
-    "DomainError",
-    "ExportReport",
-    "FoldMode",
-    "FoldModel",
-    "FoldedState",
-    "InconsistentPointError",
-    "ModeSolution",
-    "Multiplier",
-    "NAMED_PATTERNS",
-    "NAMED_REPRESENTATIVES",
-    "NoSolutionError",
-    "NotClosedError",
-    "NumericalError",
-    "OppositesSolution",
-    "OutOfRangeError",
-    "RigidFoldError",
-    "SingularParameterError",
-    "Solved",
-    "SurfaceGrid",
-    "Table1Row",
-    "VelocityVector",
-    "admissible_region",
-    "almost_general",
-    "bowtie",
-    "bowtie_multiplier",
-    "bowtie_pattern",
-    "bowtie_vector",
-    "canonical_form",
-    "classify_g60",
-    "closure_residual",
-    "closure_residuals",
-    "degree4_fold",
-    "degree4_multipliers",
-    "degree4_pattern",
-    "enumerate_patterns",
-    "export",
-    "first_order_matrix",
-    "folded_geometry",
-    "g60",
-    "general_fold",
-    "general_solve",
-    "igloo_1dof",
-    "igloo_pattern",
-    "igloo_rho1",
-    "igloo_rho4",
-    "igloo_vector",
-    "load_samples_json",
-    "make_sample",
-    "make_samples",
-    "opposites_pattern",
-    "opposites_solve",
-    "opposites_vector",
-    "pleat_multiplier",
-    "ray_class_values",
-    "resch_fold",
-    "rotation_products",
-    "second_order_matrix",
-    "self_intersections",
-    "self_intersects",
-    "solve_modes",
-    "sweep_model",
-    "symmetric_mode_solve",
-    "symmetry_reduced_system",
-    "trace_implicit_curve",
-    "trifold",
-    "trifold_drive_limit",
-    "trifold_multiplier",
-    "trifold_pattern",
-    "trifold_vector",
-    "two_pair_complete",
-    "two_pair_curve_gradient",
-    "two_pair_curve_residual",
-    "two_pair_pattern",
-    "two_pair_solve",
-    "two_pair_vector",
-]
+# every public name imported above, the modules themselves excepted
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

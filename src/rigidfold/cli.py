@@ -225,8 +225,7 @@ def cmd_trace(args) -> int:
     if not trace.closed:
         print(f"warning: trace did not close: {trace.note}", file=sys.stderr)
     pattern = fm.two_pair_pattern()
-    points = np.array([s.rho[:2] for s in trace.samples])
-    sol = fm.two_pair_solve(points[:, 0], points[:, 1], tol=max(args.tol, cs.DEFAULT_TOL))
+    sol = fm.two_pair_solve(*trace.samples.rho.T, tol=max(args.tol, cs.DEFAULT_TOL))
     first = fm.drive_ranks(sol.drive) == 0  # each point's best completion; points with none are skipped
     completed = sol.vectors[first]
     return _write_samples(cs.make_samples(pattern, completed, [0] * len(completed), args.tol), args, pattern)

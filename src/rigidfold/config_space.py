@@ -13,20 +13,23 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+import sys
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .core_geometry import (
     CreasePattern,
-    as_fold_angles,
     check_fold_angle,
     crease_images,
     folded_frames,
     g60,
     self_intersections,
+    wrap_angles,
 )
-from .errors import OutOfRangeError
+from .errors import DomainError, OutOfRangeError
 from .fold_models import AMBIGUOUS, DEFAULT_TOL, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
 
 _TRACE_STEP = 0.02
@@ -38,7 +41,7 @@ PI = math.pi
 
 @dataclass
 class ConfigSample:
-    """One sampled folded state: angles, closure defect, validity, branch tag."""
+    """One sampled folded state, the row view of ``Samples``: angles, closure defect, validity, branch tag."""
 
     rho: np.ndarray
     residual: float
@@ -46,9 +49,49 @@ class ConfigSample:
     branch: int | str = 0
 
 
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Sampled folded states as columns: angles (N, w), closure defect, validity and branch tag.
+
+    Row i holds ``width[i]`` angles (w by default), then NaN.  An integer
+    index, ``len`` and iteration give ``ConfigSample`` rows; any other index
+    gives the selected rows.  Records, or lists of rows, are equal when
+    their json export is.
+    """
+
+    rho: np.ndarray
+    residual: np.ndarray
+    valid: np.ndarray
+    branch: list
+    width: np.ndarray = None  # type: ignore[assignment]
+
+    def __post_init__(self):
+        if self.width is None:
+            object.__setattr__(self, "width", np.full(len(self.rho), self.rho.shape[1]))
+        if not len(self.rho) == len(self.residual) == len(self.valid) == len(self.branch) == len(self.width):
+            raise ValueError("sample columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.branch)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return ConfigSample(self.rho[key, :self.width[key]], float(self.residual[key]), bool(self.valid[key]),
+                                self.branch[key])
+        return as_samples(list(map(self.__getitem__, np.arange(len(self))[key].tolist())))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Samples, list, tuple)):
+            return NotImplemented
+        return samples_to_json(self) == samples_to_json(other)  # the json text keeps every bit of every row
+
+
 @dataclass
 class CurveTrace:
-    samples: list[ConfigSample] = field(default_factory=list)
+    samples: Samples
     closed: bool = False
     note: str = ""
 
@@ -57,7 +100,7 @@ class CurveTrace:
 class SurfaceGrid:
     drive1: np.ndarray
     drive2: np.ndarray
-    samples: list[ConfigSample] = field(default_factory=list)
+    samples: Samples
 
 
 @dataclass
@@ -74,22 +117,34 @@ class ExportReport:
     skipped: int
 
 
-def make_samples(pattern: CreasePattern, rows, branches, tol: float = DEFAULT_TOL) -> list[ConfigSample]:
+def as_samples(samples) -> Samples:
+    """A ``Samples`` record from one, from a CurveTrace or SurfaceGrid, or from ConfigSample rows."""
+    if isinstance(samples, (CurveTrace, SurfaceGrid)):
+        samples = samples.samples
+    if isinstance(samples, Samples):
+        return samples
+    rows = [samples] if isinstance(samples, ConfigSample) else list(samples)
+    angles = [np.asarray(s.rho, dtype=float) for s in rows]
+    width = np.array([len(a) for a in angles], dtype=int)
+    rho = np.full((len(rows), width.max(initial=0)), np.nan)
+    rho[np.arange(rho.shape[1]) < width[:, None]] = np.concatenate([[], *angles])
+    return Samples(rho, np.array([s.residual for s in rows], dtype=float),
+                   np.array([bool(s.valid) for s in rows], dtype=bool), [s.branch for s in rows], width)
+
+
+def make_samples(pattern: CreasePattern, rows, branches, tol: float = DEFAULT_TOL) -> Samples:
     """Evaluate closure and the self-intersection test for each row of an (N, n) angle array.
 
     One kernel call gives every row's residual and frames; the rows that
     close below ``tol`` are then tested for self-intersection in one pass.
     ``branches`` tags the rows in order.
     """
-    if len(rows) == 0:
-        return []
-    rho = np.asarray(rows, dtype=float)
+    rho = np.asarray(rows, dtype=float) if len(rows) else np.empty((0, pattern.n))
     residuals, frames = folded_frames(pattern, rho)
     closed = residuals < tol
     valid = np.zeros(len(rho), dtype=bool)
     valid[closed] = ~self_intersections(pattern, crease_images(pattern, frames[closed]))
-    return [ConfigSample(rho=r, residual=float(res), valid=bool(v), branch=b)
-            for r, res, v, b in zip(rho, residuals, valid, branches, strict=True)]
+    return Samples(rho, residuals, valid, list(branches))
 
 
 def make_sample(pattern: CreasePattern, rho, branch=0, tol: float = DEFAULT_TOL) -> ConfigSample:
@@ -234,14 +289,14 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
     if gn < _NODE_GRAD_TOL:
         dirs = _node_directions(residual_fn, (x0, y0), step)
         if not len(dirs):
-            return CurveTrace(samples=[ConfigSample(np.array([x0, y0]), abs(f0), True, 0)],
+            return CurveTrace(samples=Samples(np.array([[x0, y0]]), np.array([abs(f0)]), np.array([True]), [0]),
                               closed=True, note="isolated zero")
         tx, ty = float(dirs[0, 0]), float(dirs[0, 1])
     else:
         tx, ty = gy / gn, -gx / gn
     sx, sy = tx, ty  # start direction
 
-    samples = [ConfigSample(np.array([x0, y0]), abs(f0), True, 0)]
+    walked = [(x0, y0, abs(f0), True)]  # x, y, |residual|, valid
     x, y = x0, y0
     closed = False
     note = ""
@@ -263,14 +318,16 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
             tx, ty = gy / gn, -gx / gn
             if tx * mx + ty * my < 0.0:
                 tx, ty = -tx, -ty
-        samples.append(ConfigSample(np.array([qx, qy]), abs(f), abs(f) < tol, 0))
+        walked.append((qx, qy, abs(f), abs(f) < tol))
         x, y = qx, qy
         if i > 4 and math.hypot(x - x0, y - y0) < 0.75 * step and tx * sx + ty * sy > 0.7:
             closed = True
             break
     else:
         note = "step budget exhausted"
-    return CurveTrace(samples=samples, closed=closed, note=note)
+    walked = np.array(walked)
+    return CurveTrace(samples=Samples(walked[:, :2], walked[:, 2], walked[:, 3] == 1.0, [0] * len(walked)),
+                      closed=closed, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +353,6 @@ def admissible_region(rho6: float, grid_n: int = 201, tol: float = DEFAULT_TOL) 
 # ---------------------------------------------------------------------------
 # export
 
-def _flatten_samples(samples) -> list[ConfigSample]:
-    if isinstance(samples, (CurveTrace, SurfaceGrid)):
-        return list(samples.samples)
-    if isinstance(samples, ConfigSample):
-        return [samples]
-    return list(samples)
-
-
 def export(samples, format: str, path: str, pattern: CreasePattern | None = None,
            tol: float = DEFAULT_TOL) -> ExportReport:
     """Write samples to csv, json or obj.
@@ -312,11 +361,11 @@ def export(samples, format: str, path: str, pattern: CreasePattern | None = None
     12 significant digits, LF line endings.  json: an array of objects
     with the same keys, written as ``json.dumps(records, indent=1)`` writes
     it: floats at full round-trip precision, NaN, Infinity and -Infinity
-    for non-finite values.  obj: one
-    mesh object per valid sample (vertex at the origin, unit crease tips,
-    triangular sector faces); invalid samples are skipped and counted.
+    for non-finite values.  obj: one mesh object per valid sample (vertex
+    at the origin, unit crease tips, triangular sector faces); invalid
+    samples are skipped and counted.
     """
-    flat = _flatten_samples(samples)
+    flat = as_samples(samples)
     text, invalid, foreign = render(flat, format, pattern, tol)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -326,8 +375,8 @@ def export(samples, format: str, path: str, pattern: CreasePattern | None = None
 def render(samples, format: str, pattern: CreasePattern | None = None,
            tol: float = DEFAULT_TOL) -> tuple[str, int, int]:
     """Serialized samples in csv, json or obj, with the counts of invalid and of foreign (non-closing) obj samples."""
-    flat = _flatten_samples(samples)
-    if not flat:
+    flat = as_samples(samples)
+    if not len(flat):
         raise OutOfRangeError("nothing to export")
     if format == "csv":
         return samples_to_csv(flat), 0, 0
@@ -335,78 +384,94 @@ def render(samples, format: str, pattern: CreasePattern | None = None,
         return samples_to_json(flat), 0, 0
     if format == "obj":
         text, skipped = samples_to_obj(flat, pattern, tol)
-        invalid = sum(not s.valid or s.residual >= tol for s in flat)  # the samples skipped before folding
+        invalid = int(np.count_nonzero(~flat.valid | (flat.residual >= tol)))  # the samples skipped before folding
         return text, invalid, skipped - invalid
     raise OutOfRangeError(f"unknown format {format!r}")
 
 
-def samples_to_csv(flat: list[ConfigSample]) -> str:
+def _column(values) -> np.ndarray:
+    """N values as an (N, 1) object column, kept as they are."""
+    return np.fromiter(values, dtype=object, count=len(values))[:, None]
+
+
+def _keys(k: int) -> list[str]:
+    return [f"rho{i + 1}" for i in range(k)] + ["residual", "valid", "branch"]
+
+
+def _fill(template, sep: str, flat: Samples, angles: np.ndarray, *fields) -> str:
+    """Row i's ``template(width[i])`` filled with its first width[i] ``angles``, then its ``fields``: one ``%``."""
+    templates = {k: template(k) for k in set(flat.width.tolist())}
+    cells = np.concatenate([angles, *map(_column, fields)], axis=1)  # object: Python floats, ints and strings
+    kept = np.ones(cells.shape, dtype=bool)
+    kept[:, :angles.shape[1]] = np.arange(angles.shape[1]) < flat.width[:, None]
+    return sep.join(map(templates.__getitem__, flat.width.tolist())) % tuple(cells[kept])
+
+
+def samples_to_csv(samples) -> str:
     """One row per sample: angles, residual, valid, branch; floats to 12 significant digits.
 
-    Each row is one ``%`` template per angle count; a row narrower than the
-    header gets its blank angle columns before ``residual``.
+    A row narrower than the header gets its blank angle columns before ``residual``.
     """
-    width = max(len(s.rho) for s in flat)
-    lines = [",".join([f"rho{i + 1}" for i in range(width)] + ["residual", "valid", "branch"])]
-    templates: dict[int, str] = {}
-    for s in flat:
-        rho = np.asarray(s.rho, dtype=float).tolist()
-        row = templates.get(len(rho))
-        if row is None:
-            row = templates[len(rho)] = "%.12g," * len(rho) + "," * (width - len(rho)) + "%.12g,%s,%s"
-        lines.append(row % (*rho, s.residual, "true" if s.valid else "false", s.branch))
-    return "\n".join(lines) + "\n"
+    flat = as_samples(samples)
+    w = flat.rho.shape[1]
+    body = _fill(lambda k: "%.12g," * k + "," * (w - k) + "%.12g,%s,%s", "\n", flat, flat.rho,
+                 flat.residual.tolist(), np.where(flat.valid, "true", "false").tolist(), flat.branch)
+    return ",".join(_keys(w)) + f"\n{body}\n"
 
 
-def _json_float(x: float) -> str:
-    """A float as json.dumps writes it: its repr, or NaN, Infinity or -Infinity."""
-    if math.isfinite(x):
-        return repr(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling of these reprs
 
 
-def samples_to_json(flat: list[ConfigSample]) -> str:
+def samples_to_json(samples) -> str:
     """The text of ``json.dumps(records, indent=1)``, one ``%`` template per angle count.
 
-    Floats are filled in as their repr, which is what json.dumps writes; a
-    record holding a non-finite value writes it as NaN, Infinity or -Infinity.
+    Floats are filled in as their repr, as json.dumps writes them; the rows
+    holding a non-finite value (or NaN padding) respell it as json.dumps does.
     """
-    templates: dict[int, str] = {}
-    records = []
-    for s in flat:
-        fields = (*np.asarray(s.rho, dtype=float).tolist(), float(s.residual))
-        record = templates.get(len(fields))
-        if record is None:
-            keys = [f"rho{i + 1}" for i in range(len(fields) - 1)] + ["residual", "valid", "branch"]
-            record = templates[len(fields)] = " {\n" + ",\n".join(f'  "{k}": %s' for k in keys) + "\n }"
-        if not math.isfinite(sum(fields)):
-            fields = tuple(map(_json_float, fields))
-        branch = json.dumps(s.branch) if isinstance(s.branch, str) else int(s.branch)
-        records.append(record % (*fields, "true" if s.valid else "false", branch))
-    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+    flat = as_samples(samples)
+    if not len(flat):
+        return "[]\n"
+    fields = np.column_stack([flat.rho, flat.residual])
+    text = _column(list(map(repr, fields.ravel().tolist()))).reshape(fields.shape)
+    for i in np.flatnonzero(~np.isfinite(fields).all(axis=1)).tolist():
+        text[i] = [_JSON_NON_FINITE.get(t, t) for t in text[i]]
+    body = _fill(lambda k: " {\n" + ",\n".join(f'  "{key}": %s' for key in _keys(k)) + "\n }", ",\n", flat,
+                 text[:, :-1], text[:, -1].tolist(), np.where(flat.valid, "true", "false").tolist(),
+                 [json.dumps(b) if isinstance(b, str) else int(b) for b in flat.branch])
+    return f"[\n{body}\n]\n"
 
 
-def _angle_keys(path: str, i: int, keys) -> list[str]:
-    """The rhoN keys of record ``i`` in angle order; raises when a sample field is missing."""
+def _angle_keys(keys: tuple) -> tuple[list[str], str]:
+    """The rhoN keys of a record's key set in angle order, and what is wrong with the set ('' if nothing)."""
     for name in ("residual", "valid", "branch"):
         if name not in keys:
-            raise OutOfRangeError(f"{path}: record {i} has no {name!r}")
+            return [], f"has no {name!r}"
     try:
         angles = sorted((k for k in keys if k.startswith("rho")), key=lambda k: int(k[3:]))
     except ValueError:
-        raise OutOfRangeError(f"{path}: record {i} has a rho key that is not rhoN") from None
+        return [], "has a rho key that is not rhoN"
     if not angles:
-        raise OutOfRangeError(f"{path}: record {i} has no rhoN key")
-    return angles
+        return [], "has no rhoN key"
+    return angles, "" if angles == _keys(len(angles))[:-3] else "angle keys must be rho1..rhoN"
 
 
-def load_samples_json(path: str) -> list[ConfigSample]:
+def _faulty(column: tuple, types: set, lo=1, hi=0) -> np.ndarray:
+    """Whether each json value's type is outside ``types``; ints in [lo, hi] pass too (none by default).
+
+    numpy keeps an angle int in the int64 or uint64 range a number, and a residual int must fit a float.
+    """
+    if set(map(type, column)) <= types:
+        return np.zeros(len(column), dtype=bool)
+    return np.fromiter((type(v) not in types and not (type(v) is int and lo <= v <= hi) for v in column),
+                       dtype=bool, count=len(column))
+
+
+def load_samples_json(path: str) -> Samples:
     """Inverse of the json export; residuals round-trip bit-exactly.
 
-    The rhoN keys are ordered once for each distinct key set.  Input that is
-    not a json array of sample records, or a record flagged valid whose
-    angles or residual are not finite, raises OutOfRangeError naming the
-    file and the first bad record.
+    The records of each key set are checked and gathered column by column.
+    Input that is not a json array of sample records raises OutOfRangeError
+    naming the file, the first bad record and its first fault.
     """
     with open(path) as fh:
         try:
@@ -415,56 +480,65 @@ def load_samples_json(path: str) -> list[ConfigSample]:
             raise OutOfRangeError(f"{path} is not json: {e}") from None
     if not isinstance(data, list):
         raise OutOfRangeError(f"{path} is not a json array of sample records")
-    angle_keys: dict[tuple, list[str]] = {}
-    out = []
-    for i, rec in enumerate(data):
-        if not isinstance(rec, dict):
-            raise OutOfRangeError(f"{path}: record {i} is not an object")
-        keys = tuple(rec)
-        angles = angle_keys.get(keys)
-        if angles is None:
-            angles = angle_keys[keys] = _angle_keys(path, i, keys)
-        vals = [rec[k] for k in angles]
-        try:
-            rho = np.array(vals)
-        except ValueError:  # nested lists of unequal length
-            rho = None
-        residual, valid, branch = rec["residual"], rec["valid"], rec["branch"]
-        if rho is None or rho.ndim != 1 or rho.dtype.kind not in "biuf" or not isinstance(residual, (int, float)):
-            raise OutOfRangeError(f"{path}: record {i} has an angle or residual that is not a number")
-        if not isinstance(valid, bool) or not isinstance(branch, (int, str)):
-            raise OutOfRangeError(f"{path}: record {i} needs a true/false valid and an integer or string branch")
-        # the float sum is finite for finite angles unless it overflows: then ask numpy
-        if valid and not (-math.inf < residual < math.inf and (math.isfinite(sum(vals)) or np.isfinite(rho).all())):
-            raise OutOfRangeError(f"{path}: record {i} is flagged valid but has an angle or residual that is not finite")
-        out.append(ConfigSample(rho=rho.astype(float, copy=False), residual=residual, valid=valid, branch=branch))
-    return out
+    n = len(data)
+    fault = np.full(n, "", dtype=object)  # each record's first fault
+    fault[np.fromiter(map(type, data), dtype=object, count=n) != dict] = "is not an object"
+    records = np.flatnonzero(fault == "")
+    keys = list(map(tuple, map(data.__getitem__, records.tolist())))
+    layouts = {k: _angle_keys(k) for k in dict.fromkeys(keys)}
+    group = np.fromiter(map({k: g for g, k in enumerate(layouts)}.__getitem__, keys), dtype=int, count=len(keys))
+    w = max((len(angles) for angles, wrong in layouts.values() if not wrong), default=0)
+    rho, residual, valid = np.full((n, w), np.nan), np.zeros(n), np.zeros(n, dtype=bool)
+    branch, width = np.zeros(n, dtype=object), np.zeros(n, dtype=int)
+    for g, (angles, wrong) in enumerate(layouts.values()):
+        rows = records[group == g]
+        fault[rows] = wrong
+        if wrong:
+            continue
+        columns = list(zip(*map(operator.itemgetter(*angles, "residual", "valid", "branch"),
+                                map(data.__getitem__, rows.tolist()))))
+        not_number = _faulty(columns[-3], {float, bool}, -sys.float_info.max, sys.float_info.max)
+        for column in columns[:-3]:
+            not_number |= _faulty(column, {float, bool}, -2**63, 2**64 - 1)
+        not_flag = _faulty(columns[-2], {bool}) | _faulty(columns[-1], {int, str})
+        fault[rows[not_flag]] = "needs a true/false valid and an integer or string branch"
+        fault[rows[not_number]] = "has an angle or residual that is not a number"
+        ok = ~(not_number | not_flag)
+        rows, columns = rows[ok], [list(compress(column, ok)) for column in columns]
+        values = np.array(columns[:-2], dtype=float)  # angle columns, then the residual
+        rho[rows, :len(angles)], residual[rows] = values[:-1].T, values[-1]
+        valid[rows], branch[rows], width[rows] = columns[-2], _column(columns[-1])[:, 0], len(angles)
+    finite = (np.isfinite(rho) | (np.arange(w) >= width[:, None])).all(axis=1) & np.isfinite(residual)
+    fault[valid & ~finite] = "is flagged valid but has an angle or residual that is not finite"
+    bad = np.flatnonzero(fault != "")
+    if len(bad):
+        raise OutOfRangeError(f"{path}: record {bad[0]} {fault[bad[0]]}")
+    return Samples(rho, residual, valid, branch.tolist(), width)
 
 
-def samples_to_obj(flat: list[ConfigSample], pattern: CreasePattern | None,
-                   tol: float = DEFAULT_TOL) -> tuple[str, int]:
+def samples_to_obj(samples, pattern: CreasePattern | None, tol: float = DEFAULT_TOL) -> tuple[str, int]:
     """One mesh object per valid sample, all folded by one kernel call.
 
     A sample is skipped when it is invalid, when its residual is not below
     ``tol``, or when it does not close on ``pattern`` (default ``g60()``)
     within max(tol, twice its own residual): it came from another pattern.
-    Each object is one ``%`` template: its name, the apex, the crease tips
-    to 12 significant digits and the fan of sector faces.
+    The objects fill one ``%`` template: each its name, the apex, the crease
+    tips to 12 significant digits and the fan of sector faces.
     """
-    if pattern is None and any(len(s.rho) != 6 for s in flat):
+    flat = as_samples(samples)
+    if pattern is None and (flat.width != 6).any():
         raise OutOfRangeError("obj export needs an explicit pattern for non-6-crease samples")
     pat = g60() if pattern is None else pattern
-    kept = [m for m, s in enumerate(flat) if s.valid and not s.residual >= tol]  # NaN: re-fold decides
-    objects = []
-    if kept:
-        n = pat.n
-        residuals, frames = folded_frames(pat, np.array([as_fold_angles(flat[m].rho, n) for m in kept]))
-        tips = crease_images(pat, frames).reshape(len(kept), 3 * n).tolist()
-        fan = [c for i in range(n) for c in (0, 1 + i, 1 + (i + 1) % n)]  # face corners; 0 is the apex
-        template = "o sample_%04d\nv 0 0 0\n" + "v %.12g %.12g %.12g\n" * n + "f %d %d %d\n" * n
-        for m, residual, xyz in zip(kept, residuals.tolist(), tips):
-            if residual > max(tol, flat[m].residual * 2 + 1e-300):  # sample came from a different pattern
-                continue
-            apex = len(objects) * (n + 1) + 1
-            objects.append(template % (m, *xyz, *[apex + c for c in fan]))
-    return "".join(objects) or "\n", len(flat) - len(objects)
+    n = pat.n
+    kept = np.flatnonzero(flat.valid & ~(flat.residual >= tol))  # NaN: re-fold decides
+    if (flat.width[kept] != n).any():
+        raise DomainError(f"expected {n} folding angles, got {flat.width[kept][flat.width[kept] != n][0]}")
+    rows = flat.rho[kept, :n].reshape(len(kept), n)  # (0, n) also when no row is kept and every row is narrower
+    residuals, frames = folded_frames(pat, wrap_angles(rows))
+    closes = ~(residuals > np.fmax(tol, flat.residual[kept] * 2 + 1e-300))  # else from a different pattern
+    kept = kept[closes]
+    fan = np.array([c for i in range(n) for c in (0, 1 + i, 1 + (i + 1) % n)])  # face corners; 0 is the apex
+    faces = np.arange(len(kept))[:, None] * (n + 1) + 1 + fan
+    cells = np.concatenate([_column(kept.tolist()), crease_images(pat, frames[closes]).reshape(-1, 3 * n), faces], 1)
+    template = "o sample_%04d\nv 0 0 0\n" + "v %.12g %.12g %.12g\n" * n + "f %d %d %d\n" * n
+    return (template * len(kept)) % tuple(cells.ravel()) or "\n", len(flat) - len(kept)

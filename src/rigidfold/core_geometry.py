@@ -104,11 +104,11 @@ class CreasePattern:
     def _fill(self, creases: np.ndarray, given=None) -> "CreasePattern":
         """Check the order of finite unit creases in the xy-plane, set all four arrays and return self."""
         thetas = np.unwrap(np.arctan2(creases[:, 1], creases[:, 0]))
-        sectors = np.diff(np.append(thetas, thetas[0] + 2.0 * np.pi))
-        if np.any(sectors[:-1] <= 0):
+        # np.unwrap reads a step over half a turn as a step back; its steps modulo one turn are the
+        # counterclockwise gaps, which make one turn only when the creases go round once counterclockwise
+        sectors = np.mod(np.diff(np.append(thetas, thetas[0] + 2.0 * np.pi)), 2.0 * np.pi)
+        if np.any(sectors <= 0) or abs(sectors.sum() - 2.0 * np.pi) > _SECTOR_SUM_TOL:
             raise DomainError("creases must be in counterclockwise order")
-        if abs(sectors.sum() - 2.0 * np.pi) > _SECTOR_SUM_TOL:
-            raise DomainError("sector angles must sum to 2*pi")
         if given is not None:
             given = np.asarray(given, dtype=float)
             if given.shape != sectors.shape or not np.all(np.abs(given - sectors) <= 1e-8):
@@ -133,6 +133,8 @@ class CreasePattern:
     def from_sectors(cls, sector_angles) -> "CreasePattern":
         """Build the pattern with crease 1 on the +x axis."""
         sectors = np.asarray(sector_angles, dtype=float)
+        if sectors.ndim != 1:
+            raise DomainError("sector angles must form a 1-d sequence")
         if not np.all(np.isfinite(sectors)):
             raise DomainError("sector angles must be finite")
         if not np.all(sectors > 0):

@@ -132,6 +132,11 @@ MALFORMED = {
                      '"residual": 0.0, "valid": true, "branch": 1}]\n',
     "nanresidual.json": '[{"rho1": 0.1, "residual": NaN, "valid": false, "branch": 0}, '
                         '{"rho1": 0.1, "residual": NaN, "valid": true, "branch": 0}]\n',
+    "boolbranch.json": '[{"rho1": 0.1, "residual": 0.0, "valid": false, "branch": 0}, '
+                       '{"rho1": 0.1, "residual": 0.0, "valid": false, "branch": true}]\n',
+    "paddedkey.json": '[{"rho1": 0.1, "rho01": 0.2, "residual": 0.0, "valid": false, "branch": 0}]\n',
+    "gapkey.json": '[{"rho1": 0.1, "residual": 0.0, "valid": false, "branch": 0}, '
+                   '{"rho1": 0.1, "rho3": 0.2, "residual": 0.0, "valid": false, "branch": 0}]\n',
 }
 
 # (argv, error text); {samples} is a valid json sample file, {empty} holds [], {tmp} is scratch
@@ -173,6 +178,11 @@ DOMAIN_ERRORS = [
     (["export", "{tmp}/textvalid.json", "-o", "{tmp}/out.csv"], "textvalid.json: record 0 needs a true/false valid"),
     (["export", "{tmp}/listbranch.json", "-o", "{tmp}/out.json"],
      "listbranch.json: record 0 needs a true/false valid and an integer or string branch"),
+    (["export", "{tmp}/boolbranch.json", "-o", "{tmp}/out.json"],
+     "boolbranch.json: record 1 needs a true/false valid and an integer or string branch"),
+    (["export", "{tmp}/paddedkey.json", "-o", "{tmp}/out.json"],
+     "paddedkey.json: record 0 angle keys must be rho1..rhoN"),
+    (["export", "{tmp}/gapkey.json", "-o", "{tmp}/out.csv"], "gapkey.json: record 1 angle keys must be rho1..rhoN"),
     (["export", "{tmp}/infangle.json", "-o", "{tmp}/out.obj"],
      "infangle.json: record 0 is flagged valid but has an angle or residual that is not finite"),
     (["export", "{tmp}/infangle.json", "-o", "{tmp}/out.csv"],

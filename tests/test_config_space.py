@@ -6,12 +6,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sample_oracle
 from cone_oracle import cone_self_intersections
 from rigidfold.config_space import (
     AdmissibleRegion,
     ConfigSample,
     CurveTrace,
+    Samples,
     SurfaceGrid,
     _correct,
     admissible_region,
@@ -444,7 +447,7 @@ def test_obj_export_writes_fans(tmp_path):
 
 
 def test_obj_export_skips_invalid_samples(tmp_path):
-    samples = _samples() + [ConfigSample(np.ones(6), residual=1.0, valid=False)]
+    samples = [*_samples(), ConfigSample(np.ones(6), residual=1.0, valid=False)]
     report = export(samples, "obj", str(tmp_path / "mixed.obj"))
     assert report.skipped == 1
     assert report.written == 8
@@ -475,7 +478,7 @@ def test_obj_export_equals_folding_one_sample_at_a_time():
     skipping invalid samples and samples that close only on another pattern."""
     general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 200).samples
     other = sweep_model(FoldMode(FoldModel.IGLOO2DOF, 1, 1.0, 0.8), 6).samples  # closes on its own pattern
-    flat = general + other + [ConfigSample(np.ones(6), residual=1.0, valid=False)]
+    flat = [*general, *other, ConfigSample(np.ones(6), residual=1.0, valid=False)]
     assert any(not s.valid for s in general)
     text, skipped = samples_to_obj(flat, None)
     assert (text, skipped) == _obj_one_sample_at_a_time(flat, G)
@@ -601,3 +604,147 @@ def test_writers_match_the_reference_formatters(tmp_path):
                 assert obj == _reference_obj(flat, pattern), k
             if all(not s.valid for s in flat):
                 assert obj == ("\n", len(flat))
+
+
+# --- columnar loader against the record-by-record oracle ----------------------------
+
+_KEY_FAULT = "angle keys must be rho1..rhoN"
+_FLAG_FAULT = "needs a true/false valid and an integer or string branch"
+
+
+def _load(loader, path, records):
+    """What ``loader`` makes of a file of ``records``: its samples, or the text of its OutOfRangeError."""
+    path.write_text(json.dumps(records, indent=1) + "\n")  # as the json export writes them
+    try:
+        return loader(str(path))
+    except OutOfRangeError as e:
+        return str(e)
+
+
+def _newly_rejected(rec, path) -> str:
+    """The fault the columnar loader reports in a record the oracle passes through: a true/false
+    branch, or angle keys other than rho1..rhoN; '' when the two loaders agree on the record."""
+    if not isinstance(rec, dict) or any(k not in rec for k in ("residual", "valid", "branch")):
+        return ""
+    try:
+        angles = sorted((k for k in rec if k.startswith("rho")), key=lambda k: int(k[3:]))
+    except ValueError:
+        return ""
+    if angles and angles != [f"rho{i + 1}" for i in range(len(angles))]:
+        return _KEY_FAULT
+    numbers = not isinstance(_load(sample_oracle.load_samples_json, path, [{**rec, "valid": False, "branch": 0}]), str)
+    return _FLAG_FAULT if numbers and type(rec["valid"]) is bool and type(rec["branch"]) is bool else ""
+
+
+def _expected(records, path):
+    """The oracle's result, except that the first record it passes but the columnar loader refuses
+    ends the file with that record's fault."""
+    for j, rec in enumerate(records):
+        fault = _newly_rejected(rec, path)
+        if fault:
+            before = _load(sample_oracle.load_samples_json, path, records[:j])
+            return before if isinstance(before, str) else f"{path}: record {j} {fault}"
+    return _load(sample_oracle.load_samples_json, path, records)
+
+
+_MUTATIONS = ["drop a key", "string angle", "null angle", "nested angle", "bool angle", "int angle", "int residual",
+              "list branch", "bool branch", "int valid", "non-finite", "renumber", "reorder", "not an object"]
+_ANGLE_VALUES = {"string angle": st.sampled_from(["0.5", ""]), "null angle": st.none(),
+                 "nested angle": st.just([0.1, 0.2]), "bool angle": st.booleans(),
+                 "int angle": st.one_of(st.integers(-3, 3),  # numpy keeps ints in the int64 or uint64 range numbers
+                                        st.sampled_from([2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 10**20]))}
+
+
+@st.composite
+def _records(draw):
+    """A sample record of 6, 4 or 1 angles with up to two of the mutations above."""
+    width = draw(st.sampled_from([6, 6, 6, 4, 1]))
+    rec = {f"rho{i + 1}": draw(st.floats(-4.0, 4.0)) for i in range(width)}
+    rec.update(residual=draw(st.floats(0.0, 1e-6)), valid=draw(st.booleans()),
+               branch=draw(st.one_of(st.integers(-2, 3), st.text(max_size=2))))
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2)) if draw(st.integers(0, 2)) == 0 else []:
+        angles = [k for k in rec if k.startswith("rho")] or ["rho1"]
+        angle = draw(st.sampled_from(angles))
+        if mutation == "drop a key":
+            del rec[draw(st.sampled_from(list(rec)))]
+        elif mutation in _ANGLE_VALUES:
+            rec[angle] = draw(_ANGLE_VALUES[mutation])
+        elif mutation == "int residual":
+            rec["residual"] = draw(st.one_of(st.integers(-10, 10), st.just(10**30)))
+        elif mutation in ("list branch", "bool branch"):
+            rec["branch"] = [1] if mutation == "list branch" else draw(st.booleans())
+        elif mutation == "int valid":
+            rec["valid"] = draw(st.sampled_from([0, 1, None]))
+        elif mutation == "non-finite":
+            rec[draw(st.sampled_from([angle, "residual"]))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif mutation == "renumber" and angle in rec:
+            rec[draw(st.sampled_from([f"rho0{angle[3:]}", "rho9", f"rho {angle[3:]}", "rhox"]))] = rec.pop(angle)
+        elif mutation == "reorder":
+            rec = dict(reversed(rec.items()))
+        elif mutation == "not an object":
+            return draw(st.sampled_from([5, "x", [0.1], None]))
+    return rec
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_records(), max_size=8))
+def test_columnar_loader_matches_the_record_oracle(tmp_path_factory, records):
+    """Same files accepted, same rows loaded, same message and record index for the rest,
+    apart from the two records only the columnar loader refuses."""
+    path = tmp_path_factory.getbasetemp() / "records.json"
+    got, want = _load(load_samples_json, path, records), _expected(records, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, Samples) and len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.rho.tobytes() == b.rho.astype(float).tobytes()
+        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+        assert (a.valid, a.branch, type(a.branch)) == (b.valid, b.branch, type(b.branch))
+    assert samples_to_json(got) == samples_to_json(want)
+
+
+_EDGE = {"rho1": 0.5, "rho2": -0.5, "residual": 0.0, "valid": True, "branch": 1}
+
+
+@pytest.mark.parametrize("rec", [
+    {**_EDGE, "rho2": "x", "valid": 1},  # not a number comes before the flags
+    {**_EDGE, "residual": None, "branch": [1]},
+    {**_EDGE, "rho1": math.nan, "valid": "yes"},  # the flags come before finiteness
+    {**_EDGE, "residual": math.nan},
+    {**_EDGE, "rho1": 2**64 - 1, "rho2": -2**63},  # numbers: numpy keeps them in a float64 row
+    {**_EDGE, "rho1": 2**64},
+    {**_EDGE, "rho2": -2**63 - 1},
+    {**_EDGE, "rho1": 10**20, "rho2": 0.5},
+    {**_EDGE, "rho1": True, "residual": False},
+    {**_EDGE, "residual": 10**30},
+    {"rho2": 0.1, "rho1": 0.2, "branch": "b", "valid": False, "residual": 1},
+], ids=lambda rec: json.dumps(rec))
+def test_columnar_loader_matches_the_record_oracle_on_edge_records(tmp_path, rec):
+    path = tmp_path / "edge.json"
+    want = _load(sample_oracle.load_samples_json, path, [_EDGE, rec])
+    got = _load(load_samples_json, path, [_EDGE, rec])
+    assert got == want if isinstance(want, str) else samples_to_json(got) == samples_to_json(want)
+
+
+def test_loader_refuses_what_the_record_oracle_renumbered_or_read_as_an_integer(tmp_path):
+    """The two files the record-by-record loader read but could not write back unchanged."""
+    base = {"rho1": 0.1, "rho2": 0.2, "residual": 0.0, "valid": False, "branch": 0}
+    flags = {"residual": 0.0, "valid": False, "branch": 0}
+    for rec, fault in (({**base, "branch": True}, _FLAG_FAULT),
+                       ({"rho1": 0.1, "rho01": 0.2, **flags}, _KEY_FAULT),
+                       ({"rho1": 0.1, "rho3": 0.2, **flags}, _KEY_FAULT)):
+        path = tmp_path / "one.json"
+        loaded = _load(sample_oracle.load_samples_json, path, [base, rec])
+        assert not isinstance(loaded, str)  # the oracle reads the record ...
+        assert samples_to_json(loaded) != path.read_text()  # ... and does not write the file back as it was
+        assert _load(load_samples_json, path, [base, rec]) == f"{path}: record 1 {fault}"
+
+
+def test_loader_refuses_a_residual_integer_beyond_the_float_range(tmp_path):
+    """The oracle read it, and every writer then failed converting it to a float."""
+    path = tmp_path / "big.json"
+    rec = {"rho1": 0.1, "residual": 10**400, "valid": False, "branch": 0}
+    with pytest.raises(OverflowError):
+        samples_to_json(_load(sample_oracle.load_samples_json, path, [rec]))
+    assert _load(load_samples_json, path, [rec]) == f"{path}: record 0 has an angle or residual that is not a number"

@@ -401,13 +401,26 @@ def test_pattern_arrays_equal_the_reference_construction_bit_for_bit():
         n = int(rng.integers(3, 13))
         weights = rng.uniform(0.05, 1.0, n)
         sectors = 2.0 * math.pi * weights / weights.sum()
-        if sectors.max() >= math.pi:  # the fan's creases would not turn counterclockwise
+        if sectors.max() >= math.pi:  # the reference's np.unwrap reads such a sector as a step back
             continue
         want = _reference_pattern(sectors)
         for pat in (CreasePattern.from_sectors(sectors), CreasePattern(want[0]), CreasePattern(want[0], want[1])):
             got = (pat.creases, pat.sector_angles, pat.cross, pat.outer)
             assert [a.shape for a in got] == [a.shape for a in want]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # signs of zeros included
+
+
+_REFLEX_SECTORS = 2.0 * math.pi * np.array([4.0, 1.0, 1.0, 1.0]) / 7.0
+_REFLEX = CreasePattern.from_sectors(_REFLEX_SECTORS)
+
+
+def test_pattern_takes_a_sector_over_half_a_turn():
+    """A counterclockwise fan with one sector above pi is a pattern; its gaps are its sectors."""
+    assert np.allclose(_REFLEX.sector_angles, _REFLEX_SECTORS, atol=1e-12)
+    assert CreasePattern(_REFLEX.creases) == _REFLEX
+    assert np.allclose(CreasePattern(_REFLEX.creases, _REFLEX_SECTORS).sector_angles, _REFLEX_SECTORS, atol=1e-12)
+    turned = CreasePattern(_REFLEX.creases[[1, 2, 3, 0]])  # the same fan from its second crease
+    assert np.allclose(turned.sector_angles, np.roll(_REFLEX_SECTORS, -1), atol=1e-12)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -419,12 +432,15 @@ def test_pattern_arrays_equal_the_reference_construction_bit_for_bit():
     (lambda: CreasePattern([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [-1.0, 0.0, 0.0]]), "creases must lie in the xy-plane"),
     (lambda: CreasePattern([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
      "creases must be in counterclockwise order"),
+    (lambda: CreasePattern(_REFLEX.creases[::-1]), "creases must be in counterclockwise order"),
     (lambda: CreasePattern(g60().creases, np.full(6, 1.0)), "sector_angles disagree with crease directions"),
     (lambda: CreasePattern(g60().creases, np.full(5, math.pi / 3.0)), "sector_angles disagree with crease directions"),
     (lambda: CreasePattern.from_sectors([1.0, math.inf, 1.0]), "sector angles must be finite"),
     (lambda: CreasePattern.from_sectors([-1.0, 1.0, 2.0 * math.pi]), "sector angles must be positive"),
     (lambda: CreasePattern.from_sectors([1.0, 1.0, 1.0]), "sector angles must sum to 2*pi"),
     (lambda: CreasePattern.from_sectors([]), "sector angles must sum to 2*pi"),
+    (lambda: CreasePattern.from_sectors(np.full((2, 3), math.pi / 3.0)), "sector angles must form a 1-d sequence"),
+    (lambda: CreasePattern.from_sectors(2.0 * math.pi), "sector angles must form a 1-d sequence"),
 ])
 def test_pattern_errors_keep_their_messages(build, message):
     with pytest.raises(DomainError) as exc:

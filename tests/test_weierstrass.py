@@ -22,6 +22,8 @@ from rigidfold.fold_models import (  # noqa: E402
     _C3,
     _TWO_PAIR_P,
     _TWO_PAIR_TURN,
+    bowtie_multiplier,
+    bowtie_pattern,
     degree4_multipliers,
     degree4_pattern,
     general_cos_rho2,
@@ -183,3 +185,43 @@ def test_degree4_modes_close_exactly():
     assert _closure(creases, (P4 * t, t, -P4 * t, t)) == sp.eye(3)
     assert _closure(creases, (t, Q4 * t, t, -Q4 * t)) == sp.eye(3)
     assert _closure(creases, (Q4 * t, t, -Q4 * t, t)) != sp.eye(3)  # the other multiplier does not close mode 1
+
+
+# --- bow tie multipliers -------------------------------------------------------
+#
+# cos(beta) = 3/5 and sin(beta) = 4/5 put every crease of both bow tie
+# patterns at a rational point of the unit circle: the sectors are
+# (pi - 2 beta, beta, beta) twice for mode 1 and (beta, pi - 2 beta, beta)
+# twice for mode 2, and cos(2 beta) = -7/25, sin(2 beta) = 24/25.
+
+COS_B, SIN_B = sp.Rational(3, 5), sp.Rational(4, 5)
+BOWTIE = {1: sp.Rational(-3, 5), 2: sp.Rational(-5, 11)}  # -cos(beta), -1/(1 + 2 cos(beta))
+
+
+def _bowtie_creases(mode):
+    """The six creases, each the last turned about z by the sector between them."""
+    turn = {"beta": sp.Matrix([[COS_B, -SIN_B, 0], [SIN_B, COS_B, 0], [0, 0, 1]])}
+    turn["pi - 2 beta"] = sp.Matrix([[-COS_B**2 + SIN_B**2, -2 * SIN_B * COS_B, 0],
+                                     [2 * SIN_B * COS_B, -COS_B**2 + SIN_B**2, 0], [0, 0, 1]])
+    sectors = ["pi - 2 beta", "beta", "beta"] if mode == 1 else ["beta", "pi - 2 beta", "beta"]
+    creases = [sp.Matrix([1, 0, 0])]
+    for sector in (sectors * 2)[:-1]:
+        creases.append(turn[sector] * creases[-1])
+    return creases
+
+
+def test_bowtie_multipliers_are_minus_three_fifths_and_minus_five_elevenths():
+    beta = math.acos(0.6)
+    for mode, m in BOWTIE.items():
+        assert abs(bowtie_multiplier(beta, mode) - float(m)) < 1e-15
+        creases = np.array(sp.Matrix.hstack(*_bowtie_creases(mode)).T, dtype=float)
+        assert np.abs(creases - bowtie_pattern(beta, mode).creases).max() < 1e-15
+
+
+def test_bowtie_modes_close_exactly():
+    """Rows (rho1, rho1, rho2, rho1, rho1, rho2) with tan(rho2/2) = m tan(rho1/2) multiply to I
+    for every t = tan(rho1/2), each mode with its own multiplier m and not with the other's."""
+    t = sp.symbols("t", real=True)
+    for mode, m in BOWTIE.items():
+        assert _closure(_bowtie_creases(mode), (t, t, m * t, t, t, m * t)) == sp.eye(3)
+    assert _closure(_bowtie_creases(1), (t, t, BOWTIE[2] * t, t, t, BOWTIE[2] * t)) != sp.eye(3)
