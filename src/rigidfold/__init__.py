@@ -37,7 +37,6 @@ from .core_geometry import (
 )
 from .errors import (
     BranchAmbiguityError,
-    DegenerateConfigurationError,
     DomainError,
     InconsistentPointError,
     NoSolutionError,

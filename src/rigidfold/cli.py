@@ -225,9 +225,8 @@ def cmd_trace(args) -> int:
     if not trace.closed:
         print(f"warning: trace did not close: {trace.note}", file=sys.stderr)
     pattern = fm.two_pair_pattern()
-    sol = fm.two_pair_solve(*trace.samples.rho.T, tol=max(args.tol, cs.DEFAULT_TOL))
-    first = fm.drive_ranks(sol.drive) == 0  # each point's best completion; points with none are skipped
-    completed = sol.vectors[first]
+    # one row per traced point whose completion closes
+    completed = fm.two_pair_solve(*trace.samples.rho.T, tol=max(args.tol, cs.DEFAULT_TOL)).vectors
     return _write_samples(cs.make_samples(pattern, completed, [0] * len(completed), args.tol), args, pattern)
 
 

@@ -173,17 +173,15 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
     fam = FAMILIES[mode.model]
     pattern = fam.pattern(mode)
-    branch = mode.mode if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
+    branch = int(mode.mode) if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
 
     def solved(drives: np.ndarray) -> tuple[np.ndarray, list]:
         """Closing vectors and branch tags of an (N, k) drive array, skipping unsolvable drives."""
         sol = fam.solve(mode, drives, max(tol, DEFAULT_TOL))
         fam.raise_first(mode, drives, sol.reason, skip=_SKIPPED)
-        rank = drive_ranks(sol.drive)
         if fam.numbered:
-            return sol.vectors, (rank + 1).tolist()
-        first = rank == 0
-        return sol.vectors[first], [branch] * int(first.sum())
+            return sol.vectors, (drive_ranks(sol.drive) + 1).tolist()
+        return sol.vectors, [branch] * len(sol.vectors)  # at most one row per drive
 
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)
@@ -407,12 +405,22 @@ def _fill(template, sep: str, flat: Samples, angles: np.ndarray, *fields) -> str
     return sep.join(map(templates.__getitem__, flat.width.tolist())) % tuple(cells[kept])
 
 
+def _writable(samples) -> Samples:
+    """``as_samples``, refusing a branch tag the loader refuses: anything but an int or a str (a bool too)."""
+    flat = as_samples(samples)
+    wrong = np.flatnonzero(_faulty(flat.branch, {int, str}))
+    if len(wrong):
+        raise OutOfRangeError(f"sample {wrong[0]} has branch {flat.branch[wrong[0]]!r}; "
+                              "a branch must be an integer or a string")
+    return flat
+
+
 def samples_to_csv(samples) -> str:
     """One row per sample: angles, residual, valid, branch; floats to 12 significant digits.
 
     A row narrower than the header gets its blank angle columns before ``residual``.
     """
-    flat = as_samples(samples)
+    flat = _writable(samples)
     w = flat.rho.shape[1]
     body = _fill(lambda k: "%.12g," * k + "," * (w - k) + "%.12g,%s,%s", "\n", flat, flat.rho,
                  flat.residual.tolist(), np.where(flat.valid, "true", "false").tolist(), flat.branch)
@@ -428,7 +436,7 @@ def samples_to_json(samples) -> str:
     Floats are filled in as their repr, as json.dumps writes them; the rows
     holding a non-finite value (or NaN padding) respell it as json.dumps does.
     """
-    flat = as_samples(samples)
+    flat = _writable(samples)
     if not len(flat):
         return "[]\n"
     fields = np.column_stack([flat.rho, flat.residual])
@@ -437,7 +445,7 @@ def samples_to_json(samples) -> str:
         text[i] = [_JSON_NON_FINITE.get(t, t) for t in text[i]]
     body = _fill(lambda k: " {\n" + ",\n".join(f'  "{key}": %s' for key in _keys(k)) + "\n }", ",\n", flat,
                  text[:, :-1], text[:, -1].tolist(), np.where(flat.valid, "true", "false").tolist(),
-                 [json.dumps(b) if isinstance(b, str) else int(b) for b in flat.branch])
+                 [json.dumps(b) if isinstance(b, str) else b for b in flat.branch])
     return f"[\n{body}\n]\n"
 
 
@@ -455,7 +463,7 @@ def _angle_keys(keys: tuple) -> tuple[list[str], str]:
     return angles, "" if angles == _keys(len(angles))[:-3] else "angle keys must be rho1..rhoN"
 
 
-def _faulty(column: tuple, types: set, lo=1, hi=0) -> np.ndarray:
+def _faulty(column, types: set, lo=1, hi=0) -> np.ndarray:
     """Whether each json value's type is outside ``types``; ints in [lo, hi] pass too (none by default).
 
     numpy keeps an angle int in the int64 or uint64 range a number, and a residual int must fit a float.

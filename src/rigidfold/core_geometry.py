@@ -292,12 +292,16 @@ def self_intersections(pattern: CreasePattern, images, eps: float = TRIANGLE_EPS
       other: when, for the wedge from a to b, x . (m x a) = ((x.b)(a.a) - (x.a)(a.b)) / |n|
       and x . (b x m) = ((x.a)(b.b) - (x.b)(a.b)) / |n|, m = n / |n|, both exceed eps.
 
-    Any other pair touches at most along its boundary.
+    Any other pair touches at most along its boundary.  A pattern with a
+    sector above pi raises ``DomainError``: that sector's triangle is its
+    complement, which this test does not model.
     """
     e = np.asarray(images, dtype=float)
     n = pattern.n
     if e.ndim != 3 or e.shape[1:] != (n, 3):
         raise DomainError(f"expected (N, {n}, 3) crease images, got shape {e.shape}")
+    if pattern.sector_angles.max() > np.pi:
+        raise DomainError("the self-intersection test does not model a sector above pi")
     left, right, gi, hi, si = _gram_tables(n)
     terms = e.reshape(len(e), 3 * n).take(left, axis=1) * e.reshape(len(e), 3 * n).take(right, axis=1)
     normal = (terms[:, 0] - terms[:, 1]).reshape(e.shape)

@@ -49,9 +49,5 @@ class BranchAmbiguityError(NumericalError):
         self.candidates = candidates or []
 
 
-class DegenerateConfigurationError(NumericalError):
-    """A folded configuration hit a gimbal-type degeneracy."""
-
-
 class InconsistentPointError(NumericalError):
     """A point satisfied a necessary equation but no completion closes."""

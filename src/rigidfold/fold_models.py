@@ -45,7 +45,6 @@ _SING_TOL = 1e-12
 _AMBIGUOUS_TOL = 1e-12
 _CURVE_TOL = 1e-7
 DEFAULT_TOL = 1e-8  # closure residual below which a solved vector, and a sample, counts as closed
-_DEDUPE_TOL = 1e-6
 _RESCH_TOL = 1e-6
 
 PI = math.pi
@@ -57,7 +56,7 @@ REASON_ERRORS = {
     NO_SOLUTION: NoSolutionError,  # no real branch closes
     AMBIGUOUS: BranchAmbiguityError,  # a half-angle fraction is 0/0
     OFF_CURVE: InconsistentPointError,  # the drive pair is off the relation curve
-    NO_COMPLETION: InconsistentPointError,  # no completion of an on-curve pair closes
+    NO_COMPLETION: InconsistentPointError,  # an on-curve pair's completion does not close below tol
     OUT_OF_RANGE: OutOfRangeError,  # a drive or a computed angle leaves [-pi, pi]
 }
 
@@ -155,7 +154,7 @@ class Family:
         elif code == OFF_CURVE:
             text = f"({values}) is not on the {mode.model.value} curve (defect {self.curve(*row):.3e})"
         elif code == NO_COMPLETION:
-            text = f"no completion of ({values}) closes; point lies on a spurious branch"
+            text = f"the completion of ({values}) does not close below the tolerance"
         elif code == AMBIGUOUS:
             text = "half-angle fraction is 0/0 at " + ", ".join(f"{n}={x}" for n, x in zip(self.drives, row))
         else:
@@ -235,25 +234,6 @@ def _half_angle_branch(num, den):
     """Angle with tan(rho/2) = num/den on the branch cos(rho/2) >= 0; elementwise."""
     flip = np.where(den >= 0.0, 1.0, -1.0)
     return 2.0 * np.arctan2(flip * num, flip * den)
-
-
-_PLUS_MINUS = np.array([1.0, -1.0])
-_FIRST = np.array([True, False])
-
-
-def _solve_circle_linear(a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of a*cos(x) + b*sin(x) = c in (-pi, pi], elementwise.
-
-    Returns the (..., 2) roots and the mask of the real ones; a double root
-    is reported once.
-    """
-    r = np.hypot(a, b)
-    d = np.divide(c, r, out=np.full_like(r, np.inf), where=r >= _SING_TOL)
-    off = np.arccos(np.minimum(np.maximum(d, -1.0), 1.0))
-    roots = wrap_angles(np.arctan2(b, a)[..., None] + _PLUS_MINUS * off[..., None])
-    real = (np.abs(d) <= 1.0 + 1e-9)[..., None]
-    distinct = np.abs(roots[..., :1] - roots[..., 1:]) >= 1e-12
-    return roots, real & (_FIRST | distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +551,10 @@ def igloo_1dof(alpha: float, beta: float, mode: int, rho4: float) -> tuple[float
 # ---------------------------------------------------------------------------
 # two pair (fixed 60-degree sectors)
 
-_FREE_RHO4 = np.linspace(-PI, PI, 49)[:-1]  # rho4 samples where its relation is vacuous (rho1 = pi)
+# the fifth and sixth creases, and the sine and cosine directions of rho3 (about c5) and of -rho4 (about c6)
+_C5, _C6 = g60().creases[4:6]
+_SIN3, _COS3 = np.cross(_C5, _C6), _C6 - (_C5 @ _C6) * _C5
+_SIN4, _COS4 = np.cross(_C6, _C5), _C5 - (_C5 @ _C6) * _C6
 
 
 def two_pair_pattern() -> CreasePattern:
@@ -669,68 +652,38 @@ def two_pair_node_loop(n: int) -> np.ndarray:
 
 
 def two_pair_solve(rho1, rho2, tol: float = DEFAULT_TOL) -> Solved:
-    """Every closing completion of a batch of (rho1, rho2) drive pairs, in one array pass.
+    """The closing completion of each of a batch of (rho1, rho2) drive pairs, in one array pass.
 
-    Per drive, rho4 solves a linear-in-(cos, sin) equation (sampled at 48
-    points where that equation is vacuous, rho1 = pi), then rho3 another
-    one; all candidates are checked by one closure call and those closing
-    below ``tol`` are kept, sorted by residual and with near-duplicates
-    (within 1e-6) dropped.  The flat pair (0, 0) completes to (0, 0).
-    Reasons: ``OFF_CURVE`` when the pair's curve defect exceeds 1e-7,
-    ``NO_COMPLETION`` when no candidate closes.
+    On the curve, closure is R5(rho3) R6(rho4) = M = (R1 R2 R3 R4)^T, and
+    one four-crease product M gives both angles: rho3 turns c6 into M c6
+    about c5, and -rho4 turns c5 into M^T c5 about c6.  So every drive has at
+    most one row, kept when its full vector closes below ``tol``; the flat
+    pair (0, 0) completes to exactly (0, 0).  Reasons: ``OFF_CURVE`` when the
+    pair's curve defect exceeds 1e-7, ``NO_COMPLETION`` when the completion
+    does not close below ``tol``.
     """
     (r1, r2), bad = _drive_columns(rho1, rho2)
     off = ~bad & ~(np.abs(two_pair_curve_residual(r1, r2)) <= _CURVE_TOL)
     live = ~(bad | off)
     # (0, 0) completes to exactly (0, 0) with residual 0; it is kept whatever tol is
     flat = live & (r1 == 0.0) & (r2 == 0.0)
-    c1, s1 = np.cos(r1), np.sin(r1)
-    c2, s2, c22 = np.cos(r2), np.sin(r2), np.cos(2.0 * r2)
-    a4 = 2.0 + 2.0 * c1
-    b4 = -4.0 * s1
-    c4 = 4.0 * c2 + 3.0 * c22 - 1.0 - 2.0 * c1
-    roots, real = _solve_circle_linear(a4, b4, c4)
-    vacuous = live & ~real[:, 0] & (np.hypot(a4, b4) < _SING_TOL) & (np.abs(c4) < 1e-9)
-    row, k = np.nonzero(real & live[:, None])
-    rho4 = roots[row, k]
-    if vacuous.any():
-        row = np.concatenate([row, np.repeat(np.flatnonzero(vacuous), len(_FREE_RHO4))])
-        rho4 = np.concatenate([rho4, np.tile(_FREE_RHO4, vacuous.sum())])
-        order = np.argsort(row, kind="stable")
-        row, rho4 = row[order], rho4[order]
-    # the rho3 equation is never vacuous: 1 + 3 cos(2 rho2) and (cos rho2 - 1) sin rho2 never both vanish
-    a5 = 1.0 + 3.0 * c22[row]
-    b5 = -3.0 * (c2[row] - 1.0) * s2[row]
-    c5 = (1.0 + 3.0 * np.cos(2.0 * r1[row])) * np.cos(rho4) - 3.0 * (c1[row] - 1.0) * s1[row] * np.sin(rho4)
-    roots, real = _solve_circle_linear(a5, b5, c5)
-    j, k = np.nonzero(real)
-    drive = row[j]
-    vecs = two_pair_vector(r1[drive], r2[drive], roots[j, k], rho4[j])
-    res = closure_residuals(g60(), vecs)
-    keep = (res < tol) | flat[drive]
-    order = np.lexsort((res[keep], drive[keep]))  # by drive, then residual; stable
-    drive, vecs = drive[keep][order], vecs[keep][order]
-    rank = drive_ranks(drive)
-    if rank.any():  # drop each candidate within 1e-6 of a kept earlier one of its drive
-        lags = np.arange(1, rank.max() + 1)
-        earlier = np.arange(len(drive))[:, None] - lags
-        gap = np.hypot(vecs[:, 4, None] - vecs[earlier, 4], vecs[:, 5, None] - vecs[earlier, 5])
-        at, lag = np.nonzero((rank[:, None] >= lags) & (gap <= _DEDUPE_TOL))
-        kept = np.ones(len(drive), dtype=bool)
-        for i, j in zip(at.tolist(), earlier[at, lag].tolist()):  # ascending i: each j < i is settled
-            kept[i] &= not kept[j]
-        drive, vecs = drive[kept], vecs[kept]
-    reason = np.where(bad, OUT_OF_RANGE, np.where(off, OFF_CURVE, NO_COMPLETION))
-    reason[drive] = SOLVED
-    return Solved(vecs, drive, reason)
+    M = rotation_products(g60(), -np.stack([r2, r2, r1, r1], axis=1), creases=(3, 2, 1, 0))
+    # elementwise sums, not a matvec: a row's bits do not depend on the batch size
+    m6, m5 = (M * _C6).sum(axis=2), (M * _C5[:, None]).sum(axis=1)  # M c6 and M^T c5
+    rho3 = np.arctan2((m6 * _SIN3).sum(axis=1), (m6 * _COS3).sum(axis=1))
+    rho4 = -np.arctan2((m5 * _SIN4).sum(axis=1), (m5 * _COS4).sum(axis=1))
+    vecs = two_pair_vector(r1, r2, np.where(flat, 0.0, rho3), np.where(flat, 0.0, rho4))
+    keep = live & ((closure_residuals(g60(), vecs) < tol) | flat)
+    reason = np.where(bad, OUT_OF_RANGE, np.where(off, OFF_CURVE, np.where(keep, SOLVED, NO_COMPLETION)))
+    return Solved(vecs[keep], np.flatnonzero(keep), reason)
 
 
 def two_pair_complete(rho1: float, rho2: float, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
-    """(rho3, rho4) completions of an on-curve (rho1, rho2) pair.
+    """The (rho3, rho4) completion of an on-curve (rho1, rho2) pair, as a list of at most one.
 
-    rho4 solves a linear-in-(cos, sin) equation, then rho3 another one;
-    only combinations whose full 6-vector closes survive.  Off-curve input
-    or a spurious branch yields no closing candidate.
+    Both angles come from the four-crease frame of ``two_pair_solve``.
+    Off-curve input raises; so does a completion that does not close below
+    ``tol``.
     """
     vecs = FAMILIES[FoldModel.TWOPAIR].fold(FoldMode(FoldModel.TWOPAIR), (rho1, rho2), tol)
     return [(float(v[4]), float(v[5])) for v in vecs]

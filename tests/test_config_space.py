@@ -606,6 +606,21 @@ def test_writers_match_the_reference_formatters(tmp_path):
                 assert obj == ("\n", len(flat))
 
 
+def test_writers_refuse_a_branch_the_loader_refuses():
+    """A bool branch is neither written as 1 (json) nor as True (csv); int and str branches are
+    written as the reference formatters write them."""
+    flagged = make_samples(G, [[0.0] * 6], [True])
+    for write in (samples_to_json, samples_to_csv):
+        with pytest.raises(OutOfRangeError, match="sample 0 has branch True; a branch must be an integer or a string"):
+            write(flagged)
+    tagged = make_samples(G, [[0.0] * 6] * 4, [0, 7, -2, "r1"])
+    assert samples_to_json(tagged) == _reference_json(tagged)
+    assert samples_to_csv(tagged) == _reference_csv(tagged)
+    assert '"branch": 7' in samples_to_json(tagged) and samples_to_csv(tagged).endswith("0,0,0,0,0,0,0,true,r1\n")
+    numpy_mode = sweep_model(FoldMode(FoldModel.TRIFOLD, np.int64(2)), 3)  # FoldMode takes the mode by value
+    assert samples_to_json(numpy_mode) == samples_to_json(sweep_model(FoldMode(FoldModel.TRIFOLD, 2), 3))
+
+
 # --- columnar loader against the record-by-record oracle ----------------------------
 
 _KEY_FAULT = "angle keys must be rho1..rhoN"
@@ -737,7 +752,11 @@ def test_loader_refuses_what_the_record_oracle_renumbered_or_read_as_an_integer(
         path = tmp_path / "one.json"
         loaded = _load(sample_oracle.load_samples_json, path, [base, rec])
         assert not isinstance(loaded, str)  # the oracle reads the record ...
-        assert samples_to_json(loaded) != path.read_text()  # ... and does not write the file back as it was
+        if rec["branch"] is True:  # ... and the writers refuse its bool branch, as the loader does
+            with pytest.raises(OutOfRangeError, match="sample 1 has branch True"):
+                samples_to_json(loaded)
+        else:  # ... and does not write the file back as it was
+            assert samples_to_json(loaded) != path.read_text()
         assert _load(load_samples_json, path, [base, rec]) == f"{path}: record 1 {fault}"
 
 

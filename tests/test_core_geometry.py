@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cone_oracle import cone_self_intersections
+from rigidfold.config_space import make_sample
 from rigidfold.core_geometry import (
     CreasePattern,
     closure_residual,
@@ -421,6 +422,21 @@ def test_pattern_takes_a_sector_over_half_a_turn():
     assert np.allclose(CreasePattern(_REFLEX.creases, _REFLEX_SECTORS).sector_angles, _REFLEX_SECTORS, atol=1e-12)
     turned = CreasePattern(_REFLEX.creases[[1, 2, 3, 0]])  # the same fan from its second crease
     assert np.allclose(turned.sector_angles, np.roll(_REFLEX_SECTORS, -1), atol=1e-12)
+
+
+def test_self_intersection_test_refuses_a_sector_over_half_a_turn():
+    """The flat state of a reflex fan closes at residual 0, but its reflex sector's triangle is the
+    sector's complement: the test refuses the pattern rather than read the flat state as self-intersecting."""
+    state = folded_geometry(_REFLEX, np.zeros(4))
+    assert state.residual == 0.0
+    with pytest.raises(DomainError, match="sector above pi"):
+        self_intersections(_REFLEX, state.crease_images[None])
+    with pytest.raises(DomainError, match="sector above pi"):
+        self_intersects(_REFLEX, state)
+    with pytest.raises(DomainError, match="sector above pi"):
+        make_sample(_REFLEX, np.zeros(4))
+    half = CreasePattern.from_sectors(np.array([1.0, 0.5, 0.5]) * math.pi)  # a sector of exactly pi is modelled
+    assert not self_intersects(half, folded_geometry(half, np.zeros(3)))
 
 
 @pytest.mark.parametrize("build, message", [

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from general_oracle import general_c3_image, general_rho2
 from rigidfold.config_space import trace_implicit_curve
-from rigidfold.core_geometry import closure_residual, g60, wrap_angles
+from rigidfold.core_geometry import closure_residual, closure_residuals, g60, wrap_angles
 from rigidfold.errors import (
     InconsistentPointError,
     NoSolutionError,
@@ -383,8 +383,10 @@ def _two_pair_complete_loop(rho1, rho2, tol):
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-2, 0.0])
 def test_two_pair_solve_matches_the_one_candidate_loop(tol):
-    """Same completions, order and reasons as checking one candidate at a time; the loose
-    tolerance keeps near-duplicate candidates next to the node, which the dedupe must drop."""
+    """Where checking one candidate at a time keeps one completion, the frame solve gives it and its reason, at
+    most one row per drive.  Next to the node the loop's arccos roots close only to about 1e-12..1e-8, so its
+    angles are held to 1e-12 plus its own residual, and the frame's residual to no more than the loop's.  The
+    loose tolerance keeps the loop's near-duplicate candidates; the frame solve's rows are those of 1e-8."""
     curve = [tuple(map(float, s.rho[:2]))
              for s in trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.05).samples[::3]]
     slopes = (4.0 + math.sqrt(15.0), 4.0 - math.sqrt(15.0), 1.0)  # the node's two branches, and off them
@@ -392,19 +394,48 @@ def test_two_pair_solve_matches_the_one_candidate_loop(tol):
     corners = [(a, b) for a in (PI, -PI) for b in (PI, -PI)]
     drives = np.array(curve + node + corners + [(0.0, 0.0), (1.0, 0.0), (PI, 1.2309594173407747)])
     sol = two_pair_solve(drives[:, 0], drives[:, 1], tol)
-    deduped = 0
+    assert len(np.unique(sol.drive)) == len(sol.drive)
+    compared = 0
     for k, (r1, r2) in enumerate(drives):
-        want, found = _two_pair_complete_loop(r1, r2, tol)
-        got = sol.vectors[sol.drive == k][:, 4:]
+        want, _ = _two_pair_complete_loop(r1, r2, tol)
+        got = sol.vectors[sol.drive == k]
         if want is None:
             assert sol.reason[k] == OFF_CURVE
-            continue
-        assert sol.reason[k] == (SOLVED if want else NO_COMPLETION)
-        assert len(got) == len(want)
-        for (r3, r4), (w3, w4) in zip(got, want):
-            assert fold_eq(r3, w3) and fold_eq(r4, w4)
-        deduped += found > len(want)
-    assert deduped or tol != 1e-2
+        elif len(want) == 1:
+            assert sol.reason[k] == SOLVED
+            res = closure_residual(G, two_pair_vector(r1, r2, *want[0]))
+            assert closure_residual(G, got[0]) <= res + 1e-15
+            assert fold_eq(got[0, 4], want[0][0], 1e-12 + res) and fold_eq(got[0, 5], want[0][1], 1e-12 + res)
+            compared += 1
+        elif tol == 0.0:  # nothing but the flat state closes exactly
+            assert sol.reason[k] == NO_COMPLETION
+    assert compared == 2 if tol == 0.0 else compared >= len(curve) - 1  # at 0.0: (0, 0), where the trace starts too
+    if tol == 1e-2:
+        strict = two_pair_solve(drives[:, 0], drives[:, 1], 1e-8)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(sol, strict))
+
+
+_CANDIDATE_FAULTS = [(a, b) for a in (PI, -PI) for b in (PI, -PI)] + [
+    (PI, 1.2309594173407747),  # rho4 was sampled at 48 points there, and every sample missed
+    (1e-7, (4.0 - math.sqrt(15.0)) * 1e-7),  # on a node branch: no candidate closed below 1e-8
+]
+
+
+@pytest.mark.parametrize("rho1, rho2", _CANDIDATE_FAULTS)
+def test_two_pair_completes_where_the_candidate_search_failed(rho1, rho2):
+    """The flat corners had two completions that are one state mod 2pi, the others none; each has one."""
+    comps = two_pair_complete(rho1, rho2)
+    assert len(comps) == 1
+    assert closure_residual(G, two_pair_vector(rho1, rho2, *comps[0])) < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=400))
+def test_two_pair_solve_completes_every_node_loop_drive_once(n):
+    rows = two_pair_node_loop(n)
+    sol = two_pair_solve(rows[:, 0], rows[:, 1])
+    assert sol.drive.tolist() == list(range(n)) and np.all(sol.reason == SOLVED)
+    assert closure_residuals(G, sol.vectors).max() < 1e-13
 
 
 # --- general and almost general -------------------------------------------------
@@ -551,33 +582,30 @@ def _batch_cases():
 
 _CASE_IDS = lambda f: f"{f.model.value}-{f.mode}-{math.degrees(f.alpha):.0f}"
 
-# the scalar evaluator of each family that has one, on one drive tuple of Python floats
+# the scalar evaluator of each family that has one, on one drive tuple of Python floats and a tolerance
 _SCALAR = {
-    FoldModel.DEGREE4: lambda f, d: degree4_fold(f.alpha, f.beta, f.mode, *d),
-    FoldModel.TRIFOLD: lambda f, d: trifold(f.beta, f.mode, *d),
-    FoldModel.BOWTIE: lambda f, d: bowtie(f.beta, f.mode, *d),
-    FoldModel.IGLOO1DOF: lambda f, d: igloo_1dof(f.alpha, f.beta, f.mode, *d),
-    FoldModel.TWOPAIR: lambda f, d: two_pair_complete(*d),
-    FoldModel.FULLY_GENERAL: lambda f, d: general_fold(*d),
-    FoldModel.ALMOST_GENERAL: lambda f, d: almost_general(*d),
+    FoldModel.DEGREE4: lambda f, d, tol: degree4_fold(f.alpha, f.beta, f.mode, *d),
+    FoldModel.TRIFOLD: lambda f, d, tol: trifold(f.beta, f.mode, *d),
+    FoldModel.BOWTIE: lambda f, d, tol: bowtie(f.beta, f.mode, *d),
+    FoldModel.IGLOO1DOF: lambda f, d, tol: igloo_1dof(f.alpha, f.beta, f.mode, *d),
+    FoldModel.TWOPAIR: lambda f, d, tol: two_pair_complete(*d, tol=tol),
+    FoldModel.FULLY_GENERAL: lambda f, d, tol: general_fold(*d, tol=tol),
+    FoldModel.ALMOST_GENERAL: lambda f, d, tol: almost_general(*d, tol=tol),
 }
 
 
-@pytest.mark.parametrize("mode", list(_batch_cases()), ids=_CASE_IDS)
-def test_batched_solve_rows_equal_one_drive_calls(mode):
-    """Row k of a batched solve is the one-drive call bit for bit, and each failed
-    drive's reason code names the exception (type and message) that call, the
-    family's scalar evaluator and ``raise_first`` all raise."""
+def _rows_equal_one_drive_calls(mode: FoldMode, tol: float) -> set:
+    """Check a batched solve of the family's corpus row by row against one-drive calls; the reasons seen."""
     fam = FAMILIES[mode.model]
     drives = _drive_corpus(mode.model, mode)
-    sol = fam.solve(mode, drives, 1e-8)
+    sol = fam.solve(mode, drives, tol)
     assert sol.reason.shape == (len(drives),)
     assert np.all(np.diff(sol.drive) >= 0)
     seen = set()
     for k, row in enumerate(drives):
         got = sol.vectors[sol.drive == k]
         try:
-            want = fam.fold(mode, tuple(row), 1e-8)
+            want = fam.fold(mode, tuple(row), tol)
         except RigidFoldError as err:
             code = int(sol.reason[k])
             assert code != SOLVED and len(got) == 0
@@ -588,7 +616,7 @@ def test_batched_solve_rows_equal_one_drive_calls(mode):
             assert "np.float64(" not in str(err)
             if mode.model in _SCALAR:
                 with pytest.raises(type(err)) as scalar:
-                    _SCALAR[mode.model](mode, row.tolist())
+                    _SCALAR[mode.model](mode, row.tolist(), tol)
                 assert str(scalar.value) == str(err)
             seen.add(code)
             continue
@@ -597,12 +625,27 @@ def test_batched_solve_rows_equal_one_drive_calls(mode):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert OUT_OF_RANGE in seen  # the corpus reaches the failure paths
     fam.raise_first(mode, drives, sol.reason, skip=tuple(seen))  # nothing left to raise
+    return seen
+
+
+@pytest.mark.parametrize("mode", list(_batch_cases()), ids=_CASE_IDS)
+def test_batched_solve_rows_equal_one_drive_calls(mode):
+    """Row k of a batched solve is the one-drive call bit for bit, and each failed
+    drive's reason code names the exception (type and message) that call, the
+    family's scalar evaluator and ``raise_first`` all raise."""
+    seen = _rows_equal_one_drive_calls(mode, 1e-8)
     if mode.model is FoldModel.IGLOO2DOF and mode.alpha == PI / 3.0:
         assert AMBIGUOUS in seen
-    if mode.model is FoldModel.TWOPAIR:
-        assert {OFF_CURVE, NO_COMPLETION} <= seen
+    if mode.model is FoldModel.TWOPAIR:  # every on-curve drive of the corpus completes
+        assert OFF_CURVE in seen and NO_COMPLETION not in seen
     if mode.model in (FoldModel.FULLY_GENERAL, FoldModel.ALMOST_GENERAL):
         assert NO_SOLUTION in seen
+
+
+def test_tight_two_pair_solve_rows_equal_one_drive_calls():
+    """At tol 0 only the flat pair completes, so the corpus reaches ``NO_COMPLETION``."""
+    seen = _rows_equal_one_drive_calls(FoldMode(FoldModel.TWOPAIR), 0.0)
+    assert {OFF_CURVE, NO_COMPLETION} <= seen
 
 
 def _own_residual(sectors, rho) -> float:
