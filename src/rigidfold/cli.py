@@ -18,7 +18,7 @@ import numpy as np
 from . import config_space as cs
 from . import fold_models as fm
 from .core_geometry import check_fold_angle, g60
-from .errors import NoSolutionError, OutOfRangeError, RigidFoldError
+from .errors import OutOfRangeError, RigidFoldError
 from .symmetry_enumeration import classify_g60
 
 _MODELS = {m.value: m for m in fm.FoldModel}
@@ -147,16 +147,15 @@ def _drive_values(args, names) -> tuple[float, ...]:
 
 
 def _opposites_state(args) -> tuple[np.ndarray, object]:
-    """Any two of rho1..rho3 fix the third; a vacuous relation is an error here."""
+    """Any two of rho1..rho3 fix the third; a free third (vacuous relation) is taken flat, as the family does."""
     names = ("rho1", "rho2", "rho3")
     given = {n: _rad(getattr(args, n), args) for n in names if getattr(args, n) is not None}
     if len(given) != 2:
         raise OutOfRangeError("opposites requires exactly two of --rho1 --rho2 --rho3")
     mode = _fold_mode(args)
     sol = fm.opposites_solve(mode.alpha, mode.beta, **given)
-    if sol.free:
-        raise NoSolutionError("relation is vacuous; the third angle is free")
-    vec = fm.opposites_vector(*(given.get(n, sol.angles[0]) for n in names))
+    third = 0.0 if sol.free else sol.angles[0]
+    vec = fm.opposites_vector(*(given.get(n, third) for n in names))
     return vec, fm.FAMILIES[mode.model].pattern(mode)
 
 

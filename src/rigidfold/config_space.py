@@ -30,10 +30,10 @@ from .core_geometry import (
     wrap_angles,
 )
 from .errors import DomainError, OutOfRangeError
-from .fold_models import AMBIGUOUS, DEFAULT_TOL, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
+from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
+from .tolerances import DEFAULT_TOL, DIFF_STEP, NODE_GRAD_TOL, ON_CURVE, RESIDUAL_FLOOR, ROUNDOFF
 
 _TRACE_STEP = 0.02
-_NODE_GRAD_TOL = 1e-6
 _SKIPPED = (NO_SOLUTION, AMBIGUOUS)  # reasons a sweep skips a drive for; any other one raises
 
 PI = math.pi
@@ -173,7 +173,7 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
     fam = FAMILIES[mode.model]
     pattern = fam.pattern(mode)
-    branch = int(mode.mode) if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
+    branch = mode.mode if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
 
     def solved(drives: np.ndarray) -> tuple[np.ndarray, list]:
         """Closing vectors and branch tags of an (N, k) drive array, skipping unsolvable drives."""
@@ -210,7 +210,8 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
 # ---------------------------------------------------------------------------
 # implicit-curve tracing
 
-def _central_gradient(fn, x: float, y: float, h: float = 1e-6) -> tuple[float, float]:
+def _central_gradient(fn, x: float, y: float) -> tuple[float, float]:
+    h = DIFF_STEP
     return (fn(x + h, y) - fn(x - h, y)) / (2.0 * h), (fn(x, y + h) - fn(x, y - h)) / (2.0 * h)
 
 
@@ -242,11 +243,11 @@ def _correct(fn, q, tol: float, gradient=None) -> tuple[tuple[float, float], flo
     x, y = float(q[0]), float(q[1])
     for _ in range(25):
         f = fn(x, y)
-        if abs(f) <= 1e-12:
+        if abs(f) <= ROUNDOFF:
             return (x, y), f
         gx, gy = gradient(x, y)
         g2 = gx * gx + gy * gy
-        if g2 < _NODE_GRAD_TOL**2:
+        if g2 < NODE_GRAD_TOL**2:
             return (x, y), f
         x, y = x - f * gx / g2, y - f * gy / g2
     f = fn(x, y)
@@ -277,14 +278,14 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
     if not (math.isfinite(x0) and math.isfinite(y0)):
         raise OutOfRangeError(f"seed {(x0, y0)} must be finite")
     f0 = residual_fn(x0, y0)
-    if not abs(f0) <= 1e-7:
+    if not abs(f0) <= ON_CURVE:
         raise OutOfRangeError(f"seed {(x0, y0)} is not on the curve")
     if gradient is None:
         gradient = functools.partial(_central_gradient, residual_fn)
 
     gx, gy = gradient(x0, y0)
     gn = math.hypot(gx, gy)
-    if gn < _NODE_GRAD_TOL:
+    if gn < NODE_GRAD_TOL:
         dirs = _node_directions(residual_fn, (x0, y0), step)
         if not len(dirs):
             return CurveTrace(samples=Samples(np.array([[x0, y0]]), np.array([abs(f0)]), np.array([True]), [0]),
@@ -305,12 +306,12 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
             break
         mx, my = qx - x, qy - y
         mn = math.hypot(mx, my)
-        if mn < 1e-12:
+        if mn < ROUNDOFF:
             note = f"stalled at step {i}"
             break
         gx, gy = gradient(qx, qy)
         gn = math.hypot(gx, gy)
-        if gn < _NODE_GRAD_TOL:
+        if gn < NODE_GRAD_TOL:
             tx, ty = mx / mn, my / mn  # straight through the node
         else:
             tx, ty = gy / gn, -gx / gn
@@ -543,7 +544,7 @@ def samples_to_obj(samples, pattern: CreasePattern | None, tol: float = DEFAULT_
         raise DomainError(f"expected {n} folding angles, got {flat.width[kept][flat.width[kept] != n][0]}")
     rows = flat.rho[kept, :n].reshape(len(kept), n)  # (0, n) also when no row is kept and every row is narrower
     residuals, frames = folded_frames(pat, wrap_angles(rows))
-    closes = ~(residuals > np.fmax(tol, flat.residual[kept] * 2 + 1e-300))  # else from a different pattern
+    closes = ~(residuals > np.fmax(tol, flat.residual[kept] * 2 + RESIDUAL_FLOOR))  # else from a different pattern
     kept = kept[closes]
     fan = np.array([c for i in range(n) for c in (0, 1 + i, 1 + (i + 1) % n)])  # face corners; 0 is the apex
     faces = np.arange(len(kept))[:, None] * (n + 1) + 1 + fan

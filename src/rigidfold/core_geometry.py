@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotClosedError, OutOfRangeError
-
-# Products of a handful of orthogonal 3x3 matrices carry ~1e-15 roundoff,
-# so these thresholds separate genuine violations from noise.
-GEOMETRY_TOL = 1e-6
-TRIANGLE_EPS = 1e-9
-_UNIT_TOL = 1e-9
-_SECTOR_SUM_TOL = 1e-9
+from .tolerances import GEOMETRY_TOL, INPUT_SLACK, ROUNDOFF, SECTOR_AGREE, TRIANGLE_EPS
 
 _I3 = np.eye(3)
 _I3.setflags(write=False)
@@ -45,8 +39,8 @@ def wrap_angles(rho: np.ndarray) -> np.ndarray:
 
 
 def outside_fold_range(rho):
-    """Whether each angle lies outside [-pi, pi] (with 1e-12 slack); NaN and infinities do."""
-    return ~(np.abs(rho) <= np.pi + 1e-12)
+    """Whether each angle lies outside [-pi, pi] (with ``ROUNDOFF`` slack); NaN and infinities do."""
+    return ~(np.abs(rho) <= np.pi + ROUNDOFF)
 
 
 def check_fold_angle(rho: float, name: str = "drive"):
@@ -95,9 +89,9 @@ class CreasePattern:
             raise DomainError("a vertex needs at least three creases")
         if not np.all(np.isfinite(creases)):
             raise DomainError("creases must be finite")
-        if np.any(np.abs(np.sqrt(np.square(creases).sum(axis=1)) - 1.0) > _UNIT_TOL):
+        if np.any(np.abs(np.sqrt(np.square(creases).sum(axis=1)) - 1.0) > INPUT_SLACK):
             raise DomainError("creases must be unit vectors")
-        if np.any(np.abs(creases[:, 2]) > _UNIT_TOL):
+        if np.any(np.abs(creases[:, 2]) > INPUT_SLACK):
             raise DomainError("creases must lie in the xy-plane")
         self._fill(creases, self.sector_angles)
 
@@ -107,11 +101,11 @@ class CreasePattern:
         # np.unwrap reads a step over half a turn as a step back; its steps modulo one turn are the
         # counterclockwise gaps, which make one turn only when the creases go round once counterclockwise
         sectors = np.mod(np.diff(np.append(thetas, thetas[0] + 2.0 * np.pi)), 2.0 * np.pi)
-        if np.any(sectors <= 0) or abs(sectors.sum() - 2.0 * np.pi) > _SECTOR_SUM_TOL:
+        if np.any(sectors <= 0) or abs(sectors.sum() - 2.0 * np.pi) > INPUT_SLACK:
             raise DomainError("creases must be in counterclockwise order")
         if given is not None:
             given = np.asarray(given, dtype=float)
-            if given.shape != sectors.shape or not np.all(np.abs(given - sectors) <= 1e-8):
+            if given.shape != sectors.shape or not np.all(np.abs(given - sectors) <= SECTOR_AGREE):
                 raise DomainError("sector_angles disagree with crease directions")
         cross = np.zeros((len(creases), 9))
         cross[:, _CROSS_SLOTS] = creases[:, _CROSS_AXES] * _CROSS_SIGNS  # -0.0 where the axis is 0.0
@@ -139,7 +133,7 @@ class CreasePattern:
             raise DomainError("sector angles must be finite")
         if not np.all(sectors > 0):
             raise DomainError("sector angles must be positive")
-        if abs(sectors.sum() - 2.0 * np.pi) > _SECTOR_SUM_TOL:
+        if abs(sectors.sum() - 2.0 * np.pi) > INPUT_SLACK:
             raise DomainError("sector angles must sum to 2*pi")
         thetas = np.concatenate([[0.0], np.cumsum(sectors[:-1])])
         if len(thetas) < 3:

@@ -15,6 +15,7 @@ a failed drive's reason code names.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,6 @@ import numpy as np
 from .core_geometry import (
     CreasePattern,
     check_fold_angle,
-    closure_residual,
     closure_residuals,
     g60,
     outside_fold_range,
@@ -40,12 +40,7 @@ from .errors import (
     OutOfRangeError,
     SingularParameterError,
 )
-
-_SING_TOL = 1e-12
-_AMBIGUOUS_TOL = 1e-12
-_CURVE_TOL = 1e-7
-DEFAULT_TOL = 1e-8  # closure residual below which a solved vector, and a sample, counts as closed
-_RESCH_TOL = 1e-6
+from .tolerances import AMBIGUITY_PROBE, DEFAULT_TOL, GEOMETRY_TOL, ON_CURVE, ROUNDOFF
 
 PI = math.pi
 
@@ -96,13 +91,14 @@ class FoldMode:
     beta: float = PI / 3
 
     def __post_init__(self):
-        fam = FAMILIES[self.model]
-        if self.mode not in fam.modes:
+        fam, mode = FAMILIES[self.model], self.mode
+        if isinstance(mode, bool) or not isinstance(mode, numbers.Integral) or mode not in fam.modes:
             allowed = " or ".join(map(str, fam.modes))
-            raise OutOfRangeError(f"{self.model.value} mode must be {allowed}, got {self.mode}")
+            raise OutOfRangeError(f"{self.model.value} mode must be {allowed}, got {mode!r}")
+        object.__setattr__(self, "mode", int(mode))  # a numpy integer is kept as the int it equals
         if fam.domain is not None:
             fam.domain(self.alpha, self.beta)
-        elif abs(self.alpha - PI / 3) > 1e-12 or abs(self.beta - PI / 3) > 1e-12:
+        elif abs(self.alpha - PI / 3) > ROUNDOFF or abs(self.beta - PI / 3) > ROUNDOFF:
             raise OutOfRangeError(f"{self.model.value} has fixed 60-degree sectors")
 
 
@@ -249,7 +245,7 @@ def degree4_multipliers(alpha: float, beta: float) -> tuple[Multiplier, Multipli
     _check_degree4_domain(alpha, beta)
     cd = math.cos(0.5 * (alpha - beta))
     ss = math.sin(0.5 * (alpha + beta))
-    if abs(cd) < _SING_TOL or abs(ss) < _SING_TOL:
+    if abs(cd) < ROUNDOFF or abs(ss) < ROUNDOFF:
         raise SingularParameterError(f"degenerate sector pair alpha={alpha}, beta={beta}")
     return Multiplier(math.cos(0.5 * (alpha + beta)) / cd), Multiplier(math.sin(0.5 * (alpha - beta)) / ss)
 
@@ -394,7 +390,7 @@ def _opposites_third(kxy: float, kyz: float, kxz: float, x, y):
     sy, cy = np.sin(0.5 * y), np.cos(0.5 * y)
     num = -kxy * sx * sy
     den = kyz * cx * sy + kxz * sx * cy
-    return wrap_angles(2.0 * np.arctan2(num, den)), np.hypot(num, den) < _SING_TOL
+    return wrap_angles(2.0 * np.arctan2(num, den)), np.hypot(num, den) < ROUNDOFF
 
 
 def opposites_solve(
@@ -465,12 +461,12 @@ def _igloo_fraction(alpha: float, beta: float, rho2, rho3):
 def _igloo_half(alpha: float, beta: float, rho2, rho3):
     """rho1 of the symmetric completion and where its fraction is 0/0; elementwise.
 
-    Flat input (both angles below 1e-12) gives rho1 = 0 exactly, because
+    Flat input (both angles below ``ROUNDOFF``) gives rho1 = 0 exactly, because
     there the fraction is noise over noise.
     """
     num, den = _igloo_fraction(alpha, beta, rho2, rho3)
-    flat = np.maximum(np.abs(rho2), np.abs(rho3)) < _AMBIGUOUS_TOL
-    ambiguous = ~flat & (np.hypot(num, den) < _AMBIGUOUS_TOL)
+    flat = np.maximum(np.abs(rho2), np.abs(rho3)) < ROUNDOFF
+    ambiguous = ~flat & (np.hypot(num, den) < ROUNDOFF)
     return np.where(flat, 0.0, _half_angle_branch(num, den)), ambiguous
 
 
@@ -488,7 +484,7 @@ def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
     check_fold_angle(rho3, "rho3")
     rho1, ambiguous = _igloo_half(alpha, beta, float(rho2), float(rho3))
     if ambiguous:
-        sides, stuck = _igloo_half(alpha, beta, rho2 + np.array([1e-6, -1e-6]), float(rho3))
+        sides, stuck = _igloo_half(alpha, beta, rho2 + np.array([AMBIGUITY_PROBE, -AMBIGUITY_PROBE]), float(rho3))
         raise BranchAmbiguityError(
             f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}",
             candidates=[float(c) for c in sides[~stuck]],
@@ -659,11 +655,11 @@ def two_pair_solve(rho1, rho2, tol: float = DEFAULT_TOL) -> Solved:
     about c5, and -rho4 turns c5 into M^T c5 about c6.  So every drive has at
     most one row, kept when its full vector closes below ``tol``; the flat
     pair (0, 0) completes to exactly (0, 0).  Reasons: ``OFF_CURVE`` when the
-    pair's curve defect exceeds 1e-7, ``NO_COMPLETION`` when the completion
+    pair's curve defect exceeds ``ON_CURVE``, ``NO_COMPLETION`` when the completion
     does not close below ``tol``.
     """
     (r1, r2), bad = _drive_columns(rho1, rho2)
-    off = ~bad & ~(np.abs(two_pair_curve_residual(r1, r2)) <= _CURVE_TOL)
+    off = ~bad & ~(np.abs(two_pair_curve_residual(r1, r2)) <= ON_CURVE)
     live = ~(bad | off)
     # (0, 0) completes to exactly (0, 0) with residual 0; it is kept whatever tol is
     flat = live & (r1 == 0.0) & (r2 == 0.0)
@@ -693,8 +689,6 @@ def two_pair_complete(rho1: float, rho2: float, tol: float = DEFAULT_TOL) -> lis
 # fully general and almost general (fixed 60-degree sectors)
 
 _C3 = np.array([-0.5, math.sqrt(3.0) / 2.0, 0.0])
-_RHO2_SLACK = 1e-12  # |cos rho2| up to 1 + this still has the branch rho2 = 0 or pi
-_AXIS_TOL = 1e-12  # back chain closer than this to the first crease leaves rho1 free
 
 
 def _back_chains(rho4: np.ndarray, rho5: np.ndarray, rho6: np.ndarray) -> np.ndarray:
@@ -705,7 +699,7 @@ def _rho2_branches(rho4: np.ndarray, rho5: np.ndarray, rho6: np.ndarray) -> tupl
     """(r, exists): rho2 = +/-r where a branch exists; r = 0 is one branch."""
     rhs = general_cos_rho2(np.sin(rho4), np.cos(rho4), np.sin(rho5), np.cos(rho5),
                            np.sin(rho6), np.cos(rho6))
-    exists = np.abs(rhs) <= 1.0 + _RHO2_SLACK
+    exists = np.abs(rhs) <= 1.0 + ROUNDOFF
     return np.arccos(np.clip(rhs, -1.0, 1.0)), exists
 
 
@@ -738,7 +732,7 @@ def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     """Every closing 6-vector of a batch of drive triples, in one array pass.
 
     The drives broadcast to N triples.  Rows come in drive order, the +rho2
-    branch before the -rho2 one.  A branch is kept when |cos rho2| <= 1 + 1e-12,
+    branch before the -rho2 one.  A branch is kept when |cos rho2| <= 1 + ``ROUNDOFF``,
     the back chain does not leave the third crease on the first crease's
     axis, and the full vector closes below ``tol``; a drive keeping none has
     reason ``NO_SOLUTION``.
@@ -746,7 +740,7 @@ def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     (r4, r5, r6), bad = _drive_columns(rho4, rho5, rho6)
     r, exists = _rho2_branches(r4, r5, r6)
     back = _back_chains(r4, r5, r6)
-    exists &= ~bad & (np.hypot(back[:, 1], back[:, 2]) >= _AXIS_TOL)
+    exists &= ~bad & (np.hypot(back[:, 1], back[:, 2]) >= ROUNDOFF)  # nearer the first crease, rho1 is free
     keep = np.stack([exists, exists & (r != 0.0)], axis=1)
     drive, branch = np.nonzero(keep)  # row-major: drive order, + branch first
     rho2 = np.where(branch == 0, r[drive], -r[drive])
@@ -827,34 +821,20 @@ FAMILIES: dict[FoldModel, Family] = {
 def resch_fold(t: float) -> dict[str, np.ndarray]:
     """Angle vectors of the seven-vertex 120-degree-symmetric patch.
 
-    The center vertex runs the 60-degree trifold; its undriven angle feeds
-    the three 1-DOF igloo vertices (mode 2) through the shared crease, and
-    the outer three vertices are completed from the two igloo angles they
-    share with their neighbors.  All vertices sit on 60-degree patterns.
+    The center vertex is the 60-degree trifold row at t; its undriven rho1
+    drives the three 1-DOF igloo vertices (mode 2) through the shared
+    crease, and the outer three vertices are the igloo rows at the (rho2,
+    rho3) they share with their neighbors.  All vertices sit on 60-degree
+    patterns.
     """
     limit = trifold_drive_limit(PI / 3.0)
-    if not abs(t) <= limit + 1e-12:
+    if not abs(t) <= limit + ROUNDOFF:
         raise OutOfRangeError(f"drive {t} outside reachable interval [-{limit}, {limit}]")
-    third = PI / 3.0
-    t1, t2 = trifold(third, 1, t)
-    m1, m2, m3 = igloo_1dof(third, third, 2, t1)
-    p1 = igloo_rho1(third, third, m2, m3)
-    p4 = igloo_rho4(third, third, m2, m3)
-    center = trifold_vector(t1, t2)
-    inner = igloo_vector(m1, m2, m3, t1)
-    outer = igloo_vector(p1, m2, m3, p4)
-    pattern = g60()
-    vertices = {
-        "r1": center,
-        "r2": inner,
-        "r3": inner.copy(),
-        "r4": inner.copy(),
-        "r5": outer,
-        "r6": outer.copy(),
-        "r7": outer.copy(),
-    }
-    for vid, vec in vertices.items():
-        res = closure_residual(pattern, vec)
-        if res > _RESCH_TOL:
+    center = FAMILIES[FoldModel.TRIFOLD].fold(FoldMode(FoldModel.TRIFOLD), (t,))[0]
+    inner = FAMILIES[FoldModel.IGLOO1DOF].fold(FoldMode(FoldModel.IGLOO1DOF, 2), (center[0],))[0]
+    outer = FAMILIES[FoldModel.IGLOO2DOF].fold(FoldMode(FoldModel.IGLOO2DOF), inner[1:3])[0]
+    for vid, res in zip(("r1", "r2", "r5"), closure_residuals(g60(), np.stack([center, inner, outer])).tolist()):
+        if res > GEOMETRY_TOL:
             raise NotClosedError(f"vertex {vid} fails closure at drive {t}", residual=res)
-    return vertices
+    rows = (center, inner, inner.copy(), inner.copy(), outer, outer.copy(), outer.copy())
+    return {f"r{i}": vec for i, vec in enumerate(rows, 1)}

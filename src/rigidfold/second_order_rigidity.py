@@ -17,12 +17,7 @@ import numpy as np
 
 from .core_geometry import CreasePattern
 from .errors import NumericalError, OutOfRangeError
-
-_NULL_TOL = 1e-12
-_RAY_TOL = 1e-9
-_DEDUPE_TOL = 1e-6
-_DISTINCT_TOL = 1e-9
-_RANK_TOL = 1e-9
+from .tolerances import CENSUS_ZERO, DEDUPE_STEP, ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ class ModeSolution:
             v6 = _normalize_ray(E @ x)
             if v6 is None:
                 continue
-            key = tuple(np.round(v6 / _DEDUPE_TOL).astype(np.int64))
+            key = tuple(np.round(v6 / DEDUPE_STEP).astype(np.int64))
             if key in seen:
                 continue
             seen.add(key)
@@ -157,7 +152,7 @@ def symmetry_reduced_system(pattern: CreasePattern, color_pattern):
 
 def _normalize_ray(v: np.ndarray) -> np.ndarray | None:
     for x in v:
-        if abs(x) > _NULL_TOL:
+        if abs(x) > ROUNDOFF:
             return v / x
     return None
 
@@ -167,7 +162,7 @@ def _separates(X: np.ndarray) -> bool:
     columns (or X itself, for one vector) has pairwise distinct classes."""
     k = X.shape[0]
     gaps = np.abs(X[:, None] - X[None, :]).reshape(k, k, -1).max(axis=2)
-    return np.count_nonzero(gaps <= _DISTINCT_TOL) == k  # the diagonal only
+    return np.count_nonzero(gaps <= CENSUS_ZERO) == k  # the diagonal only
 
 
 def solve_modes(pattern: CreasePattern, colorings) -> list[ModeSolution]:
@@ -198,7 +193,7 @@ def solve_modes(pattern: CreasePattern, colorings) -> list[ModeSolution]:
     systems = _reduced_systems(pattern, [np.array([labels[i] for i in g]) for g in groups])
     for group, (L, Q, E) in zip(groups, systems):
         _, sv, vt = np.linalg.svd(L)
-        ranks = np.sum(sv > _NULL_TOL, axis=1)
+        ranks = np.sum(sv > ROUNDOFF, axis=1)
         for rank in np.unique(ranks):
             at = np.flatnonzero(ranks == rank)
             N = vt[at, rank:].transpose(0, 2, 1)  # k x m null-space bases, m may be 0
@@ -217,7 +212,7 @@ def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
 
 def _decide(cls, L, Q, E, lam, V) -> ModeSolution:
     """One coloring's witness, DOF and cone points from the eigenpairs (lam, V) of Qn."""
-    pos, neg = lam > _NULL_TOL, lam < -_NULL_TOL
+    pos, neg = lam > ROUNDOFF, lam < -ROUNDOFF
     zero = ~(pos | neg)
     cone_points = list(V[:, zero].T)
     for i in np.flatnonzero(pos):
@@ -259,13 +254,13 @@ def _decide(cls, L, Q, E, lam, V) -> ModeSolution:
 
 
 def _on_cone(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> bool:
-    return np.max(np.abs(L @ x)) <= _RAY_TOL and abs(x @ Q @ x) <= _RAY_TOL
+    return np.max(np.abs(L @ x)) <= CENSUS_ZERO and abs(x @ Q @ x) <= CENSUS_ZERO
 
 
 def _ray_dof(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> int:
     """Class count minus the rank of L stacked with the quadratic gradient at x."""
     J = np.vstack([L, 2.0 * (Q @ x)[None, :]])
-    return int(L.shape[1] - np.linalg.matrix_rank(J, tol=_RANK_TOL))
+    return int(L.shape[1] - np.linalg.matrix_rank(J, tol=CENSUS_ZERO))
 
 
 def ray_class_values(color_pattern, velocity: VelocityVector | np.ndarray) -> np.ndarray:

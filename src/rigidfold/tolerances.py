@@ -1,0 +1,36 @@
+"""Every numerical threshold of the package, each named once with what it separates.
+
+Values are compared with O(1) quantities (angles in radians, cosines,
+singular values), closure residuals (Frobenius distances of a loop product
+from the identity) or distances on the unit sphere.  Each one moves by a
+factor of 10 either way without changing the census, the sweeps or the
+trace (``tests/test_tolerances.py``); only the igloo 0/0 candidates move,
+with ``AMBIGUITY_PROBE``.  This module imports nothing from the package.
+"""
+
+# An O(1) quantity in double precision counts as zero, or as at its bound, below this.
+ROUNDOFF = 1e-12
+# A drive pair whose relation defect is at most this lies on the relation curve.
+ON_CURVE = 1e-7
+# A closure residual below this counts as closed, for a solved vector and for a sample.
+DEFAULT_TOL = 1e-8
+# A closure residual above this means the folding does not close (NotClosedError).
+GEOMETRY_TOL = 1e-6
+# A crease length, crease height or sector sum this close to 1, 0 or 2 pi is exact input.
+INPUT_SLACK = 1e-9
+# Given sector angles this close to the crease directions' sectors agree with them.
+SECTOR_AGREE = 1e-8
+# A signed distance or sector size of a folded fan below this is contact, not overlap.
+TRIANGLE_EPS = 1e-9
+# An order-condition defect, class gap or singular value of the census below this is zero.
+CENSUS_ZERO = 1e-9
+# Velocity rays whose entries round alike on a grid this fine are one ray.
+DEDUPE_STEP = 1e-6
+# A relation-curve gradient shorter than this marks a node, which the walker crosses straight.
+NODE_GRAD_TOL = 1e-6
+# Step of the walker's central-difference gradient.
+DIFF_STEP = 1e-6
+# Distance off a 0/0 igloo drive at which its one-sided continuations are read (they move with it).
+AMBIGUITY_PROBE = 1e-6
+# An obj re-fold residual up to twice the stored one plus this still closes on the export pattern.
+RESIDUAL_FLOOR = 1e-300

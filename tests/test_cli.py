@@ -107,6 +107,16 @@ def test_fold_general_flat(capsys):
     assert out.startswith("rho = [0 0 0 0 0 0]") or "rho = [0 -0" in out or "rho = [-0" in out
 
 
+@pytest.mark.parametrize("given", [("--rho1=0", "--rho2=0"), ("--rho1=0", "--rho3=0"), ("--rho2=0", "--rho3=0")])
+def test_fold_opposites_flat_pair_is_the_flat_state(capsys, given):
+    """A flat pair leaves the third angle free; it is taken flat, as ``Family.fold`` and the sweep take it."""
+    mode = FoldMode(FoldModel.OPPOSITES)
+    assert FAMILIES[mode.model].fold(mode, (0.0, 0.0))[0].tolist() == [0.0] * 6
+    code, out, err = run(capsys, "fold", "opposites", *given)
+    assert (code, err) == (0, "")
+    assert out == "rho = [0 0 0 0 0 0]\nresidual = 0.000000e+00\nvalid = true\n"
+
+
 def test_fold_json_format(capsys):
     code, out, _ = run(capsys, "fold", "igloo", "--alpha", "70", "--beta", "80",
                        "--rho2", "0.5", "--rho3", "-0.3", "--format", "json")

@@ -617,7 +617,7 @@ def test_writers_refuse_a_branch_the_loader_refuses():
     assert samples_to_json(tagged) == _reference_json(tagged)
     assert samples_to_csv(tagged) == _reference_csv(tagged)
     assert '"branch": 7' in samples_to_json(tagged) and samples_to_csv(tagged).endswith("0,0,0,0,0,0,0,true,r1\n")
-    numpy_mode = sweep_model(FoldMode(FoldModel.TRIFOLD, np.int64(2)), 3)  # FoldMode takes the mode by value
+    numpy_mode = sweep_model(FoldMode(FoldModel.TRIFOLD, np.int64(2)), 3)  # FoldMode stores int(mode)
     assert samples_to_json(numpy_mode) == samples_to_json(sweep_model(FoldMode(FoldModel.TRIFOLD, 2), 3))
 
 

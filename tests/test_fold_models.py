@@ -540,6 +540,18 @@ def test_fold_mode_validation():
         FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, 2.5)  # beta outside (0, 2pi/3)
 
 
+@pytest.mark.parametrize("mode", [True, False, np.bool_(True), 2.0, np.float64(1.0), 1.5, "2", None])
+def test_fold_mode_rejects_a_mode_that_is_not_an_integer(mode):
+    with pytest.raises(OutOfRangeError, match="trifold mode must be 1 or 2, got"):
+        FoldMode(FoldModel.TRIFOLD, mode)
+
+
+@pytest.mark.parametrize("mode", [2, np.int64(2), np.uint8(2)])
+def test_fold_mode_stores_an_integer_mode_as_int(mode):
+    stored = FoldMode(FoldModel.TRIFOLD, mode).mode
+    assert type(stored) is int and stored == 2
+
+
 # --- batched family solves ---------------------------------------------------------
 
 _BAD = [math.nan, math.inf, -math.inf, 4.0, -3.2, PI + 1e-9]  # drives outside [-pi, pi]

@@ -1,0 +1,182 @@
+"""Every threshold lives in ``rigidfold.tolerances``, and each has 10x headroom.
+
+The sensitivity test moves one constant by a factor of 10 either way,
+wherever the package holds it, and checks that the census, the sweeps and
+the trace do not notice.  The guard test keeps exponent literals out of
+every other module, so a new threshold has to be named there too.
+"""
+
+import ast
+import contextlib
+import importlib
+import inspect
+import textwrap
+import tokenize
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rigidfold
+from rigidfold import tolerances
+from rigidfold.cli import _table_text
+from rigidfold.config_space import samples_to_obj, sweep_model, trace_implicit_curve
+from rigidfold.core_geometry import CreasePattern, g60
+from rigidfold.errors import BranchAmbiguityError
+from rigidfold.fold_models import (
+    FAMILIES,
+    FoldMode,
+    FoldModel,
+    igloo_rho1,
+    resch_fold,
+    trifold_drive_limit,
+    two_pair_curve_gradient,
+    two_pair_curve_residual,
+)
+from rigidfold.second_order_rigidity import solve_modes
+from rigidfold.symmetry_enumeration import classify_g60, enumerate_patterns
+
+SRC = Path(rigidfold.__file__).parent
+MODULES = [rigidfold] + [importlib.import_module(f"rigidfold.{p.stem}") for p in sorted(SRC.glob("*.py"))
+                         if p.stem != "__init__"]
+NAMES = [name for name in vars(tolerances) if name.isupper()]
+CENSUS = (Path(__file__).resolve().parent / "data" / "table.txt").read_text()
+GRIDS = (FoldModel.OPPOSITES, FoldModel.IGLOO2DOF, FoldModel.ALMOST_GENERAL)
+CRITERION_3 = [(model, 32 if model in GRIDS else 1000) for model in FoldModel]
+RESCH_DRIVES = np.linspace(-1.0, 1.0, 9) * trifold_drive_limit(np.pi / 3.0)
+PATTERNS = [p for k in range(1, 7) for p in enumerate_patterns(k)]
+TETRA = float(np.arccos(-1.0 / 3.0))  # the igloo fraction is 0/0 at (rho2, rho3) = (TETRA, TETRA)
+
+
+def _functions(module):
+    """The module's own functions and the methods of its own classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield from (f for f in vars(obj).values() if inspect.isfunction(f))
+
+
+def _default_sites() -> list[tuple]:
+    """(function, index into its ``__defaults__``, constant name) of each default written as a tolerance.
+
+    Equal floats written in one module are one object, so identity alone
+    cannot tell ``DEFAULT_TOL`` from ``SECTOR_AGREE``: a function holding a
+    tolerance object is read back from its source for the name.
+    """
+    held = {id(getattr(tolerances, name)) for name in NAMES}
+    sites = []
+    for module in MODULES:
+        for fn in _functions(module):
+            assert not any(id(v) in held for v in (fn.__kwdefaults__ or {}).values()), fn
+            if not any(id(v) in held for v in fn.__defaults__ or ()):
+                continue
+            written = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].args.defaults
+            for i, node in enumerate(written):
+                if isinstance(node, ast.Name) and node.id in NAMES:
+                    assert fn.__defaults__[i] is getattr(tolerances, node.id), (fn, node.id)
+                    sites.append((fn, i, node.id))
+    return sites
+
+
+SITES = _default_sites()
+
+
+@contextlib.contextmanager
+def _rebound(name: str, value: float):
+    """``name`` set to ``value`` in every module that imports it and in every default written as it."""
+    original = getattr(tolerances, name)
+    modules = [m for m in MODULES if vars(m).get(name) is original]
+    sites = [(fn, i) for fn, i, n in SITES if n == name]
+    saved = [fn.__defaults__ for fn, _ in sites]
+    for m in modules:
+        setattr(m, name, value)
+    for fn, i in sites:
+        fn.__defaults__ = fn.__defaults__[:i] + (value,) + fn.__defaults__[i + 1:]
+    try:
+        yield
+    finally:
+        for m in modules:
+            setattr(m, name, original)
+        for (fn, _), defaults in zip(sites, saved):
+            fn.__defaults__ = defaults
+
+
+def _counts(model: FoldModel, n: int, obj: bool = False) -> tuple[int, ...]:
+    """Sample and valid counts of a sweep, and with ``obj`` the samples its obj export skips."""
+    mode = FoldMode(model)
+    samples = sweep_model(mode, n).samples
+    skipped = (samples_to_obj(samples, FAMILIES[model].pattern(mode))[1],) if obj else ()
+    return len(samples), int(samples.valid.sum()), *skipped
+
+
+def _igloo_candidates() -> list[float]:
+    """The one-sided rho1 continuations reported at a 0/0 igloo drive, in units of ``AMBIGUITY_PROBE``.
+
+    They are read that far off the drive, so they move with it: about half
+    of it to each side.  At a tenth of today's probe roundoff is 7% of
+    them; at a hundredth it flips their signs.
+    """
+    with pytest.raises(BranchAmbiguityError) as err:
+        igloo_rho1(np.pi / 3.0, np.pi / 3.0, TETRA, TETRA)
+    return np.round(np.array(err.value.candidates) / tolerances.AMBIGUITY_PROBE, 1).tolist()
+
+
+def _observed() -> dict:
+    """What the census, the sweeps, the trace and the resch patch give, plus one reader of each
+    tolerance those leave unread: ray counts, obj skips, the igloo 0/0 report, a pattern given its sectors."""
+    return {
+        "census": _table_text(classify_g60()),
+        "rays": [len(sol.velocities) for sol in solve_modes(g60(), PATTERNS)],
+        "sweeps": [_counts(model, 4 if model in GRIDS else 16, obj=True) for model in FoldModel],
+        "criterion 3": [_counts(model, n) for model, n in CRITERION_3],
+        "trace": len(trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0), step=0.2,
+                                          gradient=two_pair_curve_gradient).samples),
+        "central-difference trace": len(trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0)).samples),
+        "resch": [len(resch_fold(t)) for t in RESCH_DRIVES.tolist()],  # raises where a vertex does not close
+        "igloo 0/0": _igloo_candidates(),
+        "given sectors": CreasePattern(g60().creases, np.full(6, np.pi / 3.0)).sector_angles.tolist(),
+    }
+
+
+@pytest.fixture(scope="module")
+def baseline() -> dict:
+    seen = _observed()
+    assert seen["census"] == CENSUS
+    assert seen["trace"] == 46
+    assert seen["igloo 0/0"] == [-0.5, 0.5]
+    return seen
+
+
+def test_the_public_tolerances_are_importable_where_they_were_and_bound_as_defaults():
+    from rigidfold import config_space, core_geometry, fold_models
+
+    assert core_geometry.TRIANGLE_EPS is tolerances.TRIANGLE_EPS
+    assert core_geometry.GEOMETRY_TOL is tolerances.GEOMETRY_TOL
+    assert fold_models.DEFAULT_TOL is config_space.DEFAULT_TOL is tolerances.DEFAULT_TOL
+    assert {"DEFAULT_TOL", "GEOMETRY_TOL", "TRIANGLE_EPS"} <= {name for _, _, name in SITES}
+    assert len(NAMES) <= 13
+
+
+@pytest.mark.parametrize("factor", [10.0, 0.1])
+@pytest.mark.parametrize("name", NAMES)
+def test_a_tolerance_moved_tenfold_changes_nothing(baseline, name, factor):
+    with _rebound(name, getattr(tolerances, name) * factor):
+        assert _observed() == baseline
+
+
+def test_no_module_but_tolerances_writes_an_exponent_literal():
+    """Docstrings and comments are STRING and COMMENT tokens; only numbers in code are read."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        with path.open("rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                text = tok.string.lower()
+                if tok.type == tokenize.NUMBER and "e" in text and not text.startswith("0x"):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
+
