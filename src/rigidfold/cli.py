@@ -22,14 +22,11 @@ from .errors import OutOfRangeError, RigidFoldError
 from .symmetry_enumeration import classify_g60
 
 _MODELS = {m.value: m for m in fm.FoldModel}
+_ANGLE_FLAGS = ("drive", "rho1", "rho2", "rho3", "rho4", "rho5", "rho6")  # the folding angles `fold` takes
 
 
 def _rad(value: float, args) -> float:
     return math.radians(value) if args.degrees else value
-
-
-def _sector(value_deg: float) -> float:
-    return math.radians(value_deg)
 
 
 def _emit(text: str, out: str | None):
@@ -40,9 +37,12 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--degrees", action="store_true", help="folding-angle flags are degrees")
-    p.add_argument("--tol", type=float, default=cs.DEFAULT_TOL, help="closure tolerance")
+def _add_common(p: argparse.ArgumentParser, degrees: bool = True, tol: bool = True):
+    """Output flags, with --degrees for a command that reads folding angles and --tol for one that closes them."""
+    if degrees:
+        p.add_argument("--degrees", action="store_true", help="folding-angle flags are degrees")
+    if tol:
+        p.add_argument("--tol", type=float, default=cs.DEFAULT_TOL, help="closure tolerance")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.add_argument("--format", default=None, help="output format")
 
@@ -53,16 +53,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="classify all six-crease bracelet colorings")
-    _add_common(p)
+    _add_common(p, degrees=False, tol=False)
 
     p = sub.add_parser("fold", help="evaluate one folded state of a family")
     p.add_argument("model", choices=sorted(_MODELS))
     p.add_argument("--mode", type=int, default=1)
     p.add_argument("--alpha", type=float, default=60.0, help="sector angle, degrees")
     p.add_argument("--beta", type=float, default=60.0, help="sector angle, degrees")
-    p.add_argument("--drive", type=float, default=None)
-    for i in range(1, 7):
-        p.add_argument(f"--rho{i}", type=float, default=None)
+    for name in _ANGLE_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=None)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="sample a family over its drive range")
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=60.0)
     p.add_argument("--beta", type=float, default=60.0)
     p.add_argument("-n", type=int, default=100, help="sample count (per axis for grids)")
-    _add_common(p)
+    _add_common(p, degrees=False)
 
     p = sub.add_parser("trace", help="trace the two-pair relation curve")
     p.add_argument("--seed1", type=float, default=0.0)
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=int, default=1)
     p.add_argument("--alpha", type=float, default=60.0)
     p.add_argument("--beta", type=float, default=60.0)
-    _add_common(p)
+    _add_common(p, degrees=False)
     return ap
 
 
@@ -130,25 +129,35 @@ def cmd_table(args) -> int:
 
 
 def _fold_mode(args) -> fm.FoldMode:
-    return fm.FoldMode(_MODELS[args.model], args.mode, _sector(args.alpha), _sector(args.beta))
+    return fm.FoldMode(_MODELS[args.model], args.mode, math.radians(args.alpha), math.radians(args.beta))
+
+
+def _refuse_unread(args, names):
+    """Refuse an angle flag that the model does not read."""
+    unread = [f"--{n}" for n in _ANGLE_FLAGS if n not in names and getattr(args, n) is not None]
+    if unread:
+        raise OutOfRangeError(f"{args.model} does not take {' '.join(unread)}")
 
 
 def _drive_values(args, names) -> tuple[float, ...]:
-    """The named drive flags in order; a lone rho drive may also be given as --drive."""
-    vals = []
+    """The named drive flags in order; a lone rho drive may be given as --drive instead, not as both."""
+    lone = len(names) == 1 and names[0] != "drive"
+    if lone and args.drive is not None:
+        if getattr(args, names[0]) is not None:
+            raise OutOfRangeError(f"{args.model} takes --{names[0]} or --drive, not both")
+        names = ("drive",)
+    _refuse_unread(args, names)
     for name in names:
-        val, flag = getattr(args, name), f"--{name}"
-        if len(names) == 1 and name != "drive":
-            val, flag = (args.drive if args.drive is not None else val), f"--drive ({name})"
-        if val is None:
+        if getattr(args, name) is None:
+            flag = f"--drive ({name})" if lone else f"--{name}"
             raise OutOfRangeError(f"{args.model} requires {flag}")
-        vals.append(_rad(val, args))
-    return tuple(vals)
+    return tuple(_rad(getattr(args, name), args) for name in names)
 
 
 def _opposites_state(args) -> tuple[np.ndarray, object]:
     """Any two of rho1..rho3 fix the third; a free third (vacuous relation) is taken flat, as the family does."""
     names = ("rho1", "rho2", "rho3")
+    _refuse_unread(args, names)
     given = {n: _rad(getattr(args, n), args) for n in names if getattr(args, n) is not None}
     if len(given) != 2:
         raise OutOfRangeError("opposites requires exactly two of --rho1 --rho2 --rho3")
@@ -164,8 +173,7 @@ def _fold_state(args) -> tuple[np.ndarray, object]:
     if model is fm.FoldModel.OPPOSITES:
         return _opposites_state(args)
     fam = fm.FAMILIES[model]
-    drives = _drive_values(args, fam.drives)
-    mode = _fold_mode(args)
+    drives, mode = _drive_values(args, fam.drives), _fold_mode(args)
     return fam.fold(mode, drives)[0], fam.pattern(mode)
 
 

@@ -31,7 +31,7 @@ from .core_geometry import (
 )
 from .errors import DomainError, OutOfRangeError
 from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
-from .tolerances import DEFAULT_TOL, DIFF_STEP, NODE_GRAD_TOL, ON_CURVE, RESIDUAL_FLOOR, ROUNDOFF
+from .tolerances import DEFAULT_TOL, DIFF_STEP, NODE_GRAD_TOL, ON_CURVE, ROUNDOFF
 
 _TRACE_STEP = 0.02
 _SKIPPED = (NO_SOLUTION, AMBIGUOUS)  # reasons a sweep skips a drive for; any other one raises
@@ -544,7 +544,7 @@ def samples_to_obj(samples, pattern: CreasePattern | None, tol: float = DEFAULT_
         raise DomainError(f"expected {n} folding angles, got {flat.width[kept][flat.width[kept] != n][0]}")
     rows = flat.rho[kept, :n].reshape(len(kept), n)  # (0, n) also when no row is kept and every row is narrower
     residuals, frames = folded_frames(pat, wrap_angles(rows))
-    closes = ~(residuals > np.fmax(tol, flat.residual[kept] * 2 + RESIDUAL_FLOOR))  # else from a different pattern
+    closes = ~(residuals > np.fmax(tol, flat.residual[kept] * 2))  # else from a different pattern
     kept = kept[closes]
     fan = np.array([c for i in range(n) for c in (0, 1 + i, 1 + (i + 1) % n)])  # face corners; 0 is the apex
     faces = np.arange(len(kept))[:, None] * (n + 1) + 1 + fan

@@ -689,65 +689,42 @@ def two_pair_complete(rho1: float, rho2: float, tol: float = DEFAULT_TOL) -> lis
 # fully general and almost general (fixed 60-degree sectors)
 
 _C3 = np.array([-0.5, math.sqrt(3.0) / 2.0, 0.0])
+_P3 = np.array([math.sqrt(3.0) / 2.0, 0.5, 0.0])  # p: e_y mirrored by the reflection swapping c1 and c3
 
 
-def _back_chains(rho4: np.ndarray, rho5: np.ndarray, rho6: np.ndarray) -> np.ndarray:
-    return rotation_products(g60(), -np.stack([rho6, rho5, rho4], axis=1), creases=(5, 4, 3)) @ _C3
-
-
-def _rho2_branches(rho4: np.ndarray, rho5: np.ndarray, rho6: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, exists): rho2 = +/-r where a branch exists; r = 0 is one branch."""
-    rhs = general_cos_rho2(np.sin(rho4), np.cos(rho4), np.sin(rho5), np.cos(rho5),
-                           np.sin(rho6), np.cos(rho6))
-    exists = np.abs(rhs) <= 1.0 + ROUNDOFF
-    return np.arccos(np.clip(rhs, -1.0, 1.0)), exists
-
-
-def _rho1(rho2: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """rho1 turning the forward image of the third crease onto the back chain."""
-    v1 = (math.sqrt(3.0) / 2.0) * np.cos(0.5 * rho2) ** 2
-    v2 = (math.sqrt(3.0) / 2.0) * np.sin(rho2)
-    return wrap_angles(np.arctan2(back[:, 2], back[:, 1]) - np.arctan2(v2, v1))
-
-
-def _rho3(rho1, rho2, rho4, rho5, rho6) -> np.ndarray:
-    """Angle of R3 = (R1 R2)^T (R4 R5 R6)^T about the third crease."""
-    M = rotation_products(g60(), -np.stack([rho2, rho1, rho6, rho5, rho4], axis=1),
-                          creases=(1, 0, 5, 4, 3))
-    w0 = 0.5 * (M[:, 2, 1] - M[:, 1, 2])
-    w1 = 0.5 * (M[:, 0, 2] - M[:, 2, 0])
-    return np.arctan2(w0 * _C3[0] + w1 * _C3[1], 0.5 * (M[:, 0, 0] + M[:, 1, 1] + M[:, 2, 2] - 1.0))
-
-
-def general_cos_rho2(s4, c4, s5, c5, s6, c6):
-    """cos(rho2) forced by the drives' sines and cosines; elementwise on arrays."""
-    return 0.25 * (
-        1.0 + c6 - 2.0 * s4 * s5 - 2.0 * c6 * s4 * s5 - 2.0 * s5 * s6
-        + c5 * (1.0 + c6 - 4.0 * s4 * s6)
-        + c4 * (1.0 - 3.0 * c6 + c5 * (1.0 + c6) - 2.0 * s5 * s6)
-    )
+def _turn(rho2: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Angle about c1 turning R2 c3, sqrt(3)/2 (cos^2(rho2/2), sin rho2) along (e_y, e_z), onto (y, z) along
+    (e_y, e_z).  The mirror swapping c1 and c3 carries it to the angle about c3 turning (y, z) along
+    (p, e_z) onto R2^T c1."""
+    return wrap_angles(np.arctan2(z, y) - np.arctan2(np.sin(rho2), np.cos(0.5 * rho2) ** 2))
 
 
 def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     """Every closing 6-vector of a batch of drive triples, in one array pass.
 
-    The drives broadcast to N triples.  Rows come in drive order, the +rho2
-    branch before the -rho2 one.  A branch is kept when |cos rho2| <= 1 + ``ROUNDOFF``,
-    the back chain does not leave the third crease on the first crease's
-    axis, and the full vector closes below ``tol``; a drive keeping none has
-    reason ``NO_SOLUTION``.
+    Closure is R1 R2 R3 = B = R6^T R5^T R4^T, and the one product B gives all
+    three angles: c1.B c3 = c1.R2 c3 = 1/4 - 3/4 cos rho2 (R1 fixes c1, R3
+    c3), rho1 turns R2 c3 onto B c3 about c1, and rho3 turns B^T c1 onto
+    R2^T c1 about c3.  The drives broadcast to N triples; rows come in drive
+    order, the +rho2 branch before the -rho2 one.  A branch is kept when
+    |cos rho2| <= 1 + ``ROUNDOFF``, the back chain does not leave the third
+    crease on the first crease's axis, and the full vector closes below
+    ``tol``; a drive keeping none has reason ``NO_SOLUTION``.
     """
     (r4, r5, r6), bad = _drive_columns(rho4, rho5, rho6)
-    r, exists = _rho2_branches(r4, r5, r6)
-    back = _back_chains(r4, r5, r6)
-    exists &= ~bad & (np.hypot(back[:, 1], back[:, 2]) >= ROUNDOFF)  # nearer the first crease, rho1 is free
+    B = rotation_products(g60(), -np.stack([r6, r5, r4], axis=1), creases=(5, 4, 3))
+    back = B @ _C3
+    cos2 = (1.0 - 4.0 * back[:, 0]) / 3.0
+    r = np.arccos(np.clip(cos2, -1.0, 1.0))
+    exists = ~bad & (np.abs(cos2) <= 1.0 + ROUNDOFF)
+    exists &= np.hypot(back[:, 1], back[:, 2]) >= ROUNDOFF  # nearer the first crease, rho1 is free
     keep = np.stack([exists, exists & (r != 0.0)], axis=1)
     drive, branch = np.nonzero(keep)  # row-major: drive order, + branch first
     rho2 = np.where(branch == 0, r[drive], -r[drive])
-    r4, r5, r6 = r4[drive], r5[drive], r6[drive]
-    rho1 = _rho1(rho2, back[drive])
-    rho3 = _rho3(rho1, rho2, r4, r5, r6)
-    vecs = np.stack([rho1, rho2, rho3, r4, r5, r6], axis=1)
+    back, row = back[drive], B[drive, 0]  # row = B^T c1
+    rho1 = _turn(rho2, back[:, 1], back[:, 2])
+    rho3 = _turn(rho2, (row * _P3).sum(axis=1), row[:, 2])
+    vecs = np.stack([rho1, rho2, rho3, r4[drive], r5[drive], r6[drive]], axis=1)
     closes = closure_residuals(g60(), vecs) < tol
     reason = np.where(bad, OUT_OF_RANGE, NO_SOLUTION)
     reason[drive[closes]] = SOLVED

@@ -32,5 +32,3 @@ NODE_GRAD_TOL = 1e-6
 DIFF_STEP = 1e-6
 # Distance off a 0/0 igloo drive at which its one-sided continuations are read (they move with it).
 AMBIGUITY_PROBE = 1e-6
-# An obj re-fold residual up to twice the stored one plus this still closes on the export pattern.
-RESIDUAL_FLOOR = 1e-300

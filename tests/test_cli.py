@@ -253,6 +253,43 @@ def test_usage_error_exits_2(capsys):
     assert run(capsys, "trace", "--no-such-flag")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--tol", "1"],  # the census has no closure tolerance
+    ["table", "--degrees"],  # nor folding-angle flags
+    ["sweep", "general", "-n", "2", "--degrees"],  # a sweep takes no folding angle
+    ["export", "samples.json", "--degrees"],
+])
+def test_an_option_no_command_reads_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["trifold", "--drive=0.1", "--rho3=9"], "--rho3"),
+    (["degree4", "--drive=0.1", "--rho1=0.1"], "--rho1"),
+    (["bowtie", "--rho1=0.1"], "--rho1"),
+    (["general", "--rho4=0", "--rho5=0", "--rho6=0", "--rho1=0"], "--rho1"),
+    (["general", "--rho4=0", "--rho5=0", "--rho6=0", "--drive=0"], "--drive"),
+    (["almost-general", "--rho4=0", "--rho5=0", "--rho6=0"], "--rho6"),
+    (["twopair", "--rho1=0", "--rho2=0", "--rho3=0"], "--rho3"),
+    (["igloo", "--rho1=0", "--rho2=0", "--rho3=0", "--rho4=0"], "--rho1 --rho4"),
+    (["igloo1dof", "--rho4=0.2", "--rho5=0"], "--rho5"),
+    (["opposites", "--rho1=0", "--rho2=0", "--rho4=0"], "--rho4"),
+    (["opposites", "--rho1=0", "--rho2=0", "--drive=0"], "--drive"),
+])
+def test_fold_refuses_an_angle_flag_its_model_does_not_take(capsys, argv, unread):
+    assert run(capsys, "fold", *argv) == (2, "", f"error: {argv[0]} does not take {unread}\n")
+
+
+def test_fold_takes_a_lone_rho_drive_by_name_or_as_drive_but_not_both(capsys):
+    by_name = run(capsys, "fold", "igloo1dof", "--rho4=0.2")
+    assert by_name[0] == 0
+    assert run(capsys, "fold", "igloo1dof", "--drive=0.2") == by_name
+    assert run(capsys, "fold", "igloo1dof", "--rho4=0.2", "--drive=0.2") == (
+        2, "", "error: igloo1dof takes --rho4 or --drive, not both\n")
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     built = []
     real = cli.build_parser

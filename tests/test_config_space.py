@@ -461,7 +461,7 @@ def _obj_one_sample_at_a_time(flat, pattern, tol=1e-8):
             skipped += 1
             continue
         try:
-            state = folded_geometry(pattern, s.rho, tol=max(tol, s.residual * 2 + 1e-300))
+            state = folded_geometry(pattern, s.rho, tol=max(tol, s.residual * 2))
         except NotClosedError:
             skipped += 1
             continue
@@ -531,7 +531,7 @@ def _reference_obj(flat, pattern, tol=1e-8):
         rows = np.array([as_fold_angles(flat[m].rho, pattern.n) for m in kept])
         residuals, frames = folded_frames(pattern, rows)
         for m, residual, tips in zip(kept, residuals, crease_images(pattern, frames)):
-            if residual > max(tol, flat[m].residual * 2 + 1e-300):
+            if residual > max(tol, flat[m].residual * 2):
                 continue
             offset = written * (pattern.n + 1)
             lines += [f"o sample_{m:04d}", "v 0 0 0"]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from general_oracle import general_c3_image, general_rho2
+from general_oracle import general_c3_image, general_rho2, general_solve_reference
 from rigidfold.config_space import trace_implicit_curve
 from rigidfold.core_geometry import closure_residual, closure_residuals, g60, wrap_angles
 from rigidfold.errors import (
@@ -41,6 +41,7 @@ from rigidfold.fold_models import (
     degree4_multipliers,
     degree4_pattern,
     general_fold,
+    general_solve,
     igloo_1dof,
     igloo_pattern,
     igloo_rho1,
@@ -474,6 +475,52 @@ def test_general_flat_drives_give_flat_state():
     sols = general_fold(0.0, 0.0, 0.0)
     assert len(sols) == 1
     assert np.allclose(sols[0], 0.0, atol=1e-12)
+
+
+def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest angle difference of each row pair, modulo 2*pi."""
+    return np.abs(wrap_angles(a - b)).max(axis=1)
+
+
+def test_general_solve_matches_the_two_product_reference_on_random_drives():
+    """One back-chain frame gives the rows of the earlier route (six-trig cos rho2, five-crease rho3)."""
+    drives = np.random.default_rng(18).uniform(-PI, PI, (3, 4000))
+    drives[:, :4] = [[np.nan, 4.0, PI, -PI], [0.1, 0.2, -PI, PI], [0.3, -0.3, np.inf, 0.0]]
+    new, old = general_solve(*drives), general_solve_reference(*drives)
+    assert np.array_equal(new.drive, old.drive)
+    assert np.array_equal(new.reason, old.reason)
+    assert len(new.drive) > 6000 and {SOLVED, NO_SOLUTION, OUT_OF_RANGE} <= set(new.reason.tolist())
+    assert _angle_gap(new.vectors, old.vectors).max() < 1e-12
+    assert closure_residuals(G, new.vectors).max() < 1e-13
+
+
+@pytest.mark.parametrize("rho6", [0.0, 0.4, 0.8, -1.3])
+def test_general_solve_matches_the_two_product_reference_on_region_grids(rho6):
+    """The 201 x 201 grid of ``region``: the same admissible cells and reasons.
+
+    Near a double root of rho2 (|sin rho2| < 1e-3 in either solve) arccos
+    turns a roundoff in cos rho2 into an angle error up to its square root,
+    so rows there agree to 1e-7.  At an exact double root, roundoff decides
+    whether cos rho2 reaches 1 and the ``r != 0`` rule keeps one row; the
+    other solve keeps two copies split by about 1e-8 in rho2 (136 cells of
+    the rho6 = 0 grid, where the reference keeps two).
+    """
+    axis = np.linspace(-PI, PI, 201)
+    r4, r5 = np.meshgrid(axis, axis, indexing="ij")
+    new, old = (solve(r4.ravel(), r5.ravel(), rho6) for solve in (general_solve, general_solve_reference))
+    assert np.array_equal(new.reason, old.reason)
+    assert np.array_equal(np.unique(new.drive), np.unique(old.drive))
+    counts = [np.bincount(sol.drive, minlength=r4.size) for sol in (new, old)]
+    split = counts[0] != counts[1]
+    for sol, count in zip((new, old), counts):
+        rows = sol.vectors[split[sol.drive]]
+        assert np.abs(rows[:, 1]).max(initial=0.0) < 1e-7  # a split cell is a double root at rho2 = 0
+        assert (rows[count[sol.drive[split[sol.drive]]] == 1, 1] == 0.0).all()  # its single row sits on it
+    paired = [sol.vectors[~split[sol.drive]] for sol in (new, old)]
+    gap, residual = _angle_gap(*paired), closure_residuals(G, paired[0])
+    steep = np.minimum(*(np.abs(np.sin(v[:, 1])) for v in paired)) >= 1e-3
+    assert gap[steep].max() < 1e-12 and residual[steep].max() < 1e-13
+    assert gap.max() < 1e-7 and residual.max() < 1e-12
 
 
 def test_almost_general_ties_first_two_creases():

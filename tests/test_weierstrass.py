@@ -15,18 +15,19 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from general_oracle import general_cos_rho2  # noqa: E402
 from rigidfold import fold_models  # noqa: E402
 from rigidfold.config_space import trace_implicit_curve  # noqa: E402
 from rigidfold.core_geometry import g60, rotation_products  # noqa: E402
 from rigidfold.fold_models import (  # noqa: E402
     _C3,
+    _P3,
     _TWO_PAIR_P,
     _TWO_PAIR_TURN,
     bowtie_multiplier,
     bowtie_pattern,
     degree4_multipliers,
     degree4_pattern,
-    general_cos_rho2,
     general_solve,
     two_pair_curve_gradient,
     two_pair_curve_residual,
@@ -115,8 +116,8 @@ def test_turning_value_is_the_outermost_root_of_the_discriminant(P):
 def test_general_cos_rho2_is_the_first_crease_component_of_the_back_chain():
     """Closure gives R1 R2 R3 = R6^T R5^T R4^T.  Applied to c3, which R3 fixes,
     and read along c1, which R1 fixes: c1.R2 c3 = c1.R6^T R5^T R4^T c3 (what
-    ``_back_chains`` computes).  The left side is linear in cos rho2; solving
-    for it gives exactly the program's expression, run on symbols."""
+    ``general_solve`` reads).  The left side is linear in cos rho2; solving
+    for it gives exactly the oracle's six-trig expression, run on symbols."""
     t4, t5, t6, cos2 = sp.symbols("t4 t5 t6 cos2", real=True)
     back = (CREASES[0].T * rotation(CREASES[5], -t6) * rotation(CREASES[4], -t5)
             * rotation(CREASES[3], -t4) * CREASES[2])[0]
@@ -130,6 +131,39 @@ def test_general_cos_rho2_is_the_first_crease_component_of_the_back_chain():
 
     program = sp.nsimplify(general_cos_rho2(*sin_cos(t4), *sin_cos(t5), *sin_cos(t6)), rational=True)
     assert sp.cancel(solved - program) == 0
+
+
+def test_first_crease_component_of_the_forward_chain_is_linear_in_cos_rho2():
+    """c1.R2(rho2) c3 = 1/4 - 3/4 cos rho2: ``general_solve`` reads cos rho2 = (1 - 4 c1.B c3)/3."""
+    forward = (CREASES[0].T * rotation(CREASES[1], t2) * CREASES[2])[0]
+    cos2 = (1 - t2**2) / (1 + t2**2)
+    assert sp.cancel(forward - (sp.Rational(1, 4) - sp.Rational(3, 4) * cos2)) == 0
+    assert sp.cancel((1 - 4 * forward) / 3 - cos2) == 0
+
+
+def test_mirror_swapping_c1_and_c3_carries_the_rho1_read_to_the_rho3_read():
+    """The reflection S across the plane normal to c1 - c3 swaps c1 and c3 and
+    fixes c2 and e_z, so S R2 S = R2^T and R2^T c1 = S R2 c3.  With p = S e_y
+    (the program's ``_P3``), the components of R2^T c1 along (p, e_z) are
+    those of R2 c3 along (e_y, e_z), which ``_turn`` writes as
+    sqrt(3)/2 (cos^2(rho2/2), sin rho2); and (c3, p, -e_z) is right-handed, so
+    an angle about c3 is read in (p, -e_z) with both signs flipped."""
+    c1, c2, c3 = CREASES[:3]
+    ey, ez = sp.Matrix([0, 1, 0]), sp.Matrix([0, 0, 1])
+    n = c1 - c3
+    S = sp.eye(3) - 2 * n * n.T / n.dot(n)
+    p = S * ey
+    assert [sp.simplify(v) for v in (S * c1 - c3, S * c2 - c2, S * ez - ez)] == [sp.zeros(3, 1)] * 3
+    assert sp.simplify(p - sp.Matrix([sp.nsimplify(x, [sp.sqrt(3)]) for x in _P3])) == sp.zeros(3, 1)
+    assert sp.simplify(c3.cross(p) + ez) == sp.zeros(3, 1) and sp.simplify(p.dot(c3)) == 0
+    forward = rotation(c2, t2) * c3  # R2 c3
+    backward = rotation(c2, -t2) * c1  # R2^T c1
+    assert (S * forward - backward).applyfunc(sp.cancel) == sp.zeros(3, 1)
+    assert sp.cancel(backward.dot(p) - forward.dot(ey)) == 0
+    assert sp.cancel(backward.dot(ez) - forward.dot(ez)) == 0
+    half = sp.sqrt(3) / 2
+    assert sp.cancel(forward.dot(ey) - half / (1 + t2**2)) == 0  # sqrt(3)/2 cos^2(rho2/2)
+    assert sp.cancel(forward.dot(ez) - half * 2 * t2 / (1 + t2**2)) == 0  # sqrt(3)/2 sin rho2
 
 
 def test_general_branches_satisfy_the_first_crease_matching():
