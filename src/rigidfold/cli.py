@@ -31,8 +31,7 @@ def _rad(value: float, args) -> float:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        cs.write_text(out, text)
     else:
         sys.stdout.write(text)
 

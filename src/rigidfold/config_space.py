@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from itertools import compress
@@ -366,9 +367,19 @@ def export(samples, format: str, path: str, pattern: CreasePattern | None = None
     """
     flat = as_samples(samples)
     text, invalid, foreign = render(flat, format, pattern, tol)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    write_text(path, text)
     return ExportReport(written=len(flat) - invalid - foreign, skipped=invalid + foreign)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text with LF line endings over the file's old bytes, then cut off what is left of them.
+
+    open(path, "w") would cut an existing file to zero first, after which ext4 blocks its close on a disk flush.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "w", newline="\n") as fh:
+        fh.write(text)
+        if os.path.isfile(path):  # a pipe or device has no length to cut
+            fh.truncate()
 
 
 def render(samples, format: str, pattern: CreasePattern | None = None,

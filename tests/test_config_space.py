@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -27,6 +28,7 @@ from rigidfold.config_space import (
     samples_to_obj,
     sweep_model,
     trace_implicit_curve,
+    write_text,
 )
 from rigidfold.core_geometry import (
     as_fold_angles,
@@ -418,6 +420,17 @@ def test_csv_export(tmp_path):
     cells = lines[1].split(",")
     assert cells[-2] in ("true", "false")
     assert len(cells) == 9
+
+
+def test_export_over_a_longer_file_leaves_only_the_new_text(tmp_path):
+    """An output file is written over its old bytes, not cut to zero first, and then cut to the new length."""
+    path = tmp_path / "sweep.csv"
+    path.write_text("x" * 100_000)
+    export(_samples(), "csv", str(path))
+    assert path.read_bytes() == samples_to_csv(_samples()).encode()
+    export(_samples()[:2], "csv", str(path))
+    assert path.read_bytes() == samples_to_csv(_samples()[:2]).encode()
+    write_text(os.devnull, "a device takes the text and is not cut\n")
 
 
 def test_json_export_round_trips_bit_exactly(tmp_path):
