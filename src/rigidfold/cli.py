@@ -226,7 +226,7 @@ def cmd_trace(args) -> int:
     seed = (_rad(args.seed1, args), _rad(args.seed2, args))
     check_fold_angle(seed[0], "seed1")  # the relation is 2pi-periodic: a seed outside traces no folding
     check_fold_angle(seed[1], "seed2")
-    trace = cs.trace_implicit_curve(fm.two_pair_curve_residual, seed, step=args.step, tol=args.tol,
+    trace = cs.trace_implicit_curve(fm.two_pair_curve_residual, seed, step=args.step,
                                     gradient=fm.two_pair_curve_gradient)
     if not trace.closed:
         print(f"warning: trace did not close: {trace.note}", file=sys.stderr)

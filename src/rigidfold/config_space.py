@@ -255,15 +255,16 @@ def _correct(fn, q, tol: float, gradient=None) -> tuple[tuple[float, float], flo
     return (x, y), f if abs(f) <= tol else None
 
 
-def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: float = DEFAULT_TOL,
-                         max_steps: int = 20000, gradient=None) -> CurveTrace:
+def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, max_steps: int = 20000,
+                         gradient=None) -> CurveTrace:
     """Predictor-corrector walk along one connected zero-set component.
 
     ``residual_fn(x, y)`` must be elementwise on float arrays too: the node
     scan evaluates it on a whole circle of points in one call.
     ``gradient(x, y)`` returns its two partial derivatives at a point; by
     default they are central differences of ``residual_fn``.  ``step`` must
-    be finite and positive.
+    be finite and positive.  The seed check, the corrector's divergence test
+    and each point's valid flag all bound the defect by ``ON_CURVE``.
 
     The tangent is the 90-degree rotation of the gradient, oriented to keep
     moving forward; where the gradient is near-singular (a node) the walker
@@ -301,7 +302,7 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
     closed = False
     note = ""
     for i in range(max_steps):
-        (qx, qy), f = _correct(residual_fn, (x + step * tx, y + step * ty), tol, gradient)
+        (qx, qy), f = _correct(residual_fn, (x + step * tx, y + step * ty), ON_CURVE, gradient)
         if f is None:
             note = f"corrector diverged at step {i}"
             break
@@ -318,7 +319,7 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, tol: floa
             tx, ty = gy / gn, -gx / gn
             if tx * mx + ty * my < 0.0:
                 tx, ty = -tx, -ty
-        walked.append((qx, qy, abs(f), abs(f) < tol))
+        walked.append((qx, qy, abs(f), abs(f) < ON_CURVE))
         x, y = qx, qy
         if i > 4 and math.hypot(x - x0, y - y0) < 0.75 * step and tx * sx + ty * sy > 0.7:
             closed = True

@@ -495,6 +495,8 @@ def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
 def igloo_rho4(alpha: float, beta: float, rho2: float, rho3: float) -> float:
     """Completing angle on the middle crease; the vertex flipped end for end."""
     _check_wedge_domain(alpha, beta)
+    check_fold_angle(rho2, "rho2")
+    check_fold_angle(rho3, "rho3")
     return igloo_rho1(PI - alpha - beta, beta, rho3, rho2)
 
 
@@ -706,7 +708,8 @@ def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     three angles: c1.B c3 = c1.R2 c3 = 1/4 - 3/4 cos rho2 (R1 fixes c1, R3
     c3), rho1 turns R2 c3 onto B c3 about c1, and rho3 turns B^T c1 onto
     R2^T c1 about c3.  The drives broadcast to N triples; rows come in drive
-    order, the +rho2 branch before the -rho2 one.  A branch is kept when
+    order, the +rho2 branch before the -rho2 one; where 1 - cos rho2 <=
+    ``ROUNDOFF`` the two are one double root, rho2 = 0.  A branch is kept when
     |cos rho2| <= 1 + ``ROUNDOFF``, the back chain does not leave the third
     crease on the first crease's axis, and the full vector closes below
     ``tol``; a drive keeping none has reason ``NO_SOLUTION``.
@@ -718,6 +721,7 @@ def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     r = np.arccos(np.clip(cos2, -1.0, 1.0))
     exists = ~bad & (np.abs(cos2) <= 1.0 + ROUNDOFF)
     exists &= np.hypot(back[:, 1], back[:, 2]) >= ROUNDOFF  # nearer the first crease, rho1 is free
+    r[1.0 - cos2 <= ROUNDOFF] = 0.0  # a double root: one row, not two split by roundoff
     keep = np.stack([exists, exists & (r != 0.0)], axis=1)
     drive, branch = np.nonzero(keep)  # row-major: drive order, + branch first
     rho2 = np.where(branch == 0, r[drive], -r[drive])

@@ -34,22 +34,49 @@ class VelocityVector:
 class ModeSolution:
     """Real velocity rays compatible with a coloring, or the lack thereof.
 
-    ``witness`` is a ray whose class values are pairwise distinct, or None
-    when every real ray merges two classes (the ray belongs to a coarser
-    coloring); ``dof`` is the solution dimension at the witness.
-    ``velocities`` and ``foldable`` are read from the solve's cone points
+    ``dof`` is the solution dimension at a ray whose class values are
+    pairwise distinct, or None when every real ray merges two classes (the
+    ray belongs to a coarser coloring).  ``witness`` (such a ray),
+    ``velocities`` and ``foldable`` are built from the solve's eigenpairs
     on first access.
     """
 
     color_pattern: tuple[int, ...]
-    witness: VelocityVector | None
     dof: int | None
-    _cone: tuple = field(repr=False)  # (L, Q, E, class-space cone points)
+    _cone: tuple = field(repr=False)  # (L, Q, E, eigenvalues and class-space eigenvectors of Qn)
+
+    @cached_property
+    def _witness_point(self) -> np.ndarray | None:
+        """The first of fixed generic directions (eigen-coordinates of Qn),
+        projected onto the cone, with distinct classes: unit Qn-weight on each
+        signed part, +-1 between them, the null part as it is."""
+        if self.dof is None:
+            return None
+        L, Q, _, lam, V = self._cone
+        pos, neg = lam > ROUNDOFF, lam < -ROUNDOFF
+        U = np.cos(np.outer(np.arange(1.0, 5.0), np.arange(1.0, len(lam) + 1.0)))
+        Y = np.where(pos | neg, 0.0, U)
+        if pos.any() and neg.any():
+            Y[:, pos] = U[:, pos] / np.sqrt(U[:, pos] ** 2 @ lam[pos])[:, None]
+            Y[:, neg] = U[:, neg] / np.sqrt(U[:, neg] ** 2 @ -lam[neg])[:, None]
+            Y = np.vstack([Y, np.where(neg, -Y, Y)])
+        witness = next((x for x in map(_normalize_ray, Y @ V.T) if _separates(x) and _on_cone(L, Q, x)), None)
+        if witness is None:
+            raise NumericalError(f"coloring {list(self.color_pattern)} has a ray with distinct classes, "
+                                 "but no witness cone point was found")
+        return witness
+
+    @cached_property
+    def witness(self) -> VelocityVector | None:
+        x = self._witness_point
+        return None if x is None else VelocityVector(tuple(float(v) for v in self._cone[2] @ x))
 
     @cached_property
     def velocities(self) -> tuple[VelocityVector, ...]:
-        """The cone points that pass both order conditions, deduplicated and sorted."""
-        L, Q, E, points = self._cone
+        """The witness and the cone points that pass both order conditions,
+        deduplicated (the first copy kept) and sorted."""
+        L, Q, E, lam, V = self._cone
+        points = ([] if self._witness_point is None else [self._witness_point]) + _cone_points(lam, V)
         rays: list[np.ndarray] = []
         seen: set = set()
         for x in points:
@@ -178,10 +205,8 @@ def solve_modes(pattern: CreasePattern, colorings) -> list[ModeSolution]:
     piece of the cone (the subspace, either hyperplane, or the quadric
     through its span null(L)) lies in no merge hyperplane x_p = x_q.
 
-    Rays: the null eigenvectors of Qn, the balanced mixes of each
-    positive/negative eigenpair and, when a distinct ray exists, the first
-    cone point with distinct classes from a fixed list (the witness);
-    deduplicated and sorted.  No real ray means not foldable.
+    Only the decision and the DOF run here; each ``ModeSolution`` builds
+    its witness and rays when they are read.  No real ray means not foldable.
 
     The systems are stacked by class count k: one ``svd`` per k and one
     ``eigh`` per (k, rank of L); only the decision runs row by row.
@@ -210,57 +235,36 @@ def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
     return solve_modes(pattern, [color_pattern])[0]
 
 
-def _decide(cls, L, Q, E, lam, V) -> ModeSolution:
-    """One coloring's witness, DOF and cone points from the eigenpairs (lam, V) of Qn."""
+def _cone_points(lam: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
+    """The null eigenvectors of Qn, then the balanced mixes of each
+    positive/negative eigenpair, in class coordinates."""
     pos, neg = lam > ROUNDOFF, lam < -ROUNDOFF
-    zero = ~(pos | neg)
-    cone_points = list(V[:, zero].T)
+    points = list(V[:, ~(pos | neg)].T)
     for i in np.flatnonzero(pos):
         for j in np.flatnonzero(neg):
             a, b = np.sqrt(-lam[j]), np.sqrt(lam[i])
-            cone_points += [a * V[:, i] + b * V[:, j], a * V[:, i] - b * V[:, j]]
+            points += [a * V[:, i] + b * V[:, j], a * V[:, i] - b * V[:, j]]
+    return points
 
+
+def _decide(cls, L, Q, E, lam, V) -> ModeSolution:
+    """One coloring's DOF from the eigenpairs (lam, V) of Qn: dim null(L), less one
+    where Qn is indefinite.  At a witness x = N w on the cone, rank [L; 2(Qx)^T] =
+    rank L + [Qn w != 0], and Qn w = 0 exactly when Qn is semidefinite."""
+    pos, neg = lam > ROUNDOFF, lam < -ROUNDOFF
+    zero = ~(pos | neg)
     indefinite = pos.any() and neg.any()
     if not indefinite:
         distinct = zero.any() and _separates(V[:, zero])
     elif pos.sum() + neg.sum() > 2:
         distinct = _separates(V)
-    else:  # the last two mixes span the two hyperplanes, modulo null(Qn)
-        distinct = any(_separates(np.column_stack([x, V[:, zero]])) for x in cone_points[-2:])
-
-    witness = None
-    if distinct:
-        # fixed generic directions (eigen-coordinates of Qn) projected onto
-        # the cone: unit Qn-weight on each signed part, +-1 between them,
-        # the null part as it is
-        U = np.cos(np.outer(np.arange(1.0, 5.0), np.arange(1.0, len(lam) + 1.0)))
-        Y = np.where(zero, U, 0.0)
-        if indefinite:
-            Y[:, pos] = U[:, pos] / np.sqrt(U[:, pos] ** 2 @ lam[pos])[:, None]
-            Y[:, neg] = U[:, neg] / np.sqrt(U[:, neg] ** 2 @ -lam[neg])[:, None]
-            Y = np.vstack([Y, np.where(neg, -Y, Y)])
-        witness = next((x for x in map(_normalize_ray, Y @ V.T) if _separates(x) and _on_cone(L, Q, x)), None)
-        if witness is None:
-            raise NumericalError(f"coloring {cls} has a ray with distinct classes, "
-                                 "but no witness cone point was found")
-        cone_points.insert(0, witness)  # kept over its duplicates
-
-    return ModeSolution(
-        color_pattern=tuple(cls),
-        witness=None if witness is None else VelocityVector(tuple(float(x) for x in E @ witness)),
-        dof=None if witness is None else _ray_dof(L, Q, witness),
-        _cone=(L, Q, E, cone_points),
-    )
+    else:  # the two mixes span the two hyperplanes, modulo null(Qn)
+        distinct = any(_separates(np.column_stack([x, V[:, zero]])) for x in _cone_points(lam, V)[-2:])
+    return ModeSolution(tuple(cls), len(lam) - int(indefinite) if distinct else None, (L, Q, E, lam, V))
 
 
 def _on_cone(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> bool:
     return np.max(np.abs(L @ x)) <= CENSUS_ZERO and abs(x @ Q @ x) <= CENSUS_ZERO
-
-
-def _ray_dof(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> int:
-    """Class count minus the rank of L stacked with the quadratic gradient at x."""
-    J = np.vstack([L, 2.0 * (Q @ x)[None, :]])
-    return int(L.shape[1] - np.linalg.matrix_rank(J, tol=CENSUS_ZERO))
 
 
 def ray_class_values(color_pattern, velocity: VelocityVector | np.ndarray) -> np.ndarray:

@@ -36,12 +36,8 @@ class ColorPattern:
     def __post_init__(self):
         if len(self.classes) != 6:
             raise OutOfRangeError(f"expected 6 classes, got {len(self.classes)}")
-        nxt = 1
-        for c in self.classes:
-            if c == nxt:
-                nxt += 1
-            elif not 1 <= c < nxt:
-                raise OutOfRangeError(f"labels not in first-occurrence order: {self.classes}")
+        if list(self.classes) != _class_list(self.classes):
+            raise OutOfRangeError(f"labels not in first-occurrence order: {self.classes}")
 
     @property
     def k(self) -> int:
@@ -108,16 +104,14 @@ def classify_g60() -> list[Table1Row]:
     A pattern counts as foldable only if some real velocity ray keeps all
     of its classes at pairwise distinct values (the solve's witness ray);
     rays that merge classes belong to a coarser pattern.  DOF is the
-    generic solution dimension at the witness: class count minus the rank
-    of the combined linear constraint and the gradient of the quadratic
-    one.
+    solution dimension at that ray.
     """
     pats = _all_patterns()
-    sols = solve_modes(g60(), pats)  # one batched solve; only witness and dof are read
+    sols = solve_modes(g60(), pats)  # one batched solve; only dof is read
     rows = []
     for k in range(1, 7):
         group = [(pat, sol) for pat, sol in zip(pats, sols) if pat.k == k]
         foldable = tuple((pat, NAMED_PATTERNS.get(pat.classes), sol.dof)
-                         for pat, sol in group if sol.witness is not None)
+                         for pat, sol in group if sol.dof is not None)
         rows.append(Table1Row(k=k, pattern_count=len(group), foldable_patterns=foldable))
     return rows

@@ -229,12 +229,9 @@ def test_criterion_6_general_kinematics():
         x_err = max(x_err, abs(x - (1.0 - 3.0 * math.cos(r2)) / 4.0))
 
     branch_failures = 0
-    checked = 0
-    while checked < 100:
-        d = rng.uniform(-PI, PI, 3)
-        if len(general_rho2(*d)) != 2:
-            continue
-        checked += 1
+    # one fixed batch of draws, so the test cannot hang; at least 100 of them have two branches
+    two_branch = [d for d in rng.uniform(-PI, PI, (140, 3)) if len(general_rho2(*d)) == 2]
+    for d in two_branch:
         try:
             sols = general_fold(*d, tol=1e-8)
         except NoSolutionError:
@@ -253,8 +250,8 @@ def test_criterion_6_general_kinematics():
         for i in range(3) for j in range(i + 1, 3)
     )
 
-    ok = x_err < 1e-12 and branch_failures == 0 and nonempty and origin_ok and distinct
-    report(6, ok, f"x identity {x_err:.1e}, branch failures {branch_failures}/100, masks "
+    ok = x_err < 1e-12 and len(two_branch) >= 100 and branch_failures == 0 and nonempty and origin_ok and distinct
+    report(6, ok, f"x identity {x_err:.1e}, branch failures {branch_failures}/{len(two_branch)}, masks "
                   f"nonempty {nonempty}, distinct {distinct}, origin admissible {origin_ok}")
     assert ok
 

@@ -263,6 +263,14 @@ def test_trace_exhausts_budget_on_open_curves():
     assert len(trace.samples) == 51
 
 
+def test_trace_stops_at_an_isolated_zero():
+    trace = trace_implicit_curve(lambda x, y: x * x + y * y, (0.0, 0.0))
+    assert trace.closed
+    assert trace.note == "isolated zero"
+    assert len(trace.samples) == 1
+    assert trace.samples[0].rho.tolist() == [0.0, 0.0] and trace.samples[0].valid
+
+
 def test_trace_rejects_off_curve_seed():
     with pytest.raises(OutOfRangeError):
         trace_implicit_curve(lambda x, y: x * x + y * y - 1.0, (0.5, 0.0))

@@ -238,6 +238,14 @@ def test_igloo_flat_input_returns_flat():
     assert igloo_rho4(1.0, 0.8, 1e-14, -1e-14) == 0.0
 
 
+@pytest.mark.parametrize("fn", [igloo_rho1, igloo_rho4])
+@pytest.mark.parametrize("bad", ["rho2", "rho3"])
+def test_igloo_partial_relations_name_the_bad_drive(fn, bad):
+    drives = {"rho2": 0.1, "rho3": 0.1, bad: 5.0}
+    with pytest.raises(OutOfRangeError, match=f"^{bad} must lie in"):
+        fn(1.0, 1.0, drives["rho2"], drives["rho3"])
+
+
 def test_igloo_1dof_closes_and_matches_completion():
     a, b = 1.0, 0.8
     pat = igloo_pattern(a, b)
@@ -451,10 +459,8 @@ def test_general_x_identity():
 
 
 def test_general_fold_branches_close():
-    rng = np.random.default_rng(17)
     solved = 0
-    while solved < 30:
-        d = rng.uniform(-PI, PI, 3)
+    for d in np.random.default_rng(17).uniform(-PI, PI, (40, 3)):  # one fixed batch: the test cannot hang
         try:
             sols = general_fold(*d)
         except NoSolutionError:
@@ -463,6 +469,7 @@ def test_general_fold_branches_close():
             assert closure_residual(G, v) < 1e-8
             assert np.allclose(v[3:], d, atol=1e-15)  # drives pass through
         solved += 1
+    assert solved >= 30
 
 
 def test_general_fold_no_branch_raises():
@@ -494,16 +501,16 @@ def test_general_solve_matches_the_two_product_reference_on_random_drives():
     assert closure_residuals(G, new.vectors).max() < 1e-13
 
 
-@pytest.mark.parametrize("rho6", [0.0, 0.4, 0.8, -1.3])
+@pytest.mark.parametrize("rho6", [0.0, 0.4, 0.8, -1.3, PI, -PI])
 def test_general_solve_matches_the_two_product_reference_on_region_grids(rho6):
     """The 201 x 201 grid of ``region``: the same admissible cells and reasons.
 
     Near a double root of rho2 (|sin rho2| < 1e-3 in either solve) arccos
     turns a roundoff in cos rho2 into an angle error up to its square root,
-    so rows there agree to 1e-7.  At an exact double root, roundoff decides
-    whether cos rho2 reaches 1 and the ``r != 0`` rule keeps one row; the
-    other solve keeps two copies split by about 1e-8 in rho2 (136 cells of
-    the rho6 = 0 grid, where the reference keeps two).
+    so rows there agree to 1e-7.  At an exact double root the reference lets
+    roundoff decide whether cos rho2 reaches 1, and where it misses keeps two
+    copies split by a few 1e-8 in rho2; ``general_solve`` takes rho2 = 0
+    there and keeps one row at every such split cell.
     """
     axis = np.linspace(-PI, PI, 201)
     r4, r5 = np.meshgrid(axis, axis, indexing="ij")
@@ -512,6 +519,7 @@ def test_general_solve_matches_the_two_product_reference_on_region_grids(rho6):
     assert np.array_equal(np.unique(new.drive), np.unique(old.drive))
     counts = [np.bincount(sol.drive, minlength=r4.size) for sol in (new, old)]
     split = counts[0] != counts[1]
+    assert (counts[0][split] == 1).all()
     for sol, count in zip((new, old), counts):
         rows = sol.vectors[split[sol.drive]]
         assert np.abs(rows[:, 1]).max(initial=0.0) < 1e-7  # a split cell is a double root at rho2 = 0
@@ -524,10 +532,8 @@ def test_general_solve_matches_the_two_product_reference_on_region_grids(rho6):
 
 
 def test_almost_general_ties_first_two_creases():
-    rng = np.random.default_rng(23)
     solved = 0
-    while solved < 20:
-        r4, r5 = rng.uniform(-PI, PI, 2)
+    for r4, r5 in np.random.default_rng(23).uniform(-PI, PI, (25, 2)):  # one fixed batch: the test cannot hang
         try:
             sols = almost_general(r4, r5)
         except NoSolutionError:
@@ -536,6 +542,7 @@ def test_almost_general_ties_first_two_creases():
             assert v[0] == v[1]
             assert closure_residual(G, v) < 1e-8
         solved += 1
+    assert solved >= 20
 
 
 # --- seven-vertex patch ---------------------------------------------------------

@@ -17,6 +17,7 @@ from rigidfold.second_order_rigidity import (
     symmetry_reduced_system,
 )
 from rigidfold.symmetry_enumeration import _restricted_growth, classify_g60, enumerate_patterns
+from rigidfold.tolerances import CENSUS_ZERO
 
 G = g60()
 
@@ -296,12 +297,36 @@ def test_batched_solve_equals_the_one_row_solves(sectors_deg):
     pattern = G if sectors_deg is None else CreasePattern.from_sectors(np.radians(sectors_deg))
     colorings = list(_restricted_growth(6))
     batched = solve_modes(pattern, colorings)
-    assert not any("velocities" in vars(sol) for sol in batched)
+    assert not any(name in vars(sol) for sol in batched for name in ("_witness_point", "witness", "velocities"))
     assert [sol.color_pattern for sol in batched] == colorings
     assert batched == [symmetric_mode_solve(pattern, c) for c in colorings]
     ranks = [np.linalg.matrix_rank(symmetry_reduced_system(pattern, c)[0], tol=1e-12) for c in colorings]
     assert len({(max(c), r) for c, r in zip(colorings, ranks)}) >= 7  # 10 (k, rank) groups on g60
     assert solve_modes(pattern, []) == []
+
+
+def _ray_dof(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> int:
+    """Class count minus the rank of L stacked with the quadratic gradient at x."""
+    J = np.vstack([L, 2.0 * (Q @ x)[None, :]])
+    return int(L.shape[1] - np.linalg.matrix_rank(J, tol=CENSUS_ZERO))
+
+
+def test_dof_is_the_jacobian_rank_deficiency_at_the_witness():
+    """The solve reads the DOF off the inertia of Qn: dim null(L), less one where
+    Qn is indefinite.  It equals the rank deficiency of [L; 2 (Q x)^T] at the
+    witness x, on g60 and on 100 seeded random six-crease fans."""
+    rng = np.random.default_rng(19)
+    patterns = [G] + [CreasePattern.from_sectors(s / s.sum() * 2.0 * math.pi) for s in rng.uniform(0.5, 1.5, (100, 6))]
+    colorings = list(_restricted_growth(6))
+    checked = 0
+    for pattern in patterns:
+        for coloring, sol in zip(colorings, solve_modes(pattern, colorings)):
+            if sol.dof is None:
+                continue
+            L, Q, _ = symmetry_reduced_system(pattern, coloring)
+            assert sol.dof == _ray_dof(L, Q, ray_class_values(coloring, sol.witness)), coloring
+            checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("n", range(5, 13))

@@ -259,3 +259,44 @@ def test_bowtie_modes_close_exactly():
     for mode, m in BOWTIE.items():
         assert _closure(_bowtie_creases(mode), (t, t, m * t, t, t, m * t)) == sp.eye(3)
     assert _closure(_bowtie_creases(1), (t, t, BOWTIE[2] * t, t, t, BOWTIE[2] * t)) != sp.eye(3)
+
+
+# --- igloo half-angle fraction ---------------------------------------------------
+
+def test_igloo_fraction_is_the_first_crease_turned_by_the_second_and_third(monkeypatch):
+    """On ``igloo_pattern(alpha, beta)`` (creases at 0, alpha, alpha + beta) with
+    A = R2(rho2) R3(rho3), ``_igloo_fraction`` is the (y, z) of A c1, and its
+    flipped call for rho4 is minus the (y, z) of A^T c1.  The two pairs have one
+    length, because c1.A c1 = c1.A^T c1, so the two 0/0 tests of ``_igloo_rows``
+    test one quantity.  The program's expression runs on symbols and every
+    sine and cosine is written in its half-angle tangent."""
+    a, b, r2, r3, ta, tb, t3 = sp.symbols("a b r2 r3 ta tb t3", real=True)
+    trig = type("symbolic", (), {"sin": staticmethod(sp.sin), "cos": staticmethod(sp.cos)})
+    monkeypatch.setattr(fold_models, "math", trig)
+    monkeypatch.setattr(fold_models, "np", trig)
+    rho1_pair = fold_models._igloo_fraction(a, b, r2, r3)
+    rho4_pair = fold_models._igloo_fraction(sp.pi - a - b, b, r3, r2)
+    monkeypatch.undo()
+    half = {}
+    for angle, t in ((a, ta), (b, tb), (r2, t2), (r3, t3)):
+        half[sp.sin(angle)], half[sp.cos(angle)] = 2 * t / (1 + t**2), (1 - t**2) / (1 + t**2)
+
+    def rational(expr):
+        return sp.expand_trig(expr).subs(half)
+
+    def vanishes(expr):  # the numerator over one common denominator (a product of 1 + t^2) expands to 0
+        return sp.expand(sp.together(expr).as_numer_denom()[0]) == 0
+
+    c1 = sp.Matrix([1, 0, 0])
+    c2 = sp.Matrix([rational(sp.cos(a)), rational(sp.sin(a)), 0])
+    c3 = sp.Matrix([rational(sp.cos(a + b)), rational(sp.sin(a + b)), 0])
+    forward = rotation(c2, t2) * rotation(c3, t3) * c1  # A c1
+    backward = rotation(c3, -t3) * rotation(c2, -t2) * c1  # A^T c1
+    assert all(vanishes(rational(x) - y) for x, y in zip(rho1_pair, forward[1:]))
+    assert all(vanishes(rational(x) + y) for x, y in zip(rho4_pair, backward[1:]))
+    assert vanishes(forward[0] - backward[0])
+
+    alpha, beta = 1.0, 0.8
+    angles = np.array([0.0, alpha, alpha + beta])
+    assert np.abs(fold_models.igloo_pattern(alpha, beta).creases[:3, :2]
+                  - np.column_stack([np.cos(angles), np.sin(angles)])).max() < 1e-15
