@@ -14,7 +14,6 @@ from .config_space import (
     CurveTrace,
     ExportReport,
     Samples,
-    SurfaceGrid,
     admissible_region,
     as_samples,
     export,
@@ -49,7 +48,6 @@ from .errors import (
 from .fold_models import (
     FoldMode,
     FoldModel,
-    Multiplier,
     OppositesSolution,
     Solved,
     almost_general,

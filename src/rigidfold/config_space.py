@@ -35,12 +35,13 @@ from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks
 from .tolerances import DEFAULT_TOL, DIFF_STEP, NODE_GRAD_TOL, ON_CURVE, ROUNDOFF
 
 _TRACE_STEP = 0.02
+_TRACE_BUDGET = 20000  # steps the walker takes at most
 _SKIPPED = (NO_SOLUTION, AMBIGUOUS)  # reasons a sweep skips a drive for; any other one raises
 
 PI = math.pi
 
 
-@dataclass
+@dataclass(eq=False)
 class ConfigSample:
     """One sampled folded state, the row view of ``Samples``: angles, closure defect, validity, branch tag."""
 
@@ -49,6 +50,9 @@ class ConfigSample:
     valid: bool
     branch: int | str = 0
 
+    def __eq__(self, other) -> bool:
+        return as_samples(self) == other
+
 
 @dataclass(frozen=True, eq=False)
 class Samples:
@@ -56,8 +60,8 @@ class Samples:
 
     Row i holds ``width[i]`` angles (w by default), then NaN.  An integer
     index, ``len`` and iteration give ``ConfigSample`` rows; any other index
-    gives the selected rows.  Records, or lists of rows, are equal when
-    their json export is.
+    gives the selected rows, their angles cut to the widest of them.
+    Records, rows or lists of rows are equal when their json export is.
     """
 
     rho: np.ndarray
@@ -79,13 +83,16 @@ class Samples:
         if isinstance(key, (int, np.integer)):
             return ConfigSample(self.rho[key, :self.width[key]], float(self.residual[key]), bool(self.valid[key]),
                                 self.branch[key])
-        return as_samples(list(map(self.__getitem__, np.arange(len(self))[key].tolist())))
+        rows = np.arange(len(self))[key]
+        width = self.width[rows]
+        return Samples(self.rho[rows, :width.max(initial=0)], self.residual[rows], self.valid[rows],
+                       [self.branch[i] for i in rows.tolist()], width)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Samples, list, tuple)):
+        if not isinstance(other, (Samples, ConfigSample, list, tuple)):
             return NotImplemented
         return samples_to_json(self) == samples_to_json(other)  # the json text keeps every bit of every row
 
@@ -95,13 +102,6 @@ class CurveTrace:
     samples: Samples
     closed: bool = False
     note: str = ""
-
-
-@dataclass
-class SurfaceGrid:
-    drive1: np.ndarray
-    drive2: np.ndarray
-    samples: Samples
 
 
 @dataclass
@@ -119,9 +119,7 @@ class ExportReport:
 
 
 def as_samples(samples) -> Samples:
-    """A ``Samples`` record from one, from a CurveTrace or SurfaceGrid, or from ConfigSample rows."""
-    if isinstance(samples, (CurveTrace, SurfaceGrid)):
-        samples = samples.samples
+    """A ``Samples`` record from one, or from ConfigSample rows."""
     if isinstance(samples, Samples):
         return samples
     rows = [samples] if isinstance(samples, ConfigSample) else list(samples)
@@ -156,19 +154,18 @@ def make_sample(pattern: CreasePattern, rho, branch=0, tol: float = DEFAULT_TOL)
 # ---------------------------------------------------------------------------
 # sweeping
 
-def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace | SurfaceGrid:
+def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> Samples:
     """Sample a family: n points over the drive interval, or an n-by-n grid.
 
     The family's drive count picks the sampler: one drive is swept over its
     reachable interval, a drive pair on a relation curve at n points of its
     node loop, any other pair over a grid, and a drive triple is drawn at
-    random from a fixed seed.  One-parameter families return a CurveTrace
-    ordered by drive value or arclength; two-parameter families return a
-    SurfaceGrid.  Drives where the family has no closing solution are
-    skipped rather than reported as invalid samples, so a returned sample
-    always corresponds to a solve.  Each sampler solves all of its drives
-    with one ``Family.solve`` call and evaluates the solved vectors with
-    one ``make_samples`` call.
+    random from a fixed seed.  Samples come in drive order: by drive value,
+    by arclength around the loop, or row-major over the grid.  Drives where
+    the family has no closing solution are skipped rather than reported as
+    invalid samples, so a returned sample always corresponds to a solve.
+    Each sampler solves all of its drives with one ``Family.solve`` call and
+    evaluates the solved vectors with one ``make_samples`` call.
     """
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
@@ -186,14 +183,13 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
 
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)
-        vectors, branches = solved(np.linspace(-lim, lim, n)[:, None])
-        return CurveTrace(samples=make_samples(pattern, vectors, branches, tol), closed=False, note="sweep")
+        return make_samples(pattern, *solved(np.linspace(-lim, lim, n)[:, None]), tol)
     if fam.loop is not None:
-        return CurveTrace(samples=make_samples(pattern, *solved(fam.loop(n)), tol), closed=True, note="node loop")
+        return make_samples(pattern, *solved(fam.loop(n)), tol)
     if len(fam.drives) == 2:
         axis = np.linspace(-PI, PI, n)
-        vectors, branches = solved(np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
-        return SurfaceGrid(drive1=axis, drive2=axis, samples=make_samples(pattern, vectors, branches, tol))
+        drives = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        return make_samples(pattern, *solved(drives), tol)
     # Blocks of n triples draw the same stream as one triple at a time; the
     # budget of 40 n triples and the cut at n vectors keep the scalar sampler's rows.
     rng = np.random.default_rng(0)
@@ -204,8 +200,7 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> CurveTrace 
         vectors, tags = solved(rng.uniform(-PI, PI, (block, 3)))
         blocks.append(vectors)
         branches += tags
-    return CurveTrace(samples=make_samples(pattern, np.concatenate(blocks)[:n], branches[:n], tol),
-                      closed=False, note="seeded random drive triples")
+    return make_samples(pattern, np.concatenate(blocks)[:n], branches[:n], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +250,7 @@ def _correct(fn, q, tol: float, gradient=None) -> tuple[tuple[float, float], flo
     return (x, y), f if abs(f) <= tol else None
 
 
-def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, max_steps: int = 20000,
-                         gradient=None) -> CurveTrace:
+def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, gradient=None) -> CurveTrace:
     """Predictor-corrector walk along one connected zero-set component.
 
     ``residual_fn(x, y)`` must be elementwise on float arrays too: the node
@@ -301,7 +295,7 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, max_steps
     x, y = x0, y0
     closed = False
     note = ""
-    for i in range(max_steps):
+    for i in range(_TRACE_BUDGET):
         (qx, qy), f = _correct(residual_fn, (x + step * tx, y + step * ty), ON_CURVE, gradient)
         if f is None:
             note = f"corrector diverged at step {i}"

@@ -268,14 +268,15 @@ def _gram_tables(n: int) -> tuple[np.ndarray, ...]:
     return tuple(_read_only(t) for t in (left, np.roll(left[::-1], -3, axis=1), g, h, tips[::-1, 0]))
 
 
-def self_intersections(pattern: CreasePattern, images, eps: float = TRIANGLE_EPS) -> np.ndarray:
+def self_intersections(pattern: CreasePattern, images) -> np.ndarray:
     """Whether any two non-adjacent folded sectors overlap, for each row of (N, n, 3) crease images.
 
     Every non-adjacent sector pair of every row is decided at once from the
     Gram products G = a_p . n_q and H = a_p . a_q of the images a_k and the
-    sector normals n_k = a_k x a_k+1.  A sector whose normal is shorter than
-    eps has no interior and meets nothing.  Otherwise take the signed
-    distances d = G / |n| of each sector's two tips from the other's plane:
+    sector normals n_k = a_k x a_k+1.  With eps = ``TRIANGLE_EPS``, a sector
+    whose normal is shorter than eps has no interior and meets nothing.
+    Otherwise take the signed distances d = G / |n| of each sector's two tips
+    from the other's plane:
 
     * transversal pair: each sector's tips lie strictly on opposite sides of
       the other's plane.  The tip-to-tip edges cross the planes' common line
@@ -297,6 +298,7 @@ def self_intersections(pattern: CreasePattern, images, eps: float = TRIANGLE_EPS
     if pattern.sector_angles.max() > np.pi:
         raise DomainError("the self-intersection test does not model a sector above pi")
     left, right, gi, hi, si = _gram_tables(n)
+    eps = TRIANGLE_EPS
     terms = e.reshape(len(e), 3 * n).take(left, axis=1) * e.reshape(len(e), 3 * n).take(right, axis=1)
     normal = (terms[:, 0] - terms[:, 1]).reshape(e.shape)
     sizes = np.sqrt(np.square(normal).sum(axis=2)).take(si, axis=1)  # (N, side, pair): |n_j|, |n_i|
@@ -323,6 +325,6 @@ def self_intersections(pattern: CreasePattern, images, eps: float = TRIANGLE_EPS
     return np.any((sizes >= eps).all(axis=1) & hit, axis=1)
 
 
-def self_intersects(pattern: CreasePattern, state: FoldedState, eps: float = TRIANGLE_EPS) -> bool:
+def self_intersects(pattern: CreasePattern, state: FoldedState) -> bool:
     """Whether any two non-adjacent folded sectors overlap in their interiors."""
-    return bool(self_intersections(pattern, state.crease_images[None], eps)[0])
+    return bool(self_intersections(pattern, state.crease_images[None])[0])

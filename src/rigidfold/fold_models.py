@@ -158,13 +158,6 @@ class Family:
         raise REASON_ERRORS[code](text)
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Constant tangent ratio of a 1-DOF mode."""
-
-    value: float
-
-
 def _check_degree4_domain(alpha: float, beta: float):
     if not (0.0 < alpha < PI and 0.0 < beta < PI):
         raise OutOfRangeError(f"degree-4 sectors need alpha, beta in (0, pi): {alpha}, {beta}")
@@ -240,23 +233,23 @@ def degree4_pattern(alpha: float, beta: float) -> CreasePattern:
     return CreasePattern.from_sectors([PI - beta, alpha, beta, PI - alpha])
 
 
-def degree4_multipliers(alpha: float, beta: float) -> tuple[Multiplier, Multiplier]:
+def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
     """The two constant half-angle tangent ratios p and q of the vertex."""
     _check_degree4_domain(alpha, beta)
     cd = math.cos(0.5 * (alpha - beta))
     ss = math.sin(0.5 * (alpha + beta))
     if abs(cd) < ROUNDOFF or abs(ss) < ROUNDOFF:
         raise SingularParameterError(f"degenerate sector pair alpha={alpha}, beta={beta}")
-    return Multiplier(math.cos(0.5 * (alpha + beta)) / cd), Multiplier(math.sin(0.5 * (alpha - beta)) / ss)
+    return math.cos(0.5 * (alpha + beta)) / cd, math.sin(0.5 * (alpha - beta)) / ss
 
 
 def _degree4_rows(alpha: float, beta: float, mode: int, drive):
     """Angle 4-vectors of the mode and their reasons; elementwise in the drive."""
     p, q = degree4_multipliers(alpha, beta)
     if mode == 1:
-        rho1 = _tan_half_scaled(p.value, drive)
+        rho1 = _tan_half_scaled(p, drive)
         return np.array([rho1, drive, -rho1, drive]).T, SOLVED
-    rho2 = _tan_half_scaled(q.value, drive)
+    rho2 = _tan_half_scaled(q, drive)
     return np.array([drive, rho2, drive, -rho2]).T, SOLVED
 
 
@@ -493,11 +486,14 @@ def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
 
 
 def igloo_rho4(alpha: float, beta: float, rho2: float, rho3: float) -> float:
-    """Completing angle on the middle crease; the vertex flipped end for end."""
+    """Completing angle on the middle crease; the vertex flipped end for end, so a 0/0 is probed along rho3."""
     _check_wedge_domain(alpha, beta)
     check_fold_angle(rho2, "rho2")
     check_fold_angle(rho3, "rho3")
-    return igloo_rho1(PI - alpha - beta, beta, rho3, rho2)
+    try:
+        return igloo_rho1(PI - alpha - beta, beta, rho3, rho2)
+    except BranchAmbiguityError as e:  # the flipped call names the drives the other way round
+        raise BranchAmbiguityError(f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}", e.candidates) from None
 
 
 def _igloo_rows(alpha: float, beta: float, rho2, rho3):

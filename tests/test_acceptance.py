@@ -129,10 +129,10 @@ def test_criterion_3_universal_closure():
     worst_model = ""
     for model, mode, n in plan:
         result = sweep_model(FoldMode(model, mode, PI / 3.0, PI / 3.0), n)
-        assert len(result.samples) >= 1000
+        assert len(result) >= 1000
         if model is FoldModel.TWOPAIR:  # every (rho1, rho2) drive row a distinct state of the curve
-            assert len(np.unique([s.rho[[0, 2]] for s in result.samples], axis=0)) == len(result.samples)
-        peak = max(s.residual for s in result.samples)
+            assert len(np.unique([s.rho[[0, 2]] for s in result], axis=0)) == len(result)
+        peak = max(s.residual for s in result)
         if peak > worst:
             worst, worst_model = peak, model.value
     elapsed = time.perf_counter() - t0

@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import sample_oracle
 from cone_oracle import cone_self_intersections
+from rigidfold import config_space
 from rigidfold.config_space import (
     AdmissibleRegion,
     ConfigSample,
-    CurveTrace,
     Samples,
-    SurfaceGrid,
     _correct,
     admissible_region,
+    as_samples,
     export,
     load_samples_json,
     make_sample,
@@ -86,7 +86,7 @@ def test_sweep_verdicts_match_the_triangle_oracle(mode):
     fam = FAMILIES[mode.model]
     pattern = fam.pattern(mode)
     result = sweep_model(mode, 8 if len(fam.drives) == 2 else 80)  # grids are n by n
-    closing = [s for s in result.samples if s.residual < 1e-8]
+    closing = [s for s in result if s.residual < 1e-8]
     assert closing
     states = [folded_geometry(pattern, s.rho, tol=1e-8) for s in closing]
     want = [triangle_self_intersects(pattern, st) for st in states]
@@ -103,7 +103,7 @@ def test_criterion_3_sweep_verdicts_match_the_cone_oracle(model, n):
     """Every state of the acceptance sweeps (60-degree sectors) gets the oracle's verdict."""
     mode = FoldMode(model, 1, PI / 3.0, PI / 3.0)
     pattern = FAMILIES[model].pattern(mode)
-    samples = sweep_model(mode, n).samples
+    samples = sweep_model(mode, n)
     residuals, frames = folded_frames(pattern, np.array([s.rho for s in samples]))
     assert residuals.max() < 1e-8
     want = cone_self_intersections(pattern, crease_images(pattern, frames))
@@ -124,7 +124,7 @@ def test_two_pair_red_state_intersects():
 
 def test_make_samples_rows_equal_make_sample_bit_for_bit():
     rng = np.random.default_rng(3)
-    closing = [s.rho for s in sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 60).samples]
+    closing = [s.rho for s in sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 60)]
     rows = np.concatenate([closing, rng.uniform(-PI, PI, (20, 6)), [[PI, PI, 0.0, PI, PI, 0.0]], [np.zeros(6)]])
     branches = list(range(len(rows)))
     batch = make_samples(G, rows, branches)
@@ -136,11 +136,38 @@ def test_make_samples_rows_equal_make_sample_bit_for_bit():
     assert make_samples(G, [], []) == []
 
 
+def test_rows_are_equal_when_their_json_is():
+    """A row compares as the record does, by its json text, so ``==`` and ``in`` decide."""
+    flat, other = make_sample(G, np.zeros(6)), make_sample(G, np.zeros(6))
+    assert flat == other and flat in [other] and not flat != other
+    assert flat != make_sample(G, np.zeros(6), branch=1) and flat != make_sample(G, np.full(6, 0.1))
+    assert flat not in [make_sample(G, np.full(6, 0.1))]
+    one = make_samples(G, [np.zeros(6)], [0])
+    assert flat == one and one == flat and flat == [other] and flat != make_samples(G, [np.zeros(6)] * 2, [0, 0])
+    assert flat != "row" and flat != 0
+
+
+@pytest.mark.parametrize("key", [[False, True, True], [True, False, False], slice(1, None), slice(0, 0),
+                                 np.array([2, 0]), [-1], np.array([False, False, True])], ids=repr)
+def test_selecting_rows_equals_rebuilding_the_record_from_them(key):
+    """Rows of a mixed 6/4-angle record, selected by any non-integer index, are the record the
+    selected ``ConfigSample`` rows rebuild: angle columns cut to the widest selected row."""
+    mixed = as_samples([make_sample(G, np.zeros(6), 1),
+                        ConfigSample(np.array([0.1, -0.0, 0.3, 5e-324]), 2.0, False, "b"),
+                        ConfigSample(np.array([np.inf, 0.5, 0.0, 1.0]), 0.0, True, 3)])
+    got = mixed[key]
+    want = as_samples([mixed[i] for i in np.arange(3)[key].tolist()])
+    assert got.rho.shape == want.rho.shape and got.width.tolist() == want.width.tolist()
+    assert got.rho[~np.isnan(want.rho)].tobytes() == want.rho[~np.isnan(want.rho)].tobytes()
+    assert samples_to_csv(got) == samples_to_csv(want)
+    assert samples_to_json(got) == samples_to_json(want)
+
+
 def test_long_sweep_is_fast():
     start = time.perf_counter()
-    trace = sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 1000)
+    samples = sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 1000)
     assert time.perf_counter() - start < 0.5
-    assert len(trace.samples) == 1000
+    assert len(samples) == 1000
 
 
 @pytest.mark.parametrize("n", [16, 1000])
@@ -158,7 +185,7 @@ def test_general_sweep_equals_one_triple_at_a_time(n):
             continue
         vectors += sols
         branches += range(1, len(sols) + 1)
-    got = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), n).samples
+    got = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), n)
     assert len(got) == n
     assert np.array(vectors[:n]).tobytes() == np.array([s.rho for s in got]).tobytes()
     assert branches[:n] == [s.branch for s in got]
@@ -171,42 +198,37 @@ def test_criterion_3_plan_is_fast():
             (FoldModel.TWOPAIR, 1000), (FoldModel.FULLY_GENERAL, 1000), (FoldModel.ALMOST_GENERAL, 32)]
     start = time.perf_counter()
     for model, n in plan:
-        assert len(sweep_model(FoldMode(model, 1, PI / 3.0, PI / 3.0), n).samples) >= 1000
+        assert len(sweep_model(FoldMode(model, 1, PI / 3.0, PI / 3.0), n)) >= 1000
     assert time.perf_counter() - start < 0.6
 
 
 @pytest.mark.parametrize(
-    "model,mode,n,kind",
+    "model,mode,n",
     [
-        (FoldModel.DEGREE4, 1, 15, CurveTrace),
-        (FoldModel.DEGREE4, 2, 15, CurveTrace),
-        (FoldModel.TRIFOLD, 1, 25, CurveTrace),
-        (FoldModel.BOWTIE, 2, 15, CurveTrace),
-        (FoldModel.IGLOO1DOF, 1, 15, CurveTrace),
-        (FoldModel.OPPOSITES, 1, 6, SurfaceGrid),
-        (FoldModel.IGLOO2DOF, 1, 6, SurfaceGrid),
-        (FoldModel.TWOPAIR, 1, 30, CurveTrace),
-        (FoldModel.FULLY_GENERAL, 1, 20, CurveTrace),
-        (FoldModel.ALMOST_GENERAL, 1, 6, SurfaceGrid),
+        (FoldModel.DEGREE4, 1, 15),
+        (FoldModel.DEGREE4, 2, 15),
+        (FoldModel.TRIFOLD, 1, 25),
+        (FoldModel.BOWTIE, 2, 15),
+        (FoldModel.IGLOO1DOF, 1, 15),
+        (FoldModel.OPPOSITES, 1, 6),
+        (FoldModel.IGLOO2DOF, 1, 6),
+        (FoldModel.TWOPAIR, 1, 30),
+        (FoldModel.FULLY_GENERAL, 1, 20),
+        (FoldModel.ALMOST_GENERAL, 1, 6),
     ],
 )
-def test_sweeps_close(model, mode, n, kind):
+def test_sweeps_close(model, mode, n):
     result = sweep_model(FoldMode(model, mode, PI / 3.0, PI / 3.0), n)
-    assert isinstance(result, kind)
-    assert result.samples
-    assert max(s.residual for s in result.samples) < 1e-8
+    assert isinstance(result, Samples)
+    assert len(result)
+    assert max(s.residual for s in result) < 1e-8
 
 
 def test_sweep_sample_counts():
-    trace = sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 40)
-    assert len(trace.samples) == 40
+    curve = sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 40)
+    assert len(curve) == 40
     grid = sweep_model(FoldMode(FoldModel.OPPOSITES, 1, 0.9, 0.8), 5)
-    assert len(grid.samples) == 25
-
-
-def test_two_pair_sweep_reports_closure():
-    trace = sweep_model(FoldMode(FoldModel.TWOPAIR), 20)
-    assert trace.closed
+    assert len(grid) == 25
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +250,7 @@ def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2, 16, 1000])
 def test_two_pair_sweep_samples_distinct_states_of_the_walked_loop(n, walked_loop):
-    rows = np.array([s.rho[[0, 2]] for s in sweep_model(FoldMode(FoldModel.TWOPAIR), n).samples])  # (rho1, rho2)
+    rows = np.array([s.rho[[0, 2]] for s in sweep_model(FoldMode(FoldModel.TWOPAIR), n)])  # (rho1, rho2)
     assert len(rows) == n
     assert rows[0].tolist() == [0.0, 0.0] and not np.signbit(rows[0]).any()
     pairs = _distances(rows, rows)
@@ -256,8 +278,9 @@ def test_trace_unit_circle():
         assert abs(math.hypot(*s.rho) - 1.0) < 1e-6
 
 
-def test_trace_exhausts_budget_on_open_curves():
-    trace = trace_implicit_curve(lambda x, y: y, (0.0, 0.0), max_steps=50)
+def test_trace_exhausts_budget_on_open_curves(monkeypatch):
+    monkeypatch.setattr(config_space, "_TRACE_BUDGET", 50)
+    trace = trace_implicit_curve(lambda x, y: y, (0.0, 0.0))
     assert not trace.closed
     assert trace.note == "step budget exhausted"
     assert len(trace.samples) == 51
@@ -412,8 +435,7 @@ def test_admissible_region_default_grid_is_fast():
 # --- export ----------------------------------------------------------------------
 
 def _samples():
-    sweep = sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 8)
-    return sweep.samples
+    return sweep_model(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, PI / 3.0), 8)
 
 
 def test_csv_export(tmp_path):
@@ -497,8 +519,8 @@ def _obj_one_sample_at_a_time(flat, pattern, tol=1e-8):
 def test_obj_export_equals_folding_one_sample_at_a_time():
     """One folded_frames call for all samples writes the bytes of one call per sample,
     skipping invalid samples and samples that close only on another pattern."""
-    general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 200).samples
-    other = sweep_model(FoldMode(FoldModel.IGLOO2DOF, 1, 1.0, 0.8), 6).samples  # closes on its own pattern
+    general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 200)
+    other = sweep_model(FoldMode(FoldModel.IGLOO2DOF, 1, 1.0, 0.8), 6)  # closes on its own pattern
     flat = [*general, *other, ConfigSample(np.ones(6), residual=1.0, valid=False)]
     assert any(not s.valid for s in general)
     text, skipped = samples_to_obj(flat, None)
@@ -571,8 +593,8 @@ def _reference_corpus():
         for alpha, beta in [(60.0, 60.0), (55.0, 65.0)] if fam.domain else [(60.0, 60.0)]:
             for m in fam.modes:
                 mode = FoldMode(model, m, math.radians(alpha), math.radians(beta))
-                groups.append((sweep_model(mode, 5).samples, fam.pattern(mode)))
-    general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 600).samples
+                groups.append((sweep_model(mode, 5), fam.pattern(mode)))
+    general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 600)
     assert len(general) == 600 and 0 < sum(s.valid for s in general) < 600
     groups.append((general, G))
     nan, inf = math.nan, math.inf

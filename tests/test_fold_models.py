@@ -6,6 +6,7 @@ these tests, independent of how each formula was derived.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from general_oracle import general_c3_image, general_rho2, general_solve_reference
 from rigidfold.config_space import trace_implicit_curve
-from rigidfold.core_geometry import closure_residual, closure_residuals, g60, wrap_angles
+from rigidfold.core_geometry import closure_residual, closure_residuals, g60, rotation_products, wrap_angles
 from rigidfold.errors import (
+    BranchAmbiguityError,
     InconsistentPointError,
     NoSolutionError,
     OutOfRangeError,
@@ -89,11 +91,11 @@ def test_degree4_multiplier_closed_forms_agree():
     for a, b in [(math.radians(50), math.radians(70)), (0.4, 2.2), (1.0, 1.0)]:
         p, q = degree4_multipliers(a, b)
         ta, tb = math.tan(a / 2.0), math.tan(b / 2.0)
-        assert math.isclose(p.value, (1.0 - ta * tb) / (1.0 + ta * tb), rel_tol=1e-13)
-        assert math.isclose(p.value, math.cos((a + b) / 2.0) / math.cos((a - b) / 2.0),
+        assert math.isclose(p, (1.0 - ta * tb) / (1.0 + ta * tb), rel_tol=1e-13)
+        assert math.isclose(p, math.cos((a + b) / 2.0) / math.cos((a - b) / 2.0),
                             rel_tol=1e-13)
-        assert math.isclose(q.value, (ta - tb) / (ta + tb), abs_tol=1e-13)
-        assert math.isclose(q.value, math.sin((a - b) / 2.0) / math.sin((a + b) / 2.0),
+        assert math.isclose(q, (ta - tb) / (ta + tb), abs_tol=1e-13)
+        assert math.isclose(q, math.sin((a - b) / 2.0) / math.sin((a + b) / 2.0),
                             abs_tol=1e-13)
 
 
@@ -124,13 +126,107 @@ def test_pleat_multiplier_identity():
     for x in (0.3, 1.0, 2.5):
         assert math.isclose(pleat_multiplier(x), math.tan(PI / 4.0 - x / 2.0), rel_tol=1e-13)
     p, _ = degree4_multipliers(0.8, PI / 2.0)
-    assert math.isclose(pleat_multiplier(0.8), p.value, rel_tol=1e-13)
+    assert math.isclose(pleat_multiplier(0.8), p, rel_tol=1e-13)
 
 
 # --- trifold ------------------------------------------------------------------
 
 def test_trifold_multiplier_at_equilateral():
     assert abs(trifold_multiplier(PI / 3.0) + (2.0 + SQRT3)) < 1e-12
+
+
+class _Q3:
+    """a + b sqrt(3) with rational a and b: exact arithmetic in Q(sqrt 3)."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, other):
+        other = _q3(other)
+        return _Q3(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Q3(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -_q3(other)
+
+    def __rsub__(self, other):
+        return _q3(other) - self
+
+    def __mul__(self, other):
+        other = _q3(other)
+        return _Q3(self.a * other.a + 3 * self.b * other.b, self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _q3(other)
+        norm = other.a * other.a - 3 * other.b * other.b  # never 0: sqrt(3) is irrational
+        return self * _Q3(other.a / norm, -other.b / norm)
+
+    def __rtruediv__(self, other):
+        return _q3(other) / self
+
+    def __eq__(self, other):
+        other = _q3(other)
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * SQRT3
+
+
+def _q3(x) -> _Q3:
+    return x if isinstance(x, _Q3) else _Q3(x)
+
+
+_HALF = Fraction(1, 2)
+# crease k of the 60-degree vertex is (cos, sin, 0) of k * 60 degrees: cosines, and sines over sqrt(3)
+_G60_COS = (1, _HALF, -_HALF, -1, -_HALF, _HALF)
+_G60_SIN = (0, _HALF, _HALF, 0, -_HALF, -_HALF)
+
+
+def _q3_rotation(k: int, w: _Q3) -> list[list[_Q3]]:
+    """Rodrigues' rotation about crease k of the 60-degree vertex by rho = 4 atan(w), exactly."""
+    t = 2 * w / (1 - w * w)  # tan(rho/2)
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    u = [_Q3(_G60_COS[k]), _Q3(0, _G60_SIN[k]), _Q3(0)]
+    cross = [[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]]
+    return [[c * (i == j) + s * cross[i][j] + (1 - c) * u[i] * u[j] for j in range(3)] for i in range(3)]
+
+
+def _q3_trifold_closes(m: _Q3, u: Fraction) -> bool:
+    """Whether the trifold vector with tan(rho1/4) = m tan(rho2/4), tan(rho2/4) = u, closes exactly."""
+    product = [[_Q3(i == j) for j in range(3)] for i in range(3)]
+    for k in range(6):
+        rot = _q3_rotation(k, m * u if k % 2 == 0 else _Q3(u))
+        product = [[sum((product[i][l] * rot[l][j] for l in range(3)), _Q3(0)) for j in range(3)] for i in range(3)]
+    return all(product[i][j] == (i == j) for i in range(3) for j in range(3))
+
+
+def test_trifold_multiplier_closes_exactly_in_q_sqrt3():
+    """At 60 degrees m = -(2 + sqrt 3), and tan(rho1/4) = m tan(rho2/4) closes the trifold exactly.
+
+    Every crease and every cosine and sine of the quarter-angle rotations lie in
+    Q(sqrt 3), so the product of the six rotations is exactly I at three
+    rational u = tan(rho2/4); m = -2 leaves it off I.  1/m closes too: the
+    60-degree pattern maps to itself turned by one sector, which swaps the
+    roles of rho1 and rho2.
+    """
+    m = _Q3(-2, -1)
+    assert abs(trifold_multiplier(PI / 3.0) - float(m)) < 1e-15
+    w = Fraction(1, 3)  # the exact rotations are the kernel's, read in floats
+    kernel = rotation_products(g60(), np.full((1, 6), 4.0 * math.atan(w)), frames=True)[0]
+    exact = np.eye(3)
+    for k in range(6):
+        exact = exact @ np.array([[float(x) for x in row] for row in _q3_rotation(k, _Q3(w))])
+        assert np.abs(exact - kernel[k]).max() < 1e-14
+    for u in (Fraction(1, 5), Fraction(1, 7), Fraction(-1, 4)):
+        assert _q3_trifold_closes(m, u), u
+        assert _q3_trifold_closes(1 / m, u), u
+        assert not _q3_trifold_closes(_Q3(-2), u), u
 
 
 def test_trifold_closes_across_betas_and_modes():
@@ -244,6 +340,21 @@ def test_igloo_partial_relations_name_the_bad_drive(fn, bad):
     drives = {"rho2": 0.1, "rho3": 0.1, bad: 5.0}
     with pytest.raises(OutOfRangeError, match=f"^{bad} must lie in"):
         fn(1.0, 1.0, drives["rho2"], drives["rho3"])
+
+
+def test_igloo_ambiguity_names_the_callers_drives():
+    """At a 0/0 fraction both completions name rho2 and rho3 as given; igloo_rho4's
+    candidates are those of the flipped vertex, probed along its first drive (rho3)."""
+    tetra = (1.9106332362490182, 1.9106332362490188)  # doubles either side of arccos(-1/3)
+    for rho2, rho3 in (tetra, tetra[::-1]):
+        message = f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}"
+        for fn in (igloo_rho1, igloo_rho4):
+            with pytest.raises(BranchAmbiguityError) as err:
+                fn(PI / 3.0, PI / 3.0, rho2, rho3)
+            assert str(err.value) == message and len(err.value.candidates) == 2
+        with pytest.raises(BranchAmbiguityError) as flipped:
+            igloo_rho1(PI - PI / 3.0 - PI / 3.0, PI / 3.0, rho3, rho2)
+        assert err.value.candidates == flipped.value.candidates
 
 
 def test_igloo_1dof_closes_and_matches_completion():

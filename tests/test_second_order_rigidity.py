@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rigidfold.core_geometry import CreasePattern, closure_residual, g60, rotation_products
+from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel
 from rigidfold.second_order_rigidity import (
     ModeSolution,
     VelocityVector,
@@ -339,3 +340,35 @@ def test_all_distinct_coloring_of_an_equal_sector_vertex_has_the_generic_dof(n):
     assert sol.witness is not None and sol.dof == n - 3
     assert _distinct(ray_class_values(range(n), sol.witness))
     assert sol.witness in sol.velocities
+
+
+def _census_cases():
+    """Every family and mode at 60/60 degrees, and at 50/70 where its sectors may vary."""
+    for alpha, beta in ((60.0, 60.0), (50.0, 70.0)):
+        for model, fam in FAMILIES.items():
+            if fam.domain is not None or alpha == 60.0:
+                yield from (FoldMode(model, m, math.radians(alpha), math.radians(beta)) for m in fam.modes)
+
+
+def _case_id(f: FoldMode) -> str:
+    return f"{f.model.value}-{f.mode}-{math.degrees(f.alpha):.0f}-{math.degrees(f.beta):.0f}"
+
+
+@pytest.mark.parametrize("mode", list(_census_cases()), ids=_case_id)
+def test_each_family_coloring_folds_with_the_family_dof(mode):
+    """The coloring read off one solved vector (first-occurrence labels of its equal
+    entries) folds on the family's pattern, with one DOF per free drive; a drive
+    pair on a relation curve has one free drive.  The 1-DOF igloo is a sub-mode of
+    the 2-DOF igloo's coloring, so the census gives it at least its one drive."""
+    fam = FAMILIES[mode.model]
+    drives = fam.loop(8)[3:4] if fam.loop is not None else np.array([[0.7, 0.4, 0.2][:len(fam.drives)]])
+    vector = fam.solve(mode, drives, 1e-8).vectors[0]
+    labels: dict = {}
+    coloring = tuple(labels.setdefault(x, len(labels) + 1) for x in vector.tolist())
+    sol = symmetric_mode_solve(fam.pattern(mode), coloring)
+    free = len(fam.drives) - (fam.curve is not None)
+    assert sol.foldable, coloring
+    if mode.model is FoldModel.IGLOO1DOF:
+        assert sol.dof >= free, coloring
+    else:
+        assert sol.dof == free, coloring

@@ -107,7 +107,7 @@ def _rebound(name: str, value: float):
 def _counts(model: FoldModel, n: int, obj: bool = False) -> tuple[int, ...]:
     """Sample and valid counts of a sweep, and with ``obj`` the samples its obj export skips."""
     mode = FoldMode(model)
-    samples = sweep_model(mode, n).samples
+    samples = sweep_model(mode, n)
     skipped = (samples_to_obj(samples, FAMILIES[model].pattern(mode))[1],) if obj else ()
     return len(samples), int(samples.valid.sum()), *skipped
 
@@ -156,7 +156,7 @@ def test_the_public_tolerances_are_importable_where_they_were_and_bound_as_defau
     assert core_geometry.TRIANGLE_EPS is tolerances.TRIANGLE_EPS
     assert core_geometry.GEOMETRY_TOL is tolerances.GEOMETRY_TOL
     assert fold_models.DEFAULT_TOL is config_space.DEFAULT_TOL is tolerances.DEFAULT_TOL
-    assert {"DEFAULT_TOL", "GEOMETRY_TOL", "TRIANGLE_EPS"} <= {name for _, _, name in SITES}
+    assert {"DEFAULT_TOL", "GEOMETRY_TOL"} <= {name for _, _, name in SITES}
     assert len(NAMES) <= 13
 
 

@@ -207,7 +207,7 @@ def test_degree4_multipliers_are_the_half_angle_ratios():
     alpha, beta = 2.0 * math.atan(0.5), 2.0 * math.atan(1.0 / 3.0)
     p, q = degree4_multipliers(alpha, beta)
     assert (P4, Q4) == (sp.Rational(5, 7), sp.Rational(1, 5))
-    assert abs(p.value - 5.0 / 7.0) < 1e-15 and abs(q.value - 0.2) < 1e-15
+    assert abs(p - 5.0 / 7.0) < 1e-15 and abs(q - 0.2) < 1e-15
     creases = np.array(sp.Matrix.hstack(*_degree4_creases()).T, dtype=float)
     assert np.abs(creases - degree4_pattern(alpha, beta).creases).max() < 1e-15
 
