@@ -242,9 +242,9 @@ def cmd_region(args) -> int:
     if fmt == "json":
         payload = {
             "rho6": region.rho6,
-            "rho4": [float(x) for x in region.rho4_axis],
-            "rho5": [float(x) for x in region.rho5_axis],
-            "mask": [[bool(x) for x in row] for row in region.mask],
+            "rho4": region.rho4_axis.tolist(),
+            "rho5": region.rho5_axis.tolist(),
+            "mask": region.mask.tolist(),
         }
         _emit(json.dumps(payload) + "\n", args.output)
     else:

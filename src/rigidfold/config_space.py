@@ -27,11 +27,12 @@ from .core_geometry import (
     crease_images,
     folded_frames,
     g60,
+    rotation_products,
     self_intersections,
     wrap_angles,
 )
 from .errors import DomainError, OutOfRangeError
-from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, drive_ranks, general_solve
+from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, _solve_back, drive_ranks
 from .tolerances import DEFAULT_TOL, DIFF_STEP, NODE_GRAD_TOL, ON_CURVE, ROUNDOFF
 
 _TRACE_STEP = 0.02
@@ -62,6 +63,8 @@ class Samples:
     index, ``len`` and iteration give ``ConfigSample`` rows; any other index
     gives the selected rows, their angles cut to the widest of them.
     Records, rows or lists of rows are equal when their json export is.
+    A branch tag is an int or a str, as the loader reads it; any other one
+    (a bool too) raises ``OutOfRangeError`` when the record is built.
     """
 
     rho: np.ndarray
@@ -75,6 +78,10 @@ class Samples:
             object.__setattr__(self, "width", np.full(len(self.rho), self.rho.shape[1]))
         if not len(self.rho) == len(self.residual) == len(self.valid) == len(self.branch) == len(self.width):
             raise ValueError("sample columns differ in length")
+        wrong = np.flatnonzero(_faulty(self.branch, {int, str}))  # what the loader refuses: a bool too
+        if len(wrong):
+            raise OutOfRangeError(f"sample {wrong[0]} has branch {self.branch[wrong[0]]!r}; "
+                                  "a branch must be an integer or a string")
 
     def __len__(self) -> int:
         return len(self.branch)
@@ -331,15 +338,21 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, gradient=
 def admissible_region(rho6: float, grid_n: int = 201, tol: float = DEFAULT_TOL) -> AdmissibleRegion:
     """Boolean (rho4, rho5) mask: a branch exists and at least one closes.
 
-    The whole grid is decided in one array pass of ``general_solve``, so a
-    cell is admissible exactly when ``general_fold`` at that cell returns.
+    The back chain of cell (i, j) is B = (R6^T R5^T)[j] @ R4^T[i], one
+    rotation product over each axis and one broadcast matmul: the bits of
+    ``general_solve``'s per-cell product, as the factors associate the same
+    way.  The whole grid is then decided in one pass of its solve, so a cell
+    is admissible exactly when ``general_fold`` at that cell returns.
     """
     if grid_n < 2:
         raise OutOfRangeError(f"grid_n must be >= 2, got {grid_n}")
     check_fold_angle(rho6, "rho6")
     axis = np.linspace(-PI, PI, grid_n)
-    r4g, r5g = np.meshgrid(axis, axis, indexing="ij")
-    cells = general_solve(r4g.ravel(), r5g.ravel(), rho6, tol=tol).drive
+    r4, r5, r6 = np.repeat(axis, grid_n), np.tile(axis, grid_n), np.full(grid_n * grid_n, float(rho6))
+    back65 = rotation_products(g60(), -np.stack([r6[:grid_n], axis], axis=1), creases=(5, 4))  # over rho5
+    back4 = rotation_products(g60(), -axis[:, None], creases=(3,))  # over rho4
+    B = (back65[None, :] @ back4[:, None]).reshape(-1, 3, 3)
+    cells = _solve_back(B, r4, r5, r6, np.zeros(len(r6), dtype=bool), tol).drive
     mask = np.zeros(grid_n * grid_n, dtype=bool)
     mask[cells] = True
     return AdmissibleRegion(rho6=rho6, rho4_axis=axis, rho5_axis=axis, mask=mask.reshape(grid_n, grid_n))
@@ -412,22 +425,12 @@ def _fill(template, sep: str, flat: Samples, angles: np.ndarray, *fields) -> str
     return sep.join(map(templates.__getitem__, flat.width.tolist())) % tuple(cells[kept])
 
 
-def _writable(samples) -> Samples:
-    """``as_samples``, refusing a branch tag the loader refuses: anything but an int or a str (a bool too)."""
-    flat = as_samples(samples)
-    wrong = np.flatnonzero(_faulty(flat.branch, {int, str}))
-    if len(wrong):
-        raise OutOfRangeError(f"sample {wrong[0]} has branch {flat.branch[wrong[0]]!r}; "
-                              "a branch must be an integer or a string")
-    return flat
-
-
 def samples_to_csv(samples) -> str:
     """One row per sample: angles, residual, valid, branch; floats to 12 significant digits.
 
     A row narrower than the header gets its blank angle columns before ``residual``.
     """
-    flat = _writable(samples)
+    flat = as_samples(samples)
     w = flat.rho.shape[1]
     body = _fill(lambda k: "%.12g," * k + "," * (w - k) + "%.12g,%s,%s", "\n", flat, flat.rho,
                  flat.residual.tolist(), np.where(flat.valid, "true", "false").tolist(), flat.branch)
@@ -443,7 +446,7 @@ def samples_to_json(samples) -> str:
     Floats are filled in as their repr, as json.dumps writes them; the rows
     holding a non-finite value (or NaN padding) respell it as json.dumps does.
     """
-    flat = _writable(samples)
+    flat = as_samples(samples)
     if not len(flat):
         return "[]\n"
     fields = np.column_stack([flat.rho, flat.residual])

@@ -34,8 +34,13 @@ def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
 
 
 def wrap_angles(rho: np.ndarray) -> np.ndarray:
-    """Wrap into (-pi, pi], elementwise; values already in [-pi, pi] pass through."""
-    return np.where(np.abs(rho) <= np.pi, rho, np.arctan2(np.sin(rho), np.cos(rho)))
+    """Wrap into (-pi, pi], elementwise, as a new float array; values already in [-pi, pi] pass
+    through, and only the others (NaN too) go through arctan2(sin, cos)."""
+    out = np.array(rho, dtype=float)
+    far = ~(np.abs(out) <= np.pi)
+    if far.any():
+        out[far] = np.arctan2(np.sin(out[far]), np.cos(out[far]))
+    return out
 
 
 def outside_fold_range(rho):

@@ -246,11 +246,12 @@ def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
 def _degree4_rows(alpha: float, beta: float, mode: int, drive):
     """Angle 4-vectors of the mode and their reasons; elementwise in the drive."""
     p, q = degree4_multipliers(alpha, beta)
+    # x + 0.0 and 0.0 - x are x and -x with 0.0 for -0.0 (q = 0 at alpha = beta); nonzero bits are kept
     if mode == 1:
-        rho1 = _tan_half_scaled(p, drive)
-        return np.array([rho1, drive, -rho1, drive]).T, SOLVED
-    rho2 = _tan_half_scaled(q, drive)
-    return np.array([drive, rho2, drive, -rho2]).T, SOLVED
+        rho1 = _tan_half_scaled(p, drive) + 0.0
+        return np.array([rho1, drive, 0.0 - rho1, drive]).T, SOLVED
+    rho2 = _tan_half_scaled(q, drive) + 0.0
+    return np.array([drive, rho2, drive, 0.0 - rho2]).T, SOLVED
 
 
 def degree4_fold(alpha: float, beta: float, mode: int, rho_drive: float) -> np.ndarray:
@@ -708,10 +709,17 @@ def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     ``ROUNDOFF`` the two are one double root, rho2 = 0.  A branch is kept when
     |cos rho2| <= 1 + ``ROUNDOFF``, the back chain does not leave the third
     crease on the first crease's axis, and the full vector closes below
-    ``tol``; a drive keeping none has reason ``NO_SOLUTION``.
+    ``tol``; a drive keeping none has reason ``NO_SOLUTION``.  As B^T = R4 R5 R6
+    is orthogonal, the closure residual |R1 ... R6 - I| is |R1 R2 R3 - B|, so
+    the check rotates about three creases, not six.
     """
     (r4, r5, r6), bad = _drive_columns(rho4, rho5, rho6)
     B = rotation_products(g60(), -np.stack([r6, r5, r4], axis=1), creases=(5, 4, 3))
+    return _solve_back(B, r4, r5, r6, bad, tol)
+
+
+def _solve_back(B, r4, r5, r6, bad, tol: float) -> Solved:
+    """``general_solve`` from each drive triple's back chain B = R6^T R5^T R4^T on; ``bad`` rows are refused."""
     back = B @ _C3
     cos2 = (1.0 - 4.0 * back[:, 0]) / 3.0
     r = np.arccos(np.clip(cos2, -1.0, 1.0))
@@ -721,11 +729,12 @@ def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     keep = np.stack([exists, exists & (r != 0.0)], axis=1)
     drive, branch = np.nonzero(keep)  # row-major: drive order, + branch first
     rho2 = np.where(branch == 0, r[drive], -r[drive])
-    back, row = back[drive], B[drive, 0]  # row = B^T c1
+    B, back = B[drive], back[drive]
     rho1 = _turn(rho2, back[:, 1], back[:, 2])
-    rho3 = _turn(rho2, (row * _P3).sum(axis=1), row[:, 2])
+    rho3 = _turn(rho2, (B[:, 0] * _P3).sum(axis=1), B[:, 0, 2])  # B[:, 0] = B^T c1
     vecs = np.stack([rho1, rho2, rho3, r4[drive], r5[drive], r6[drive]], axis=1)
-    closes = closure_residuals(g60(), vecs) < tol
+    front = rotation_products(g60(), vecs[:, :3], creases=(0, 1, 2))  # rho1 and rho3 are wrapped already
+    closes = np.sqrt(np.square(front - B).sum(axis=(1, 2))) < tol
     reason = np.where(bad, OUT_OF_RANGE, NO_SOLUTION)
     reason[drive[closes]] = SOLVED
     return Solved(vecs[closes], drive[closes], reason)

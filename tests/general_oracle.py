@@ -5,6 +5,9 @@ frame inside ``general_solve``.  These keep the earlier, independent route:
 cos rho2 from the hand-typed six-trig polynomial ``general_cos_rho2``
 (proved exactly in ``test_weierstrass.py``), rho1 from the same frame read,
 and rho3 from a second, five-crease product read as an axis and an angle.
+``general_solve_full_closure`` keeps the one-frame read as it was before
+``admissible_region`` fed it a separable back chain: B from three crease
+rotations per row and closure checked on all six creases.
 """
 
 import math
@@ -21,6 +24,8 @@ from rigidfold.fold_models import (
     SOLVED,
     Solved,
     _drive_columns,
+    _P3,
+    _turn,
 )
 
 
@@ -81,6 +86,29 @@ def general_solve_reference(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solve
     r4, r5, r6 = r4[drive], r5[drive], r6[drive]
     rho1 = _rho1(rho2, back[drive])
     vecs = np.stack([rho1, rho2, _rho3(rho1, rho2, r4, r5, r6), r4, r5, r6], axis=1)
+    closes = closure_residuals(g60(), vecs) < tol
+    reason = np.where(bad, OUT_OF_RANGE, NO_SOLUTION)
+    reason[drive[closes]] = SOLVED
+    return Solved(vecs[closes], drive[closes], reason)
+
+
+def general_solve_full_closure(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
+    """``general_solve`` with B from three crease rotations per row and closure from all six."""
+    (r4, r5, r6), bad = _drive_columns(rho4, rho5, rho6)
+    B = rotation_products(g60(), -np.stack([r6, r5, r4], axis=1), creases=(5, 4, 3))
+    back = B @ _C3
+    cos2 = (1.0 - 4.0 * back[:, 0]) / 3.0
+    r = np.arccos(np.clip(cos2, -1.0, 1.0))
+    exists = ~bad & (np.abs(cos2) <= 1.0 + ROUNDOFF)
+    exists &= np.hypot(back[:, 1], back[:, 2]) >= ROUNDOFF  # nearer the first crease, rho1 is free
+    r[1.0 - cos2 <= ROUNDOFF] = 0.0  # a double root: one row, not two split by roundoff
+    keep = np.stack([exists, exists & (r != 0.0)], axis=1)
+    drive, branch = np.nonzero(keep)  # row-major: drive order, + branch first
+    rho2 = np.where(branch == 0, r[drive], -r[drive])
+    back, row = back[drive], B[drive, 0]  # row = B^T c1
+    rho1 = _turn(rho2, back[:, 1], back[:, 2])
+    rho3 = _turn(rho2, (row * _P3).sum(axis=1), row[:, 2])
+    vecs = np.stack([rho1, rho2, rho3, r4[drive], r5[drive], r6[drive]], axis=1)
     closes = closure_residuals(g60(), vecs) < tol
     reason = np.where(bad, OUT_OF_RANGE, NO_SOLUTION)
     reason[drive[closes]] = SOLVED

@@ -117,6 +117,14 @@ def test_fold_opposites_flat_pair_is_the_flat_state(capsys, given):
     assert out == "rho = [0 0 0 0 0 0]\nresidual = 0.000000e+00\nvalid = true\n"
 
 
+def test_degree4_at_equal_sectors_prints_and_writes_no_negative_zero(tmp_path, capsys):
+    assert run(capsys, "fold", "degree4", "--mode", "2", "--drive", "0.3")[1].startswith("rho = [0.3 0 0.3 0]\n")
+    for mode in ("1", "2"):
+        out = tmp_path / f"d{mode}.csv"
+        assert run(capsys, "sweep", "degree4", "--mode", mode, "-n", "3", "-o", str(out))[0] == 0
+        assert "-0," not in out.read_text() and len(out.read_text().splitlines()) == 4
+
+
 def test_fold_json_format(capsys):
     code, out, _ = run(capsys, "fold", "igloo", "--alpha", "70", "--beta", "80",
                        "--rho2", "0.5", "--rho3", "-0.3", "--format", "json")

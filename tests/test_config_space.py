@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import sample_oracle
 from cone_oracle import cone_self_intersections
+from general_oracle import general_solve_full_closure
 from rigidfold import config_space
 from rigidfold.config_space import (
     AdmissibleRegion,
@@ -425,6 +427,27 @@ def test_admissible_region_is_where_general_fold_solves(rho6):
     assert np.array_equal(region.mask, solved)
 
 
+@pytest.mark.parametrize("rho6", [*np.linspace(-PI, PI, 21).tolist(), 0.4, 0.8])
+def test_admissible_region_is_where_the_full_closure_solve_keeps_a_row(rho6):
+    """The separable back chain and the three-crease closure check decide every cell as the solve with
+    a per-cell product and the six-crease residual does."""
+    for n in (21, 201):
+        axis = np.linspace(-PI, PI, n)
+        r4, r5 = np.meshgrid(axis, axis, indexing="ij")
+        solved = np.zeros(n * n, dtype=bool)
+        solved[general_solve_full_closure(r4.ravel(), r5.ravel(), rho6).drive] = True
+        assert np.array_equal(admissible_region(rho6, grid_n=n).mask, solved.reshape(n, n))
+
+
+def test_admissible_region_tol_governs_the_mask():
+    """Every cell's closure is checked against ``tol``: none passes 0, and at 1e-15, near roundoff, about
+    600 of the 29,477 default cells fail (28,854 here; the full-closure solve keeps 28,760)."""
+    full = admissible_region(0.8, grid_n=201).mask
+    tight = admissible_region(0.8, grid_n=201, tol=1e-15).mask
+    assert full.sum() == 29477 and not (tight & ~full).any() and 28000 < tight.sum() < 29000
+    assert not admissible_region(0.8, grid_n=21, tol=0.0).mask.any()
+
+
 def test_admissible_region_default_grid_is_fast():
     start = time.perf_counter()
     region = admissible_region(0.8, grid_n=201)
@@ -652,16 +675,30 @@ def test_writers_match_the_reference_formatters(tmp_path):
 def test_writers_refuse_a_branch_the_loader_refuses():
     """A bool branch is neither written as 1 (json) nor as True (csv); int and str branches are
     written as the reference formatters write them."""
-    flagged = make_samples(G, [[0.0] * 6], [True])
     for write in (samples_to_json, samples_to_csv):
         with pytest.raises(OutOfRangeError, match="sample 0 has branch True; a branch must be an integer or a string"):
-            write(flagged)
+            write(make_samples(G, [[0.0] * 6], [True]))
     tagged = make_samples(G, [[0.0] * 6] * 4, [0, 7, -2, "r1"])
     assert samples_to_json(tagged) == _reference_json(tagged)
     assert samples_to_csv(tagged) == _reference_csv(tagged)
     assert '"branch": 7' in samples_to_json(tagged) and samples_to_csv(tagged).endswith("0,0,0,0,0,0,0,true,r1\n")
     numpy_mode = sweep_model(FoldMode(FoldModel.TRIFOLD, np.int64(2)), 3)  # FoldMode stores int(mode)
     assert samples_to_json(numpy_mode) == samples_to_json(sweep_model(FoldMode(FoldModel.TRIFOLD, 2), 3))
+
+
+@pytest.mark.parametrize("tag", [True, np.bool_(False), np.int64(2), 1.0, None])
+def test_a_record_refuses_a_branch_the_loader_refuses(tag):
+    """``make_samples``, ``as_samples`` and the constructor refuse a tag that is not an int or a str, so
+    a record's equality, which compares json text, never meets a tag its writer refuses."""
+    message = re.escape(f"sample 1 has branch {tag!r}; a branch must be an integer or a string")
+    rows = [make_sample(G, [0.0] * 6), ConfigSample(np.zeros(6), 0.0, True, tag)]
+    builds = (lambda: make_samples(G, [[0.0] * 6] * 2, [0, tag]), lambda: as_samples(rows),
+              lambda: Samples(np.zeros((2, 6)), np.zeros(2), np.ones(2, dtype=bool), ["a", tag]))
+    for build in builds:
+        with pytest.raises(OutOfRangeError, match=message):
+            build()
+    tagged = make_samples(G, [[0.0] * 6] * 3, [0, -7, "r"])
+    assert tagged == tagged and tagged[1:] == [tagged[1], tagged[2]] and tagged[0] in list(tagged)
 
 
 # --- columnar loader against the record-by-record oracle ----------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from general_oracle import general_c3_image, general_rho2, general_solve_reference
+from general_oracle import general_c3_image, general_rho2, general_solve_full_closure, general_solve_reference
 from rigidfold.config_space import trace_implicit_curve
 from rigidfold.core_geometry import closure_residual, closure_residuals, g60, rotation_products, wrap_angles
 from rigidfold.errors import (
@@ -33,6 +33,7 @@ from rigidfold.fold_models import (
     SOLVED,
     FoldMode,
     FoldModel,
+    _degree4_rows,
     _two_pair_roots,
     almost_general,
     bowtie,
@@ -113,6 +114,21 @@ def test_degree4_mode_structure():
     assert rho[1] == 0.8 and rho[3] == 0.8 and math.isclose(rho[0], -rho[2], abs_tol=1e-15)
     rho = degree4_fold(0.9, 1.3, 2, 0.8)
     assert rho[0] == 0.8 and rho[2] == 0.8 and math.isclose(rho[1], -rho[3], abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_degree4_writes_no_negative_zero_at_equal_sectors(mode):
+    """At alpha = beta mode 2's multiplier is 0, so rho2 and rho4 = -rho2 are zero at every drive; no zero
+    entry of either mode is -0.0, and a nonzero angle keeps the bits of its negation."""
+    drives = np.array([-PI, -2.0, -0.3, 0.0, 0.3, 2.0, PI])
+    rows, _ = _degree4_rows(1.1, 1.1, mode, drives)
+    assert (rows == 0.0).sum() == (4 if mode == 1 else 2 * len(drives) + 2)
+    assert not np.signbit(rows[rows == 0.0]).any()
+    for a, b in [(0.9, 1.3), (1.1, 1.1)]:
+        rows, _ = _degree4_rows(a, b, mode, drives)
+        scaled, negated = (rows[:, 0], rows[:, 2]) if mode == 1 else (rows[:, 1], rows[:, 3])
+        nonzero = scaled != 0.0
+        assert np.array_equal(negated[nonzero].view(np.int64), (-scaled[nonzero]).view(np.int64))
 
 
 def test_degree4_domain():
@@ -610,6 +626,27 @@ def test_general_solve_matches_the_two_product_reference_on_random_drives():
     assert len(new.drive) > 6000 and {SOLVED, NO_SOLUTION, OUT_OF_RANGE} <= set(new.reason.tolist())
     assert _angle_gap(new.vectors, old.vectors).max() < 1e-12
     assert closure_residuals(G, new.vectors).max() < 1e-13
+
+
+def _assert_same_solve(new, old):
+    assert np.array_equal(new.vectors.view(np.int64), old.vectors.view(np.int64))  # bit for bit, -0.0 too
+    assert np.array_equal(new.drive, old.drive) and np.array_equal(new.reason, old.reason)
+
+
+def test_general_solve_matches_the_full_closure_solve_on_random_drives():
+    """The three-crease check |R1 R2 R3 - B| keeps exactly the rows the six-crease residual keeps."""
+    drives = np.random.default_rng(21).uniform(-PI, PI, (3, 20000))
+    drives[:, :4] = [[np.nan, 4.0, PI, -PI], [0.1, 0.2, -PI, PI], [0.3, -0.3, np.inf, 0.0]]
+    new = general_solve(*drives)
+    _assert_same_solve(new, general_solve_full_closure(*drives))
+    assert len(new.drive) > 30000 and {SOLVED, NO_SOLUTION, OUT_OF_RANGE} <= set(new.reason.tolist())
+
+
+@pytest.mark.parametrize("rho6", [0.0, PI, -PI])
+def test_general_solve_matches_the_full_closure_solve_on_region_grids(rho6):
+    axis = np.linspace(-PI, PI, 201)
+    r4, r5 = np.meshgrid(axis, axis, indexing="ij")
+    _assert_same_solve(*(solve(r4.ravel(), r5.ravel(), rho6) for solve in (general_solve, general_solve_full_closure)))
 
 
 @pytest.mark.parametrize("rho6", [0.0, 0.4, 0.8, -1.3, PI, -PI])
