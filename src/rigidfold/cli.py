@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config_space as cs
 from . import fold_models as fm
-from .core_geometry import check_fold_angle, g60
+from .core_geometry import check_fold_angle, g60, wrap_angles
 from .errors import OutOfRangeError, RigidFoldError
 from .symmetry_enumeration import classify_g60
 
@@ -153,8 +153,9 @@ def _drive_values(args, names) -> tuple[float, ...]:
     return tuple(_rad(getattr(args, name), args) for name in names)
 
 
-def _opposites_state(args) -> tuple[np.ndarray, object]:
-    """Any two of rho1..rho3 fix the third; a free third (vacuous relation) is taken flat, as the family does."""
+def _opposites_drives(args) -> tuple[tuple[float, float], fm.FoldMode, float | None]:
+    """(rho1, rho2) from any two of rho1..rho3, the missing one as ``opposites_solve`` gives it (a free one
+    is taken flat, as the family does), the mode, and rho3 if it is given."""
     names = ("rho1", "rho2", "rho3")
     _refuse_unread(args, names)
     given = {n: _rad(getattr(args, n), args) for n in names if getattr(args, n) is not None}
@@ -163,23 +164,27 @@ def _opposites_state(args) -> tuple[np.ndarray, object]:
     mode = _fold_mode(args)
     sol = fm.opposites_solve(mode.alpha, mode.beta, **given)
     third = 0.0 if sol.free else sol.angles[0]
-    vec = fm.opposites_vector(*(given.get(n, third) for n in names))
-    return vec, fm.FAMILIES[mode.model].pattern(mode)
+    return (given.get("rho1", third), given.get("rho2", third)), mode, given.get("rho3")
 
 
-def _fold_state(args) -> tuple[np.ndarray, object]:
+def _fold_state(args) -> tuple[np.ndarray, int, object]:
+    """The first state the family reports at the drives the flags give, its branch tag and the crease pattern."""
     model = _MODELS[args.model]
+    fam, rho3 = fm.FAMILIES[model], None
     if model is fm.FoldModel.OPPOSITES:
-        return _opposites_state(args)
-    fam = fm.FAMILIES[model]
-    drives, mode = _drive_values(args, fam.drives), _fold_mode(args)
-    return fam.fold(mode, drives)[0], fam.pattern(mode)
+        drives, mode, rho3 = _opposites_drives(args)
+    else:
+        drives, mode = _drive_values(args, fam.drives), _fold_mode(args)
+    vectors, tags = fam.rows(mode, [drives])
+    if rho3 is not None:  # a given rho3 is reported as given, not as the pair recomputes it
+        vectors[0, 2::3] = rho3
+    return vectors[0], tags[0], fam.pattern(mode)
 
 
 def cmd_fold(args) -> int:
     fmt = _infer_format(args, ("text", "json"), "text")
-    vec, pattern = _fold_state(args)
-    sample = cs.make_sample(pattern, vec, branch=args.mode, tol=args.tol)
+    vec, branch, pattern = _fold_state(args)
+    sample = cs.make_sample(pattern, vec, branch=branch, tol=args.tol)
     if fmt == "json":
         _emit(cs.samples_to_json([sample]), args.output)
     else:
@@ -230,10 +235,14 @@ def cmd_trace(args) -> int:
                                     gradient=fm.two_pair_curve_gradient)
     if not trace.closed:
         print(f"warning: trace did not close: {trace.note}", file=sys.stderr)
-    pattern = fm.two_pair_pattern()
-    # one row per traced point whose completion closes
-    completed = fm.two_pair_solve(*trace.samples.rho.T, tol=max(args.tol, cs.DEFAULT_TOL)).vectors
-    return _write_samples(cs.make_samples(pattern, completed, [0] * len(completed), args.tol), args, pattern)
+    mode = fm.FoldMode(fm.FoldModel.TWOPAIR)
+    fam, walked = fm.FAMILIES[mode.model], wrap_angles(trace.samples.rho)  # a point past +/-pi is one inside
+    completed, tags = fam.rows(mode, walked, max(args.tol, cs.DEFAULT_TOL), skip=tuple(fm.REASON_ERRORS))
+    if len(completed) < len(walked):
+        print(f"skipped {len(walked) - len(completed)} traced points that do not complete to a closing state",
+              file=sys.stderr)
+    pattern = fam.pattern(mode)
+    return _write_samples(cs.make_samples(pattern, completed, tags, args.tol), args, pattern)
 
 
 def cmd_region(args) -> int:

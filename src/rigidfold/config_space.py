@@ -32,7 +32,7 @@ from .core_geometry import (
     wrap_angles,
 )
 from .errors import DomainError, OutOfRangeError
-from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, _solve_back, drive_ranks
+from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, _solve_back
 from .tolerances import DEFAULT_TOL, DIFF_STEP, NODE_GRAD_TOL, ON_CURVE, ROUNDOFF
 
 _TRACE_STEP = 0.02
@@ -171,23 +171,14 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> Samples:
     by arclength around the loop, or row-major over the grid.  Drives where
     the family has no closing solution are skipped rather than reported as
     invalid samples, so a returned sample always corresponds to a solve.
-    Each sampler solves all of its drives with one ``Family.solve`` call and
+    Each sampler reports all of its drives with one ``Family.rows`` call and
     evaluates the solved vectors with one ``make_samples`` call.
     """
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
     fam = FAMILIES[mode.model]
     pattern = fam.pattern(mode)
-    branch = mode.mode if len(fam.modes) > 1 else 0  # two-mode families tag samples by mode
-
-    def solved(drives: np.ndarray) -> tuple[np.ndarray, list]:
-        """Closing vectors and branch tags of an (N, k) drive array, skipping unsolvable drives."""
-        sol = fam.solve(mode, drives, max(tol, DEFAULT_TOL))
-        fam.raise_first(mode, drives, sol.reason, skip=_SKIPPED)
-        if fam.numbered:
-            return sol.vectors, (drive_ranks(sol.drive) + 1).tolist()
-        return sol.vectors, [branch] * len(sol.vectors)  # at most one row per drive
-
+    solved = functools.partial(fam.rows, mode, tol=max(tol, DEFAULT_TOL), skip=_SKIPPED)
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)
         return make_samples(pattern, *solved(np.linspace(-lim, lim, n)[:, None]), tol)

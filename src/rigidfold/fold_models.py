@@ -7,9 +7,9 @@ tangent relations are evaluated through two-argument arctangents so the
 flat-folded ends of each branch stay finite.
 
 Every relation is written once, elementwise in numpy: a family's ``solve``
-applies it to a whole drive array, and ``Family.fold``, which every scalar
-evaluator calls, is the same solve on one drive that raises the exception
-a failed drive's reason code names.
+applies it to a whole drive array, and ``Family.rows``, which sweeps, traces,
+``fold`` and every scalar evaluator share, turns its rows into reported states:
+failed drives raised or skipped, branch tags, and no -0.0.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Family:
     """One folding family: crease pattern, modes, drive angles and closed-form solve.
 
     ``solve(mode, drives, tol)`` solves an (N, k) drive array in one pass and
-    returns a ``Solved``; ``fold`` is its one-drive call.  The callables in
+    returns a ``Solved``, whose states ``rows`` reports.  The callables in
     ``FAMILIES`` look the solves up by module name when called, so a wrapper
     installed on a module attribute (a profiler, a call counter) sees every call.
     """
@@ -122,15 +122,23 @@ class Family:
     loop: Callable[[int], np.ndarray] | None = None  # n drive pairs around ``curve``'s node loop
     numbered: bool = False  # one sample per solution branch, tagged 1, 2, ...
 
-    def fold(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-        """Every closing angle vector of one drive tuple, first branch first: a one-row ``solve``.
+    def rows(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL,
+             skip: tuple[int, ...] = ()) -> tuple[np.ndarray, list]:
+        """Every closing angle vector of an (N, k) drive array from one ``solve``, in drive order and first
+        branch first, with no -0.0, and its branch tag: the mode in a two-mode family, 1, 2, ... over each
+        drive's rows in a ``numbered`` one, else 0.  A failed drive raises unless its reason is in ``skip``."""
+        drives = np.asarray(drives, dtype=float)
+        sol = self.solve(mode, drives, tol)
+        self.raise_first(mode, drives, sol.reason, skip)
+        if self.numbered:  # the position of each row among its drive's rows, from 1
+            tags = (np.arange(len(sol.drive)) - np.searchsorted(sol.drive, sol.drive) + 1).tolist()
+        else:  # at most one row per drive
+            tags = [mode.mode if len(self.modes) > 1 else 0] * len(sol.vectors)
+        return sol.vectors + 0.0, tags  # x + 0.0 is x, and 0.0 for -0.0
 
-        A drive that fails raises the exception its reason code stands for.
-        """
-        row = np.array([drives], dtype=float)
-        sol = self.solve(mode, row, tol)
-        self.raise_first(mode, row, sol.reason)
-        return list(sol.vectors)
+    def fold(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+        """Every closing angle vector of one drive tuple, first branch first, by ``rows``; a failed drive raises."""
+        return list(self.rows(mode, [drives], tol)[0])
 
     def raise_first(self, mode: FoldMode, drives: np.ndarray, reason: np.ndarray, skip: tuple[int, ...] = ()):
         """Raise the one-drive exception of the first drive of an (N, k) array whose reason is
@@ -144,7 +152,8 @@ class Family:
         code, row = int(reason[first]), drives[first].tolist()
         values = ", ".join(map(str, row))
         if code == OUT_OF_RANGE:
-            _drive_columns(*row, names=self.drives)  # raises for a drive outside [-pi, pi]
+            for name, x in zip(self.drives, row):
+                check_fold_angle(x, name)  # raises for a drive outside [-pi, pi]
             limit = self.limit(mode.alpha, mode.beta)
             text = f"drive {values} maps outside [-pi, pi]; reachable |drive| <= {limit}"
         elif code == OFF_CURVE:
@@ -178,19 +187,14 @@ def _check_wedge_domain(alpha: float, beta: float):
         raise OutOfRangeError(f"need alpha, beta > 0 with alpha + beta < pi: {alpha}, {beta}")
 
 
-def _drive_columns(*drives, names: tuple[str, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+def _drive_columns(*drives) -> tuple[np.ndarray, np.ndarray]:
     """Drives broadcast to N rows as a (k, N) float array of contiguous columns, and the
     (N,) mask of rows with an angle outside [-pi, pi] (NaN and infinities too).  Those
-    rows are zeroed, so no later step sees a non-finite value.  With ``names``, the
-    first such angle of the first named column raises ``OutOfRangeError`` instead."""
+    rows are zeroed, so no later step sees a non-finite value."""
     if len({np.shape(d) for d in drives}) > 1:
         drives = np.broadcast_arrays(*drives)
     cols = np.array(drives, dtype=float).reshape(len(drives), -1)
-    outside = outside_fold_range(cols)
-    for name, col, out in zip(names, cols, outside):
-        if out.any():
-            check_fold_angle(col[out][0], name)
-    bad = outside.any(axis=0)
+    bad = outside_fold_range(cols).any(axis=0)
     if bad.any():
         cols[:, bad] = 0.0
     return cols, bad
@@ -207,11 +211,6 @@ def _batched(rows):
         return Solved(vectors[solved], np.flatnonzero(solved), reason)
 
     return solve
-
-
-def drive_ranks(drive: np.ndarray) -> np.ndarray:
-    """Position of each row among the rows of its drive, 0 for the first, for ascending drive indices."""
-    return np.arange(len(drive)) - np.searchsorted(drive, drive)
 
 
 def _tan_half_scaled(mult: float, rho):
@@ -246,12 +245,11 @@ def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
 def _degree4_rows(alpha: float, beta: float, mode: int, drive):
     """Angle 4-vectors of the mode and their reasons; elementwise in the drive."""
     p, q = degree4_multipliers(alpha, beta)
-    # x + 0.0 and 0.0 - x are x and -x with 0.0 for -0.0 (q = 0 at alpha = beta); nonzero bits are kept
     if mode == 1:
-        rho1 = _tan_half_scaled(p, drive) + 0.0
-        return np.array([rho1, drive, 0.0 - rho1, drive]).T, SOLVED
-    rho2 = _tan_half_scaled(q, drive) + 0.0
-    return np.array([drive, rho2, drive, 0.0 - rho2]).T, SOLVED
+        rho1 = _tan_half_scaled(p, drive)
+        return np.array([rho1, drive, -rho1, drive]).T, SOLVED
+    rho2 = _tan_half_scaled(q, drive)
+    return np.array([drive, rho2, drive, -rho2]).T, SOLVED
 
 
 def degree4_fold(alpha: float, beta: float, mode: int, rho_drive: float) -> np.ndarray:
@@ -633,7 +631,7 @@ def two_pair_node_loop(n: int) -> np.ndarray:
     t2 = np.sort(np.where((z.imag == 0.0) & (z.real >= 0.0) & (z.real <= _LOOP_T[:, None]), z.real, np.inf), axis=1)
     arc = 2.0 * np.arctan(np.concatenate([[[0.0, 0.0]], np.column_stack([_LOOP_T, t2[:, 0]]),  # node to diagonal
                                           np.column_stack([_LOOP_T, t2[:, 1]])[t2[:, 1] < np.inf][::-1]]))
-    loop = np.concatenate([0.0 - arc, 0.0 - arc[::-1, ::-1], arc[1:, ::-1], arc[::-1]])  # lobe III, lobe I
+    loop = np.concatenate([-arc, -arc[::-1, ::-1], arc[1:, ::-1], arc[::-1]])  # lobe III, lobe I
     s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(loop, axis=0).T))])
     k = np.arange(n)
     target = (k + 0.5 * (n % 2 == 0) * (k >= n // 2)) * s[-1] / n

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from rigidfold.core_geometry import closure_residuals, g60, rotation_products, wrap_angles
+from rigidfold.core_geometry import check_fold_angle, closure_residuals, g60, rotation_products, wrap_angles
 from rigidfold.fold_models import (
     _C3,
     DEFAULT_TOL,
@@ -46,13 +46,17 @@ def _rho2_branches(rho4, rho5, rho6) -> tuple[np.ndarray, np.ndarray]:
 
 def general_c3_image(rho1: float, rho2: float) -> np.ndarray:
     """Third crease direction after folding the first two creases."""
-    (r1, r2), _ = _drive_columns(rho1, rho2, names=("rho1", "rho2"))
+    check_fold_angle(rho1, "rho1")
+    check_fold_angle(rho2, "rho2")
+    (r1, r2), _ = _drive_columns(rho1, rho2)
     return rotation_products(g60(), np.stack([r1, r2], axis=1), creases=(0, 1))[0] @ _C3
 
 
 def general_rho2(rho4: float, rho5: float, rho6: float) -> list[float]:
     """The 0, 1 or 2 values of rho2 compatible with the three drive angles."""
-    r, exists = _rho2_branches(*_drive_columns(rho4, rho5, rho6, names=("rho4", "rho5", "rho6"))[0])
+    for name, x in zip(("rho4", "rho5", "rho6"), (rho4, rho5, rho6)):
+        check_fold_angle(x, name)
+    r, exists = _rho2_branches(*_drive_columns(rho4, rho5, rho6)[0])
     if not exists[0]:
         return []
     r = float(r[0])

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, formats, units, exit codes."""
 
+import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +11,9 @@ import pytest
 
 from rigidfold import cli
 from rigidfold.cli import main
-from rigidfold.config_space import trace_implicit_curve
-from rigidfold.core_geometry import closure_residual
-from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel, two_pair_curve_residual
+from rigidfold.config_space import CurveTrace, Samples, trace_implicit_curve
+from rigidfold.core_geometry import closure_residual, wrap_angles
+from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel, two_pair_curve_gradient, two_pair_curve_residual
 
 TRIFOLD_RHO1 = 4.0 * math.atan((2.0 + math.sqrt(3.0)) * math.tan(0.1))
 DATA = Path(__file__).resolve().parent / "data"  # the census bytes of `table` and `table --format json`
@@ -104,7 +106,7 @@ def test_fold_general_flat(capsys):
     code, out, _ = run(capsys, "fold", "general", "--rho4", "0", "--rho5", "0",
                        "--rho6", "0")
     assert code == 0
-    assert out.startswith("rho = [0 0 0 0 0 0]") or "rho = [0 -0" in out or "rho = [-0" in out
+    assert out.startswith("rho = [0 0 0 0 0 0]\n")
 
 
 @pytest.mark.parametrize("given", [("--rho1=0", "--rho2=0"), ("--rho1=0", "--rho3=0"), ("--rho2=0", "--rho3=0")])
@@ -123,6 +125,63 @@ def test_degree4_at_equal_sectors_prints_and_writes_no_negative_zero(tmp_path, c
         out = tmp_path / f"d{mode}.csv"
         assert run(capsys, "sweep", "degree4", "--mode", mode, "-n", "3", "-o", str(out))[0] == 0
         assert "-0," not in out.read_text() and len(out.read_text().splitlines()) == 4
+
+
+FLAT = {  # each family's drive flags at the flat state; the one-drive families take --drive=0
+    FoldModel.OPPOSITES: ["--rho1=0", "--rho2=0"],
+    FoldModel.IGLOO2DOF: ["--rho2=0", "--rho3=0"],
+    FoldModel.TWOPAIR: ["--rho1=0", "--rho2=0"],
+    FoldModel.FULLY_GENERAL: ["--rho4=0", "--rho5=0", "--rho6=0"],
+    FoldModel.ALMOST_GENERAL: ["--rho4=0", "--rho5=0"],
+}
+FAMILY_MODES = [(model, m) for model, fam in FAMILIES.items() for m in fam.modes]
+
+
+def _negative_zeros(text: str) -> list[str]:
+    """The csv cells, text tokens and json numbers of ``text`` that read as -0."""
+    def zero(cell):
+        try:
+            return float(cell) == 0.0
+        except ValueError:
+            return False
+
+    return [cell for cell in re.split(r'[\s,\[\]{}:"]+', text) if cell.startswith("-") and zero(cell)]
+
+
+@pytest.mark.parametrize("model, mode", FAMILY_MODES, ids=lambda v: getattr(v, "value", v))
+def test_fold_tags_its_state_as_the_sweep_tags_the_family(tmp_path, capsys, model, mode):
+    """``fold --format json`` tags its state with the branch ``sweep`` gives the first state of a drive."""
+    path = tmp_path / "s.json"
+    assert run(capsys, "sweep", model.value, "--mode", str(mode), "-n", "3", "-o", str(path)) == (0, "", "")
+    code, out, _ = run(capsys, "fold", model.value, "--mode", str(mode), *FLAT.get(model, ["--drive=0"]),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["branch"] == json.loads(path.read_text())[0]["branch"]
+
+
+@pytest.mark.parametrize("model", list(FoldModel), ids=lambda m: m.value)
+def test_fold_and_sweep_write_no_negative_zero(tmp_path, capsys, model):
+    for mode in FAMILIES[model].modes:
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "fold", model.value, "--mode", str(mode), *FLAT.get(model, ["--drive=0"]),
+                               "--format", fmt)
+            assert code == 0 and not _negative_zeros(out), (mode, out)
+        for ext in ("csv", "json"):
+            path = tmp_path / f"s.{ext}"
+            assert run(capsys, "sweep", model.value, "--mode", str(mode), "-n", "3", "-o", str(path))[0] == 0
+            assert not _negative_zeros(path.read_text()), (mode, ext)
+
+
+PI_SEED = ["--seed1=3.141592653589793", "--seed2=1.2309594173407747"]
+
+
+@pytest.mark.parametrize("argv", [["trace", "--step", "0.2"], ["trace", *PI_SEED, "--step", "0.05"],
+                                  ["resch", "--drive", "0"], ["resch", "--drive=-0.4"]], ids=" ".join)
+def test_trace_and_resch_write_no_negative_zero(tmp_path, capsys, argv):
+    for ext in ("csv", "json"):
+        path = tmp_path / f"out.{ext}"
+        assert run(capsys, *argv, "-o", str(path))[0] == 0
+        assert not _negative_zeros(path.read_text()), ext
 
 
 def test_fold_json_format(capsys):
@@ -242,6 +301,39 @@ def test_trace_warns_when_it_does_not_close(tmp_path, capsys):
     code, out, err = run(capsys, "trace", "--step", "1e-4", "-o", str(tmp_path / "open.csv"))
     assert (code, out, err) == (0, "", "warning: trace did not close: step budget exhausted\n")
     assert run(capsys, "trace", "--step", "0.2", "-o", str(tmp_path / "closed.csv")) == (0, "", "")
+
+
+def test_trace_wraps_the_walked_points_past_pi(tmp_path, capsys):
+    """The walk from (pi, acos(1/3)) leaves [-pi, pi]; the relation is 2pi-periodic, so every walked point,
+    wrapped, completes: one row each, in walk order."""
+    walk = trace_implicit_curve(two_pair_curve_residual, (math.pi, 1.2309594173407747), step=0.05,
+                                gradient=two_pair_curve_gradient)
+    assert len(walk.samples) == 248 and (abs(walk.samples.rho) > math.pi).any()
+    path = tmp_path / "pi.json"
+    assert run(capsys, "trace", *PI_SEED, "--step", "0.05", "-o", str(path)) == (0, "", "")
+    rows = json.loads(path.read_text())
+    pairs = wrap_angles(walk.samples.rho).tolist()
+    assert [[r[f"rho{i}"] for i in range(1, 5)] for r in rows] == [[a, a, b, b] for a, b in pairs]
+    assert all(r["residual"] < 1e-8 for r in rows)
+
+
+def test_trace_counts_the_walked_points_it_skips(tmp_path, capsys, monkeypatch):
+    """A walked point that does not complete gets no row, and stderr counts it."""
+    walker = cli.cs.trace_implicit_curve
+
+    def walk_and_stray(*args, **kwargs):
+        walk = walker(*args, **kwargs)
+        s = walk.samples
+        rho = np.vstack([s.rho, [[1.0, 0.0], [math.nan, 0.0]]])  # off the curve, and not an angle
+        return CurveTrace(Samples(rho, np.append(s.residual, [29.4, math.nan]), np.append(s.valid, [False, False]),
+                                  s.branch + [0, 0]), walk.closed, walk.note)
+
+    monkeypatch.setattr(cli.cs, "trace_implicit_curve", walk_and_stray)
+    path = tmp_path / "t.csv"
+    skipped = "skipped 2 traced points that do not complete to a closing state\n"
+    assert run(capsys, "trace", "--step", "0.2", "-o", str(path)) == (0, "", skipped)
+    with open(path, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 46
 
 
 def test_numerical_error_exits_3(capsys):

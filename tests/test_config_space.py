@@ -38,6 +38,7 @@ from rigidfold.core_geometry import (
     folded_frames,
     folded_geometry,
     g60,
+    rotation_products,
     self_intersections,
 )
 from rigidfold.errors import NoSolutionError, NotClosedError, OutOfRangeError
@@ -52,6 +53,7 @@ from rigidfold.fold_models import (
     two_pair_pattern,
     two_pair_vector,
 )
+from rigidfold.tolerances import ROUNDOFF
 from triangle_oracle import triangle_self_intersects
 
 PI = math.pi
@@ -437,6 +439,22 @@ def test_admissible_region_is_where_the_full_closure_solve_keeps_a_row(rho6):
         solved = np.zeros(n * n, dtype=bool)
         solved[general_solve_full_closure(r4.ravel(), r5.ravel(), rho6).drive] = True
         assert np.array_equal(admissible_region(rho6, grid_n=n).mask, solved.reshape(n, n))
+
+
+@pytest.mark.parametrize("rho6, n", [(r, 41) for r in np.unique([*np.linspace(-PI, PI, 9), 0.0, 0.8])]
+                         + [(0.8, 201), (PI, 201)])
+def test_admissible_region_is_the_bare_back_chain_existence_test(rho6, n):
+    """A cell is admissible exactly where a branch exists on its back chain B = R6^T R5^T R4^T:
+    cos rho2 = (1 - 4 c1.B c3)/3 is at most 1 + ROUNDOFF, so c1.B c3 >= -1/2 - 3/4 ROUNDOFF, and B c3
+    is at least ROUNDOFF off the first crease's axis.  At the default tol no existing branch fails closure.
+    Dropping the 3/4 ROUNDOFF slack changes 114 cells of the ten n = 41 slices, dropping the axis guard 178."""
+    c1, _, c3 = G.creases[:3]
+    assert c1.tolist() == [1.0, 0.0, 0.0]  # so c1.B c3 is the x entry of B c3 and its (y, z) entries leave the axis
+    region = admissible_region(rho6, grid_n=n)
+    r4, r5 = (a.ravel() for a in np.meshgrid(region.rho4_axis, region.rho5_axis, indexing="ij"))
+    back = rotation_products(G, -np.stack([np.full_like(r4, rho6), r5, r4], axis=1), creases=(5, 4, 3)) @ c3
+    exists = (back[:, 0] >= -0.5 - 0.75 * ROUNDOFF) & (np.hypot(back[:, 1], back[:, 2]) >= ROUNDOFF)
+    assert np.array_equal(region.mask.ravel(), exists)
 
 
 def test_admissible_region_tol_governs_the_mask():

@@ -33,7 +33,6 @@ from rigidfold.fold_models import (
     SOLVED,
     FoldMode,
     FoldModel,
-    _degree4_rows,
     _two_pair_roots,
     almost_general,
     bowtie,
@@ -119,13 +118,17 @@ def test_degree4_mode_structure():
 @pytest.mark.parametrize("mode", [1, 2])
 def test_degree4_writes_no_negative_zero_at_equal_sectors(mode):
     """At alpha = beta mode 2's multiplier is 0, so rho2 and rho4 = -rho2 are zero at every drive; no zero
-    entry of either mode is -0.0, and a nonzero angle keeps the bits of its negation."""
+    entry of either mode that ``Family.rows`` reports is -0.0, and a nonzero angle keeps the bits of its negation."""
     drives = np.array([-PI, -2.0, -0.3, 0.0, 0.3, 2.0, PI])
-    rows, _ = _degree4_rows(1.1, 1.1, mode, drives)
+
+    def reported(a, b):
+        return FAMILIES[FoldModel.DEGREE4].rows(FoldMode(FoldModel.DEGREE4, mode, a, b), drives[:, None])[0]
+
+    rows = reported(1.1, 1.1)
     assert (rows == 0.0).sum() == (4 if mode == 1 else 2 * len(drives) + 2)
     assert not np.signbit(rows[rows == 0.0]).any()
     for a, b in [(0.9, 1.3), (1.1, 1.1)]:
-        rows, _ = _degree4_rows(a, b, mode, drives)
+        rows = reported(a, b)
         scaled, negated = (rows[:, 0], rows[:, 2]) if mode == 1 else (rows[:, 1], rows[:, 3])
         nonzero = scaled != 0.0
         assert np.array_equal(negated[nonzero].view(np.int64), (-scaled[nonzero]).view(np.int64))
@@ -815,9 +818,11 @@ def _rows_equal_one_drive_calls(mode: FoldMode, tol: float) -> set:
     sol = fam.solve(mode, drives, tol)
     assert sol.reason.shape == (len(drives),)
     assert np.all(np.diff(sol.drive) >= 0)
+    vectors, _ = fam.rows(mode, drives, tol, skip=tuple(REASON_ERRORS))  # the solve's rows, with no -0.0
+    assert np.array_equal(vectors, sol.vectors) and not np.signbit(vectors[vectors == 0.0]).any()
     seen = set()
     for k, row in enumerate(drives):
-        got = sol.vectors[sol.drive == k]
+        got = vectors[sol.drive == k]
         try:
             want = fam.fold(mode, tuple(row), tol)
         except RigidFoldError as err:
@@ -844,7 +849,7 @@ def _rows_equal_one_drive_calls(mode: FoldMode, tol: float) -> set:
 
 @pytest.mark.parametrize("mode", list(_batch_cases()), ids=_CASE_IDS)
 def test_batched_solve_rows_equal_one_drive_calls(mode):
-    """Row k of a batched solve is the one-drive call bit for bit, and each failed
+    """The rows a batched ``rows`` call reports for drive k are the one-drive call bit for bit, and each failed
     drive's reason code names the exception (type and message) that call, the
     family's scalar evaluator and ``raise_first`` all raise."""
     seen = _rows_equal_one_drive_calls(mode, 1e-8)
