@@ -54,7 +54,6 @@ from .fold_models import (
     bowtie,
     bowtie_multiplier,
     bowtie_pattern,
-    bowtie_vector,
     degree4_fold,
     degree4_multipliers,
     degree4_pattern,
@@ -64,23 +63,19 @@ from .fold_models import (
     igloo_pattern,
     igloo_rho1,
     igloo_rho4,
-    igloo_vector,
     opposites_pattern,
     opposites_solve,
-    opposites_vector,
     pleat_multiplier,
     resch_fold,
     trifold,
     trifold_drive_limit,
     trifold_multiplier,
     trifold_pattern,
-    trifold_vector,
     two_pair_complete,
     two_pair_curve_gradient,
     two_pair_curve_residual,
     two_pair_pattern,
     two_pair_solve,
-    two_pair_vector,
 )
 from .second_order_rigidity import (
     ModeSolution,

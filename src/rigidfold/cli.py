@@ -46,6 +46,18 @@ def _add_common(p: argparse.ArgumentParser, degrees: bool = True, tol: bool = Tr
     p.add_argument("--format", default=None, help="output format")
 
 
+def _add_family(p: argparse.ArgumentParser, **model):
+    """The family flags: the model (positional, or an option with the ``model`` settings when they are given),
+    its mode and the sector angles in degrees."""
+    if model:
+        p.add_argument("--model", choices=sorted(_MODELS), **model)
+    else:
+        p.add_argument("model", choices=sorted(_MODELS))
+    p.add_argument("--mode", type=int, default=1)
+    p.add_argument("--alpha", type=float, default=60.0, help="sector angle, degrees")
+    p.add_argument("--beta", type=float, default=60.0, help="sector angle, degrees")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rigidfold",
                                  description="Rigid folding kinematics of a degree-6 vertex.")
@@ -55,19 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, degrees=False, tol=False)
 
     p = sub.add_parser("fold", help="evaluate one folded state of a family")
-    p.add_argument("model", choices=sorted(_MODELS))
-    p.add_argument("--mode", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=60.0, help="sector angle, degrees")
-    p.add_argument("--beta", type=float, default=60.0, help="sector angle, degrees")
+    _add_family(p)
     for name in _ANGLE_FLAGS:
         p.add_argument(f"--{name}", type=float, default=None)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="sample a family over its drive range")
-    p.add_argument("model", choices=sorted(_MODELS))
-    p.add_argument("--mode", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=60.0)
-    p.add_argument("--beta", type=float, default=60.0)
+    _add_family(p)
     p.add_argument("-n", type=int, default=100, help="sample count (per axis for grids)")
     _add_common(p, degrees=False)
 
@@ -88,11 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="convert a json sample file to csv or obj")
     p.add_argument("input")
-    p.add_argument("--model", choices=sorted(_MODELS), default="general",
-                   help="pattern family the samples fold (matters for obj)")
-    p.add_argument("--mode", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=60.0)
-    p.add_argument("--beta", type=float, default=60.0)
+    _add_family(p, default="general", help="pattern family the samples fold (matters for obj)")
     _add_common(p, degrees=False)
     return ap
 

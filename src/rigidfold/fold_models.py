@@ -1,10 +1,10 @@
 """Folding-angle evaluators for the symmetric families of a degree-6 vertex.
 
 Each family fixes a crease pattern and a coloring of its creases; the
-evaluators map the free (drive) angles to the remaining ones so that the
-assembled angle vector satisfies loop closure.  Half- and quarter-angle
-tangent relations are evaluated through two-argument arctangents so the
-flat-folded ends of each branch stay finite.
+evaluators map the free (drive) angles to the remaining class angles, which
+``Family.vector`` lays out on the creases, so that loop closure holds.  Half-
+and quarter-angle tangent relations are evaluated through two-argument
+arctangents so the flat-folded ends of each branch stay finite.
 
 Every relation is written once, elementwise in numpy: a family's ``solve``
 applies it to a whole drive array, and ``Family.rows``, which sweeps, traces,
@@ -104,10 +104,12 @@ class FoldMode:
 
 @dataclass(frozen=True)
 class Family:
-    """One folding family: crease pattern, modes, drive angles and closed-form solve.
+    """One folding family: crease pattern, coloring, modes, drive angles and closed-form solve.
 
     ``solve(mode, drives, tol)`` solves an (N, k) drive array in one pass and
-    returns a ``Solved``, whose states ``rows`` reports.  The callables in
+    returns a ``Solved``, whose states ``rows`` reports.  ``coloring`` gives
+    each crease its class label (first-occurrence labels, as the census writes
+    them), and ``vector`` expands class angles through it.  The callables in
     ``FAMILIES`` look the solves up by module name when called, so a wrapper
     installed on a module attribute (a profiler, a call counter) sees every call.
     """
@@ -115,12 +117,19 @@ class Family:
     pattern: Callable[[FoldMode], CreasePattern]
     solve: Callable[[FoldMode, np.ndarray, float], Solved]
     drives: tuple[str, ...]  # CLI flag names, in the order solve takes them
+    coloring: tuple[int, ...] | None  # None: the crease angles are not a coloring (degree-4 has signs)
     domain: Callable[[float, float], None] | None = None  # None: fixed 60-degree sectors
     modes: tuple[int, ...] = (1,)
     limit: Callable[[float, float], float] = lambda alpha, beta: PI  # 1-DOF drive bound
     curve: Callable[[float, float], float] | None = None  # relation the drive pair lies on
     loop: Callable[[int], np.ndarray] | None = None  # n drive pairs around ``curve``'s node loop
     numbered: bool = False  # one sample per solution branch, tagged 1, 2, ...
+
+    def vector(self, *classes) -> np.ndarray:
+        """(N, n) crease angles from one (N,) column per class, or (n,) from one scalar per class: each
+        crease takes its class's angle.  With no coloring the columns are the creases'."""
+        cols = classes if self.coloring is None else [classes[c - 1] for c in self.coloring]
+        return np.array(cols).T
 
     def rows(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL,
              skip: tuple[int, ...] = ()) -> tuple[np.ndarray, list]:
@@ -201,11 +210,12 @@ def _drive_columns(*drives) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batched(rows):
-    """Family solve of a closed form ``rows(mode, *drive columns) -> (vectors (N, n), reason)``."""
+    """Family solve of a closed form ``rows(mode, *drive columns) -> (class columns, reason)``."""
 
     def solve(f: FoldMode, drives, tol: float) -> Solved:
         cols, bad = _drive_columns(*np.asarray(drives, dtype=float).T)
-        vectors, reason = rows(f, *cols)
+        classes, reason = rows(f, *cols)
+        vectors = FAMILIES[f.model].vector(*classes)
         reason = np.where(bad, OUT_OF_RANGE, reason)
         solved = reason == SOLVED
         return Solved(vectors[solved], np.flatnonzero(solved), reason)
@@ -243,13 +253,13 @@ def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
 
 
 def _degree4_rows(alpha: float, beta: float, mode: int, drive):
-    """Angle 4-vectors of the mode and their reasons; elementwise in the drive."""
+    """The four crease columns of the mode and their reasons; elementwise in the drive."""
     p, q = degree4_multipliers(alpha, beta)
     if mode == 1:
         rho1 = _tan_half_scaled(p, drive)
-        return np.array([rho1, drive, -rho1, drive]).T, SOLVED
+        return (rho1, drive, -rho1, drive), SOLVED
     rho2 = _tan_half_scaled(q, drive)
-    return np.array([drive, rho2, drive, -rho2]).T, SOLVED
+    return (drive, rho2, drive, -rho2), SOLVED
 
 
 def degree4_fold(alpha: float, beta: float, mode: int, rho_drive: float) -> np.ndarray:
@@ -288,10 +298,9 @@ def _trifold_companion(m: float, drive):
 
 
 def _trifold_rows(beta: float, mode: int, drive):
-    """Trifold 6-vectors and their reasons; elementwise in the drive."""
+    """Trifold (rho1, rho2) and their reasons; elementwise in the drive."""
     other, outside = _trifold_companion(trifold_multiplier(beta), drive)
-    pair = (other, drive) if mode == 1 else (drive, other)
-    return trifold_vector(*pair), np.where(outside, OUT_OF_RANGE, SOLVED)
+    return (other, drive) if mode == 1 else (drive, other), np.where(outside, OUT_OF_RANGE, SOLVED)
 
 
 def trifold(beta: float, mode: int, rho_drive: float) -> tuple[float, float]:
@@ -317,10 +326,6 @@ def trifold_drive_limit(beta: float) -> float:
     return lim
 
 
-def trifold_vector(rho1, rho2) -> np.ndarray:
-    return np.array([rho1, rho2, rho1, rho2, rho1, rho2]).T
-
-
 # ---------------------------------------------------------------------------
 # bow tie
 
@@ -343,18 +348,14 @@ def bowtie_multiplier(beta: float, mode: int) -> float:
 
 
 def _bowtie_rows(beta: float, mode: int, rho1):
-    """Bow-tie 6-vectors and their reasons; elementwise in rho1."""
-    return bowtie_vector(rho1, _tan_half_scaled(bowtie_multiplier(beta, mode), rho1)), SOLVED
+    """Bow-tie (rho1, rho2) and their reasons; elementwise in rho1."""
+    return (rho1, _tan_half_scaled(bowtie_multiplier(beta, mode), rho1)), SOLVED
 
 
 def bowtie(beta: float, mode: int, rho1: float) -> float:
     """rho2 of the bow tie from rho1 via the mode's half-angle ratio."""
     f = FoldMode(FoldModel.BOWTIE, mode, PI / 3.0, beta)
     return float(FAMILIES[f.model].fold(f, (rho1,))[0][2])
-
-
-def bowtie_vector(rho1, rho2) -> np.ndarray:
-    return np.array([rho1, rho1, rho2, rho1, rho1, rho2]).T
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +413,13 @@ def opposites_solve(
     angle, free = _opposites_third(k[z], k[x], k[y], float(known[x]), float(known[y]))
     if free:
         return OppositesSolution(angles=(), free=True)
-    return OppositesSolution(angles=(float(angle),))
+    return OppositesSolution(angles=(float(angle) + 0.0,))  # x + 0.0 is x, and 0.0 for -0.0
 
 
 def _opposites_rows(alpha: float, beta: float, rho1, rho2):
-    """Opposites 6-vectors from (rho1, rho2); a free rho3 is taken flat.  Elementwise."""
+    """Opposites (rho1, rho2, rho3) from (rho1, rho2); a free rho3 is taken flat.  Elementwise."""
     rho3, free = _opposites_third(math.sin(alpha), math.sin(beta), math.sin(alpha + beta), rho1, rho2)
-    return opposites_vector(rho1, rho2, np.where(free, 0.0, rho3)), SOLVED
-
-
-def opposites_vector(rho1, rho2, rho3) -> np.ndarray:
-    return np.array([rho1, rho2, rho3, rho1, rho2, rho3]).T
+    return (rho1, rho2, np.where(free, 0.0, rho3)), SOLVED
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +493,17 @@ def igloo_rho4(alpha: float, beta: float, rho2: float, rho3: float) -> float:
 
 
 def _igloo_rows(alpha: float, beta: float, rho2, rho3):
-    """Igloo 6-vectors and their reasons; elementwise in (rho2, rho3)."""
+    """Igloo (rho1, ..., rho4) and their reasons; elementwise in (rho2, rho3)."""
     rho1, ambiguous1 = _igloo_half(alpha, beta, rho2, rho3)
     rho4, ambiguous4 = _igloo_half(PI - alpha - beta, beta, rho3, rho2)
-    return igloo_vector(rho1, rho2, rho3, rho4), np.where(ambiguous1 | ambiguous4, AMBIGUOUS, SOLVED)
-
-
-def igloo_vector(rho1, rho2, rho3, rho4) -> np.ndarray:
-    return np.array([rho1, rho2, rho3, rho4, rho3, rho2]).T
+    return (rho1, rho2, rho3, rho4), np.where(ambiguous1 | ambiguous4, AMBIGUOUS, SOLVED)
 
 
 # ---------------------------------------------------------------------------
 # igloo, one free angle
 
 def _igloo_1dof_rows(alpha: float, beta: float, mode: int, rho4):
-    """Igloo 6-vectors of the 1-DOF mode and their reasons; elementwise in rho4."""
+    """Igloo (rho1, ..., rho4) of the 1-DOF mode and their reasons; elementwise in rho4."""
     pa, pb = pleat_multiplier(alpha), pleat_multiplier(beta)
     t = np.tan(0.25 * rho4)
     if mode == 1:
@@ -527,7 +520,7 @@ def _igloo_1dof_rows(alpha: float, beta: float, mode: int, rho4):
             + np.cos(0.5 * alpha + beta - 0.5 * rho4)
             - 2.0 * math.sin(0.5 * alpha)
         )
-    return igloo_vector(rho1, rho2, _half_angle_branch(num, den), rho4), SOLVED
+    return (rho1, rho2, _half_angle_branch(num, den), rho4), SOLVED
 
 
 def igloo_1dof(alpha: float, beta: float, mode: int, rho4: float) -> tuple[float, float, float]:
@@ -552,10 +545,6 @@ _SIN4, _COS4 = np.cross(_C6, _C5), _C5 - (_C5 @ _C6) * _C6
 
 def two_pair_pattern() -> CreasePattern:
     return g60()
-
-
-def two_pair_vector(rho1, rho2, rho3, rho4) -> np.ndarray:
-    return np.array([rho1, rho1, rho2, rho2, rho3, rho4]).T
 
 
 def two_pair_curve_residual(rho1, rho2):
@@ -665,7 +654,7 @@ def two_pair_solve(rho1, rho2, tol: float = DEFAULT_TOL) -> Solved:
     m6, m5 = (M * _C6).sum(axis=2), (M * _C5[:, None]).sum(axis=1)  # M c6 and M^T c5
     rho3 = np.arctan2((m6 * _SIN3).sum(axis=1), (m6 * _COS3).sum(axis=1))
     rho4 = -np.arctan2((m5 * _SIN4).sum(axis=1), (m5 * _COS4).sum(axis=1))
-    vecs = two_pair_vector(r1, r2, np.where(flat, 0.0, rho3), np.where(flat, 0.0, rho4))
+    vecs = FAMILIES[FoldModel.TWOPAIR].vector(r1, r2, np.where(flat, 0.0, rho3), np.where(flat, 0.0, rho4))
     keep = live & ((closure_residuals(g60(), vecs) < tol) | flat)
     reason = np.where(bad, OUT_OF_RANGE, np.where(off, OFF_CURVE, np.where(keep, SOLVED, NO_COMPLETION)))
     return Solved(vecs[keep], np.flatnonzero(keep), reason)
@@ -730,7 +719,7 @@ def _solve_back(B, r4, r5, r6, bad, tol: float) -> Solved:
     B, back = B[drive], back[drive]
     rho1 = _turn(rho2, back[:, 1], back[:, 2])
     rho3 = _turn(rho2, (B[:, 0] * _P3).sum(axis=1), B[:, 0, 2])  # B[:, 0] = B^T c1
-    vecs = np.stack([rho1, rho2, rho3, r4[drive], r5[drive], r6[drive]], axis=1)
+    vecs = FAMILIES[FoldModel.FULLY_GENERAL].vector(rho1, rho2, rho3, r4[drive], r5[drive], r6[drive])
     front = rotation_products(g60(), vecs[:, :3], creases=(0, 1, 2))  # rho1 and rho3 are wrapped already
     closes = np.sqrt(np.square(front - B).sum(axis=(1, 2))) < tol
     reason = np.where(bad, OUT_OF_RANGE, NO_SOLUTION)
@@ -744,56 +733,59 @@ def general_fold(rho4: float, rho5: float, rho6: float, tol: float = DEFAULT_TOL
 
 
 def almost_general(rho4: float, rho5: float, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Closing 6-vectors with the last two drives tied, re-rooted so the
-    equal-angle pair sits on the first two creases."""
+    """Closing 6-vectors of the general family with its last two drives tied, laid
+    out by the family's coloring: the equal-angle pair on the first two creases."""
     return FAMILIES[FoldModel.ALMOST_GENERAL].fold(FoldMode(FoldModel.ALMOST_GENERAL), (rho4, rho5), tol)
 
 
 def _almost_general_solve(drives, tol: float) -> Solved:
+    """General rows of the drives (rho4, rho5, rho5); their classes are (rho5, rho1, rho2, rho3, rho4)."""
     sol = general_solve(*np.asarray(drives, dtype=float)[:, [0, 1, 1]].T, tol=tol)
-    return sol._replace(vectors=np.roll(sol.vectors, 2, axis=1))
+    return sol._replace(vectors=FAMILIES[FoldModel.ALMOST_GENERAL].vector(*sol.vectors[:, [4, 0, 1, 2, 3]].T))
 
 
 # ---------------------------------------------------------------------------
 # family table
 
+_IGLOO = (1, 2, 3, 4, 3, 2)  # the mirror layout of both igloo families: the 1-DOF modes fold in it too
+
 FAMILIES: dict[FoldModel, Family] = {
     FoldModel.DEGREE4: Family(
-        pattern=lambda f: degree4_pattern(f.alpha, f.beta),
+        pattern=lambda f: degree4_pattern(f.alpha, f.beta), coloring=None,
         solve=_batched(lambda f, x: _degree4_rows(f.alpha, f.beta, f.mode, x)),
         drives=("drive",), domain=_check_degree4_domain, modes=(1, 2)),
     FoldModel.TRIFOLD: Family(
-        pattern=lambda f: trifold_pattern(f.beta),
+        pattern=lambda f: trifold_pattern(f.beta), coloring=(1, 2, 1, 2, 1, 2),
         solve=_batched(lambda f, x: _trifold_rows(f.beta, f.mode, x)),
         drives=("drive",), domain=lambda alpha, beta: _check_trifold_domain(beta), modes=(1, 2),
         limit=lambda alpha, beta: trifold_drive_limit(beta)),
     FoldModel.BOWTIE: Family(
-        pattern=lambda f: bowtie_pattern(f.beta, f.mode),
+        pattern=lambda f: bowtie_pattern(f.beta, f.mode), coloring=(1, 1, 2, 1, 1, 2),
         solve=_batched(lambda f, x: _bowtie_rows(f.beta, f.mode, x)),
         drives=("drive",), domain=lambda alpha, beta: _check_bowtie_domain(beta), modes=(1, 2)),
     FoldModel.OPPOSITES: Family(
-        pattern=lambda f: opposites_pattern(f.alpha, f.beta),
+        pattern=lambda f: opposites_pattern(f.alpha, f.beta), coloring=(1, 2, 3, 1, 2, 3),
         solve=_batched(lambda f, x, y: _opposites_rows(f.alpha, f.beta, x, y)),
         drives=("rho1", "rho2"), domain=_check_wedge_domain),
     FoldModel.IGLOO2DOF: Family(
-        pattern=lambda f: igloo_pattern(f.alpha, f.beta),
+        pattern=lambda f: igloo_pattern(f.alpha, f.beta), coloring=_IGLOO,
         solve=_batched(lambda f, x, y: _igloo_rows(f.alpha, f.beta, x, y)),
         drives=("rho2", "rho3"), domain=_check_wedge_domain),
     FoldModel.IGLOO1DOF: Family(
-        pattern=lambda f: igloo_pattern(f.alpha, f.beta),
+        pattern=lambda f: igloo_pattern(f.alpha, f.beta), coloring=_IGLOO,
         solve=_batched(lambda f, x: _igloo_1dof_rows(f.alpha, f.beta, f.mode, x)),
         drives=("rho4",), domain=_check_wedge_domain, modes=(1, 2)),
     FoldModel.TWOPAIR: Family(
-        pattern=lambda f: two_pair_pattern(),
+        pattern=lambda f: two_pair_pattern(), coloring=(1, 1, 2, 2, 3, 4),
         solve=lambda f, d, tol: two_pair_solve(*np.asarray(d, dtype=float).T, tol=tol),
         drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2),
         loop=lambda n: two_pair_node_loop(n)),
     FoldModel.FULLY_GENERAL: Family(
-        pattern=lambda f: g60(),
+        pattern=lambda f: g60(), coloring=(1, 2, 3, 4, 5, 6),
         solve=lambda f, d, tol: general_solve(*np.asarray(d, dtype=float).T, tol=tol),
         drives=("rho4", "rho5", "rho6"), numbered=True),
     FoldModel.ALMOST_GENERAL: Family(
-        pattern=lambda f: g60(),
+        pattern=lambda f: g60(), coloring=(1, 1, 2, 3, 4, 5),
         solve=lambda f, d, tol: _almost_general_solve(d, tol),
         drives=("rho4", "rho5"), numbered=True),
 }

@@ -3,7 +3,8 @@
 A coloring of the six creases encodes a folding-angle symmetry: creases of
 equal color fold with equal angle.  Colorings are identified up to the
 dihedral symmetries of the hexagon and up to renaming of colors, i.e. as
-k-colored bracelet patterns.
+k-colored bracelet patterns.  The census names a pattern after the folding
+family whose coloring (``Family.coloring`` in ``FAMILIES``) it is.
 """
 
 from __future__ import annotations
@@ -13,18 +14,22 @@ from functools import lru_cache
 
 from .core_geometry import g60
 from .errors import OutOfRangeError
+from .fold_models import FAMILIES, FoldModel
 from .second_order_rigidity import _class_list, solve_modes
 
-#: conventional representative coloring -> family name (keys need not be canonical)
-NAMED_REPRESENTATIVES = {
-    (1, 2, 1, 2, 1, 2): "trifold",
-    (1, 2, 2, 1, 2, 2): "bow tie",
-    (1, 2, 3, 1, 2, 3): "opposites",
-    (1, 2, 3, 4, 3, 2): "igloo",
-    (1, 1, 2, 2, 3, 4): "two pair",
-    (1, 1, 2, 3, 4, 5): "almost general",
-    (1, 2, 3, 4, 5, 6): "fully general",
+# the census name of each family; the 1-DOF igloo is a sub-mode of the igloo's coloring, and degree-4 has four creases
+_CENSUS_NAMES = {
+    FoldModel.TRIFOLD: "trifold",
+    FoldModel.BOWTIE: "bow tie",
+    FoldModel.OPPOSITES: "opposites",
+    FoldModel.IGLOO2DOF: "igloo",
+    FoldModel.TWOPAIR: "two pair",
+    FoldModel.ALMOST_GENERAL: "almost general",
+    FoldModel.FULLY_GENERAL: "fully general",
 }
+
+#: each named family's coloring, as ``FAMILIES`` lays out its creases -> family name (keys need not be canonical)
+NAMED_REPRESENTATIVES = {FAMILIES[model].coloring: name for model, name in _CENSUS_NAMES.items()}
 
 
 @dataclass(frozen=True, order=True)

@@ -22,20 +22,19 @@ from rigidfold.config_space import (
 from rigidfold.core_geometry import closure_residual, g60, self_intersects
 from rigidfold.errors import NoSolutionError
 from rigidfold.fold_models import (
+    FAMILIES,
     FoldMode,
     FoldModel,
     bowtie,
     general_fold,
     igloo_1dof,
     opposites_pattern,
-    opposites_vector,
     resch_fold,
     trifold_drive_limit,
     trifold_multiplier,
     two_pair_complete,
     two_pair_curve_residual,
     two_pair_pattern,
-    two_pair_vector,
 )
 from rigidfold.second_order_rigidity import ray_class_values, symmetric_mode_solve
 from rigidfold.symmetry_enumeration import canonical_form, classify_g60
@@ -163,7 +162,8 @@ def test_criterion_4_degeneration_identities():
                 t1, t2, t3 = (math.tan(x / 2.0) for x in (rho1, rho2, rho3))
                 rel = sa * t1 * t2 + sb * t2 * t3 + sg * t1 * t3
                 relation_worst = max(relation_worst, abs(rel))
-                closure = closure_residual(pat, opposites_vector(rho1, rho2, rho3))
+                rho = FAMILIES[FoldModel.OPPOSITES].vector(rho1, rho2, rho3)
+                closure = closure_residual(pat, rho)
                 relation_worst = max(relation_worst, closure)
 
     rho1_worst = 0.0
@@ -193,7 +193,7 @@ def test_criterion_5_two_pair_curve():
         for x in axis for y in axis
     )
 
-    pat = two_pair_pattern()
+    pat, fam = two_pair_pattern(), FAMILIES[FoldModel.TWOPAIR]
     blue_ok = True
     for s in trace.samples:
         comps = two_pair_complete(float(s.rho[0]), float(s.rho[1]), tol=1e-8)
@@ -201,14 +201,14 @@ def test_criterion_5_two_pair_curve():
             blue_ok = False
             break
         for r3, r4 in comps:
-            smp = make_sample(pat, two_pair_vector(s.rho[0], s.rho[1], r3, r4))
+            smp = make_sample(pat, fam.vector(s.rho[0], s.rho[1], r3, r4))
             if smp.residual >= 1e-8 or not smp.valid:
                 blue_ok = False
 
     seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10)
     red_ok = False
     for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1]), tol=1e-8):
-        vec = two_pair_vector(seed[0], seed[1], r3, r4)
+        vec = fam.vector(seed[0], seed[1], r3, r4)
         smp = make_sample(pat, vec)
         state_intersects = not smp.valid and smp.residual < 1e-8
         red_ok = red_ok or state_intersects

@@ -25,6 +25,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("command", ["fold", "sweep", "export"])
+def test_family_commands_say_the_sector_angles_are_degrees(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert re.search(r"--alpha ALPHA\s+sector angle, degrees", out)
+    assert re.search(r"--beta BETA\s+sector angle, degrees", out)
+
+
 def test_table_text(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0

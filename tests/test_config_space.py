@@ -51,7 +51,6 @@ from rigidfold.fold_models import (
     two_pair_curve_gradient,
     two_pair_curve_residual,
     two_pair_pattern,
-    two_pair_vector,
 )
 from rigidfold.tolerances import ROUNDOFF
 from triangle_oracle import triangle_self_intersects
@@ -119,7 +118,8 @@ def test_two_pair_red_state_intersects():
     """Criterion 5's red state closes, and some completion of it self-intersects."""
     seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10)
     pattern = two_pair_pattern()
-    states = [folded_geometry(pattern, two_pair_vector(seed[0], seed[1], r3, r4), tol=1e-8)
+    fam = FAMILIES[FoldModel.TWOPAIR]
+    states = [folded_geometry(pattern, fam.vector(seed[0], seed[1], r3, r4), tol=1e-8)
               for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1]), tol=1e-8)]
     verdicts = self_intersections(pattern, np.stack([st.crease_images for st in states]))
     assert verdicts.tolist() == [triangle_self_intersects(pattern, st) for st in states]

@@ -5,6 +5,7 @@ identity to near machine precision; that residual is the oracle for all of
 these tests, independent of how each formula was derived.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ from rigidfold.fold_models import (
     bowtie,
     bowtie_multiplier,
     bowtie_pattern,
-    bowtie_vector,
     degree4_fold,
     degree4_multipliers,
     degree4_pattern,
@@ -48,17 +48,14 @@ from rigidfold.fold_models import (
     igloo_pattern,
     igloo_rho1,
     igloo_rho4,
-    igloo_vector,
     opposites_pattern,
     opposites_solve,
-    opposites_vector,
     pleat_multiplier,
     resch_fold,
     trifold,
     trifold_drive_limit,
     trifold_multiplier,
     trifold_pattern,
-    trifold_vector,
     two_pair_complete,
     two_pair_curve_gradient,
     two_pair_curve_residual,
@@ -66,12 +63,12 @@ from rigidfold.fold_models import (
     two_pair_pattern,
     two_pair_quartic,
     two_pair_solve,
-    two_pair_vector,
 )
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
 G = g60()
+TWO_PAIR = FAMILIES[FoldModel.TWOPAIR]  # lays a two-pair state's (rho1, rho2, rho3, rho4) out on six creases
 
 
 def fold_eq(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -254,7 +251,7 @@ def test_trifold_closes_across_betas_and_modes():
         lim = trifold_drive_limit(beta)
         for mode in (1, 2):
             for d in np.linspace(-lim, lim, 25):
-                rho = trifold_vector(*trifold(beta, mode, d))
+                rho = FAMILIES[FoldModel.TRIFOLD].vector(*trifold(beta, mode, d))
                 assert closure_residual(pat, rho) < 1e-12
 
 
@@ -292,7 +289,7 @@ def test_bowtie_closes_both_modes():
         for mode in (1, 2):
             pat = bowtie_pattern(beta, mode)
             for d in np.linspace(-3.0, 3.0, 21):
-                rho = bowtie_vector(d, bowtie(beta, mode, d))
+                rho = FAMILIES[FoldModel.BOWTIE].vector(d, bowtie(beta, mode, d))
                 assert closure_residual(pat, rho) < 1e-12
 
 
@@ -321,7 +318,7 @@ def test_opposites_each_unknown_closes():
         for val in sol.angles:
             full = dict(kwargs)
             full[missing] = val
-            rho = opposites_vector(full["rho1"], full["rho2"], full["rho3"])
+            rho = FAMILIES[FoldModel.OPPOSITES].vector(full["rho1"], full["rho2"], full["rho3"])
             assert closure_residual(pat, rho) < 1e-12
 
 
@@ -337,6 +334,18 @@ def test_opposites_needs_exactly_two_angles():
         opposites_solve(0.9, 0.7, rho1=0.5, rho2=0.1, rho3=0.2)
 
 
+@pytest.mark.parametrize("given", [("rho1", "rho2"), ("rho1", "rho3"), ("rho2", "rho3")])
+def test_opposites_solve_returns_no_negative_zero(given):
+    """Any two of rho1..rho3 in {0, +-0.5, +-pi}: the third angle is never -0.0, and from
+    (rho1, rho2) it is the family row's rho3 bit for bit, as ``Family.rows`` reports it."""
+    fam, mode = FAMILIES[FoldModel.OPPOSITES], FoldMode(FoldModel.OPPOSITES)
+    for pair in itertools.product([0.0, 0.5, -0.5, PI, -PI], repeat=2):
+        sol = opposites_solve(PI / 3.0, PI / 3.0, **dict(zip(given, pair)))
+        assert not np.signbit([a for a in sol.angles if a == 0.0]).any(), pair
+        if given == ("rho1", "rho2") and not sol.free:
+            assert np.array([sol.angles[0]]).tobytes() == fam.fold(mode, pair)[0][2:3].tobytes(), pair
+
+
 # --- igloo --------------------------------------------------------------------
 
 def test_igloo_completion_closes_on_a_grid():
@@ -344,7 +353,8 @@ def test_igloo_completion_closes_on_a_grid():
     pat = igloo_pattern(a, b)
     for r2 in np.linspace(-2.8, 2.8, 9):
         for r3 in np.linspace(-2.8, 2.8, 9):
-            rho = igloo_vector(igloo_rho1(a, b, r2, r3), r2, r3, igloo_rho4(a, b, r2, r3))
+            r1, r4 = igloo_rho1(a, b, r2, r3), igloo_rho4(a, b, r2, r3)
+            rho = FAMILIES[FoldModel.IGLOO2DOF].vector(r1, r2, r3, r4)
             assert closure_residual(pat, rho) < 1e-12
 
 
@@ -382,7 +392,7 @@ def test_igloo_1dof_closes_and_matches_completion():
     for mode in (1, 2):
         for d in np.linspace(-3.0, 3.0, 21):
             r1, r2, r3 = igloo_1dof(a, b, mode, d)
-            rho = igloo_vector(r1, r2, r3, d)
+            rho = FAMILIES[FoldModel.IGLOO1DOF].vector(r1, r2, r3, d)
             assert closure_residual(pat, rho) < 1e-12
             assert fold_eq(igloo_rho1(a, b, r2, r3), r1, tol=1e-9)
 
@@ -475,7 +485,7 @@ def test_two_pair_completion_closes_off_origin():
     comps = two_pair_complete(1.5, r2)
     assert comps
     for r3, r4 in comps:
-        assert closure_residual(pat, two_pair_vector(1.5, r2, r3, r4)) < 1e-8
+        assert closure_residual(pat, TWO_PAIR.vector(1.5, r2, r3, r4)) < 1e-8
 
 
 def test_two_pair_rejects_off_curve_input():
@@ -510,7 +520,7 @@ def _two_pair_complete_loop(rho1, rho2, tol):
     for rho4 in rho4s:
         c5 = (1.0 + 3.0 * math.cos(2.0 * rho1)) * math.cos(rho4) - 3.0 * (c1 - 1.0) * s1 * math.sin(rho4)
         for rho3 in circle(1.0 + 3.0 * math.cos(2.0 * rho2), -3.0 * (c2 - 1.0) * s2, c5):
-            res = closure_residual(G, two_pair_vector(rho1, rho2, rho3, rho4))
+            res = closure_residual(G, TWO_PAIR.vector(rho1, rho2, rho3, rho4))
             if res < tol:
                 found.append((res, rho3, rho4))
     kept = []
@@ -542,7 +552,7 @@ def test_two_pair_solve_matches_the_one_candidate_loop(tol):
             assert sol.reason[k] == OFF_CURVE
         elif len(want) == 1:
             assert sol.reason[k] == SOLVED
-            res = closure_residual(G, two_pair_vector(r1, r2, *want[0]))
+            res = closure_residual(G, TWO_PAIR.vector(r1, r2, *want[0]))
             assert closure_residual(G, got[0]) <= res + 1e-15
             assert fold_eq(got[0, 4], want[0][0], 1e-12 + res) and fold_eq(got[0, 5], want[0][1], 1e-12 + res)
             compared += 1
@@ -565,7 +575,7 @@ def test_two_pair_completes_where_the_candidate_search_failed(rho1, rho2):
     """The flat corners had two completions that are one state mod 2pi, the others none; each has one."""
     comps = two_pair_complete(rho1, rho2)
     assert len(comps) == 1
-    assert closure_residual(G, two_pair_vector(rho1, rho2, *comps[0])) < 1e-14
+    assert closure_residual(G, TWO_PAIR.vector(rho1, rho2, *comps[0])) < 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -710,7 +720,8 @@ def test_resch_vertices_all_close():
 def test_resch_center_is_the_trifold():
     t = 0.3
     states = resch_fold(t)
-    assert np.allclose(states["r1"], trifold_vector(*trifold(PI / 3.0, 1, t)), atol=1e-12)
+    center = FAMILIES[FoldModel.TRIFOLD].vector(*trifold(PI / 3.0, 1, t))
+    assert np.allclose(states["r1"], center, atol=1e-12)
     # the shared crease feeds the drive back in
     assert fold_eq(states["r2"][0], t, tol=1e-9)
 
@@ -865,6 +876,33 @@ def test_tight_two_pair_solve_rows_equal_one_drive_calls():
     """At tol 0 only the flat pair completes, so the corpus reaches ``NO_COMPLETION``."""
     seen = _rows_equal_one_drive_calls(FoldMode(FoldModel.TWOPAIR), 0.0)
     assert {OFF_CURVE, NO_COMPLETION} <= seen
+
+
+@pytest.mark.parametrize("mode", [f for f in _batch_cases() if FAMILIES[f.model].coloring], ids=_CASE_IDS)
+def test_each_solved_row_is_its_class_columns_expanded_by_the_coloring(mode):
+    """On the family's drive corpus, 400 seeded drives and 64 points of the two-pair node loop, each
+    solved row equals one crease of each class read off it and laid out by ``coloring``, bit for bit."""
+    fam = FAMILIES[mode.model]
+    drives = [_drive_corpus(mode.model, mode), np.random.default_rng(7).uniform(-PI, PI, (400, len(fam.drives)))]
+    if fam.loop is not None:
+        drives.append(fam.loop(64))
+    vectors = fam.solve(mode, np.concatenate(drives), 1e-8).vectors
+    assert len(vectors) >= 64  # random pairs miss the two-pair curve; its loop points do not
+    coloring = np.array(fam.coloring)
+    first = [fam.coloring.index(c) for c in range(1, coloring.max() + 1)]  # the first crease of each class
+    assert vectors.tobytes() == vectors[:, first][:, coloring - 1].tobytes()
+    assert vectors.tobytes() == fam.vector(*vectors[:, first].T).tobytes()
+
+
+def test_almost_general_rows_are_general_rows_laid_out_by_its_coloring():
+    """Almost-general drives (rho4, rho5) solve as general drives (rho4, rho5, rho5); the classes
+    (rho5, rho1, rho2, rho3, rho4) of each general row fill the coloring 112345."""
+    drives = np.random.default_rng(11).uniform(-PI, PI, (400, 2))
+    almost = FAMILIES[FoldModel.ALMOST_GENERAL].solve(FoldMode(FoldModel.ALMOST_GENERAL), drives, 1e-8)
+    general = general_solve(drives[:, 0], drives[:, 1], drives[:, 1])
+    assert len(almost.vectors) >= 400
+    assert np.array_equal(almost.drive, general.drive) and np.array_equal(almost.reason, general.reason)
+    assert almost.vectors.tobytes() == general.vectors[:, [4, 4, 0, 1, 2, 3]].tobytes()
 
 
 def _own_residual(sectors, rho) -> float:

@@ -356,15 +356,17 @@ def _case_id(f: FoldMode) -> str:
 
 @pytest.mark.parametrize("mode", list(_census_cases()), ids=_case_id)
 def test_each_family_coloring_folds_with_the_family_dof(mode):
-    """The coloring read off one solved vector (first-occurrence labels of its equal
-    entries) folds on the family's pattern, with one DOF per free drive; a drive
-    pair on a relation curve has one free drive.  The 1-DOF igloo is a sub-mode of
-    the 2-DOF igloo's coloring, so the census gives it at least its one drive."""
+    """The family's coloring folds on the family's pattern, with one DOF per free
+    drive; a drive pair on a relation curve has one free drive.  The 1-DOF igloo is
+    a sub-mode of the 2-DOF igloo's coloring, so the census gives it at least its
+    one drive.  Degree-4 has no coloring (its row is signed), so its coloring is
+    read off one solved vector: the first-occurrence labels of its equal entries."""
     fam = FAMILIES[mode.model]
-    drives = fam.loop(8)[3:4] if fam.loop is not None else np.array([[0.7, 0.4, 0.2][:len(fam.drives)]])
-    vector = fam.solve(mode, drives, 1e-8).vectors[0]
-    labels: dict = {}
-    coloring = tuple(labels.setdefault(x, len(labels) + 1) for x in vector.tolist())
+    coloring = fam.coloring
+    if coloring is None:
+        labels: dict = {}
+        vector = fam.solve(mode, np.array([[0.7]]), 1e-8).vectors[0]
+        coloring = tuple(labels.setdefault(x, len(labels) + 1) for x in vector.tolist())
     sol = symmetric_mode_solve(fam.pattern(mode), coloring)
     free = len(fam.drives) - (fam.curve is not None)
     assert sol.foldable, coloring

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from rigidfold.core_geometry import folded_geometry, g60, self_intersects
 from rigidfold.errors import OutOfRangeError
+from rigidfold.fold_models import FAMILIES, FoldModel
 from rigidfold.symmetry_enumeration import (
     NAMED_PATTERNS,
     NAMED_REPRESENTATIVES,
@@ -146,6 +147,37 @@ def test_named_representatives_canonicalize_to_table_keys():
     assert canonical_form((1, 2, 3, 4, 3, 2)).classes == (1, 2, 1, 3, 4, 3)
     for rep, name in NAMED_REPRESENTATIVES.items():
         assert NAMED_PATTERNS[canonical_form(rep).classes] == name
+
+
+def test_each_named_family_coloring_is_its_census_key():
+    """The census names a pattern after the family whose coloring it is: each named
+    family's canonical coloring is the key ``classify_g60`` names it by.  The 1-DOF
+    igloo shares the igloo's coloring and degree-4 has none, so neither adds a name."""
+    names = {
+        FoldModel.TRIFOLD: "trifold",
+        FoldModel.BOWTIE: "bow tie",
+        FoldModel.OPPOSITES: "opposites",
+        FoldModel.IGLOO2DOF: "igloo",
+        FoldModel.TWOPAIR: "two pair",
+        FoldModel.ALMOST_GENERAL: "almost general",
+        FoldModel.FULLY_GENERAL: "fully general",
+    }
+    census = {p.classes: name for row in classify_g60() for p, name, _ in row.foldable_patterns}
+    for model, name in names.items():
+        assert census[canonical_form(FAMILIES[model].coloring).classes] == name, model
+    assert sorted(filter(None, census.values())) == sorted(names.values())
+    igloo = FAMILIES[FoldModel.IGLOO2DOF].coloring
+    assert canonical_form(FAMILIES[FoldModel.IGLOO1DOF].coloring) == canonical_form(igloo)
+    assert FAMILIES[FoldModel.DEGREE4].coloring is None
+    assert NAMED_PATTERNS == {
+        (1, 2, 1, 2, 1, 2): "trifold",
+        (1, 1, 2, 1, 1, 2): "bow tie",
+        (1, 2, 3, 1, 2, 3): "opposites",
+        (1, 2, 1, 3, 4, 3): "igloo",
+        (1, 1, 2, 2, 3, 4): "two pair",
+        (1, 1, 2, 3, 4, 5): "almost general",
+        (1, 2, 3, 4, 5, 6): "fully general",
+    }
 
 
 def test_color_pattern_validation_and_str():
