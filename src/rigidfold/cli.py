@@ -36,12 +36,19 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def tolerance(text: str) -> float:
+    """A --tol value: finite and > 0, else a usage error (exit 2)."""
+    if not (math.isfinite(value := float(text)) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, degrees: bool = True, tol: bool = True):
-    """Output flags, with --degrees for a command that reads folding angles and --tol for one that closes them."""
+    """Output flags, with --degrees for a command that reads folding angles and --tol for one that flags samples."""
     if degrees:
         p.add_argument("--degrees", action="store_true", help="folding-angle flags are degrees")
     if tol:
-        p.add_argument("--tol", type=float, default=cs.DEFAULT_TOL, help="closure tolerance")
+        p.add_argument("--tol", type=tolerance, default=cs.DEFAULT_TOL, help="closure bound of a valid sample")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.add_argument("--format", default=None, help="output format")
 
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="admissible (rho4, rho5) mask at fixed rho6")
     p.add_argument("--rho6", type=float, required=True)
     p.add_argument("-n", type=int, default=201)
-    _add_common(p)
+    _add_common(p, tol=False)
 
     p = sub.add_parser("resch", help="fold the seven-vertex symmetric patch")
     p.add_argument("--drive", type=float, required=True)
@@ -239,7 +246,7 @@ def cmd_trace(args) -> int:
         print(f"warning: trace did not close: {trace.note}", file=sys.stderr)
     mode = fm.FoldMode(fm.FoldModel.TWOPAIR)
     fam, walked = fm.FAMILIES[mode.model], wrap_angles(trace.samples.rho)  # a point past +/-pi is one inside
-    completed, tags = fam.rows(mode, walked, max(args.tol, cs.DEFAULT_TOL), skip=tuple(fm.REASON_ERRORS))
+    completed, tags = fam.rows(mode, walked, skip=tuple(fm.REASON_ERRORS))
     if len(completed) < len(walked):
         print(f"skipped {len(walked) - len(completed)} traced points that do not complete to a closing state",
               file=sys.stderr)
@@ -248,15 +255,11 @@ def cmd_trace(args) -> int:
 
 
 def cmd_region(args) -> int:
-    region = cs.admissible_region(_rad(args.rho6, args), grid_n=args.n, tol=args.tol)
+    region = cs.admissible_region(_rad(args.rho6, args), grid_n=args.n)
     fmt = _infer_format(args, ("csv", "json"), "json")
     if fmt == "json":
-        payload = {
-            "rho6": region.rho6,
-            "rho4": region.rho4_axis.tolist(),
-            "rho5": region.rho5_axis.tolist(),
-            "mask": region.mask.tolist(),
-        }
+        payload = {"rho6": region.rho6, "rho4": region.rho4_axis.tolist(), "rho5": region.rho5_axis.tolist(),
+                   "mask": region.mask.tolist()}
         _emit(json.dumps(payload) + "\n", args.output)
     else:
         rho5 = region.rho5_axis.tolist()

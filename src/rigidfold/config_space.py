@@ -172,13 +172,13 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> Samples:
     the family has no closing solution are skipped rather than reported as
     invalid samples, so a returned sample always corresponds to a solve.
     Each sampler reports all of its drives with one ``Family.rows`` call and
-    evaluates the solved vectors with one ``make_samples`` call.
+    evaluates the solved vectors with one ``make_samples`` call, whose ``tol`` flags them.
     """
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
     fam = FAMILIES[mode.model]
     pattern = fam.pattern(mode)
-    solved = functools.partial(fam.rows, mode, tol=max(tol, DEFAULT_TOL), skip=_SKIPPED)
+    solved = functools.partial(fam.rows, mode, skip=_SKIPPED)
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)
         return make_samples(pattern, *solved(np.linspace(-lim, lim, n)[:, None]), tol)
@@ -326,8 +326,8 @@ def trace_implicit_curve(residual_fn, seed, step: float = _TRACE_STEP, gradient=
 # ---------------------------------------------------------------------------
 # admissible drive region of the fully general family
 
-def admissible_region(rho6: float, grid_n: int = 201, tol: float = DEFAULT_TOL) -> AdmissibleRegion:
-    """Boolean (rho4, rho5) mask: a branch exists and at least one closes.
+def admissible_region(rho6: float, grid_n: int = 201) -> AdmissibleRegion:
+    """Boolean (rho4, rho5) mask: a branch exists and at least one closes below ``DEFAULT_TOL``.
 
     The back chain of cell (i, j) is B = (R6^T R5^T)[j] @ R4^T[i], one
     rotation product over each axis and one broadcast matmul: the bits of
@@ -343,7 +343,7 @@ def admissible_region(rho6: float, grid_n: int = 201, tol: float = DEFAULT_TOL) 
     back65 = rotation_products(g60(), -np.stack([r6[:grid_n], axis], axis=1), creases=(5, 4))  # over rho5
     back4 = rotation_products(g60(), -axis[:, None], creases=(3,))  # over rho4
     B = (back65[None, :] @ back4[:, None]).reshape(-1, 3, 3)
-    cells = _solve_back(B, r4, r5, r6, np.zeros(len(r6), dtype=bool), tol).drive
+    cells = _solve_back(B, r4, r5, r6, np.zeros(len(r6), dtype=bool)).drive
     mask = np.zeros(grid_n * grid_n, dtype=bool)
     mask[cells] = True
     return AdmissibleRegion(rho6=rho6, rho4_axis=axis, rho5_axis=axis, mask=mask.reshape(grid_n, grid_n))

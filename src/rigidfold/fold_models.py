@@ -51,7 +51,7 @@ REASON_ERRORS = {
     NO_SOLUTION: NoSolutionError,  # no real branch closes
     AMBIGUOUS: BranchAmbiguityError,  # a half-angle fraction is 0/0
     OFF_CURVE: InconsistentPointError,  # the drive pair is off the relation curve
-    NO_COMPLETION: InconsistentPointError,  # an on-curve pair's completion does not close below tol
+    NO_COMPLETION: InconsistentPointError,  # an on-curve pair's completion does not close below DEFAULT_TOL
     OUT_OF_RANGE: OutOfRangeError,  # a drive or a computed angle leaves [-pi, pi]
 }
 
@@ -106,8 +106,8 @@ class FoldMode:
 class Family:
     """One folding family: crease pattern, coloring, modes, drive angles and closed-form solve.
 
-    ``solve(mode, drives, tol)`` solves an (N, k) drive array in one pass and
-    returns a ``Solved``, whose states ``rows`` reports.  ``coloring`` gives
+    ``solve(mode, drives)`` solves an (N, k) drive array in one pass, closing below ``DEFAULT_TOL``,
+    and returns a ``Solved``, whose states ``rows`` reports.  ``coloring`` gives
     each crease its class label (first-occurrence labels, as the census writes
     them), and ``vector`` expands class angles through it.  The callables in
     ``FAMILIES`` look the solves up by module name when called, so a wrapper
@@ -115,7 +115,7 @@ class Family:
     """
 
     pattern: Callable[[FoldMode], CreasePattern]
-    solve: Callable[[FoldMode, np.ndarray, float], Solved]
+    solve: Callable[[FoldMode, np.ndarray], Solved]
     drives: tuple[str, ...]  # CLI flag names, in the order solve takes them
     coloring: tuple[int, ...] | None  # None: the crease angles are not a coloring (degree-4 has signs)
     domain: Callable[[float, float], None] | None = None  # None: fixed 60-degree sectors
@@ -131,13 +131,12 @@ class Family:
         cols = classes if self.coloring is None else [classes[c - 1] for c in self.coloring]
         return np.array(cols).T
 
-    def rows(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL,
-             skip: tuple[int, ...] = ()) -> tuple[np.ndarray, list]:
+    def rows(self, mode: FoldMode, drives, skip: tuple[int, ...] = ()) -> tuple[np.ndarray, list]:
         """Every closing angle vector of an (N, k) drive array from one ``solve``, in drive order and first
         branch first, with no -0.0, and its branch tag: the mode in a two-mode family, 1, 2, ... over each
         drive's rows in a ``numbered`` one, else 0.  A failed drive raises unless its reason is in ``skip``."""
         drives = np.asarray(drives, dtype=float)
-        sol = self.solve(mode, drives, tol)
+        sol = self.solve(mode, drives)
         self.raise_first(mode, drives, sol.reason, skip)
         if self.numbered:  # the position of each row among its drive's rows, from 1
             tags = (np.arange(len(sol.drive)) - np.searchsorted(sol.drive, sol.drive) + 1).tolist()
@@ -145,9 +144,9 @@ class Family:
             tags = [mode.mode if len(self.modes) > 1 else 0] * len(sol.vectors)
         return sol.vectors + 0.0, tags  # x + 0.0 is x, and 0.0 for -0.0
 
-    def fold(self, mode: FoldMode, drives, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    def fold(self, mode: FoldMode, drives) -> list[np.ndarray]:
         """Every closing angle vector of one drive tuple, first branch first, by ``rows``; a failed drive raises."""
-        return list(self.rows(mode, [drives], tol)[0])
+        return list(self.rows(mode, [drives])[0])
 
     def raise_first(self, mode: FoldMode, drives: np.ndarray, reason: np.ndarray, skip: tuple[int, ...] = ()):
         """Raise the one-drive exception of the first drive of an (N, k) array whose reason is
@@ -212,7 +211,7 @@ def _drive_columns(*drives) -> tuple[np.ndarray, np.ndarray]:
 def _batched(rows):
     """Family solve of a closed form ``rows(mode, *drive columns) -> (class columns, reason)``."""
 
-    def solve(f: FoldMode, drives, tol: float) -> Solved:
+    def solve(f: FoldMode, drives) -> Solved:
         cols, bad = _drive_columns(*np.asarray(drives, dtype=float).T)
         classes, reason = rows(f, *cols)
         vectors = FAMILIES[f.model].vector(*classes)
@@ -633,21 +632,20 @@ def two_pair_node_loop(n: int) -> np.ndarray:
     return np.where(steep, g[:, ::-1], g)
 
 
-def two_pair_solve(rho1, rho2, tol: float = DEFAULT_TOL) -> Solved:
+def two_pair_solve(rho1, rho2) -> Solved:
     """The closing completion of each of a batch of (rho1, rho2) drive pairs, in one array pass.
 
     On the curve, closure is R5(rho3) R6(rho4) = M = (R1 R2 R3 R4)^T, and
     one four-crease product M gives both angles: rho3 turns c6 into M c6
     about c5, and -rho4 turns c5 into M^T c5 about c6.  So every drive has at
-    most one row, kept when its full vector closes below ``tol``; the flat
-    pair (0, 0) completes to exactly (0, 0).  Reasons: ``OFF_CURVE`` when the
-    pair's curve defect exceeds ``ON_CURVE``, ``NO_COMPLETION`` when the completion
-    does not close below ``tol``.
+    most one row, kept when its full vector closes below ``DEFAULT_TOL``; the
+    flat pair (0, 0) completes to exactly (0, 0).  Reasons: ``OFF_CURVE`` when the pair's curve defect
+    exceeds ``ON_CURVE``, ``NO_COMPLETION`` when the completion does not close below ``DEFAULT_TOL``.
     """
     (r1, r2), bad = _drive_columns(rho1, rho2)
     off = ~bad & ~(np.abs(two_pair_curve_residual(r1, r2)) <= ON_CURVE)
     live = ~(bad | off)
-    # (0, 0) completes to exactly (0, 0) with residual 0; it is kept whatever tol is
+    # (0, 0) completes to exactly (0, 0) with residual 0; it is kept even where DEFAULT_TOL is 0
     flat = live & (r1 == 0.0) & (r2 == 0.0)
     M = rotation_products(g60(), -np.stack([r2, r2, r1, r1], axis=1), creases=(3, 2, 1, 0))
     # elementwise sums, not a matvec: a row's bits do not depend on the batch size
@@ -655,19 +653,18 @@ def two_pair_solve(rho1, rho2, tol: float = DEFAULT_TOL) -> Solved:
     rho3 = np.arctan2((m6 * _SIN3).sum(axis=1), (m6 * _COS3).sum(axis=1))
     rho4 = -np.arctan2((m5 * _SIN4).sum(axis=1), (m5 * _COS4).sum(axis=1))
     vecs = FAMILIES[FoldModel.TWOPAIR].vector(r1, r2, np.where(flat, 0.0, rho3), np.where(flat, 0.0, rho4))
-    keep = live & ((closure_residuals(g60(), vecs) < tol) | flat)
+    keep = live & ((closure_residuals(g60(), vecs) < DEFAULT_TOL) | flat)
     reason = np.where(bad, OUT_OF_RANGE, np.where(off, OFF_CURVE, np.where(keep, SOLVED, NO_COMPLETION)))
     return Solved(vecs[keep], np.flatnonzero(keep), reason)
 
 
-def two_pair_complete(rho1: float, rho2: float, tol: float = DEFAULT_TOL) -> list[tuple[float, float]]:
+def two_pair_complete(rho1: float, rho2: float) -> list[tuple[float, float]]:
     """The (rho3, rho4) completion of an on-curve (rho1, rho2) pair, as a list of at most one.
 
-    Both angles come from the four-crease frame of ``two_pair_solve``.
-    Off-curve input raises; so does a completion that does not close below
-    ``tol``.
+    Both angles come from the four-crease frame of ``two_pair_solve``.  Off-curve input raises;
+    so does a completion that does not close below ``DEFAULT_TOL``.
     """
-    vecs = FAMILIES[FoldModel.TWOPAIR].fold(FoldMode(FoldModel.TWOPAIR), (rho1, rho2), tol)
+    vecs = FAMILIES[FoldModel.TWOPAIR].fold(FoldMode(FoldModel.TWOPAIR), (rho1, rho2))
     return [(float(v[4]), float(v[5])) for v in vecs]
 
 
@@ -685,7 +682,7 @@ def _turn(rho2: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return wrap_angles(np.arctan2(z, y) - np.arctan2(np.sin(rho2), np.cos(0.5 * rho2) ** 2))
 
 
-def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
+def general_solve(rho4, rho5, rho6) -> Solved:
     """Every closing 6-vector of a batch of drive triples, in one array pass.
 
     Closure is R1 R2 R3 = B = R6^T R5^T R4^T, and the one product B gives all
@@ -696,16 +693,16 @@ def general_solve(rho4, rho5, rho6, tol: float = DEFAULT_TOL) -> Solved:
     ``ROUNDOFF`` the two are one double root, rho2 = 0.  A branch is kept when
     |cos rho2| <= 1 + ``ROUNDOFF``, the back chain does not leave the third
     crease on the first crease's axis, and the full vector closes below
-    ``tol``; a drive keeping none has reason ``NO_SOLUTION``.  As B^T = R4 R5 R6
+    ``DEFAULT_TOL``; a drive keeping none has reason ``NO_SOLUTION``.  As B^T = R4 R5 R6
     is orthogonal, the closure residual |R1 ... R6 - I| is |R1 R2 R3 - B|, so
     the check rotates about three creases, not six.
     """
     (r4, r5, r6), bad = _drive_columns(rho4, rho5, rho6)
     B = rotation_products(g60(), -np.stack([r6, r5, r4], axis=1), creases=(5, 4, 3))
-    return _solve_back(B, r4, r5, r6, bad, tol)
+    return _solve_back(B, r4, r5, r6, bad)
 
 
-def _solve_back(B, r4, r5, r6, bad, tol: float) -> Solved:
+def _solve_back(B, r4, r5, r6, bad) -> Solved:
     """``general_solve`` from each drive triple's back chain B = R6^T R5^T R4^T on; ``bad`` rows are refused."""
     back = B @ _C3
     cos2 = (1.0 - 4.0 * back[:, 0]) / 3.0
@@ -721,26 +718,26 @@ def _solve_back(B, r4, r5, r6, bad, tol: float) -> Solved:
     rho3 = _turn(rho2, (B[:, 0] * _P3).sum(axis=1), B[:, 0, 2])  # B[:, 0] = B^T c1
     vecs = FAMILIES[FoldModel.FULLY_GENERAL].vector(rho1, rho2, rho3, r4[drive], r5[drive], r6[drive])
     front = rotation_products(g60(), vecs[:, :3], creases=(0, 1, 2))  # rho1 and rho3 are wrapped already
-    closes = np.sqrt(np.square(front - B).sum(axis=(1, 2))) < tol
+    closes = np.sqrt(np.square(front - B).sum(axis=(1, 2))) < DEFAULT_TOL
     reason = np.where(bad, OUT_OF_RANGE, NO_SOLUTION)
     reason[drive[closes]] = SOLVED
     return Solved(vecs[closes], drive[closes], reason)
 
 
-def general_fold(rho4: float, rho5: float, rho6: float, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def general_fold(rho4: float, rho5: float, rho6: float) -> list[np.ndarray]:
     """All closing 6-vectors for the drive triple, one per rho2 branch."""
-    return FAMILIES[FoldModel.FULLY_GENERAL].fold(FoldMode(FoldModel.FULLY_GENERAL), (rho4, rho5, rho6), tol)
+    return FAMILIES[FoldModel.FULLY_GENERAL].fold(FoldMode(FoldModel.FULLY_GENERAL), (rho4, rho5, rho6))
 
 
-def almost_general(rho4: float, rho5: float, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+def almost_general(rho4: float, rho5: float) -> list[np.ndarray]:
     """Closing 6-vectors of the general family with its last two drives tied, laid
     out by the family's coloring: the equal-angle pair on the first two creases."""
-    return FAMILIES[FoldModel.ALMOST_GENERAL].fold(FoldMode(FoldModel.ALMOST_GENERAL), (rho4, rho5), tol)
+    return FAMILIES[FoldModel.ALMOST_GENERAL].fold(FoldMode(FoldModel.ALMOST_GENERAL), (rho4, rho5))
 
 
-def _almost_general_solve(drives, tol: float) -> Solved:
+def _almost_general_solve(drives) -> Solved:
     """General rows of the drives (rho4, rho5, rho5); their classes are (rho5, rho1, rho2, rho3, rho4)."""
-    sol = general_solve(*np.asarray(drives, dtype=float)[:, [0, 1, 1]].T, tol=tol)
+    sol = general_solve(*np.asarray(drives, dtype=float)[:, [0, 1, 1]].T)
     return sol._replace(vectors=FAMILIES[FoldModel.ALMOST_GENERAL].vector(*sol.vectors[:, [4, 0, 1, 2, 3]].T))
 
 
@@ -777,16 +774,16 @@ FAMILIES: dict[FoldModel, Family] = {
         drives=("rho4",), domain=_check_wedge_domain, modes=(1, 2)),
     FoldModel.TWOPAIR: Family(
         pattern=lambda f: two_pair_pattern(), coloring=(1, 1, 2, 2, 3, 4),
-        solve=lambda f, d, tol: two_pair_solve(*np.asarray(d, dtype=float).T, tol=tol),
+        solve=lambda f, d: two_pair_solve(*np.asarray(d, dtype=float).T),
         drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2),
         loop=lambda n: two_pair_node_loop(n)),
     FoldModel.FULLY_GENERAL: Family(
         pattern=lambda f: g60(), coloring=(1, 2, 3, 4, 5, 6),
-        solve=lambda f, d, tol: general_solve(*np.asarray(d, dtype=float).T, tol=tol),
+        solve=lambda f, d: general_solve(*np.asarray(d, dtype=float).T),
         drives=("rho4", "rho5", "rho6"), numbered=True),
     FoldModel.ALMOST_GENERAL: Family(
         pattern=lambda f: g60(), coloring=(1, 1, 2, 3, 4, 5),
-        solve=lambda f, d, tol: _almost_general_solve(d, tol),
+        solve=lambda f, d: _almost_general_solve(d),
         drives=("rho4", "rho5"), numbered=True),
 }
 

@@ -12,7 +12,7 @@ with ``AMBIGUITY_PROBE``.  This module imports nothing from the package.
 ROUNDOFF = 1e-12
 # A drive pair whose relation defect is at most this lies on the relation curve.
 ON_CURVE = 1e-7
-# A closure residual below this counts as closed, for a solved vector and for a sample.
+# A closure residual below this counts as closed: for every solve (none takes a tolerance) and, by default, a sample.
 DEFAULT_TOL = 1e-8
 # A closure residual above this means the folding does not close (NotClosedError).
 GEOMETRY_TOL = 1e-6

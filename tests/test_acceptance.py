@@ -196,7 +196,7 @@ def test_criterion_5_two_pair_curve():
     pat, fam = two_pair_pattern(), FAMILIES[FoldModel.TWOPAIR]
     blue_ok = True
     for s in trace.samples:
-        comps = two_pair_complete(float(s.rho[0]), float(s.rho[1]), tol=1e-8)
+        comps = two_pair_complete(float(s.rho[0]), float(s.rho[1]))
         if not comps:
             blue_ok = False
             break
@@ -207,7 +207,7 @@ def test_criterion_5_two_pair_curve():
 
     seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10)
     red_ok = False
-    for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1]), tol=1e-8):
+    for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1])):
         vec = fam.vector(seed[0], seed[1], r3, r4)
         smp = make_sample(pat, vec)
         state_intersects = not smp.valid and smp.residual < 1e-8
@@ -233,7 +233,7 @@ def test_criterion_6_general_kinematics():
     two_branch = [d for d in rng.uniform(-PI, PI, (140, 3)) if len(general_rho2(*d)) == 2]
     for d in two_branch:
         try:
-            sols = general_fold(*d, tol=1e-8)
+            sols = general_fold(*d)
         except NoSolutionError:
             branch_failures += 1
             continue

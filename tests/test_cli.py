@@ -344,6 +344,29 @@ def test_trace_counts_the_walked_points_it_skips(tmp_path, capsys, monkeypatch):
         assert len(list(csv.DictReader(fh))) == 46
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [["fold", "trifold", "--drive", "0.1"], ["sweep", "trifold", "-n", "3"],
+                                  ["trace", "--step", "0.2"], ["resch", "--drive", "0.3"], ["export", "in.json"]],
+                         ids=lambda argv: argv[0])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
+    """A --tol that flags nothing valid, or everything, is a usage error before the command runs."""
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, *argv, f"--tol={tol}", "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert f"argument --tol: must be finite and > 0, got '{tol}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1e-2", "1e-12"])
+def test_trace_tol_moves_no_traced_row(tmp_path, capsys, tol):
+    """Each traced point completes below ``DEFAULT_TOL`` whatever --tol is: the same angle columns."""
+    paths = [tmp_path / "default.csv", tmp_path / "tol.csv"]
+    assert run(capsys, "trace", "--step", "0.05", "-o", str(paths[0])) == (0, "", "")
+    assert run(capsys, "trace", "--step", "0.05", f"--tol={tol}", "-o", str(paths[1])) == (0, "", "")
+    default, moved = ([line.split(",")[:6] for line in p.read_text().splitlines()] for p in paths)
+    assert len(default) > 100 and moved == default
+
+
 def test_numerical_error_exits_3(capsys):
     # (1, 0) violates the two-pair relation, so completion must refuse
     code, _, err = run(capsys, "fold", "twopair", "--rho1", "1.0", "--rho2", "0.0")
@@ -366,6 +389,7 @@ def test_usage_error_exits_2(capsys):
     ["table", "--degrees"],  # nor folding-angle flags
     ["sweep", "general", "-n", "2", "--degrees"],  # a sweep takes no folding angle
     ["export", "samples.json", "--degrees"],
+    ["region", "--rho6", "0.8", "--tol", "1e-8"],  # the mask closes every cell below DEFAULT_TOL
 ])
 def test_an_option_no_command_reads_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Sweeps, implicit-curve tracing, admissible masks, and exporters."""
 
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import sample_oracle
 from cone_oracle import cone_self_intersections
 from general_oracle import general_solve_full_closure
-from rigidfold import config_space
+from rigidfold import config_space, fold_models
 from rigidfold.config_space import (
     AdmissibleRegion,
     ConfigSample,
@@ -120,7 +121,7 @@ def test_two_pair_red_state_intersects():
     pattern = two_pair_pattern()
     fam = FAMILIES[FoldModel.TWOPAIR]
     states = [folded_geometry(pattern, fam.vector(seed[0], seed[1], r3, r4), tol=1e-8)
-              for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1]), tol=1e-8)]
+              for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1]))]
     verdicts = self_intersections(pattern, np.stack([st.crease_images for st in states]))
     assert verdicts.tolist() == [triangle_self_intersects(pattern, st) for st in states]
     assert verdicts.any()
@@ -270,6 +271,29 @@ def test_two_pair_sweep_samples_distinct_states_of_the_walked_loop(n, walked_loo
 def test_sweep_needs_two_points():
     with pytest.raises(OutOfRangeError):
         sweep_model(FoldMode(FoldModel.TRIFOLD), 1)
+
+
+@pytest.mark.parametrize("mode", [FoldMode(model, m) for model, fam in FAMILIES.items() for m in fam.modes],
+                         ids=lambda f: f"{f.model.value}-{f.mode}")
+def test_sweep_tol_moves_no_solved_row(mode):
+    """Every solve closes below ``DEFAULT_TOL``, so a sweep's ``tol`` changes its valid flags and nothing else:
+    the same rows, bit for bit, with the same residuals and branch tags."""
+    n = 8 if len(FAMILIES[mode.model].drives) == 2 and FAMILIES[mode.model].loop is None else 40
+    base = sweep_model(mode, n)
+    assert len(base)
+    for tol in (1e-15, 1e-12, 1e-8, 1e-4, 1e-2):  # 1e-15 is below many rows' residuals: a solve at it drops them
+        got = sweep_model(mode, n, tol)
+        assert got.rho.tobytes() == base.rho.tobytes() and got.residual.tobytes() == base.residual.tobytes()
+        assert got.branch == base.branch
+
+
+def test_no_solve_takes_a_tolerance():
+    """The solve layer closes at ``DEFAULT_TOL`` alone; a ``tol`` argument is left to the sample reports."""
+    fam = FAMILIES[FoldModel.TRIFOLD]
+    solves = [fam.rows, fam.fold, fold_models.two_pair_solve, two_pair_complete, fold_models.general_solve,
+              general_fold, fold_models.almost_general, admissible_region]
+    solves += [f.solve for f in FAMILIES.values()]
+    assert [f for f in solves if "tol" in inspect.signature(f).parameters] == []
 
 
 # --- tracing -------------------------------------------------------------------
@@ -457,13 +481,15 @@ def test_admissible_region_is_the_bare_back_chain_existence_test(rho6, n):
     assert np.array_equal(region.mask.ravel(), exists)
 
 
-def test_admissible_region_tol_governs_the_mask():
-    """Every cell's closure is checked against ``tol``: none passes 0, and at 1e-15, near roundoff, about
-    600 of the 29,477 default cells fail (28,854 here; the full-closure solve keeps 28,760)."""
+def test_admissible_region_tol_governs_the_mask(monkeypatch):
+    """Every cell's closure is checked against ``DEFAULT_TOL``: none passes 0, and at 1e-15, near roundoff,
+    about 600 of the 29,477 default cells fail (28,854 here; the full-closure solve keeps 28,760)."""
     full = admissible_region(0.8, grid_n=201).mask
-    tight = admissible_region(0.8, grid_n=201, tol=1e-15).mask
+    monkeypatch.setattr(fold_models, "DEFAULT_TOL", 1e-15)
+    tight = admissible_region(0.8, grid_n=201).mask
     assert full.sum() == 29477 and not (tight & ~full).any() and 28000 < tight.sum() < 29000
-    assert not admissible_region(0.8, grid_n=21, tol=0.0).mask.any()
+    monkeypatch.setattr(fold_models, "DEFAULT_TOL", 0.0)
+    assert not admissible_region(0.8, grid_n=21).mask.any()
 
 
 def test_admissible_region_default_grid_is_fast():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from general_oracle import general_c3_image, general_rho2, general_solve_full_closure, general_solve_reference
+from rigidfold import fold_models
 from rigidfold.config_space import trace_implicit_curve
 from rigidfold.core_geometry import closure_residual, closure_residuals, g60, rotation_products, wrap_angles
 from rigidfold.errors import (
@@ -531,7 +532,7 @@ def _two_pair_complete_loop(rho1, rho2, tol):
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-2, 0.0])
-def test_two_pair_solve_matches_the_one_candidate_loop(tol):
+def test_two_pair_solve_matches_the_one_candidate_loop(tol, monkeypatch):
     """Where checking one candidate at a time keeps one completion, the frame solve gives it and its reason, at
     most one row per drive.  Next to the node the loop's arccos roots close only to about 1e-12..1e-8, so its
     angles are held to 1e-12 plus its own residual, and the frame's residual to no more than the loop's.  The
@@ -542,7 +543,9 @@ def test_two_pair_solve_matches_the_one_candidate_loop(tol):
     node = [(r, m * r) for m in slopes for r in (1e-5, 1e-6, 3e-7, 1e-7)]
     corners = [(a, b) for a in (PI, -PI) for b in (PI, -PI)]
     drives = np.array(curve + node + corners + [(0.0, 0.0), (1.0, 0.0), (PI, 1.2309594173407747)])
-    sol = two_pair_solve(drives[:, 0], drives[:, 1], tol)
+    strict = two_pair_solve(drives[:, 0], drives[:, 1])
+    monkeypatch.setattr(fold_models, "DEFAULT_TOL", tol)
+    sol = two_pair_solve(drives[:, 0], drives[:, 1])
     assert len(np.unique(sol.drive)) == len(sol.drive)
     compared = 0
     for k, (r1, r2) in enumerate(drives):
@@ -560,7 +563,6 @@ def test_two_pair_solve_matches_the_one_candidate_loop(tol):
             assert sol.reason[k] == NO_COMPLETION
     assert compared == 2 if tol == 0.0 else compared >= len(curve) - 1  # at 0.0: (0, 0), where the trace starts too
     if tol == 1e-2:
-        strict = two_pair_solve(drives[:, 0], drives[:, 1], 1e-8)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(sol, strict))
 
 
@@ -810,32 +812,32 @@ def _batch_cases():
 
 _CASE_IDS = lambda f: f"{f.model.value}-{f.mode}-{math.degrees(f.alpha):.0f}"
 
-# the scalar evaluator of each family that has one, on one drive tuple of Python floats and a tolerance
+# the scalar evaluator of each family that has one, on one drive tuple of Python floats
 _SCALAR = {
-    FoldModel.DEGREE4: lambda f, d, tol: degree4_fold(f.alpha, f.beta, f.mode, *d),
-    FoldModel.TRIFOLD: lambda f, d, tol: trifold(f.beta, f.mode, *d),
-    FoldModel.BOWTIE: lambda f, d, tol: bowtie(f.beta, f.mode, *d),
-    FoldModel.IGLOO1DOF: lambda f, d, tol: igloo_1dof(f.alpha, f.beta, f.mode, *d),
-    FoldModel.TWOPAIR: lambda f, d, tol: two_pair_complete(*d, tol=tol),
-    FoldModel.FULLY_GENERAL: lambda f, d, tol: general_fold(*d, tol=tol),
-    FoldModel.ALMOST_GENERAL: lambda f, d, tol: almost_general(*d, tol=tol),
+    FoldModel.DEGREE4: lambda f, d: degree4_fold(f.alpha, f.beta, f.mode, *d),
+    FoldModel.TRIFOLD: lambda f, d: trifold(f.beta, f.mode, *d),
+    FoldModel.BOWTIE: lambda f, d: bowtie(f.beta, f.mode, *d),
+    FoldModel.IGLOO1DOF: lambda f, d: igloo_1dof(f.alpha, f.beta, f.mode, *d),
+    FoldModel.TWOPAIR: lambda f, d: two_pair_complete(*d),
+    FoldModel.FULLY_GENERAL: lambda f, d: general_fold(*d),
+    FoldModel.ALMOST_GENERAL: lambda f, d: almost_general(*d),
 }
 
 
-def _rows_equal_one_drive_calls(mode: FoldMode, tol: float) -> set:
+def _rows_equal_one_drive_calls(mode: FoldMode) -> set:
     """Check a batched solve of the family's corpus row by row against one-drive calls; the reasons seen."""
     fam = FAMILIES[mode.model]
     drives = _drive_corpus(mode.model, mode)
-    sol = fam.solve(mode, drives, tol)
+    sol = fam.solve(mode, drives)
     assert sol.reason.shape == (len(drives),)
     assert np.all(np.diff(sol.drive) >= 0)
-    vectors, _ = fam.rows(mode, drives, tol, skip=tuple(REASON_ERRORS))  # the solve's rows, with no -0.0
+    vectors, _ = fam.rows(mode, drives, skip=tuple(REASON_ERRORS))  # the solve's rows, with no -0.0
     assert np.array_equal(vectors, sol.vectors) and not np.signbit(vectors[vectors == 0.0]).any()
     seen = set()
     for k, row in enumerate(drives):
         got = vectors[sol.drive == k]
         try:
-            want = fam.fold(mode, tuple(row), tol)
+            want = fam.fold(mode, tuple(row))
         except RigidFoldError as err:
             code = int(sol.reason[k])
             assert code != SOLVED and len(got) == 0
@@ -846,7 +848,7 @@ def _rows_equal_one_drive_calls(mode: FoldMode, tol: float) -> set:
             assert "np.float64(" not in str(err)
             if mode.model in _SCALAR:
                 with pytest.raises(type(err)) as scalar:
-                    _SCALAR[mode.model](mode, row.tolist(), tol)
+                    _SCALAR[mode.model](mode, row.tolist())
                 assert str(scalar.value) == str(err)
             seen.add(code)
             continue
@@ -863,7 +865,7 @@ def test_batched_solve_rows_equal_one_drive_calls(mode):
     """The rows a batched ``rows`` call reports for drive k are the one-drive call bit for bit, and each failed
     drive's reason code names the exception (type and message) that call, the
     family's scalar evaluator and ``raise_first`` all raise."""
-    seen = _rows_equal_one_drive_calls(mode, 1e-8)
+    seen = _rows_equal_one_drive_calls(mode)
     if mode.model is FoldModel.IGLOO2DOF and mode.alpha == PI / 3.0:
         assert AMBIGUOUS in seen
     if mode.model is FoldModel.TWOPAIR:  # every on-curve drive of the corpus completes
@@ -872,9 +874,10 @@ def test_batched_solve_rows_equal_one_drive_calls(mode):
         assert NO_SOLUTION in seen
 
 
-def test_tight_two_pair_solve_rows_equal_one_drive_calls():
-    """At tol 0 only the flat pair completes, so the corpus reaches ``NO_COMPLETION``."""
-    seen = _rows_equal_one_drive_calls(FoldMode(FoldModel.TWOPAIR), 0.0)
+def test_tight_two_pair_solve_rows_equal_one_drive_calls(monkeypatch):
+    """At ``DEFAULT_TOL`` 0 only the flat pair completes, so the corpus reaches ``NO_COMPLETION``."""
+    monkeypatch.setattr(fold_models, "DEFAULT_TOL", 0.0)
+    seen = _rows_equal_one_drive_calls(FoldMode(FoldModel.TWOPAIR))
     assert {OFF_CURVE, NO_COMPLETION} <= seen
 
 
@@ -886,7 +889,7 @@ def test_each_solved_row_is_its_class_columns_expanded_by_the_coloring(mode):
     drives = [_drive_corpus(mode.model, mode), np.random.default_rng(7).uniform(-PI, PI, (400, len(fam.drives)))]
     if fam.loop is not None:
         drives.append(fam.loop(64))
-    vectors = fam.solve(mode, np.concatenate(drives), 1e-8).vectors
+    vectors = fam.solve(mode, np.concatenate(drives)).vectors
     assert len(vectors) >= 64  # random pairs miss the two-pair curve; its loop points do not
     coloring = np.array(fam.coloring)
     first = [fam.coloring.index(c) for c in range(1, coloring.max() + 1)]  # the first crease of each class
@@ -898,7 +901,7 @@ def test_almost_general_rows_are_general_rows_laid_out_by_its_coloring():
     """Almost-general drives (rho4, rho5) solve as general drives (rho4, rho5, rho5); the classes
     (rho5, rho1, rho2, rho3, rho4) of each general row fill the coloring 112345."""
     drives = np.random.default_rng(11).uniform(-PI, PI, (400, 2))
-    almost = FAMILIES[FoldModel.ALMOST_GENERAL].solve(FoldMode(FoldModel.ALMOST_GENERAL), drives, 1e-8)
+    almost = FAMILIES[FoldModel.ALMOST_GENERAL].solve(FoldMode(FoldModel.ALMOST_GENERAL), drives)
     general = general_solve(drives[:, 0], drives[:, 1], drives[:, 1])
     assert len(almost.vectors) >= 400
     assert np.array_equal(almost.drive, general.drive) and np.array_equal(almost.reason, general.reason)
@@ -918,7 +921,7 @@ def _own_residual(sectors, rho) -> float:
 @pytest.mark.parametrize("mode", list(_batch_cases()), ids=_CASE_IDS)
 def test_batched_solve_vectors_close(mode):
     fam = FAMILIES[mode.model]
-    sol = fam.solve(mode, _drive_corpus(mode.model, mode), 1e-8)
+    sol = fam.solve(mode, _drive_corpus(mode.model, mode))
     assert len(sol.vectors)
     sectors = fam.pattern(mode).sector_angles
     assert max(_own_residual(sectors, v) for v in sol.vectors) < 1e-8

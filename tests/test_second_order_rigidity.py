@@ -365,7 +365,7 @@ def test_each_family_coloring_folds_with_the_family_dof(mode):
     coloring = fam.coloring
     if coloring is None:
         labels: dict = {}
-        vector = fam.solve(mode, np.array([[0.7]]), 1e-8).vectors[0]
+        vector = fam.solve(mode, np.array([[0.7]])).vectors[0]
         coloring = tuple(labels.setdefault(x, len(labels) + 1) for x in vector.tolist())
     sol = symmetric_mode_solve(fam.pattern(mode), coloring)
     free = len(fam.drives) - (fam.curve is not None)
