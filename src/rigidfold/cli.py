@@ -36,19 +36,10 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def tolerance(text: str) -> float:
-    """A --tol value: finite and > 0, else a usage error (exit 2)."""
-    if not (math.isfinite(value := float(text)) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
-def _add_common(p: argparse.ArgumentParser, degrees: bool = True, tol: bool = True):
-    """Output flags, with --degrees for a command that reads folding angles and --tol for one that flags samples."""
+def _add_common(p: argparse.ArgumentParser, degrees: bool = True):
+    """Output flags, with --degrees for a command that reads folding angles."""
     if degrees:
         p.add_argument("--degrees", action="store_true", help="folding-angle flags are degrees")
-    if tol:
-        p.add_argument("--tol", type=tolerance, default=cs.DEFAULT_TOL, help="closure bound of a valid sample")
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.add_argument("--format", default=None, help="output format")
 
@@ -71,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="classify all six-crease bracelet colorings")
-    _add_common(p, degrees=False, tol=False)
+    _add_common(p, degrees=False)
 
     p = sub.add_parser("fold", help="evaluate one folded state of a family")
     _add_family(p)
@@ -93,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="admissible (rho4, rho5) mask at fixed rho6")
     p.add_argument("--rho6", type=float, required=True)
     p.add_argument("-n", type=int, default=201)
-    _add_common(p, tol=False)
+    _add_common(p)
 
     p = sub.add_parser("resch", help="fold the seven-vertex symmetric patch")
     p.add_argument("--drive", type=float, required=True)
@@ -193,7 +184,7 @@ def _fold_state(args) -> tuple[np.ndarray, int, object]:
 def cmd_fold(args) -> int:
     fmt = _infer_format(args, ("text", "json"), "text")
     vec, branch, pattern = _fold_state(args)
-    sample = cs.make_sample(pattern, vec, branch=branch, tol=args.tol)
+    sample = cs.make_sample(pattern, vec, branch=branch)
     if fmt == "json":
         _emit(cs.samples_to_json([sample]), args.output)
     else:
@@ -220,7 +211,7 @@ def _infer_format(args, supported: tuple[str, ...], default: str) -> str:
 
 
 def _write_samples(samples, args, pattern=None) -> int:
-    text, invalid, foreign = cs.render(samples, _infer_format(args, ("csv", "json", "obj"), "csv"), pattern, args.tol)
+    text, invalid, foreign = cs.render(samples, _infer_format(args, ("csv", "json", "obj"), "csv"), pattern)
     _emit(text, args.output)
     if invalid:
         print(f"skipped {invalid} invalid samples", file=sys.stderr)
@@ -232,7 +223,7 @@ def _write_samples(samples, args, pattern=None) -> int:
 
 def cmd_sweep(args) -> int:
     mode = _fold_mode(args)
-    result = cs.sweep_model(mode, args.n, tol=args.tol)
+    result = cs.sweep_model(mode, args.n)
     return _write_samples(result, args, fm.FAMILIES[mode.model].pattern(mode))
 
 
@@ -251,7 +242,7 @@ def cmd_trace(args) -> int:
         print(f"skipped {len(walked) - len(completed)} traced points that do not complete to a closing state",
               file=sys.stderr)
     pattern = fam.pattern(mode)
-    return _write_samples(cs.make_samples(pattern, completed, tags, args.tol), args, pattern)
+    return _write_samples(cs.make_samples(pattern, completed, tags), args, pattern)
 
 
 def cmd_region(args) -> int:
@@ -274,7 +265,7 @@ def cmd_resch(args) -> int:
     _infer_format(args, ("csv", "json", "obj"), "csv")  # an unknown format fails with or without -o
     vertices = fm.resch_fold(_rad(args.drive, args))
     pattern = g60()
-    samples = cs.make_samples(pattern, list(vertices.values()), list(vertices), args.tol)
+    samples = cs.make_samples(pattern, list(vertices.values()), list(vertices))
     report = "".join(f"{s.branch}: residual {s.residual:.3e}\n" for s in samples)
     if args.output:
         _write_samples(samples, args, pattern)

@@ -138,30 +138,30 @@ def as_samples(samples) -> Samples:
                    np.array([bool(s.valid) for s in rows], dtype=bool), [s.branch for s in rows], width)
 
 
-def make_samples(pattern: CreasePattern, rows, branches, tol: float = DEFAULT_TOL) -> Samples:
+def make_samples(pattern: CreasePattern, rows, branches) -> Samples:
     """Evaluate closure and the self-intersection test for each row of an (N, n) angle array.
 
-    One kernel call gives every row's residual and frames; the rows that
-    close below ``tol`` are then tested for self-intersection in one pass.
-    ``branches`` tags the rows in order.
+    One kernel call gives every row's residual and frames; the rows closing
+    below ``DEFAULT_TOL`` (read when called) are then tested for
+    self-intersection in one pass.  ``branches`` tags the rows in order.
     """
     rho = np.asarray(rows, dtype=float) if len(rows) else np.empty((0, pattern.n))
     residuals, frames = folded_frames(pattern, rho)
-    closed = residuals < tol
+    closed = residuals < DEFAULT_TOL
     valid = np.zeros(len(rho), dtype=bool)
     valid[closed] = ~self_intersections(pattern, crease_images(pattern, frames[closed]))
     return Samples(rho, residuals, valid, list(branches))
 
 
-def make_sample(pattern: CreasePattern, rho, branch=0, tol: float = DEFAULT_TOL) -> ConfigSample:
+def make_sample(pattern: CreasePattern, rho, branch=0) -> ConfigSample:
     """Evaluate closure and the self-intersection test for one angle vector."""
-    return make_samples(pattern, np.asarray(rho, dtype=float)[None], [branch], tol)[0]
+    return make_samples(pattern, np.asarray(rho, dtype=float)[None], [branch])[0]
 
 
 # ---------------------------------------------------------------------------
 # sweeping
 
-def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> Samples:
+def sweep_model(mode: FoldMode, n: int) -> Samples:
     """Sample a family: n points over the drive interval, or an n-by-n grid.
 
     The family's drive count picks the sampler: one drive is swept over its
@@ -172,7 +172,7 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> Samples:
     the family has no closing solution are skipped rather than reported as
     invalid samples, so a returned sample always corresponds to a solve.
     Each sampler reports all of its drives with one ``Family.rows`` call and
-    evaluates the solved vectors with one ``make_samples`` call, whose ``tol`` flags them.
+    evaluates the solved vectors with one ``make_samples`` call, which flags them at ``DEFAULT_TOL``.
     """
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
@@ -181,13 +181,13 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> Samples:
     solved = functools.partial(fam.rows, mode, skip=_SKIPPED)
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)
-        return make_samples(pattern, *solved(np.linspace(-lim, lim, n)[:, None]), tol)
+        return make_samples(pattern, *solved(np.linspace(-lim, lim, n)[:, None]))
     if fam.loop is not None:
-        return make_samples(pattern, *solved(fam.loop(n)), tol)
+        return make_samples(pattern, *solved(fam.loop(n)))
     if len(fam.drives) == 2:
         axis = np.linspace(-PI, PI, n)
         drives = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        return make_samples(pattern, *solved(drives), tol)
+        return make_samples(pattern, *solved(drives))
     # Blocks of n triples draw the same stream as one triple at a time; the
     # budget of 40 n triples and the cut at n vectors keep the scalar sampler's rows.
     rng = np.random.default_rng(0)
@@ -198,7 +198,7 @@ def sweep_model(mode: FoldMode, n: int, tol: float = DEFAULT_TOL) -> Samples:
         vectors, tags = solved(rng.uniform(-PI, PI, (block, 3)))
         blocks.append(vectors)
         branches += tags
-    return make_samples(pattern, np.concatenate(blocks)[:n], branches[:n], tol)
+    return make_samples(pattern, np.concatenate(blocks)[:n], branches[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +352,7 @@ def admissible_region(rho6: float, grid_n: int = 201) -> AdmissibleRegion:
 # ---------------------------------------------------------------------------
 # export
 
-def export(samples, format: str, path: str, pattern: CreasePattern | None = None,
-           tol: float = DEFAULT_TOL) -> ExportReport:
+def export(samples, format: str, path: str, pattern: CreasePattern | None = None) -> ExportReport:
     """Write samples to csv, json or obj.
 
     csv: one row per sample, angle columns then residual, valid, branch,
@@ -365,7 +364,7 @@ def export(samples, format: str, path: str, pattern: CreasePattern | None = None
     samples are skipped and counted.
     """
     flat = as_samples(samples)
-    text, invalid, foreign = render(flat, format, pattern, tol)
+    text, invalid, foreign = render(flat, format, pattern)
     write_text(path, text)
     return ExportReport(written=len(flat) - invalid - foreign, skipped=invalid + foreign)
 
@@ -381,8 +380,7 @@ def write_text(path: str, text: str) -> None:
             fh.truncate()
 
 
-def render(samples, format: str, pattern: CreasePattern | None = None,
-           tol: float = DEFAULT_TOL) -> tuple[str, int, int]:
+def render(samples, format: str, pattern: CreasePattern | None = None) -> tuple[str, int, int]:
     """Serialized samples in csv, json or obj, with the counts of invalid and of foreign (non-closing) obj samples."""
     flat = as_samples(samples)
     if not len(flat):
@@ -392,8 +390,8 @@ def render(samples, format: str, pattern: CreasePattern | None = None,
     if format == "json":
         return samples_to_json(flat), 0, 0
     if format == "obj":
-        text, skipped = samples_to_obj(flat, pattern, tol)
-        invalid = int(np.count_nonzero(~flat.valid | (flat.residual >= tol)))  # the samples skipped before folding
+        text, skipped = samples_to_obj(flat, pattern)
+        invalid = int(np.count_nonzero(~flat.valid | (flat.residual >= DEFAULT_TOL)))  # skipped before folding
         return text, invalid, skipped - invalid
     raise OutOfRangeError(f"unknown format {format!r}")
 
@@ -525,12 +523,12 @@ def load_samples_json(path: str) -> Samples:
     return Samples(rho, residual, valid, branch.tolist(), width)
 
 
-def samples_to_obj(samples, pattern: CreasePattern | None, tol: float = DEFAULT_TOL) -> tuple[str, int]:
+def samples_to_obj(samples, pattern: CreasePattern | None) -> tuple[str, int]:
     """One mesh object per valid sample, all folded by one kernel call.
 
     A sample is skipped when it is invalid, when its residual is not below
-    ``tol``, or when it does not close on ``pattern`` (default ``g60()``)
-    within max(tol, twice its own residual): it came from another pattern.
+    ``DEFAULT_TOL``, or when it does not close on ``pattern`` (default ``g60()``)
+    within max(DEFAULT_TOL, twice its own residual): it came from another pattern.
     The objects fill one ``%`` template: each its name, the apex, the crease
     tips to 12 significant digits and the fan of sector faces.
     """
@@ -539,12 +537,12 @@ def samples_to_obj(samples, pattern: CreasePattern | None, tol: float = DEFAULT_
         raise OutOfRangeError("obj export needs an explicit pattern for non-6-crease samples")
     pat = g60() if pattern is None else pattern
     n = pat.n
-    kept = np.flatnonzero(flat.valid & ~(flat.residual >= tol))  # NaN: re-fold decides
+    kept = np.flatnonzero(flat.valid & ~(flat.residual >= DEFAULT_TOL))  # NaN: re-fold decides
     if (flat.width[kept] != n).any():
         raise DomainError(f"expected {n} folding angles, got {flat.width[kept][flat.width[kept] != n][0]}")
     rows = flat.rho[kept, :n].reshape(len(kept), n)  # (0, n) also when no row is kept and every row is narrower
     residuals, frames = folded_frames(pat, wrap_angles(rows))
-    closes = ~(residuals > np.fmax(tol, flat.residual[kept] * 2))  # else from a different pattern
+    closes = ~(residuals > np.fmax(DEFAULT_TOL, flat.residual[kept] * 2))  # else from a different pattern
     kept = kept[closes]
     fan = np.array([c for i in range(n) for c in (0, 1 + i, 1 + (i + 1) % n)])  # face corners; 0 is the apex
     faces = np.arange(len(kept))[:, None] * (n + 1) + 1 + fan

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotClosedError, OutOfRangeError
-from .tolerances import GEOMETRY_TOL, INPUT_SLACK, ROUNDOFF, SECTOR_AGREE, TRIANGLE_EPS
+from .tolerances import DEFAULT_TOL, INPUT_SLACK, ROUNDOFF, SECTOR_AGREE, TRIANGLE_EPS
 
 _I3 = np.eye(3)
 _I3.setflags(write=False)
@@ -34,8 +34,8 @@ def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
 
 
 def wrap_angles(rho: np.ndarray) -> np.ndarray:
-    """Wrap into (-pi, pi], elementwise, as a new float array; values already in [-pi, pi] pass
-    through, and only the others (NaN too) go through arctan2(sin, cos)."""
+    """Wrap into [-pi, pi], elementwise, as a new float array; values already in [-pi, pi] pass
+    through (-pi stays -pi), and only the others (NaN too) go through arctan2(sin, cos)."""
     out = np.array(rho, dtype=float)
     far = ~(np.abs(out) <= np.pi)
     if far.any():
@@ -241,8 +241,8 @@ def crease_images(pattern: CreasePattern, frames: np.ndarray) -> np.ndarray:
     return np.einsum("...kij,kj->...ki", frames, pattern.creases)
 
 
-def folded_geometry(pattern: CreasePattern, angles, tol: float = GEOMETRY_TOL) -> FoldedState:
-    """Folded frames and crease images; raises if the vector does not close."""
+def folded_geometry(pattern: CreasePattern, angles, tol: float = DEFAULT_TOL) -> FoldedState:
+    """Folded frames and crease images; raises NotClosedError if the residual exceeds ``tol``."""
     residuals, frames = folded_frames(pattern, as_fold_angles(angles, pattern.n)[None])
     residual, frames = float(residuals[0]), frames[0]
     if residual > tol:

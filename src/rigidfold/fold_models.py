@@ -40,7 +40,7 @@ from .errors import (
     OutOfRangeError,
     SingularParameterError,
 )
-from .tolerances import AMBIGUITY_PROBE, DEFAULT_TOL, GEOMETRY_TOL, ON_CURVE, ROUNDOFF
+from .tolerances import AMBIGUITY_PROBE, DEFAULT_TOL, ON_CURVE, ROUNDOFF
 
 PI = math.pi
 
@@ -807,7 +807,7 @@ def resch_fold(t: float) -> dict[str, np.ndarray]:
     inner = FAMILIES[FoldModel.IGLOO1DOF].fold(FoldMode(FoldModel.IGLOO1DOF, 2), (center[0],))[0]
     outer = FAMILIES[FoldModel.IGLOO2DOF].fold(FoldMode(FoldModel.IGLOO2DOF), inner[1:3])[0]
     for vid, res in zip(("r1", "r2", "r5"), closure_residuals(g60(), np.stack([center, inner, outer])).tolist()):
-        if res > GEOMETRY_TOL:
+        if res > DEFAULT_TOL:
             raise NotClosedError(f"vertex {vid} fails closure at drive {t}", residual=res)
     rows = (center, inner, inner.copy(), inner.copy(), outer, outer.copy(), outer.copy())
     return {f"r{i}": vec for i, vec in enumerate(rows, 1)}

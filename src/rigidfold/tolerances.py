@@ -2,20 +2,19 @@
 
 Values are compared with O(1) quantities (angles in radians, cosines,
 singular values), closure residuals (Frobenius distances of a loop product
-from the identity) or distances on the unit sphere.  Each one moves by a
-factor of 10 either way without changing the census, the sweeps or the
-trace (``tests/test_tolerances.py``); only the igloo 0/0 candidates move,
-with ``AMBIGUITY_PROBE``.  This module imports nothing from the package.
+from the identity, judged by ``DEFAULT_TOL`` alone) or distances on the
+unit sphere.  Each one moves by a factor of 10 either way without changing
+the census, the sweeps, the trace or the resch patch
+(``tests/test_tolerances.py``); only the igloo 0/0 candidates move, with
+``AMBIGUITY_PROBE``.  This module imports nothing from the package.
 """
 
 # An O(1) quantity in double precision counts as zero, or as at its bound, below this.
 ROUNDOFF = 1e-12
 # A drive pair whose relation defect is at most this lies on the relation curve.
 ON_CURVE = 1e-7
-# A closure residual below this counts as closed: for every solve (none takes a tolerance) and, by default, a sample.
+# The one closure bound: a residual below this closes, for every solve, sample flag and obj skip; above, NotClosedError.
 DEFAULT_TOL = 1e-8
-# A closure residual above this means the folding does not close (NotClosedError).
-GEOMETRY_TOL = 1e-6
 # A crease length, crease height or sector sum this close to 1, 0 or 2 pi is exact input.
 INPUT_SLACK = 1e-9
 # Given sector angles this close to the crease directions' sectors agree with them.

@@ -344,29 +344,6 @@ def test_trace_counts_the_walked_points_it_skips(tmp_path, capsys, monkeypatch):
         assert len(list(csv.DictReader(fh))) == 46
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
-@pytest.mark.parametrize("argv", [["fold", "trifold", "--drive", "0.1"], ["sweep", "trifold", "-n", "3"],
-                                  ["trace", "--step", "0.2"], ["resch", "--drive", "0.3"], ["export", "in.json"]],
-                         ids=lambda argv: argv[0])
-def test_tol_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
-    """A --tol that flags nothing valid, or everything, is a usage error before the command runs."""
-    out = tmp_path / "out.csv"
-    code, stdout, err = run(capsys, *argv, f"--tol={tol}", "-o", str(out))
-    assert (code, stdout) == (2, "")
-    assert f"argument --tol: must be finite and > 0, got '{tol}'" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("tol", ["1e-2", "1e-12"])
-def test_trace_tol_moves_no_traced_row(tmp_path, capsys, tol):
-    """Each traced point completes below ``DEFAULT_TOL`` whatever --tol is: the same angle columns."""
-    paths = [tmp_path / "default.csv", tmp_path / "tol.csv"]
-    assert run(capsys, "trace", "--step", "0.05", "-o", str(paths[0])) == (0, "", "")
-    assert run(capsys, "trace", "--step", "0.05", f"--tol={tol}", "-o", str(paths[1])) == (0, "", "")
-    default, moved = ([line.split(",")[:6] for line in p.read_text().splitlines()] for p in paths)
-    assert len(default) > 100 and moved == default
-
-
 def test_numerical_error_exits_3(capsys):
     # (1, 0) violates the two-pair relation, so completion must refuse
     code, _, err = run(capsys, "fold", "twopair", "--rho1", "1.0", "--rho2", "0.0")
@@ -390,11 +367,23 @@ def test_usage_error_exits_2(capsys):
     ["sweep", "general", "-n", "2", "--degrees"],  # a sweep takes no folding angle
     ["export", "samples.json", "--degrees"],
     ["region", "--rho6", "0.8", "--tol", "1e-8"],  # the mask closes every cell below DEFAULT_TOL
+    # every reported sample is judged at DEFAULT_TOL, as every solve is
+    ["fold", "trifold", "--drive", "0.1", "--tol", "1e-8"],
+    ["sweep", "trifold", "-n", "3", "--tol", "1e-8"],
+    ["trace", "--step", "0.2", "--tol", "1e-8"],
+    ["resch", "--drive", "0.3", "--tol", "1e-8"],
+    ["export", "in.json", "--tol", "1e-8"],
 ])
 def test_an_option_no_command_reads_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("rhos", [["--rho1=0.3"], ["--rho1=0.3", "--rho2=0.2", "--rho3=0.1"]])
+def test_fold_opposites_takes_exactly_two_of_its_three_angles(capsys, rhos):
+    err = "error: opposites requires exactly two of --rho1 --rho2 --rho3\n"
+    assert run(capsys, "fold", "opposites", *rhos) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv, unread", [
@@ -461,6 +450,20 @@ def test_region_json(capsys):
     assert len(payload["rho4"]) == 9
     assert len(payload["mask"]) == 9
     assert any(any(row) for row in payload["mask"])
+
+
+def test_region_csv_is_the_json_mask_row_by_row(tmp_path, capsys):
+    path = tmp_path / "r.csv"
+    assert run(capsys, "region", "--rho6", "0", "-n", "41", "-o", str(path)) == (0, "", "")
+    code, out, _ = run(capsys, "region", "--rho6", "0", "-n", "41")
+    assert code == 0
+    payload = json.loads(out)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1682 and lines[0] == "rho4,rho5,admissible"
+    assert sum(line.endswith(",true") for line in lines) == 1211
+    want = [(f"{r4:.12g}", f"{r5:.12g}", "true" if ok else "false")
+            for r4, row in zip(payload["rho4"], payload["mask"]) for r5, ok in zip(payload["rho5"], row)]
+    assert [tuple(line.split(",")) for line in lines[1:]] == want
 
 
 def test_resch_reports_and_writes_obj(tmp_path, capsys):

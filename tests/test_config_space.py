@@ -26,6 +26,7 @@ from rigidfold.config_space import (
     load_samples_json,
     make_sample,
     make_samples,
+    render,
     samples_to_csv,
     samples_to_json,
     samples_to_obj,
@@ -273,25 +274,12 @@ def test_sweep_needs_two_points():
         sweep_model(FoldMode(FoldModel.TRIFOLD), 1)
 
 
-@pytest.mark.parametrize("mode", [FoldMode(model, m) for model, fam in FAMILIES.items() for m in fam.modes],
-                         ids=lambda f: f"{f.model.value}-{f.mode}")
-def test_sweep_tol_moves_no_solved_row(mode):
-    """Every solve closes below ``DEFAULT_TOL``, so a sweep's ``tol`` changes its valid flags and nothing else:
-    the same rows, bit for bit, with the same residuals and branch tags."""
-    n = 8 if len(FAMILIES[mode.model].drives) == 2 and FAMILIES[mode.model].loop is None else 40
-    base = sweep_model(mode, n)
-    assert len(base)
-    for tol in (1e-15, 1e-12, 1e-8, 1e-4, 1e-2):  # 1e-15 is below many rows' residuals: a solve at it drops them
-        got = sweep_model(mode, n, tol)
-        assert got.rho.tobytes() == base.rho.tobytes() and got.residual.tobytes() == base.residual.tobytes()
-        assert got.branch == base.branch
-
-
 def test_no_solve_takes_a_tolerance():
-    """The solve layer closes at ``DEFAULT_TOL`` alone; a ``tol`` argument is left to the sample reports."""
+    """Solves and sample reports close at ``DEFAULT_TOL`` alone: none of them takes a ``tol``."""
     fam = FAMILIES[FoldModel.TRIFOLD]
     solves = [fam.rows, fam.fold, fold_models.two_pair_solve, two_pair_complete, fold_models.general_solve,
               general_fold, fold_models.almost_general, admissible_region]
+    solves += [make_samples, make_sample, sweep_model, render, export, samples_to_obj]
     solves += [f.solve for f in FAMILIES.values()]
     assert [f for f in solves if "tol" in inspect.signature(f).parameters] == []
 

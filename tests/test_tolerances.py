@@ -154,10 +154,9 @@ def test_the_public_tolerances_are_importable_where_they_were_and_bound_as_defau
     from rigidfold import config_space, core_geometry, fold_models
 
     assert core_geometry.TRIANGLE_EPS is tolerances.TRIANGLE_EPS
-    assert core_geometry.GEOMETRY_TOL is tolerances.GEOMETRY_TOL
-    assert fold_models.DEFAULT_TOL is config_space.DEFAULT_TOL is tolerances.DEFAULT_TOL
-    assert {"DEFAULT_TOL", "GEOMETRY_TOL"} <= {name for _, _, name in SITES}
-    assert len(NAMES) <= 13
+    assert core_geometry.DEFAULT_TOL is fold_models.DEFAULT_TOL is config_space.DEFAULT_TOL is tolerances.DEFAULT_TOL
+    assert "DEFAULT_TOL" in {name for _, _, name in SITES}
+    assert len(NAMES) <= 11
 
 
 @pytest.mark.parametrize("factor", [10.0, 0.1])
