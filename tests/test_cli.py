@@ -344,6 +344,32 @@ def test_trace_counts_the_walked_points_it_skips(tmp_path, capsys, monkeypatch):
         assert len(list(csv.DictReader(fh))) == 46
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [["fold", "trifold", "--drive", "0.1"], ["sweep", "trifold", "-n", "3"],
+                                  ["trace", "--step", "0.2"], ["resch", "--drive", "0.3"], ["export", "in.json"]],
+                         ids=lambda argv: argv[0])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
+    """A --tol that would flag nothing valid, or everything, is a usage error before the command runs:
+    no command reads --tol, since every reported sample is judged at ``DEFAULT_TOL``."""
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, *argv, f"--tol={tol}", "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert f"unrecognized arguments: --tol={tol}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1e-2", "1e-12"])
+def test_trace_tol_moves_no_traced_row(tmp_path, capsys, monkeypatch, tol):
+    """Each traced point completes below the solves' ``DEFAULT_TOL`` whatever bound judges the reported
+    samples: moving the report's bound alone writes the same angle columns."""
+    paths = [tmp_path / "default.csv", tmp_path / "tol.csv"]
+    assert run(capsys, "trace", "--step", "0.05", "-o", str(paths[0])) == (0, "", "")
+    monkeypatch.setattr(cli.cs, "DEFAULT_TOL", float(tol))
+    assert run(capsys, "trace", "--step", "0.05", "-o", str(paths[1])) == (0, "", "")
+    default, moved = ([line.split(",")[:6] for line in p.read_text().splitlines()] for p in paths)
+    assert len(default) > 100 and moved == default
+
+
 def test_numerical_error_exits_3(capsys):
     # (1, 0) violates the two-pair relation, so completion must refuse
     code, _, err = run(capsys, "fold", "twopair", "--rho1", "1.0", "--rho2", "0.0")

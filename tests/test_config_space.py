@@ -274,6 +274,22 @@ def test_sweep_needs_two_points():
         sweep_model(FoldMode(FoldModel.TRIFOLD), 1)
 
 
+@pytest.mark.parametrize("mode", [FoldMode(model, m) for model, fam in FAMILIES.items() for m in fam.modes],
+                         ids=lambda f: f"{f.model.value}-{f.mode}")
+def test_sweep_tol_moves_no_solved_row(monkeypatch, mode):
+    """Every solve closes below the solves' ``DEFAULT_TOL``, so the bound that judges a sweep's samples
+    changes its valid flags and nothing else: the same rows, bit for bit, with the same residuals and branch tags."""
+    n = 8 if len(FAMILIES[mode.model].drives) == 2 and FAMILIES[mode.model].loop is None else 40
+    base = sweep_model(mode, n)
+    assert len(base)
+    for tol in (1e-15, 1e-12, 1e-8, 1e-4, 1e-2):  # 1e-15 is below many rows' residuals: a solve at it drops them
+        monkeypatch.setattr(config_space, "DEFAULT_TOL", tol)
+        got = sweep_model(mode, n)
+        assert got.rho.tobytes() == base.rho.tobytes() and got.residual.tobytes() == base.residual.tobytes()
+        assert got.branch == base.branch
+        assert not (got.valid & ~(got.residual < tol)).any()  # the moved bound judges the flags
+
+
 def test_no_solve_takes_a_tolerance():
     """Solves and sample reports close at ``DEFAULT_TOL`` alone: none of them takes a ``tol``."""
     fam = FAMILIES[FoldModel.TRIFOLD]
