@@ -210,8 +210,11 @@ def _infer_format(args, supported: tuple[str, ...], default: str) -> str:
     return fmt
 
 
-def _write_samples(samples, args, pattern=None) -> int:
-    text, invalid, foreign = cs.render(samples, _infer_format(args, ("csv", "json", "obj"), "csv"), pattern)
+def _write_samples(samples, args, pattern) -> int:
+    """Write the samples in the format the flags name; ``pattern()`` gives the crease pattern, which
+    only the obj writer reads."""
+    fmt = _infer_format(args, ("csv", "json", "obj"), "csv")
+    text, invalid, foreign = cs.render(samples, fmt, pattern() if fmt == "obj" else None)
     _emit(text, args.output)
     if invalid:
         print(f"skipped {invalid} invalid samples", file=sys.stderr)
@@ -223,8 +226,8 @@ def _write_samples(samples, args, pattern=None) -> int:
 
 def cmd_sweep(args) -> int:
     mode = _fold_mode(args)
-    result = cs.sweep_model(mode, args.n)
-    return _write_samples(result, args, fm.FAMILIES[mode.model].pattern(mode))
+    result = cs.sweep_model(mode, args.n)  # builds, and so checks, the family's pattern
+    return _write_samples(result, args, functools.partial(fm.FAMILIES[mode.model].pattern, mode))
 
 
 def cmd_trace(args) -> int:
@@ -242,7 +245,7 @@ def cmd_trace(args) -> int:
         print(f"skipped {len(walked) - len(completed)} traced points that do not complete to a closing state",
               file=sys.stderr)
     pattern = fam.pattern(mode)
-    return _write_samples(cs.make_samples(pattern, completed, tags), args, pattern)
+    return _write_samples(cs.make_samples(pattern, completed, tags), args, lambda: pattern)
 
 
 def cmd_region(args) -> int:
@@ -268,7 +271,7 @@ def cmd_resch(args) -> int:
     samples = cs.make_samples(pattern, list(vertices.values()), list(vertices))
     report = "".join(f"{s.branch}: residual {s.residual:.3e}\n" for s in samples)
     if args.output:
-        _write_samples(samples, args, pattern)
+        _write_samples(samples, args, lambda: pattern)
     sys.stdout.write(report)
     return 0
 
@@ -276,7 +279,8 @@ def cmd_resch(args) -> int:
 def cmd_export(args) -> int:
     samples = cs.load_samples_json(args.input)
     mode = _fold_mode(args)
-    return _write_samples(samples, args, fm.FAMILIES[mode.model].pattern(mode))
+    pattern = fm.FAMILIES[mode.model].pattern(mode)  # a sector pair that makes no vertex fails in every format
+    return _write_samples(samples, args, lambda: pattern)
 
 
 _DISPATCH = {

@@ -414,6 +414,12 @@ def _fill(template, sep: str, flat: Samples, angles: np.ndarray, *fields) -> str
     return sep.join(map(templates.__getitem__, flat.width.tolist())) % tuple(cells[kept])
 
 
+def _csv_field(text: str) -> str:
+    """A string as ``csv.writer`` writes it (RFC 4180): quoted, with its quotes doubled,
+    when it holds a comma, a quote, CR or LF."""
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in ',"\r\n') else text
+
+
 def samples_to_csv(samples) -> str:
     """One row per sample: angles, residual, valid, branch; floats to 12 significant digits.
 
@@ -422,7 +428,8 @@ def samples_to_csv(samples) -> str:
     flat = as_samples(samples)
     w = flat.rho.shape[1]
     body = _fill(lambda k: "%.12g," * k + "," * (w - k) + "%.12g,%s,%s", "\n", flat, flat.rho,
-                 flat.residual.tolist(), np.where(flat.valid, "true", "false").tolist(), flat.branch)
+                 flat.residual.tolist(), np.where(flat.valid, "true", "false").tolist(),
+                 [_csv_field(b) if isinstance(b, str) else b for b in flat.branch])
     return ",".join(_keys(w)) + f"\n{body}\n"
 
 

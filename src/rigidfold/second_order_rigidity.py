@@ -38,12 +38,18 @@ class ModeSolution:
     pairwise distinct, or None when every real ray merges two classes (the
     ray belongs to a coarser coloring).  ``witness`` (such a ray),
     ``velocities`` and ``foldable`` are built from the solve's eigenpairs
-    on first access.
+    on first access; the row's own arrays are sliced out of its group's
+    stack only then.
     """
 
     color_pattern: tuple[int, ...]
     dof: int | None
-    _cone: tuple = field(repr=False)  # (L, Q, E, eigenvalues and class-space eigenvectors of Qn)
+    _rows: tuple = field(repr=False)  # (L, Q, E, eigenvalues and class-space eigenvectors of Qn), stacked
+    _row: int = field(repr=False)  # this coloring's row of the stack
+
+    @cached_property
+    def _cone(self) -> tuple:
+        return tuple(a[self._row] for a in self._rows)
 
     @cached_property
     def _witness_point(self) -> np.ndarray | None:
@@ -60,7 +66,8 @@ class ModeSolution:
             Y[:, pos] = U[:, pos] / np.sqrt(U[:, pos] ** 2 @ lam[pos])[:, None]
             Y[:, neg] = U[:, neg] / np.sqrt(U[:, neg] ** 2 @ -lam[neg])[:, None]
             Y = np.vstack([Y, np.where(neg, -Y, Y)])
-        witness = next((x for x in map(_normalize_ray, Y @ V.T) if _separates(x) and _on_cone(L, Q, x)), None)
+        witness = next((x for x in map(_normalize_ray, Y @ V.T)
+                        if _separated(_gaps(x[:, None]), len(x)) and _on_cone(L, Q, x)), None)
         if witness is None:
             raise NumericalError(f"coloring {list(self.color_pattern)} has a ray with distinct classes, "
                                  "but no witness cone point was found")
@@ -134,12 +141,10 @@ def second_order_matrix(pattern: CreasePattern, v) -> np.ndarray:
 def _class_list(color_pattern) -> list[int]:
     """Normalize a coloring to first-occurrence integer labels 1..k."""
     if hasattr(color_pattern, "classes"):
-        raw = list(color_pattern.classes)
-    else:
-        raw = list(color_pattern)
+        return list(color_pattern.classes)  # a ColorPattern's labels are first-occurrence by construction
     relabel: dict = {}
     out = []
-    for label in raw:
+    for label in color_pattern:
         if label not in relabel:
             relabel[label] = len(relabel) + 1
         out.append(relabel[label])
@@ -184,12 +189,18 @@ def _normalize_ray(v: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _separates(X: np.ndarray) -> bool:
-    """True when no two rows of X coincide: some point of the span of X's
-    columns (or X itself, for one vector) has pairwise distinct classes."""
-    k = X.shape[0]
-    gaps = np.abs(X[:, None] - X[None, :]).reshape(k, k, -1).max(axis=2)
-    return np.count_nonzero(gaps <= CENSUS_ZERO) == k  # the diagonal only
+def _gaps(X: np.ndarray) -> np.ndarray:
+    """max_c |X_pc - X_qc| for each pair of rows p, q of each X (..., K, c)."""
+    return np.abs(X[..., :, None, :] - X[..., None, :, :]).max(axis=-1)
+
+
+def _separated(gaps: np.ndarray, k) -> np.ndarray:
+    """Whether no two of the first k rows are within CENSUS_ZERO in every column,
+    from their ``_gaps``: then some point of the span of the columns (or the
+    one column) has pairwise distinct classes."""
+    p = np.arange(gaps.shape[-1])
+    pairs = (p[:, None] < p) & (p < np.asarray(k)[..., None, None])  # p < q < k
+    return ~(pairs & (gaps <= CENSUS_ZERO)).any(axis=(-2, -1))
 
 
 def solve_modes(pattern: CreasePattern, colorings) -> list[ModeSolution]:
@@ -208,26 +219,33 @@ def solve_modes(pattern: CreasePattern, colorings) -> list[ModeSolution]:
     Only the decision and the DOF run here; each ``ModeSolution`` builds
     its witness and rays when they are read.  No real ray means not foldable.
 
-    The systems are stacked by class count k: one ``svd`` per k and one
-    ``eigh`` per (k, rank of L); only the decision runs row by row.
+    The systems are stacked by class count k: one ``svd`` per k, one
+    ``eigh`` per (k, rank of L), and one array decision over every coloring.
     """
     labels = [_checked_labels(pattern, c) for c in colorings]
-    ks = np.array([max(cls) for cls in labels], dtype=int)
+    if not labels:
+        return []
+    lab = np.array(labels)
+    ks = lab.max(axis=1)
+    K = int(ks.max())
+    lam_all, V_all = np.full((len(lab), K), np.nan), np.zeros((len(lab), K, K))  # each row padded to K
+    stacks, stack_of, row_of = [], np.zeros(len(lab), dtype=int), np.zeros(len(lab), dtype=int)
     groups = [np.flatnonzero(ks == k) for k in np.unique(ks)]
-    out: list = [None] * len(labels)
-    systems = _reduced_systems(pattern, [np.array([labels[i] for i in g]) for g in groups])
-    for group, (L, Q, E) in zip(groups, systems):
+    for group, (L, Q, E) in zip(groups, _reduced_systems(pattern, [lab[g] for g in groups])):
         _, sv, vt = np.linalg.svd(L)
         ranks = np.sum(sv > ROUNDOFF, axis=1)
-        for rank in np.unique(ranks):
+        for rank in np.unique(ranks).tolist():
             at = np.flatnonzero(ranks == rank)
             N = vt[at, rank:].transpose(0, 2, 1)  # k x m null-space bases, m may be 0
             lam, W = np.linalg.eigh(N.transpose(0, 2, 1) @ Q[at] @ N)
             V = N @ W  # eigenvectors of Qn in class coordinates
-            for a, l, v in zip(at, lam, V):
-                i = group[a]
-                out[i] = _decide(labels[i], L[a], Q[a], E[a], l, v)
-    return out
+            rows, (k, m) = group[at], N.shape[1:]
+            lam_all[rows, :m], V_all[rows, :k, :m] = lam, V
+            stack_of[rows], row_of[rows] = len(stacks), np.arange(len(rows))
+            stacks.append((L[at], Q[at], E[at], lam, V))
+    dofs = _decide(lam_all, V_all, ks)
+    return [ModeSolution(tuple(cls), None if dof < 0 else dof, stacks[s], r)
+            for cls, dof, s, r in zip(labels, dofs, stack_of.tolist(), row_of.tolist())]
 
 
 def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
@@ -247,20 +265,30 @@ def _cone_points(lam: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
     return points
 
 
-def _decide(cls, L, Q, E, lam, V) -> ModeSolution:
-    """One coloring's DOF from the eigenpairs (lam, V) of Qn: dim null(L), less one
-    where Qn is indefinite.  At a witness x = N w on the cone, rank [L; 2(Qx)^T] =
-    rank L + [Qn w != 0], and Qn w = 0 exactly when Qn is semidefinite."""
-    pos, neg = lam > ROUNDOFF, lam < -ROUNDOFF
-    zero = ~(pos | neg)
-    indefinite = pos.any() and neg.any()
-    if not indefinite:
-        distinct = zero.any() and _separates(V[:, zero])
-    elif pos.sum() + neg.sum() > 2:
-        distinct = _separates(V)
-    else:  # the two mixes span the two hyperplanes, modulo null(Qn)
-        distinct = any(_separates(np.column_stack([x, V[:, zero]])) for x in _cone_points(lam, V)[-2:])
-    return ModeSolution(tuple(cls), len(lam) - int(indefinite) if distinct else None, (L, Q, E, lam, V))
+def _decide(lam: np.ndarray, V: np.ndarray, k: np.ndarray) -> list[int]:
+    """Each row's DOF (-1 for none) from the eigenpairs of its Qn, padded to the
+    widest class count K: lam (B, K) is NaN past the row's m eigenvalues, and
+    V (B, K, K) is zero past its k classes and m columns.
+
+    The DOF is dim null(L) = m, less one where Qn is indefinite.  At a
+    witness x = N w on the cone, rank [L; 2(Qx)^T] = rank L + [Qn w != 0],
+    and Qn w = 0 exactly when Qn is semidefinite.
+    """
+    pos, neg, zero = lam > ROUNDOFF, lam < -ROUNDOFF, np.abs(lam) <= ROUNDOFF  # a NaN pad is none of them
+    indefinite = pos.any(axis=1) & neg.any(axis=1)
+    rank2 = indefinite & (np.count_nonzero(pos | neg, axis=1) == 2)
+    # semidefinite and rank 2: the null columns; indefinite of rank > 2: all.  A zero column adds 0 to a gap.
+    gaps = _gaps(np.where((zero | (indefinite & ~rank2)[:, None])[:, None], V, 0.0))
+    # rank 2: each balanced mix of the one signed pair spans a hyperplane with null(Qn)
+    rows, i, j = np.arange(len(lam)), pos.argmax(axis=1), neg.argmax(axis=1)
+    a = np.sqrt(-lam[rows, j], out=np.zeros(len(lam)), where=rank2)
+    b = np.sqrt(lam[rows, i], out=np.zeros(len(lam)), where=rank2)
+    ai, bj = a[:, None] * V[rows, :, i], b[:, None] * V[rows, :, j]
+    lines = (np.maximum(gaps, _gaps(x[:, :, None])) for x in (ai + bj, ai - bj))
+    span, plus, minus = _separated(np.stack([gaps, *lines]), k)
+    distinct = np.where(rank2, plus | minus, span & (indefinite | zero.any(axis=1)))
+    m = np.count_nonzero(~np.isnan(lam), axis=1)
+    return np.where(distinct, m - indefinite, -1).tolist()
 
 
 def _on_cone(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> bool:

@@ -112,11 +112,10 @@ def classify_g60() -> list[Table1Row]:
     solution dimension at that ray.
     """
     pats = _all_patterns()
-    sols = solve_modes(g60(), pats)  # one batched solve; only dof is read
-    rows = []
-    for k in range(1, 7):
-        group = [(pat, sol) for pat, sol in zip(pats, sols) if pat.k == k]
-        foldable = tuple((pat, NAMED_PATTERNS.get(pat.classes), sol.dof)
-                         for pat, sol in group if sol.dof is not None)
-        rows.append(Table1Row(k=k, pattern_count=len(group), foldable_patterns=foldable))
-    return rows
+    by_k: dict = {k: [] for k in range(1, 7)}
+    for pat, sol in zip(pats, solve_modes(g60(), pats)):  # one batched solve; only dof is read
+        by_k[pat.k].append((pat, sol.dof))
+    return [Table1Row(k=k, pattern_count=len(group),
+                      foldable_patterns=tuple((pat, NAMED_PATTERNS.get(pat.classes), dof)
+                                              for pat, dof in group if dof is not None))
+            for k, group in by_k.items()]

@@ -514,6 +514,28 @@ def test_export_json_to_csv(tmp_path, capsys):
     assert len(out.splitlines()) == 11
 
 
+def test_export_quotes_a_branch_tag_that_would_split_a_csv_row(tmp_path, capsys):
+    """A string tag holding a comma, a quote or a line break is quoted as RFC 4180 asks, so a csv
+    reader reads each row back whole; a plain string tag and an integer tag are written as they are."""
+    src = tmp_path / "g.json"
+    assert run(capsys, "sweep", "general", "-n", "4", "-o", str(src))[0] == 0
+    records = json.loads(src.read_text())
+    tags = ["a,b", 'q"x\nnew', "plain", 5]
+    for record, tag in zip(records, tags, strict=True):
+        record["branch"] = tag
+    src.write_text(json.dumps(records))
+    code, out, _ = run(capsys, "export", str(src), "-o", str(tmp_path / "g.csv"))
+    assert code == 0 and out == ""
+    text = (tmp_path / "g.csv").read_text()
+    with open(tmp_path / "g.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["branch"] for row in rows] == ["a,b", 'q"x\nnew', "plain", "5"]
+    assert all(None not in row and None not in row.values() for row in rows)  # nine cells, no more and no fewer
+    assert [float(row["residual"]) for row in rows] == pytest.approx([r["residual"] for r in records], rel=1e-11)
+    assert ',"a,b"\n' in text and ',"q""x\nnew"\n' in text and text.count('"') == 6
+    assert ",plain\n" in text and text.endswith(",5\n")
+
+
 def test_identical_runs_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "sweep", "igloo", "--alpha", "70", "--beta", "80", "-n", "6", "-o", str(a))

@@ -1,6 +1,8 @@
 """Sweeps, implicit-curve tracing, admissible masks, and exporters."""
 
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -619,12 +621,15 @@ def test_csv_uses_twelve_significant_digits():
 # reference: json through json.dumps(indent=1), csv and obj one f"{x:.12g}" per float.
 
 def _reference_csv(flat):
+    """Each row's cells through ``csv.writer``, which quotes a cell as RFC 4180 asks."""
     width = max(len(s.rho) for s in flat)
-    lines = [",".join([f"rho{i + 1}" for i in range(width)] + ["residual", "valid", "branch"])]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f"rho{i + 1}" for i in range(width)] + ["residual", "valid", "branch"])
     for s in flat:
         angles = [f"{float(x):.12g}" for x in s.rho] + [""] * (width - len(s.rho))
-        lines.append(",".join(angles + [f"{s.residual:.12g}", "true" if s.valid else "false", str(s.branch)]))
-    return "\n".join(lines) + "\n"
+        writer.writerow(angles + [f"{s.residual:.12g}", "true" if s.valid else "false", str(s.branch)])
+    return out.getvalue()
 
 
 def _reference_json(flat):

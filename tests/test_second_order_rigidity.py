@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from census_oracle import census_dofs, decide
 
 from rigidfold.core_geometry import CreasePattern, closure_residual, g60, rotation_products
 from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel
 from rigidfold.second_order_rigidity import (
     ModeSolution,
     VelocityVector,
+    _decide,
     first_order_matrix,
     ray_class_values,
     second_order_matrix,
@@ -294,16 +296,69 @@ def test_every_census_ray_satisfies_both_order_conditions():
 @pytest.mark.parametrize("sectors_deg", [None, *OFF_60])
 def test_batched_solve_equals_the_one_row_solves(sectors_deg):
     """Every coloring, stacked by class count and grouped by rank, comes back in
-    its own place, equal to its one-row solve; no row builds rays until read."""
+    its own place, equal to its one-row solve; no row slices out its cone or
+    builds rays until read, and reading one row builds no other."""
     pattern = G if sectors_deg is None else CreasePattern.from_sectors(np.radians(sectors_deg))
     colorings = list(_restricted_growth(6))
     batched = solve_modes(pattern, colorings)
-    assert not any(name in vars(sol) for sol in batched for name in ("_witness_point", "witness", "velocities"))
+    lazy = ("_cone", "_witness_point", "witness", "velocities")
+    assert not any(name in vars(sol) for sol in batched for name in lazy)
     assert [sol.color_pattern for sol in batched] == colorings
+    assert batched[-1].witness is not None and "_cone" in vars(batched[-1])
+    assert not any(name in vars(sol) for sol in batched[:-1] for name in lazy)
     assert batched == [symmetric_mode_solve(pattern, c) for c in colorings]
     ranks = [np.linalg.matrix_rank(symmetry_reduced_system(pattern, c)[0], tol=1e-12) for c in colorings]
     assert len({(max(c), r) for c, r in zip(colorings, ranks)}) >= 7  # 10 (k, rank) groups on g60
     assert solve_modes(pattern, []) == []
+
+
+def test_stacked_decision_gives_the_per_row_dof():
+    """The one array decision gives every coloring the DOF of the per-row loop it
+    replaced (``census_oracle``), on g60, off 60 degrees and on 100 seeded random
+    six-crease fans."""
+    rng = np.random.default_rng(26)
+    patterns = [G, *(CreasePattern.from_sectors(np.radians(s)) for s in OFF_60),
+                *(CreasePattern.from_sectors(s / s.sum() * 2.0 * math.pi) for s in rng.uniform(0.5, 1.5, (100, 6)))]
+    colorings = list(_restricted_growth(6))
+    foldable = 0
+    for pattern in patterns:
+        dofs = [sol.dof for sol in solve_modes(pattern, colorings)]
+        assert dofs == census_dofs(pattern, colorings)
+        foldable += sum(dof is not None for dof in dofs)
+    assert foldable > 1000
+
+
+def test_stacked_decision_gives_the_per_row_dof_on_coarse_eigenpairs():
+    """Eigenpairs drawn from a few small values, so that classes coincide and every
+    case is hit, rank 2 with null columns too: the padded decision of all rows at
+    once equals the per-row one."""
+    rng = np.random.default_rng(5)
+    K, B = 5, 3000
+    ks, ms = rng.integers(1, K + 1, B), rng.integers(0, K + 1, B)
+    ms = np.minimum(ms, ks)
+    lam, V = np.full((B, K), np.nan), np.zeros((B, K, K))
+    expected = []
+    for b, (k, m) in enumerate(zip(ks.tolist(), ms.tolist())):
+        lam[b, :m] = np.sort(rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 4.0], m))
+        V[b, :k, :m] = rng.choice([-1.0, 0.0, 0.5, 1.0], (k, m))
+        expected.append(decide(lam[b, :m], V[b, :k, :m]))
+    got = _decide(lam, V, ks)
+    assert [None if dof < 0 else dof for dof in got] == expected
+    assert len(set(expected)) == K + 1
+
+
+def test_mixed_width_solve_equals_the_one_row_solves():
+    """Rows of one, two, three and nine classes share one decision, padded to nine;
+    each comes back equal to its own one-row solve, where nothing is padded."""
+    pattern = CreasePattern.from_sectors(np.full(9, 2.0 * math.pi / 9))
+    colorings = [tuple(range(1, 10)), (1,) * 9, (1, 2) * 4 + (1,), (1, 2, 3) * 3, (1, 1, 2, 2, 3, 3, 1, 2, 3),
+                 (1, 2, 2, 1, 3, 3, 1, 2, 3)]
+    order = np.random.default_rng(9).permutation(len(colorings))
+    colorings = [colorings[i] for i in order]
+    batched = solve_modes(pattern, colorings)
+    assert [sol.color_pattern for sol in batched] == colorings
+    assert batched == [symmetric_mode_solve(pattern, c) for c in colorings]
+    assert {max(c): sol.dof for c, sol in zip(colorings, batched)}[9] == 6
 
 
 def _ray_dof(L: np.ndarray, Q: np.ndarray, x: np.ndarray) -> int:
