@@ -175,10 +175,11 @@ def _fold_state(args) -> tuple[np.ndarray, int, object]:
         drives, mode, rho3 = _opposites_drives(args)
     else:
         drives, mode = _drive_values(args, fam.drives), _fold_mode(args)
+    pattern = mode.pattern  # sectors that make no vertex fail before the solve
     vectors, tags = fam.rows(mode, [drives])
     if rho3 is not None:  # a given rho3 is reported as given, not as the pair recomputes it
         vectors[0, 2::3] = rho3
-    return vectors[0], tags[0], fam.pattern(mode)
+    return vectors[0], tags[0], pattern
 
 
 def cmd_fold(args) -> int:
@@ -210,11 +211,9 @@ def _infer_format(args, supported: tuple[str, ...], default: str) -> str:
     return fmt
 
 
-def _write_samples(samples, args, pattern) -> int:
-    """Write the samples in the format the flags name; ``pattern()`` gives the crease pattern, which
-    only the obj writer reads."""
-    fmt = _infer_format(args, ("csv", "json", "obj"), "csv")
-    text, invalid, foreign = cs.render(samples, fmt, pattern() if fmt == "obj" else None)
+def _write_samples(samples, args, fmt: str, pattern) -> int:
+    """Write the samples in ``fmt``; only the obj writer reads the crease pattern."""
+    text, invalid, foreign = cs.render(samples, fmt, pattern)
     _emit(text, args.output)
     if invalid:
         print(f"skipped {invalid} invalid samples", file=sys.stderr)
@@ -225,12 +224,12 @@ def _write_samples(samples, args, pattern) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mode = _fold_mode(args)
-    result = cs.sweep_model(mode, args.n)  # builds, and so checks, the family's pattern
-    return _write_samples(result, args, functools.partial(fm.FAMILIES[mode.model].pattern, mode))
+    fmt, mode = _infer_format(args, ("csv", "json", "obj"), "csv"), _fold_mode(args)
+    return _write_samples(cs.sweep_model(mode, args.n), args, fmt, mode.pattern)
 
 
 def cmd_trace(args) -> int:
+    fmt = _infer_format(args, ("csv", "json", "obj"), "csv")
     seed = (_rad(args.seed1, args), _rad(args.seed2, args))
     check_fold_angle(seed[0], "seed1")  # the relation is 2pi-periodic: a seed outside traces no folding
     check_fold_angle(seed[1], "seed2")
@@ -244,13 +243,12 @@ def cmd_trace(args) -> int:
     if len(completed) < len(walked):
         print(f"skipped {len(walked) - len(completed)} traced points that do not complete to a closing state",
               file=sys.stderr)
-    pattern = fam.pattern(mode)
-    return _write_samples(cs.make_samples(pattern, completed, tags), args, lambda: pattern)
+    return _write_samples(cs.make_samples(mode.pattern, completed, tags), args, fmt, mode.pattern)
 
 
 def cmd_region(args) -> int:
-    region = cs.admissible_region(_rad(args.rho6, args), grid_n=args.n)
     fmt = _infer_format(args, ("csv", "json"), "json")
+    region = cs.admissible_region(_rad(args.rho6, args), grid_n=args.n)
     if fmt == "json":
         payload = {"rho6": region.rho6, "rho4": region.rho4_axis.tolist(), "rho5": region.rho5_axis.tolist(),
                    "mask": region.mask.tolist()}
@@ -265,22 +263,21 @@ def cmd_region(args) -> int:
 
 
 def cmd_resch(args) -> int:
-    _infer_format(args, ("csv", "json", "obj"), "csv")  # an unknown format fails with or without -o
+    fmt = _infer_format(args, ("csv", "json", "obj"), "csv")  # an unknown format fails with or without -o
     vertices = fm.resch_fold(_rad(args.drive, args))
     pattern = g60()
     samples = cs.make_samples(pattern, list(vertices.values()), list(vertices))
     report = "".join(f"{s.branch}: residual {s.residual:.3e}\n" for s in samples)
     if args.output:
-        _write_samples(samples, args, lambda: pattern)
+        _write_samples(samples, args, fmt, pattern)
     sys.stdout.write(report)
     return 0
 
 
 def cmd_export(args) -> int:
-    samples = cs.load_samples_json(args.input)
-    mode = _fold_mode(args)
-    pattern = fm.FAMILIES[mode.model].pattern(mode)  # a sector pair that makes no vertex fails in every format
-    return _write_samples(samples, args, lambda: pattern)
+    fmt = _infer_format(args, ("csv", "json", "obj"), "csv")
+    samples, mode = cs.load_samples_json(args.input), _fold_mode(args)
+    return _write_samples(samples, args, fmt, mode.pattern)
 
 
 _DISPATCH = {

@@ -177,7 +177,7 @@ def sweep_model(mode: FoldMode, n: int) -> Samples:
     if n < 2:
         raise OutOfRangeError(f"need at least 2 samples, got {n}")
     fam = FAMILIES[mode.model]
-    pattern = fam.pattern(mode)
+    pattern = mode.pattern
     solved = functools.partial(fam.rows, mode, skip=_SKIPPED)
     if len(fam.drives) == 1:
         lim = fam.limit(mode.alpha, mode.beta)

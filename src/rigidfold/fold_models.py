@@ -14,6 +14,7 @@ failed drives raised or skipped, branch tags, and no -0.0.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable
@@ -83,7 +84,7 @@ class FoldModel(Enum):
 
 @dataclass(frozen=True)
 class FoldMode:
-    """A family member: model, branch id and sector parameters."""
+    """A family member: model, branch id and sector parameters.  Every sector of the family's layout must be > 0."""
 
     model: FoldModel
     mode: int = 1
@@ -96,29 +97,39 @@ class FoldMode:
             allowed = " or ".join(map(str, fam.modes))
             raise OutOfRangeError(f"{self.model.value} mode must be {allowed}, got {mode!r}")
         object.__setattr__(self, "mode", int(mode))  # a numpy integer is kept as the int it equals
-        if fam.domain is not None:
-            fam.domain(self.alpha, self.beta)
-        elif abs(self.alpha - PI / 3) > ROUNDOFF or abs(self.beta - PI / 3) > ROUNDOFF:
-            raise OutOfRangeError(f"{self.model.value} has fixed 60-degree sectors")
+        sectors = fam.sectors(self)
+        if sectors is None:
+            if abs(self.alpha - PI / 3) > ROUNDOFF or abs(self.beta - PI / 3) > ROUNDOFF:
+                raise OutOfRangeError(f"{self.model.value} has fixed 60-degree sectors")
+        elif not all(s > 0.0 for s in sectors):  # NaN and infinities fail too
+            raise OutOfRangeError(f"{self.model.value} needs every sector > 0: alpha={self.alpha}, "
+                                  f"beta={self.beta} give sectors {[float(s) for s in sectors]}")
+
+    @functools.cached_property
+    def pattern(self) -> CreasePattern:
+        """The family's crease pattern at these sectors, built on first read."""
+        sectors = FAMILIES[self.model].sectors(self)
+        return g60() if sectors is None else CreasePattern.from_sectors(sectors)
 
 
 @dataclass(frozen=True)
 class Family:
-    """One folding family: crease pattern, coloring, modes, drive angles and closed-form solve.
+    """One folding family: sector layout, coloring, modes, drive angles and closed-form solve.
 
-    ``solve(mode, drives)`` solves an (N, k) drive array in one pass, closing below ``DEFAULT_TOL``,
-    and returns a ``Solved``, whose states ``rows`` reports.  ``coloring`` gives
-    each crease its class label (first-occurrence labels, as the census writes
+    ``sectors(mode)`` lists the sector angles at the mode's alpha and beta, or None for fixed 60-degree
+    sectors; ``FoldMode`` checks them and builds its pattern from them.  ``solve(mode, drives)`` solves an
+    (N, k) drive array in one pass and returns a ``Solved``, whose states ``rows`` reports.  The six closed
+    forms close by construction; only the two-pair and general solves judge closure, at ``DEFAULT_TOL``.
+    ``coloring`` gives each crease its class label (first-occurrence labels, as the census writes
     them), and ``vector`` expands class angles through it.  The callables in
     ``FAMILIES`` look the solves up by module name when called, so a wrapper
     installed on a module attribute (a profiler, a call counter) sees every call.
     """
 
-    pattern: Callable[[FoldMode], CreasePattern]
     solve: Callable[[FoldMode, np.ndarray], Solved]
     drives: tuple[str, ...]  # CLI flag names, in the order solve takes them
     coloring: tuple[int, ...] | None  # None: the crease angles are not a coloring (degree-4 has signs)
-    domain: Callable[[float, float], None] | None = None  # None: fixed 60-degree sectors
+    sectors: Callable[[FoldMode], list | None] = lambda f: None  # None: fixed 60-degree sectors
     modes: tuple[int, ...] = (1,)
     limit: Callable[[float, float], float] = lambda alpha, beta: PI  # 1-DOF drive bound
     curve: Callable[[float, float], float] | None = None  # relation the drive pair lies on
@@ -175,26 +186,6 @@ class Family:
         raise REASON_ERRORS[code](text)
 
 
-def _check_degree4_domain(alpha: float, beta: float):
-    if not (0.0 < alpha < PI and 0.0 < beta < PI):
-        raise OutOfRangeError(f"degree-4 sectors need alpha, beta in (0, pi): {alpha}, {beta}")
-
-
-def _check_trifold_domain(beta: float):
-    if not 0.0 < beta < 2.0 * PI / 3.0:
-        raise OutOfRangeError(f"trifold needs beta in (0, 2pi/3), got {beta}")
-
-
-def _check_bowtie_domain(beta: float):
-    if not 0.0 < beta < PI / 2.0:
-        raise OutOfRangeError(f"bow tie needs beta in (0, pi/2), got {beta}")
-
-
-def _check_wedge_domain(alpha: float, beta: float):
-    if not (alpha > 0.0 and beta > 0.0 and alpha + beta < PI):
-        raise OutOfRangeError(f"need alpha, beta > 0 with alpha + beta < pi: {alpha}, {beta}")
-
-
 def _drive_columns(*drives) -> tuple[np.ndarray, np.ndarray]:
     """Drives broadcast to N rows as a (k, N) float array of contiguous columns, and the
     (N,) mask of rows with an angle outside [-pi, pi] (NaN and infinities too).  Those
@@ -237,13 +228,12 @@ def _half_angle_branch(num, den):
 # degree-4 flat-foldable vertex
 
 def degree4_pattern(alpha: float, beta: float) -> CreasePattern:
-    _check_degree4_domain(alpha, beta)
-    return CreasePattern.from_sectors([PI - beta, alpha, beta, PI - alpha])
+    return FoldMode(FoldModel.DEGREE4, 1, alpha, beta).pattern
 
 
 def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
     """The two constant half-angle tangent ratios p and q of the vertex."""
-    _check_degree4_domain(alpha, beta)
+    FoldMode(FoldModel.DEGREE4, 1, alpha, beta)
     cd = math.cos(0.5 * (alpha - beta))
     ss = math.sin(0.5 * (alpha + beta))
     if abs(cd) < ROUNDOFF or abs(ss) < ROUNDOFF:
@@ -279,13 +269,12 @@ def pleat_multiplier(x: float) -> float:
 # trifold
 
 def trifold_pattern(beta: float) -> CreasePattern:
-    _check_trifold_domain(beta)
-    return CreasePattern.from_sectors([beta, 2.0 * PI / 3.0 - beta] * 3)
+    return FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, beta).pattern
 
 
 def trifold_multiplier(beta: float) -> float:
     """Quarter-angle tangent ratio tan(rho1/4)/tan(rho2/4) of the trifold."""
-    _check_trifold_domain(beta)
+    FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, beta)
     rad = 2.0 * math.sin(beta) * (math.sqrt(3.0) * math.cos(beta) + math.sin(beta))
     return -(math.cos(beta) + math.sqrt(3.0) * math.sin(beta) + math.sqrt(rad))
 
@@ -329,21 +318,13 @@ def trifold_drive_limit(beta: float) -> float:
 # bow tie
 
 def bowtie_pattern(beta: float, mode: int) -> CreasePattern:
-    _check_bowtie_domain(beta)
-    if mode == 1:
-        return CreasePattern.from_sectors([PI - 2.0 * beta, beta, beta] * 2)
-    if mode == 2:
-        return CreasePattern.from_sectors([beta, PI - 2.0 * beta, beta] * 2)
-    raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
+    return FoldMode(FoldModel.BOWTIE, mode, PI / 3.0, beta).pattern
 
 
 def bowtie_multiplier(beta: float, mode: int) -> float:
-    _check_bowtie_domain(beta)
-    if mode == 1:
+    if FoldMode(FoldModel.BOWTIE, mode, PI / 3.0, beta).mode == 1:
         return -math.cos(beta)
-    if mode == 2:
-        return -1.0 / (1.0 + 2.0 * math.cos(beta))
-    raise OutOfRangeError(f"mode must be 1 or 2, got {mode}")
+    return -1.0 / (1.0 + 2.0 * math.cos(beta))
 
 
 def _bowtie_rows(beta: float, mode: int, rho1):
@@ -361,8 +342,7 @@ def bowtie(beta: float, mode: int, rho1: float) -> float:
 # opposites
 
 def opposites_pattern(alpha: float, beta: float) -> CreasePattern:
-    _check_wedge_domain(alpha, beta)
-    return CreasePattern.from_sectors([alpha, beta, PI - alpha - beta] * 2)
+    return FoldMode(FoldModel.OPPOSITES, 1, alpha, beta).pattern
 
 
 @dataclass(frozen=True)
@@ -399,7 +379,7 @@ def opposites_solve(
     is solved for the third in projective half-angle form, so flat-folded
     creases (rho = +/-pi) need no special casing.
     """
-    _check_wedge_domain(alpha, beta)
+    FoldMode(FoldModel.OPPOSITES, 1, alpha, beta)
     known = {1: rho1, 2: rho2, 3: rho3}
     given = [i for i, x in known.items() if x is not None]
     if len(given) != 2:
@@ -425,9 +405,7 @@ def _opposites_rows(alpha: float, beta: float, rho1, rho2):
 # igloo, two free angles
 
 def igloo_pattern(alpha: float, beta: float) -> CreasePattern:
-    _check_wedge_domain(alpha, beta)
-    g = PI - alpha - beta
-    return CreasePattern.from_sectors([alpha, beta, g, g, beta, alpha])
+    return FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta).pattern
 
 
 def _igloo_fraction(alpha: float, beta: float, rho2, rho3):
@@ -467,7 +445,7 @@ def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
     together the branch is ambiguous and the two one-sided continuations
     are reported.
     """
-    _check_wedge_domain(alpha, beta)
+    FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)
     check_fold_angle(rho2, "rho2")
     check_fold_angle(rho3, "rho3")
     rho1, ambiguous = _igloo_half(alpha, beta, float(rho2), float(rho3))
@@ -482,7 +460,7 @@ def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
 
 def igloo_rho4(alpha: float, beta: float, rho2: float, rho3: float) -> float:
     """Completing angle on the middle crease; the vertex flipped end for end, so a 0/0 is probed along rho3."""
-    _check_wedge_domain(alpha, beta)
+    FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)
     check_fold_angle(rho2, "rho2")
     check_fold_angle(rho3, "rho3")
     try:
@@ -746,43 +724,49 @@ def _almost_general_solve(drives) -> Solved:
 
 _IGLOO = (1, 2, 3, 4, 3, 2)  # the mirror layout of both igloo families: the 1-DOF modes fold in it too
 
+
+def _igloo_sectors(f: FoldMode) -> list:
+    g = PI - f.alpha - f.beta
+    return [f.alpha, f.beta, g, g, f.beta, f.alpha]
+
+
 FAMILIES: dict[FoldModel, Family] = {
     FoldModel.DEGREE4: Family(
-        pattern=lambda f: degree4_pattern(f.alpha, f.beta), coloring=None,
+        sectors=lambda f: [PI - f.beta, f.alpha, f.beta, PI - f.alpha], coloring=None,
         solve=_batched(lambda f, x: _degree4_rows(f.alpha, f.beta, f.mode, x)),
-        drives=("drive",), domain=_check_degree4_domain, modes=(1, 2)),
+        drives=("drive",), modes=(1, 2)),
     FoldModel.TRIFOLD: Family(
-        pattern=lambda f: trifold_pattern(f.beta), coloring=(1, 2, 1, 2, 1, 2),
+        sectors=lambda f: [f.beta, 2.0 * PI / 3.0 - f.beta] * 3, coloring=(1, 2, 1, 2, 1, 2),
         solve=_batched(lambda f, x: _trifold_rows(f.beta, f.mode, x)),
-        drives=("drive",), domain=lambda alpha, beta: _check_trifold_domain(beta), modes=(1, 2),
-        limit=lambda alpha, beta: trifold_drive_limit(beta)),
+        drives=("drive",), modes=(1, 2), limit=lambda alpha, beta: trifold_drive_limit(beta)),
     FoldModel.BOWTIE: Family(
-        pattern=lambda f: bowtie_pattern(f.beta, f.mode), coloring=(1, 1, 2, 1, 1, 2),
+        sectors=lambda f: ([PI - 2.0 * f.beta, f.beta, f.beta] if f.mode == 1
+                           else [f.beta, PI - 2.0 * f.beta, f.beta]) * 2, coloring=(1, 1, 2, 1, 1, 2),
         solve=_batched(lambda f, x: _bowtie_rows(f.beta, f.mode, x)),
-        drives=("drive",), domain=lambda alpha, beta: _check_bowtie_domain(beta), modes=(1, 2)),
+        drives=("drive",), modes=(1, 2)),
     FoldModel.OPPOSITES: Family(
-        pattern=lambda f: opposites_pattern(f.alpha, f.beta), coloring=(1, 2, 3, 1, 2, 3),
+        sectors=lambda f: [f.alpha, f.beta, PI - f.alpha - f.beta] * 2, coloring=(1, 2, 3, 1, 2, 3),
         solve=_batched(lambda f, x, y: _opposites_rows(f.alpha, f.beta, x, y)),
-        drives=("rho1", "rho2"), domain=_check_wedge_domain),
+        drives=("rho1", "rho2")),
     FoldModel.IGLOO2DOF: Family(
-        pattern=lambda f: igloo_pattern(f.alpha, f.beta), coloring=_IGLOO,
+        sectors=_igloo_sectors, coloring=_IGLOO,
         solve=_batched(lambda f, x, y: _igloo_rows(f.alpha, f.beta, x, y)),
-        drives=("rho2", "rho3"), domain=_check_wedge_domain),
+        drives=("rho2", "rho3")),
     FoldModel.IGLOO1DOF: Family(
-        pattern=lambda f: igloo_pattern(f.alpha, f.beta), coloring=_IGLOO,
+        sectors=_igloo_sectors, coloring=_IGLOO,
         solve=_batched(lambda f, x: _igloo_1dof_rows(f.alpha, f.beta, f.mode, x)),
-        drives=("rho4",), domain=_check_wedge_domain, modes=(1, 2)),
+        drives=("rho4",), modes=(1, 2)),
     FoldModel.TWOPAIR: Family(
-        pattern=lambda f: two_pair_pattern(), coloring=(1, 1, 2, 2, 3, 4),
+        coloring=(1, 1, 2, 2, 3, 4),
         solve=lambda f, d: two_pair_solve(*np.asarray(d, dtype=float).T),
         drives=("rho1", "rho2"), curve=lambda rho1, rho2: two_pair_curve_residual(rho1, rho2),
         loop=lambda n: two_pair_node_loop(n)),
     FoldModel.FULLY_GENERAL: Family(
-        pattern=lambda f: g60(), coloring=(1, 2, 3, 4, 5, 6),
+        coloring=(1, 2, 3, 4, 5, 6),
         solve=lambda f, d: general_solve(*np.asarray(d, dtype=float).T),
         drives=("rho4", "rho5", "rho6"), numbered=True),
     FoldModel.ALMOST_GENERAL: Family(
-        pattern=lambda f: g60(), coloring=(1, 1, 2, 3, 4, 5),
+        coloring=(1, 1, 2, 3, 4, 5),
         solve=lambda f, d: _almost_general_solve(d),
         drives=("rho4", "rho5"), numbered=True),
 }

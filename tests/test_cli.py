@@ -12,7 +12,7 @@ import pytest
 from rigidfold import cli
 from rigidfold.cli import main
 from rigidfold.config_space import CurveTrace, Samples, trace_implicit_curve
-from rigidfold.core_geometry import closure_residual, wrap_angles
+from rigidfold.core_geometry import CreasePattern, closure_residual, wrap_angles
 from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel, two_pair_curve_gradient, two_pair_curve_residual
 
 TRIFOLD_RHO1 = 4.0 * math.atan((2.0 + math.sqrt(3.0)) * math.tan(0.1))
@@ -232,7 +232,8 @@ DOMAIN_ERRORS = [
     (["fold", "twopair", "--beta", "50", "--rho1", "0", "--rho2", "0"], "fixed 60-degree sectors"),
     (["sweep", "twopair", "--alpha", "70", "-n", "4"], "fixed 60-degree sectors"),
     (["export", "{samples}", "--model", "general", "--alpha", "70"], "fixed 60-degree sectors"),
-    (["fold", "bowtie", "--beta", "100", "--drive", "0.5"], "bow tie needs beta"),
+    (["fold", "bowtie", "--beta", "100", "--drive", "0.5"],
+     "bowtie needs every sector > 0: alpha=1.0471975511965976, beta=1.7453292519943295 give sectors [-0.349"),
     (["fold", "opposites", "--mode", "9", "--rho1", "0.1", "--rho2", "0.2"], "mode must be 1,"),
     (["fold", "igloo", "--mode", "2", "--rho2", "0.1", "--rho3", "0.2"], "mode must be 1,"),
     (["sweep", "opposites", "--mode", "2", "-n", "4"], "mode must be 1,"),
@@ -241,6 +242,7 @@ DOMAIN_ERRORS = [
     (["export", "{empty}", "-o", "{tmp}/out.csv"], "nothing to export"),
     (["export", "{empty}", "-o", "{tmp}/out.json"], "nothing to export"),
     (["export", "{empty}", "-o", "{tmp}/out.obj"], "nothing to export"),
+    (["export", "{samples}", "--model", "degree4", "-o", "{tmp}/out.obj"], "expected 4 folding angles, got 6"),
     (["fold", "degree4", "--drive", "nan"], "drive must lie in [-pi, pi], got nan"),
     (["resch", "--drive", "nan"], "drive nan outside reachable interval"),
     (["region", "--rho6", "nan"], "rho6 must lie in [-pi, pi], got nan"),
@@ -303,6 +305,30 @@ def test_domain_error_exits_2(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and message in err, (argv, err)
     assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("stub, argv", [
+    ("sweep_model", ["sweep", "trifold", "-n", "4"]),
+    ("trace_implicit_curve", ["trace", "--step", "0.2"]),
+    ("admissible_region", ["region", "--rho6", "0.8", "-n", "1501"]),
+    ("load_samples_json", ["export", "samples.json"]),
+])
+def test_a_command_checks_the_format_before_it_computes(monkeypatch, capsys, stub, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{stub} ran before the format was checked")
+
+    monkeypatch.setattr(cli.cs, stub, refuse)
+    code, out, err = run(capsys, *argv, "--format", "xml")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error: {argv[0]} supports .* not 'xml'\n", err), err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "obj"])
+def test_sweep_builds_its_crease_pattern_once(tmp_path, capsys, monkeypatch, fmt):
+    built, real = [], CreasePattern.from_sectors
+    monkeypatch.setattr(CreasePattern, "from_sectors", classmethod(lambda cls, s: built.append(1) or real(s)))
+    assert run(capsys, "sweep", "trifold", "--beta", "50", "-n", "4", "-o", str(tmp_path / f"s.{fmt}"))[0] == 0
+    assert len(built) == 1
 
 
 def test_trace_warns_when_it_does_not_close(tmp_path, capsys):
@@ -568,7 +594,7 @@ def test_every_family_folds_closed_on_its_sweep_pattern(capsys, model):
     assert model in FAMILIES
     fam = FAMILIES[model]
     # the highest mode and off-60-degree sectors where the family allows them
-    alpha, beta = (55.0, 65.0) if fam.domain else (60.0, 60.0)
+    alpha, beta = (60.0, 60.0) if fam.sectors(FoldMode(model)) is None else (55.0, 65.0)
     mode = FoldMode(model, max(fam.modes), math.radians(alpha), math.radians(beta))
     drives = FOLD_DRIVES[model] or _on_curve_pair()
     code, out, _ = run(capsys, "fold", model.value, "--mode", str(mode.mode), "--alpha", str(alpha),
@@ -577,7 +603,7 @@ def test_every_family_folds_closed_on_its_sweep_pattern(capsys, model):
     rec = json.loads(out)[0]
     rho = np.array([rec[f"rho{i + 1}"] for i in range(len(rec) - 3)])
     assert np.any(rho != 0.0)
-    assert closure_residual(fam.pattern(mode), rho) < 1e-8
+    assert closure_residual(mode.pattern, rho) < 1e-8
 
 
 FOREIGN = "samples that do not close on the export pattern (pick theirs with --model)"

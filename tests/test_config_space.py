@@ -80,7 +80,7 @@ def _family_modes():
     """Every family and mode at (60, 60), (55, 65) and (70, 50) degrees where its sectors may vary."""
     for alpha, beta in ((60.0, 60.0), (55.0, 65.0), (70.0, 50.0)):
         for model, fam in FAMILIES.items():
-            if fam.domain is None and alpha != 60.0:
+            if fam.sectors(FoldMode(model)) is None and alpha != 60.0:
                 continue
             for m in fam.modes:
                 yield FoldMode(model, m, math.radians(alpha), math.radians(beta))
@@ -91,7 +91,7 @@ def _family_modes():
 def test_sweep_verdicts_match_the_triangle_oracle(mode):
     """The batched cone-crossing test decides each closing sweep state as triangle clipping does."""
     fam = FAMILIES[mode.model]
-    pattern = fam.pattern(mode)
+    pattern = mode.pattern
     result = sweep_model(mode, 8 if len(fam.drives) == 2 else 80)  # grids are n by n
     closing = [s for s in result if s.residual < 1e-8]
     assert closing
@@ -109,7 +109,7 @@ def test_sweep_verdicts_match_the_triangle_oracle(mode):
 def test_criterion_3_sweep_verdicts_match_the_cone_oracle(model, n):
     """Every state of the acceptance sweeps (60-degree sectors) gets the oracle's verdict."""
     mode = FoldMode(model, 1, PI / 3.0, PI / 3.0)
-    pattern = FAMILIES[model].pattern(mode)
+    pattern = mode.pattern
     samples = sweep_model(mode, n)
     residuals, frames = folded_frames(pattern, np.array([s.rho for s in samples]))
     assert residuals.max() < 1e-8
@@ -666,10 +666,10 @@ def _reference_corpus():
     groups = []
     for model in FoldModel:
         fam = FAMILIES[model]
-        for alpha, beta in [(60.0, 60.0), (55.0, 65.0)] if fam.domain else [(60.0, 60.0)]:
+        for alpha, beta in [(60.0, 60.0)] if fam.sectors(FoldMode(model)) is None else [(60.0, 60.0), (55.0, 65.0)]:
             for m in fam.modes:
                 mode = FoldMode(model, m, math.radians(alpha), math.radians(beta))
-                groups.append((sweep_model(mode, 5), fam.pattern(mode)))
+                groups.append((sweep_model(mode, 5), mode.pattern))
     general = sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 600)
     assert len(general) == 600 and 0 < sum(s.valid for s in general) < 600
     groups.append((general, G))

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import domain_oracle
 from general_oracle import general_c3_image, general_rho2, general_solve_full_closure, general_solve_reference
 from rigidfold import fold_models
 from rigidfold.config_space import trace_implicit_curve
 from rigidfold.core_geometry import closure_residual, closure_residuals, g60, rotation_products, wrap_angles
 from rigidfold.errors import (
     BranchAmbiguityError,
+    DomainError,
     InconsistentPointError,
     NoSolutionError,
     OutOfRangeError,
@@ -770,6 +772,51 @@ def test_fold_mode_stores_an_integer_mode_as_int(mode):
     assert type(stored) is int and stored == 2
 
 
+def _near(x: float) -> list[float]:
+    """x and its two float neighbours on each side."""
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    return [math.nextafter(below, -math.inf), below, x, above, math.nextafter(above, math.inf)]
+
+
+def _sector_pairs() -> set:
+    """(alpha, beta) over zeros, infinities, NaN, each bound with its neighbours, and the line alpha + beta = pi."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -0.3, 0.3, 1.0, 2.0]
+    for bound in (PI / 3.0, PI / 2.0, 2.0 * PI / 3.0, PI):
+        values += _near(bound)[1:4]
+    pairs = {(a, b) for a in values for b in values}
+    for a in (0.3, 1.0, PI / 3.0, PI / 2.0, 2.0, 3.1):
+        pairs |= {p for b in _near(PI - a) for p in ((a, b), (b, a))}
+    return pairs
+
+
+# where alpha + beta rounds to pi but pi - alpha - beta stays > 0: the old wedge check refused these,
+# FoldMode accepts them, and building the pattern refuses its sliver of a third sector instead
+ONE_ULP = {(PI / 3.0, 2.0 * PI / 3.0), (2.0 * PI / 3.0, PI / 3.0), (1.5707963267948963, PI / 2.0),
+           (PI / 2.0, 1.5707963267948963), (2.0, 1.141592653589793), (3.1, 0.04159265358979301),
+           (3.1, 0.04159265358979302)}
+
+
+@pytest.mark.parametrize("model, mode", [(model, m) for model, fam in FAMILIES.items() for m in fam.modes],
+                         ids=lambda x: getattr(x, "value", x))
+def test_fold_mode_accepts_the_sectors_the_old_domain_checks_accepted(model, mode):
+    """Every sector > 0 is the old per-family bound on alpha and beta, but at one ulp from alpha + beta = pi."""
+    moved = set()
+    for alpha, beta in _sector_pairs():
+        try:
+            FoldMode(model, mode, alpha, beta)
+            accepted = True
+        except OutOfRangeError as e:
+            accepted = False
+            assert f"alpha={alpha}, beta={beta} give sectors [" in str(e) or "fixed 60-degree" in str(e)
+        if accepted != domain_oracle.ACCEPTS[model](alpha, beta):
+            moved.add((alpha, beta))
+    assert moved == (ONE_ULP if domain_oracle.ACCEPTS[model] is domain_oracle.wedge else set())
+    for alpha, beta in moved:
+        assert alpha + beta == PI and PI - alpha - beta > 0.0
+        with pytest.raises(DomainError, match="creases must be in counterclockwise order"):
+            FoldMode(model, mode, alpha, beta).pattern
+
+
 # --- batched family solves ---------------------------------------------------------
 
 _BAD = [math.nan, math.inf, -math.inf, 4.0, -3.2, PI + 1e-9]  # drives outside [-pi, pi]
@@ -804,7 +851,7 @@ def _drive_corpus(model: FoldModel, mode: FoldMode) -> np.ndarray:
 def _batch_cases():
     for model, fam in FAMILIES.items():
         for alpha, beta in ((60.0, 60.0), (55.0, 65.0)):
-            if fam.domain is None and alpha != 60.0:
+            if fam.sectors(FoldMode(model)) is None and alpha != 60.0:
                 continue
             for m in fam.modes:
                 yield FoldMode(model, m, math.radians(alpha), math.radians(beta))
@@ -923,5 +970,5 @@ def test_batched_solve_vectors_close(mode):
     fam = FAMILIES[mode.model]
     sol = fam.solve(mode, _drive_corpus(mode.model, mode))
     assert len(sol.vectors)
-    sectors = fam.pattern(mode).sector_angles
+    sectors = mode.pattern.sector_angles
     assert max(_own_residual(sectors, v) for v in sol.vectors) < 1e-8

@@ -401,7 +401,7 @@ def _census_cases():
     """Every family and mode at 60/60 degrees, and at 50/70 where its sectors may vary."""
     for alpha, beta in ((60.0, 60.0), (50.0, 70.0)):
         for model, fam in FAMILIES.items():
-            if fam.domain is not None or alpha == 60.0:
+            if fam.sectors(FoldMode(model)) is not None or alpha == 60.0:
                 yield from (FoldMode(model, m, math.radians(alpha), math.radians(beta)) for m in fam.modes)
 
 
@@ -422,7 +422,7 @@ def test_each_family_coloring_folds_with_the_family_dof(mode):
         labels: dict = {}
         vector = fam.solve(mode, np.array([[0.7]])).vectors[0]
         coloring = tuple(labels.setdefault(x, len(labels) + 1) for x in vector.tolist())
-    sol = symmetric_mode_solve(fam.pattern(mode), coloring)
+    sol = symmetric_mode_solve(mode.pattern, coloring)
     free = len(fam.drives) - (fam.curve is not None)
     assert sol.foldable, coloring
     if mode.model is FoldModel.IGLOO1DOF:

@@ -108,7 +108,7 @@ def _counts(model: FoldModel, n: int, obj: bool = False) -> tuple[int, ...]:
     """Sample and valid counts of a sweep, and with ``obj`` the samples its obj export skips."""
     mode = FoldMode(model)
     samples = sweep_model(mode, n)
-    skipped = (samples_to_obj(samples, FAMILIES[model].pattern(mode))[1],) if obj else ()
+    skipped = (samples_to_obj(samples, mode.pattern)[1],) if obj else ()
     return len(samples), int(samples.valid.sum()), *skipped
 
 

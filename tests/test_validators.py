@@ -21,17 +21,19 @@ from rigidfold.second_order_rigidity import first_order_matrix, second_order_mat
 from rigidfold.symmetry_enumeration import canonical_form, enumerate_patterns
 
 PI = math.pi
-SECTORS = "need alpha, beta > 0 with alpha + beta < pi: 2.0, 1.5"
+SECTORS = "needs every sector > 0: alpha=2.0, beta=1.5 give sectors [2.0, 1.5, -0.3584073464102069"
 VELOCITIES = "expected 6 velocities, got shape (5,)"
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: opposites_pattern(2.0, 1.5), OutOfRangeError, SECTORS),
-    (lambda: igloo_pattern(2.0, 1.5), OutOfRangeError, SECTORS),
+    (lambda: opposites_pattern(2.0, 1.5), OutOfRangeError, "opposites " + SECTORS + ", 2.0, 1.5, -0.358"),
+    (lambda: igloo_pattern(2.0, 1.5), OutOfRangeError, "igloo " + SECTORS + ", -0.358"),
     (lambda: pleat_multiplier(0.0), OutOfRangeError, "pleat sector must lie in (0, pi), got 0.0"),
     (lambda: pleat_multiplier(PI), OutOfRangeError, f"pleat sector must lie in (0, pi), got {PI}"),
     (lambda: bowtie_pattern(0.5, 3), OutOfRangeError, "mode must be 1 or 2, got 3"),
     (lambda: bowtie_multiplier(0.5, 3), OutOfRangeError, "mode must be 1 or 2, got 3"),
+    (lambda: bowtie_pattern(0.5, 1.0), OutOfRangeError, "bowtie mode must be 1 or 2, got 1.0"),
+    (lambda: bowtie_multiplier(0.5, 1.0), OutOfRangeError, "bowtie mode must be 1 or 2, got 1.0"),
     (lambda: degree4_multipliers(PI - 1e-13, 1e-13), SingularParameterError, "degenerate sector pair alpha="),
     (lambda: closure_residual(g60(), [[0.0] * 6]), DomainError, "folding angles must form a 1-d sequence"),
     (lambda: closure_residual(g60(), [0.0] * 5), DomainError, "expected 6 folding angles, got 5"),
@@ -45,7 +47,7 @@ VELOCITIES = "expected 6 velocities, got shape (5,)"
     (lambda: second_order_matrix(g60(), [0.0] * 5), OutOfRangeError, VELOCITIES),
     (lambda: solve_modes(g60(), [(1,) * 5]), OutOfRangeError, "coloring length 5 != 6 creases"),
 ], ids=["opposites_pattern", "igloo_pattern", "pleat_multiplier-0", "pleat_multiplier-pi", "bowtie_pattern",
-        "bowtie_multiplier", "degree4_multipliers", "closure_residual-2d", "closure_residual-5",
+        "bowtie_multiplier", "bowtie_pattern-float", "bowtie_multiplier-float", "degree4_multipliers", "closure_residual-2d", "closure_residual-5",
         "folded_frames-1d", "Samples", "canonical_form", "enumerate_patterns-0", "enumerate_patterns-7",
         "first_order_matrix", "second_order_matrix", "solve_modes"])
 def test_a_public_validator_refuses_its_bad_input(call, error, message):
