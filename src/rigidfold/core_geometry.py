@@ -25,14 +25,6 @@ _I3.setflags(write=False)
 _CROSS_SLOTS, _CROSS_AXES, _CROSS_SIGNS = [1, 2, 3, 5, 6, 7], [2, 1, 2, 0, 1, 0], np.array([-1.0, 1, 1, -1, -1, 1])
 
 
-def _rodrigues(cross: np.ndarray, outer: np.ndarray, c, s) -> np.ndarray:
-    """c I + s K + (1 - c) u u^T: the rotation by the angle with cosine c and sine s.
-
-    c and s are scalars, or (N, 1, 1) arrays for a stack of N rotations.
-    """
-    return c * _I3 + s * cross + (1.0 - c) * outer
-
-
 def wrap_angles(rho: np.ndarray) -> np.ndarray:
     """Wrap into [-pi, pi], elementwise, as a new float array; values already in [-pi, pi] pass
     through (-pi stays -pi), and only the others (NaN too) go through arctan2(sin, cos)."""
@@ -163,6 +155,20 @@ def g60() -> CreasePattern:
     return _G60
 
 
+_BLOCK_ROWS = 2048  # rows per Rodrigues build: a block's rotations (0.9 MB at m = 6) stay in cache, a batch's not
+
+
+@functools.lru_cache(maxsize=64)
+def _crease_index(creases: tuple, n: int):
+    """Crease indices as a slice where they step by +1 or -1 within 0..n-1, as every order the package
+    uses does, so the crease tables are read as views, not fancy-index copies; any other order as a read-only array."""
+    first, last = creases[0], creases[-1]
+    step = 1 if last >= first else -1
+    if 0 <= min(first, last) and max(first, last) < n and creases == tuple(range(first, last + step, step)):
+        return slice(first, last + step if last + step >= 0 else None, step)
+    return _read_only(np.array(creases, dtype=np.intp))
+
+
 def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool = False) -> np.ndarray:
     """Batched products of crease rotations, each built by Rodrigues' formula.
 
@@ -170,25 +176,38 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
     R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
     indices ``creases`` (default: the whole fan in order, m = n).  Returns
     the (N, 3, 3) products, identities when m = 0; with ``frames`` the
-    (N, m, 3, 3) running products instead.  Without frames only the running
-    product is kept, so memory stays O(N).  Rows are independent: a row
-    gives the same bits whatever else is in the batch.
+    (N, m, 3, 3) running products instead.  The m rotations c I + s K + (1 - c) u u^T
+    of a block of ``_BLOCK_ROWS`` rows are built at once, crease-major, summed in that
+    order, and multiplied one crease at a time, so memory stays O(N) without frames.
+    Rows are independent: a row gives the same bits whatever else is in the batch,
+    on either side of a block edge.
     """
     rho = np.asarray(angles, dtype=float)
-    order = range(pattern.n) if creases is None else creases
-    if rho.ndim != 2 or rho.shape[1] != len(order):
-        raise DomainError(f"expected an (N, {len(order)}) angle array, got shape {rho.shape}")
-    c = np.cos(rho)[:, :, None, None]
-    s = np.sin(rho)[:, :, None, None]
-    out = np.empty(rho.shape + (3, 3)) if frames else None
-    acc = np.tile(_I3, (len(rho), 1, 1)) if len(order) == 0 else None
-    for j, k in enumerate(order):
-        rot = _rodrigues(pattern.cross[k], pattern.outer[k], c[:, j], s[:, j])
-        acc = rot if acc is None else acc @ rot
-        if frames:
-            out[:, j] = acc
-    return out if frames else acc
-
+    m = pattern.n if creases is None else len(creases)
+    if rho.ndim != 2 or rho.shape[1] != m:
+        raise DomainError(f"expected an (N, {m}) angle array, got shape {rho.shape}")
+    if m == 0:
+        return np.empty((len(rho), 0, 3, 3)) if frames else np.tile(_I3, (len(rho), 1, 1))
+    index = slice(None) if creases is None else _crease_index(tuple(creases), pattern.n)
+    cross, outer = pattern.cross[index, None], pattern.outer[index, None]  # (m, 1, 3, 3)
+    c, s = np.cos(rho).T[:, :, None, None], np.sin(rho).T[:, :, None, None]  # (m, N, 1, 1)
+    out = np.empty((len(rho), m, 3, 3)) if frames else np.empty((len(rho), 3, 3)) if len(rho) > _BLOCK_ROWS else None
+    for lo in range(0, max(len(rho), 1), _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        cb = c[:, block]
+        rot = np.multiply(cb, _I3, out=np.empty((m, cb.shape[1], 3, 3)))  # crease-major
+        term = np.multiply(s[:, block], cross, out=np.empty_like(rot))
+        rot += term
+        rot += np.multiply(1.0 - cb, outer, out=term)
+        run = out[block].transpose(1, 0, 2, 3) if frames else term  # the running products, crease-major
+        run[0] = rot[0]
+        for j in range(1, m):
+            np.matmul(run[j - 1], rot[j], out=run[j])
+        if out is None:  # one block: its product is the result
+            return run[-1]
+        if not frames:
+            out[block] = run[-1]
+    return out
 
 def _distance_from_identity(products: np.ndarray) -> np.ndarray:
     """Frobenius distance of each 3x3 matrix from the identity."""

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core_geometry import (
     CreasePattern,
+    _read_only,
     check_fold_angle,
     closure_residuals,
     g60,
@@ -99,7 +100,7 @@ class FoldMode:
         object.__setattr__(self, "mode", int(mode))  # a numpy integer is kept as the int it equals
         sectors = fam.sectors(self)
         if sectors is None:
-            if abs(self.alpha - PI / 3) > ROUNDOFF or abs(self.beta - PI / 3) > ROUNDOFF:
+            if not (abs(self.alpha - PI / 3) <= ROUNDOFF and abs(self.beta - PI / 3) <= ROUNDOFF):  # NaN fails
                 raise OutOfRangeError(f"{self.model.value} has fixed 60-degree sectors")
         elif not all(s > 0.0 for s in sectors):  # NaN and infinities fail too
             raise OutOfRangeError(f"{self.model.value} needs every sector > 0: alpha={self.alpha}, "
@@ -234,6 +235,11 @@ def degree4_pattern(alpha: float, beta: float) -> CreasePattern:
 def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
     """The two constant half-angle tangent ratios p and q of the vertex."""
     FoldMode(FoldModel.DEGREE4, 1, alpha, beta)
+    return _degree4_multipliers(alpha, beta)
+
+
+def _degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
+    """``degree4_multipliers`` of sectors a ``FoldMode`` has checked."""
     cd = math.cos(0.5 * (alpha - beta))
     ss = math.sin(0.5 * (alpha + beta))
     if abs(cd) < ROUNDOFF or abs(ss) < ROUNDOFF:
@@ -243,7 +249,7 @@ def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
 
 def _degree4_rows(alpha: float, beta: float, mode: int, drive):
     """The four crease columns of the mode and their reasons; elementwise in the drive."""
-    p, q = degree4_multipliers(alpha, beta)
+    p, q = _degree4_multipliers(alpha, beta)
     if mode == 1:
         rho1 = _tan_half_scaled(p, drive)
         return (rho1, drive, -rho1, drive), SOLVED
@@ -274,7 +280,11 @@ def trifold_pattern(beta: float) -> CreasePattern:
 
 def trifold_multiplier(beta: float) -> float:
     """Quarter-angle tangent ratio tan(rho1/4)/tan(rho2/4) of the trifold."""
-    FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, beta)
+    return _trifold_multiplier(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, beta).beta)
+
+
+def _trifold_multiplier(beta: float) -> float:
+    """``trifold_multiplier`` of a sector a ``FoldMode`` has checked."""
     rad = 2.0 * math.sin(beta) * (math.sqrt(3.0) * math.cos(beta) + math.sin(beta))
     return -(math.cos(beta) + math.sqrt(3.0) * math.sin(beta) + math.sqrt(rad))
 
@@ -287,7 +297,7 @@ def _trifold_companion(m: float, drive):
 
 def _trifold_rows(beta: float, mode: int, drive):
     """Trifold (rho1, rho2) and their reasons; elementwise in the drive."""
-    other, outside = _trifold_companion(trifold_multiplier(beta), drive)
+    other, outside = _trifold_companion(_trifold_multiplier(beta), drive)
     return (other, drive) if mode == 1 else (drive, other), np.where(outside, OUT_OF_RANGE, SOLVED)
 
 
@@ -298,12 +308,17 @@ def trifold(beta: float, mode: int, rho_drive: float) -> tuple[float, float]:
 
 
 def trifold_drive_limit(beta: float) -> float:
-    """Largest |drive| whose companion angle stays inside [-pi, pi].
+    """Largest |drive| whose companion angle stays inside [-pi, pi]."""
+    return _trifold_drive_limit(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, beta).beta)
+
+
+def _trifold_drive_limit(beta: float) -> float:
+    """``trifold_drive_limit`` of a sector a ``FoldMode`` has checked.
 
     The companion reaches +/-pi where tan(drive/4) = 1/|m|; from there the
     bound steps to the last double the companion formula keeps inside.
     """
-    m = abs(trifold_multiplier(beta))
+    m = abs(_trifold_multiplier(beta))
     if m <= 1.0:
         return PI
     lim = 4.0 * math.atan(1.0 / m)
@@ -322,14 +337,17 @@ def bowtie_pattern(beta: float, mode: int) -> CreasePattern:
 
 
 def bowtie_multiplier(beta: float, mode: int) -> float:
-    if FoldMode(FoldModel.BOWTIE, mode, PI / 3.0, beta).mode == 1:
-        return -math.cos(beta)
-    return -1.0 / (1.0 + 2.0 * math.cos(beta))
+    return _bowtie_multiplier(beta, FoldMode(FoldModel.BOWTIE, mode, PI / 3.0, beta).mode)
+
+
+def _bowtie_multiplier(beta: float, mode: int) -> float:
+    """``bowtie_multiplier`` of a mode a ``FoldMode`` has checked."""
+    return -math.cos(beta) if mode == 1 else -1.0 / (1.0 + 2.0 * math.cos(beta))
 
 
 def _bowtie_rows(beta: float, mode: int, rho1):
     """Bow-tie (rho1, rho2) and their reasons; elementwise in rho1."""
-    return (rho1, _tan_half_scaled(bowtie_multiplier(beta, mode), rho1)), SOLVED
+    return (rho1, _tan_half_scaled(_bowtie_multiplier(beta, mode), rho1)), SOLVED
 
 
 def bowtie(beta: float, mode: int, rho1: float) -> float:
@@ -586,19 +604,25 @@ def _two_pair_roots(t) -> np.ndarray:
     return np.divide(1.0, z, out=z, where=rev)
 
 
-def two_pair_node_loop(n: int) -> np.ndarray:
-    """(n, 2) distinct (rho1, rho2) pairs around the figure-eight through (0, 0), from (0, 0) on.
-
-    One ``eigvals`` call on a rho1 grid over (0, R*) lays out the loop by symmetry, as ``trace`` walks it; a
-    second solves each arclength target where |slope| <= 1.  For even n the targets past halfway, where the
-    loop recrosses the node, move on by half a spacing.
-    """
+@functools.cache
+def _node_loop_polyline() -> tuple[np.ndarray, np.ndarray]:
+    """The node loop as a read-only polyline from (0, 0) on, and the arclength at each of its points."""
     z = _two_pair_roots(_LOOP_T)
     t2 = np.sort(np.where((z.imag == 0.0) & (z.real >= 0.0) & (z.real <= _LOOP_T[:, None]), z.real, np.inf), axis=1)
     arc = 2.0 * np.arctan(np.concatenate([[[0.0, 0.0]], np.column_stack([_LOOP_T, t2[:, 0]]),  # node to diagonal
                                           np.column_stack([_LOOP_T, t2[:, 1]])[t2[:, 1] < np.inf][::-1]]))
     loop = np.concatenate([-arc, -arc[::-1, ::-1], arc[1:, ::-1], arc[::-1]])  # lobe III, lobe I
-    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(loop, axis=0).T))])
+    return _read_only(loop), _read_only(np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(loop, axis=0).T))]))
+
+
+def two_pair_node_loop(n: int) -> np.ndarray:
+    """(n, 2) distinct (rho1, rho2) pairs around the figure-eight through (0, 0), from (0, 0) on.
+
+    One ``eigvals`` call on a rho1 grid over (0, R*), made once per process, lays out the loop by symmetry, as
+    ``trace`` walks it; one more per call solves each arclength target where |slope| <= 1.  For even n the
+    targets past halfway, where the loop recrosses the node, move on by half a spacing.
+    """
+    loop, s = _node_loop_polyline()
     k = np.arange(n)
     target = (k + 0.5 * (n % 2 == 0) * (k >= n // 2)) * s[-1] / n
     d = np.abs(np.diff(loop, axis=0))[np.searchsorted(s, target, side="right") - 1]  # of each target's segment
@@ -617,8 +641,9 @@ def two_pair_solve(rho1, rho2) -> Solved:
     one four-crease product M gives both angles: rho3 turns c6 into M c6
     about c5, and -rho4 turns c5 into M^T c5 about c6.  So every drive has at
     most one row, kept when its full vector closes below ``DEFAULT_TOL``; the
-    flat pair (0, 0) completes to exactly (0, 0).  Reasons: ``OFF_CURVE`` when the pair's curve defect
-    exceeds ``ON_CURVE``, ``NO_COMPLETION`` when the completion does not close below ``DEFAULT_TOL``.
+    flat pair (0, 0) completes to exactly (0, 0).  As R1 R2 R3 R4 is orthogonal, the closure residual
+    |R1 ... R6 - I| is |R5 R6 - M|, so the check rotates about two creases, not six.  Reasons: ``OFF_CURVE``
+    when the pair's curve defect exceeds ``ON_CURVE``, ``NO_COMPLETION`` when the completion does not close.
     """
     (r1, r2), bad = _drive_columns(rho1, rho2)
     off = ~bad & ~(np.abs(two_pair_curve_residual(r1, r2)) <= ON_CURVE)
@@ -631,7 +656,8 @@ def two_pair_solve(rho1, rho2) -> Solved:
     rho3 = np.arctan2((m6 * _SIN3).sum(axis=1), (m6 * _COS3).sum(axis=1))
     rho4 = -np.arctan2((m5 * _SIN4).sum(axis=1), (m5 * _COS4).sum(axis=1))
     vecs = FAMILIES[FoldModel.TWOPAIR].vector(r1, r2, np.where(flat, 0.0, rho3), np.where(flat, 0.0, rho4))
-    keep = live & ((closure_residuals(g60(), vecs) < DEFAULT_TOL) | flat)
+    last = rotation_products(g60(), vecs[:, 4:], creases=(4, 5))  # R5 R6; rho3 and rho4 are wrapped already
+    keep = live & ((np.sqrt(np.square(last - M).sum(axis=(1, 2))) < DEFAULT_TOL) | flat)
     reason = np.where(bad, OUT_OF_RANGE, np.where(off, OFF_CURVE, np.where(keep, SOLVED, NO_COMPLETION)))
     return Solved(vecs[keep], np.flatnonzero(keep), reason)
 
@@ -738,7 +764,7 @@ FAMILIES: dict[FoldModel, Family] = {
     FoldModel.TRIFOLD: Family(
         sectors=lambda f: [f.beta, 2.0 * PI / 3.0 - f.beta] * 3, coloring=(1, 2, 1, 2, 1, 2),
         solve=_batched(lambda f, x: _trifold_rows(f.beta, f.mode, x)),
-        drives=("drive",), modes=(1, 2), limit=lambda alpha, beta: trifold_drive_limit(beta)),
+        drives=("drive",), modes=(1, 2), limit=lambda alpha, beta: _trifold_drive_limit(beta)),
     FoldModel.BOWTIE: Family(
         sectors=lambda f: ([PI - 2.0 * f.beta, f.beta, f.beta] if f.mode == 1
                            else [f.beta, PI - 2.0 * f.beta, f.beta]) * 2, coloring=(1, 1, 2, 1, 1, 2),
@@ -784,7 +810,7 @@ def resch_fold(t: float) -> dict[str, np.ndarray]:
     rho3) they share with their neighbors.  All vertices sit on 60-degree
     patterns.
     """
-    limit = trifold_drive_limit(PI / 3.0)
+    limit = _trifold_drive_limit(PI / 3.0)
     if not abs(t) <= limit + ROUNDOFF:
         raise OutOfRangeError(f"drive {t} outside reachable interval [-{limit}, {limit}]")
     center = FAMILIES[FoldModel.TRIFOLD].fold(FoldMode(FoldModel.TRIFOLD), (t,))[0]

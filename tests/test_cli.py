@@ -232,6 +232,11 @@ DOMAIN_ERRORS = [
     (["fold", "twopair", "--beta", "50", "--rho1", "0", "--rho2", "0"], "fixed 60-degree sectors"),
     (["sweep", "twopair", "--alpha", "70", "-n", "4"], "fixed 60-degree sectors"),
     (["export", "{samples}", "--model", "general", "--alpha", "70"], "fixed 60-degree sectors"),
+    (["fold", "general", "--alpha", "nan", "--rho4", "0.1", "--rho5", "0.2", "--rho6", "0.3"],
+     "general has fixed 60-degree sectors"),
+    (["sweep", "twopair", "--beta", "nan", "-n", "3"], "twopair has fixed 60-degree sectors"),
+    (["fold", "almost-general", "--alpha", "nan", "--rho4", "0.1", "--rho5", "0.2"],
+     "almost-general has fixed 60-degree sectors"),
     (["fold", "bowtie", "--beta", "100", "--drive", "0.5"],
      "bowtie needs every sector > 0: alpha=1.0471975511965976, beta=1.7453292519943295 give sectors [-0.349"),
     (["fold", "opposites", "--mode", "9", "--rho1", "0.1", "--rho2", "0.2"], "mode must be 1,"),
@@ -329,6 +334,21 @@ def test_sweep_builds_its_crease_pattern_once(tmp_path, capsys, monkeypatch, fmt
     monkeypatch.setattr(CreasePattern, "from_sectors", classmethod(lambda cls, s: built.append(1) or real(s)))
     assert run(capsys, "sweep", "trifold", "--beta", "50", "-n", "4", "-o", str(tmp_path / f"s.{fmt}"))[0] == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fold", "trifold", "--drive", "0.3"],
+    ["fold", "degree4", "--drive", "0.3"],
+    ["fold", "bowtie", "--drive", "0.3"],
+    ["sweep", "trifold", "-n", "4"],
+    ["fold", "general", "--rho4", "0.1", "--rho5", "0.2", "--rho6", "0.3"],
+], ids=" ".join)
+def test_a_command_checks_its_sectors_once(capsys, monkeypatch, argv):
+    """The batched solves read their multipliers from the command's checked FoldMode, without building another."""
+    checks, real = [], FoldMode.__post_init__
+    monkeypatch.setattr(FoldMode, "__post_init__", lambda self: checks.append(self) or real(self))
+    assert run(capsys, *argv)[0] == 0
+    assert len(checks) == 1
 
 
 def test_trace_warns_when_it_does_not_close(tmp_path, capsys):

@@ -23,6 +23,7 @@ from rigidfold.core_geometry import (
 )
 from rigidfold.errors import DomainError, NotClosedError
 from rigidfold.fold_models import bowtie_pattern, general_solve, trifold_pattern
+from rotation_oracle import rotation_products_by_crease
 from triangle_oracle import triangle_self_intersects, triangles_interiors_intersect
 
 # a 6-vector that closes on g60: trifold line at beta = 60 degrees,
@@ -367,6 +368,44 @@ def test_g60_is_one_read_only_pattern():
     with pytest.raises(ValueError):
         g60().sector_angles[0] = 1.0
     assert g60().creases[0, 0] == 1.0
+
+
+_SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300]
+
+
+def _assert_same_bits(pat, rho, creases=None):
+    for frames in (False, True):
+        got = rotation_products(pat, rho, creases=creases, frames=frames)
+        want = rotation_products_by_crease(pat, rho, creases=creases, frames=frames)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), (pat.sector_angles, rho.shape, creases, frames)
+
+
+def test_kernel_bits_equal_the_crease_at_a_time_product_on_fans():
+    """g60, seeded random fans and the reflex fan 2 pi [4, 1, 1, 1] / 7, at random and special angles."""
+    rng = np.random.default_rng(28)
+    fans = [g60(), CreasePattern.from_sectors(2.0 * math.pi * np.array([4.0, 1.0, 1.0, 1.0]) / 7.0)]
+    for n in (3, 5, 6, 8):
+        weights = rng.uniform(0.3, 1.0, n)
+        fans.append(CreasePattern.from_sectors(2.0 * math.pi * weights / weights.sum()))
+    for pat in fans:
+        rho = rng.uniform(-math.pi, math.pi, (300, pat.n))
+        rho[:40] = rng.choice(_SPECIAL_ANGLES, (40, pat.n))
+        _assert_same_bits(pat, rho)
+        _assert_same_bits(pat, rho[:, ::-1], creases=range(pat.n - 1, -1, -1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 16, 700, 2047, 2048, 2049, 5000])
+def test_kernel_bits_equal_the_crease_at_a_time_product_across_blocks(n):
+    """Every crease order the package uses, orders that do not step by one, both frames settings, and row counts
+    on both sides of a block edge."""
+    rng = np.random.default_rng(n)
+    for creases in (None, (5, 4, 3), (0, 1, 2), (3, 2, 1, 0), (4, 5), (3,), (), (5, 0, 2), (2, 2), (-1, 0)):
+        m = 6 if creases is None else len(creases)
+        rho = rng.uniform(-math.pi, math.pi, (n, m))
+        rho.flat[:60] = np.resize(_SPECIAL_ANGLES, min(60, rho.size))
+        _assert_same_bits(g60(), rho, creases)
+    _assert_same_bits(g60(), np.asfortranarray(rng.uniform(-math.pi, math.pi, (n, 6))))  # a strided angle array
 
 
 def test_an_empty_chain_is_the_identity():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import domain_oracle
 from general_oracle import general_c3_image, general_rho2, general_solve_full_closure, general_solve_reference
 from rigidfold import fold_models
-from rigidfold.config_space import trace_implicit_curve
+from rigidfold.config_space import sweep_model, trace_implicit_curve
 from rigidfold.core_geometry import closure_residual, closure_residuals, g60, rotation_products, wrap_angles
 from rigidfold.errors import (
     BranchAmbiguityError,
@@ -67,6 +67,7 @@ from rigidfold.fold_models import (
     two_pair_quartic,
     two_pair_solve,
 )
+from two_pair_oracle import node_loop_one_call, two_pair_solve_six_creases
 
 PI = math.pi
 SQRT3 = math.sqrt(3.0)
@@ -591,6 +592,51 @@ def test_two_pair_solve_completes_every_node_loop_drive_once(n):
     assert closure_residuals(G, sol.vectors).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", [*range(2, 201), 1000])
+def test_two_pair_node_loop_bits_equal_the_one_call_layout(n):
+    assert two_pair_node_loop(n).tobytes() == node_loop_one_call(n).tobytes()
+
+
+def test_the_node_loop_polyline_is_read_only():
+    loop, s = fold_models._node_loop_polyline()
+    for table in (loop, s):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+def test_a_second_two_pair_sweep_lays_out_no_loop(monkeypatch):
+    """The polyline is solved on the first sweep of a process only; each sweep then solves its own targets."""
+    calls, real = [], fold_models._two_pair_roots
+    monkeypatch.setattr(fold_models, "_two_pair_roots", lambda t: calls.append(len(t)) or real(t))
+    fold_models._node_loop_polyline.cache_clear()
+    mode = FoldMode(FoldModel.TWOPAIR)
+    first = sweep_model(mode, 16)
+    assert len(calls) == 2
+    second = sweep_model(mode, 16)
+    assert calls[2:] == [16] and first == second
+
+
+def _two_pair_drive_sets() -> list[np.ndarray]:
+    """Node loops, the CI's trace walks, and drives off the curve or outside [-pi, pi]."""
+    walks = [trace_implicit_curve(two_pair_curve_residual, seed, step=step, gradient=two_pair_curve_gradient)
+             for seed, step in [((0.0, 0.0), 0.02), ((0.0, 0.0), 0.05), ((0.0, 0.0), 0.2),
+                                ((PI, math.acos(1.0 / 3.0)), 0.05)]]
+    rng = np.random.default_rng(28)
+    outside = [(4.0, 0.0), (0.0, -3.5), (math.nan, 0.0), (0.0, math.inf), (PI + 1e-9, 0.0), (PI, 1.2309594173407747)]
+    return ([two_pair_node_loop(n) for n in (*range(2, 201), 1000)]
+            + [w for t in walks for w in (t.samples.rho, wrap_angles(t.samples.rho))]
+            + [rng.uniform(-PI, PI, (300, 2)), np.array(outside)])
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12, 0.0])
+def test_two_pair_solve_keeps_the_rows_of_the_six_crease_check(tol, monkeypatch):
+    """|R5 R6 - M| and the six-crease residual keep the same drives and give the same reasons."""
+    monkeypatch.setattr(fold_models, "DEFAULT_TOL", tol)
+    for drives in _two_pair_drive_sets():
+        got, want = two_pair_solve(*drives.T), two_pair_solve_six_creases(*drives.T)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 # --- general and almost general -------------------------------------------------
 
 def test_general_x_identity():
@@ -799,8 +845,9 @@ ONE_ULP = {(PI / 3.0, 2.0 * PI / 3.0), (2.0 * PI / 3.0, PI / 3.0), (1.5707963267
 @pytest.mark.parametrize("model, mode", [(model, m) for model, fam in FAMILIES.items() for m in fam.modes],
                          ids=lambda x: getattr(x, "value", x))
 def test_fold_mode_accepts_the_sectors_the_old_domain_checks_accepted(model, mode):
-    """Every sector > 0 is the old per-family bound on alpha and beta, but at one ulp from alpha + beta = pi."""
-    moved = set()
+    """Every sector > 0 is the old per-family bound on alpha and beta, but at one ulp from alpha + beta = pi;
+    the fixed 60-degree check is the old one, but that it refuses the NaN sectors the old one let through."""
+    moved, old = set(), domain_oracle.ACCEPTS[model]
     for alpha, beta in _sector_pairs():
         try:
             FoldMode(model, mode, alpha, beta)
@@ -808,9 +855,13 @@ def test_fold_mode_accepts_the_sectors_the_old_domain_checks_accepted(model, mod
         except OutOfRangeError as e:
             accepted = False
             assert f"alpha={alpha}, beta={beta} give sectors [" in str(e) or "fixed 60-degree" in str(e)
-        if accepted != domain_oracle.ACCEPTS[model](alpha, beta):
+        if accepted != old(alpha, beta):
             moved.add((alpha, beta))
-    assert moved == (ONE_ULP if domain_oracle.ACCEPTS[model] is domain_oracle.wedge else set())
+    if old is domain_oracle.fixed_60:
+        nan = {(a, b) for a, b in _sector_pairs() if math.isnan(a + b) and old(a, b)}
+        assert nan and moved == nan
+        return
+    assert moved == (ONE_ULP if old is domain_oracle.wedge else set())
     for alpha, beta in moved:
         assert alpha + beta == PI and PI - alpha - beta > 0.0
         with pytest.raises(DomainError, match="creases must be in counterclockwise order"):

@@ -10,6 +10,8 @@ from rigidfold.config_space import Samples
 from rigidfold.core_geometry import closure_residual, folded_frames, g60
 from rigidfold.errors import DomainError, OutOfRangeError, SingularParameterError
 from rigidfold.fold_models import (
+    FoldMode,
+    FoldModel,
     bowtie_multiplier,
     bowtie_pattern,
     degree4_multipliers,
@@ -34,6 +36,10 @@ VELOCITIES = "expected 6 velocities, got shape (5,)"
     (lambda: bowtie_multiplier(0.5, 3), OutOfRangeError, "mode must be 1 or 2, got 3"),
     (lambda: bowtie_pattern(0.5, 1.0), OutOfRangeError, "bowtie mode must be 1 or 2, got 1.0"),
     (lambda: bowtie_multiplier(0.5, 1.0), OutOfRangeError, "bowtie mode must be 1 or 2, got 1.0"),
+    (lambda: FoldMode(FoldModel.FULLY_GENERAL, 1, math.nan), OutOfRangeError, "general has fixed 60-degree sectors"),
+    (lambda: FoldMode(FoldModel.TWOPAIR, 1, PI / 3, math.nan), OutOfRangeError, "twopair has fixed 60-degree sectors"),
+    (lambda: FoldMode(FoldModel.ALMOST_GENERAL, 1, math.nan, math.nan), OutOfRangeError,
+     "almost-general has fixed 60-degree sectors"),
     (lambda: degree4_multipliers(PI - 1e-13, 1e-13), SingularParameterError, "degenerate sector pair alpha="),
     (lambda: closure_residual(g60(), [[0.0] * 6]), DomainError, "folding angles must form a 1-d sequence"),
     (lambda: closure_residual(g60(), [0.0] * 5), DomainError, "expected 6 folding angles, got 5"),
@@ -47,7 +53,9 @@ VELOCITIES = "expected 6 velocities, got shape (5,)"
     (lambda: second_order_matrix(g60(), [0.0] * 5), OutOfRangeError, VELOCITIES),
     (lambda: solve_modes(g60(), [(1,) * 5]), OutOfRangeError, "coloring length 5 != 6 creases"),
 ], ids=["opposites_pattern", "igloo_pattern", "pleat_multiplier-0", "pleat_multiplier-pi", "bowtie_pattern",
-        "bowtie_multiplier", "bowtie_pattern-float", "bowtie_multiplier-float", "degree4_multipliers", "closure_residual-2d", "closure_residual-5",
+        "bowtie_multiplier", "bowtie_pattern-float", "bowtie_multiplier-float", "FoldMode-general-nan",
+        "FoldMode-twopair-nan", "FoldMode-almost-general-nan", "degree4_multipliers", "closure_residual-2d",
+        "closure_residual-5",
         "folded_frames-1d", "Samples", "canonical_form", "enumerate_patterns-0", "enumerate_patterns-7",
         "first_order_matrix", "second_order_matrix", "solve_modes"])
 def test_a_public_validator_refuses_its_bad_input(call, error, message):
