@@ -155,32 +155,18 @@ def g60() -> CreasePattern:
     return _G60
 
 
-_BLOCK_ROWS = 2048  # rows per Rodrigues build: a block's rotations (0.9 MB at m = 6) stay in cache, a batch's not
-
-
-@functools.lru_cache(maxsize=64)
-def _crease_index(creases: tuple, n: int):
-    """Crease indices as a slice where they step by +1 or -1 within 0..n-1, as every order the package
-    uses does, so the crease tables are read as views, not fancy-index copies; any other order as a read-only array."""
-    first, last = creases[0], creases[-1]
-    step = 1 if last >= first else -1
-    if 0 <= min(first, last) and max(first, last) < n and creases == tuple(range(first, last + step, step)):
-        return slice(first, last + step if last + step >= 0 else None, step)
-    return _read_only(np.array(creases, dtype=np.intp))
+_BLOCK_ROWS = 2048  # rows per Rodrigues build, so a large batch's temporaries stay bounded; not tuned
 
 
 def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool = False) -> np.ndarray:
     """Batched products of crease rotations, each built by Rodrigues' formula.
 
-    ``angles`` is an (N, m) array.  Row r gives the product
-    R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
-    indices ``creases`` (default: the whole fan in order, m = n).  Returns
-    the (N, 3, 3) products, identities when m = 0; with ``frames`` the
-    (N, m, 3, 3) running products instead.  The m rotations c I + s K + (1 - c) u u^T
-    of a block of ``_BLOCK_ROWS`` rows are built at once, crease-major, summed in that
-    order, and multiplied one crease at a time, so memory stays O(N) without frames.
-    Rows are independent: a row gives the same bits whatever else is in the batch,
-    on either side of a block edge.
+    ``angles`` is an (N, m) array.  Row r gives the product R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1])
+    over the crease indices ``creases`` (default: the whole fan in order, m = n).  Returns the (N, 3, 3) products,
+    identities when m = 0; with ``frames`` the (N, m, 3, 3) running products instead.  The m rotations
+    c I + s K + (1 - c) u u^T of a block of ``_BLOCK_ROWS`` rows are built at once, summed in that order, and
+    multiplied one crease at a time, so memory stays O(N) without frames.  Rows are independent: a row gives
+    the same bits whatever else is in the batch, on either side of a block edge.
     """
     rho = np.asarray(angles, dtype=float)
     m = pattern.n if creases is None else len(creases)
@@ -188,30 +174,29 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
         raise DomainError(f"expected an (N, {m}) angle array, got shape {rho.shape}")
     if m == 0:
         return np.empty((len(rho), 0, 3, 3)) if frames else np.tile(_I3, (len(rho), 1, 1))
-    index = slice(None) if creases is None else _crease_index(tuple(creases), pattern.n)
-    cross, outer = pattern.cross[index, None], pattern.outer[index, None]  # (m, 1, 3, 3)
-    c, s = np.cos(rho).T[:, :, None, None], np.sin(rho).T[:, :, None, None]  # (m, N, 1, 1)
-    out = np.empty((len(rho), m, 3, 3)) if frames else np.empty((len(rho), 3, 3)) if len(rho) > _BLOCK_ROWS else None
-    for lo in range(0, max(len(rho), 1), _BLOCK_ROWS):
+    cross, outer = (pattern.cross, pattern.outer) if creases is None else (
+        pattern.cross.take(creases, axis=0), pattern.outer.take(creases, axis=0))  # (m, 3, 3)
+    c, s = np.cos(rho)[:, :, None, None], np.sin(rho)[:, :, None, None]  # (N, m, 1, 1)
+    out = np.empty((len(rho), m, 3, 3) if frames else (len(rho), 3, 3))
+    for lo in range(0, len(rho), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        cb = c[:, block]
-        rot = np.multiply(cb, _I3, out=np.empty((m, cb.shape[1], 3, 3)))  # crease-major
-        term = np.multiply(s[:, block], cross, out=np.empty_like(rot))
-        rot += term
-        rot += np.multiply(1.0 - cb, outer, out=term)
-        run = out[block].transpose(1, 0, 2, 3) if frames else term  # the running products, crease-major
-        run[0] = rot[0]
-        for j in range(1, m):
-            np.matmul(run[j - 1], rot[j], out=run[j])
-        if out is None:  # one block: its product is the result
-            return run[-1]
-        if not frames:
-            out[block] = run[-1]
+        rot = c[block] * _I3 + s[block] * cross + (1.0 - c[block]) * outer  # (rows, m, 3, 3)
+        if frames:
+            run = out[block]
+            run[:, 0] = rot[:, 0]
+            for j in range(1, m):
+                np.matmul(run[:, j - 1], rot[:, j], out=run[:, j])
+        else:
+            acc = rot[:, 0]
+            for j in range(1, m):
+                acc = acc @ rot[:, j]
+            out[block] = acc
     return out
 
-def _distance_from_identity(products: np.ndarray) -> np.ndarray:
-    """Frobenius distance of each 3x3 matrix from the identity."""
-    return np.sqrt(np.square(products - _I3).sum(axis=(-2, -1)))
+
+def _frobenius_distance(a: np.ndarray, b: np.ndarray = _I3) -> np.ndarray:
+    """Frobenius distance of each 3x3 matrix of ``a`` from ``b`` (the identity by default)."""
+    return np.sqrt(np.square(a - b).sum(axis=(-2, -1)))
 
 
 def closure_residuals(pattern: CreasePattern, angles) -> np.ndarray:
@@ -219,13 +204,13 @@ def closure_residuals(pattern: CreasePattern, angles) -> np.ndarray:
     rho = np.asarray(angles, dtype=float)
     if rho.ndim != 2:
         raise DomainError("folding-angle rows must form a 2-d array")
-    return _distance_from_identity(rotation_products(pattern, wrap_angles(rho)))
+    return _frobenius_distance(rotation_products(pattern, wrap_angles(rho)))
 
 
 def closure_residual(pattern: CreasePattern, angles) -> float:
     """Frobenius distance of the closure matrix from the identity."""
     rho = as_fold_angles(angles, pattern.n)
-    return float(_distance_from_identity(rotation_products(pattern, rho[None]))[0])
+    return float(_frobenius_distance(rotation_products(pattern, rho[None]))[0])
 
 
 @dataclass(frozen=True)
@@ -252,7 +237,7 @@ def folded_frames(pattern: CreasePattern, angles) -> tuple[np.ndarray, np.ndarra
     if rho.ndim != 2:
         raise DomainError("folding-angle rows must form a 2-d array")
     frames = rotation_products(pattern, wrap_angles(rho), frames=True)
-    return _distance_from_identity(frames[:, -1]), frames
+    return _frobenius_distance(frames[:, -1]), frames
 
 
 def crease_images(pattern: CreasePattern, frames: np.ndarray) -> np.ndarray:

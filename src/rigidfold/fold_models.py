@@ -26,6 +26,7 @@ import numpy as np
 
 from .core_geometry import (
     CreasePattern,
+    _frobenius_distance,
     _read_only,
     check_fold_angle,
     closure_residuals,
@@ -239,7 +240,6 @@ def degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
 
 
 def _degree4_multipliers(alpha: float, beta: float) -> tuple[float, float]:
-    """``degree4_multipliers`` of sectors a ``FoldMode`` has checked."""
     cd = math.cos(0.5 * (alpha - beta))
     ss = math.sin(0.5 * (alpha + beta))
     if abs(cd) < ROUNDOFF or abs(ss) < ROUNDOFF:
@@ -284,7 +284,6 @@ def trifold_multiplier(beta: float) -> float:
 
 
 def _trifold_multiplier(beta: float) -> float:
-    """``trifold_multiplier`` of a sector a ``FoldMode`` has checked."""
     rad = 2.0 * math.sin(beta) * (math.sqrt(3.0) * math.cos(beta) + math.sin(beta))
     return -(math.cos(beta) + math.sqrt(3.0) * math.sin(beta) + math.sqrt(rad))
 
@@ -308,16 +307,15 @@ def trifold(beta: float, mode: int, rho_drive: float) -> tuple[float, float]:
 
 
 def trifold_drive_limit(beta: float) -> float:
-    """Largest |drive| whose companion angle stays inside [-pi, pi]."""
-    return _trifold_drive_limit(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, beta).beta)
-
-
-def _trifold_drive_limit(beta: float) -> float:
-    """``trifold_drive_limit`` of a sector a ``FoldMode`` has checked.
+    """Largest |drive| whose companion angle stays inside [-pi, pi].
 
     The companion reaches +/-pi where tan(drive/4) = 1/|m|; from there the
     bound steps to the last double the companion formula keeps inside.
     """
+    return _trifold_drive_limit(FoldMode(FoldModel.TRIFOLD, 1, PI / 3.0, beta).beta)
+
+
+def _trifold_drive_limit(beta: float) -> float:
     m = abs(_trifold_multiplier(beta))
     if m <= 1.0:
         return PI
@@ -341,7 +339,6 @@ def bowtie_multiplier(beta: float, mode: int) -> float:
 
 
 def _bowtie_multiplier(beta: float, mode: int) -> float:
-    """``bowtie_multiplier`` of a mode a ``FoldMode`` has checked."""
     return -math.cos(beta) if mode == 1 else -1.0 / (1.0 + 2.0 * math.cos(beta))
 
 
@@ -383,13 +380,8 @@ def _opposites_third(kxy: float, kyz: float, kxz: float, x, y):
     return wrap_angles(2.0 * np.arctan2(num, den)), np.hypot(num, den) < ROUNDOFF
 
 
-def opposites_solve(
-    alpha: float,
-    beta: float,
-    rho1: float | None = None,
-    rho2: float | None = None,
-    rho3: float | None = None,
-) -> OppositesSolution:
+def opposites_solve(alpha: float, beta: float, rho1: float | None = None, rho2: float | None = None,
+                    rho3: float | None = None) -> OppositesSolution:
     """Solve the bilinear half-angle relation of the opposites family.
 
     Exactly two of the three angles must be given.  The relation
@@ -433,11 +425,7 @@ def _igloo_fraction(alpha: float, beta: float, rho2, rho3):
     sg, cg = math.sin(alpha + beta), math.cos(alpha + beta)
     s2, c2 = np.sin(rho2), np.cos(rho2)
     s3, c3 = np.sin(rho3), np.cos(rho3)
-    num = (
-        sa * sb * sg * c3
-        + cb * (sa * cg - ca * sg * c2 * c3)
-        + ca * (sb * cg * c2 + sg * s2 * s3)
-    )
+    num = sa * sb * sg * c3 + cb * (sa * cg - ca * sg * c2 * c3) + ca * (sb * cg * c2 + sg * s2 * s3)
     den = sb * cg * s2 - sg * (cb * s2 * c3 + c2 * s3)
     return num, den
 
@@ -510,11 +498,8 @@ def _igloo_1dof_rows(alpha: float, beta: float, mode: int, rho4):
         rho1 = -4.0 * np.arctan(pb * t)
         rho2 = -0.5 * rho4 + 2.0 * np.arctan(pa * pb * t)
         num = 2.0 * math.cos(0.5 * alpha) * np.sin(0.5 * rho4)
-        den = (
-            np.cos(0.5 * alpha + beta + 0.5 * rho4)
-            + np.cos(0.5 * alpha + beta - 0.5 * rho4)
-            - 2.0 * math.sin(0.5 * alpha)
-        )
+        den = (np.cos(0.5 * alpha + beta + 0.5 * rho4) + np.cos(0.5 * alpha + beta - 0.5 * rho4)
+               - 2.0 * math.sin(0.5 * alpha))
     return (rho1, rho2, _half_angle_branch(num, den), rho4), SOLVED
 
 
@@ -657,7 +642,7 @@ def two_pair_solve(rho1, rho2) -> Solved:
     rho4 = -np.arctan2((m5 * _SIN4).sum(axis=1), (m5 * _COS4).sum(axis=1))
     vecs = FAMILIES[FoldModel.TWOPAIR].vector(r1, r2, np.where(flat, 0.0, rho3), np.where(flat, 0.0, rho4))
     last = rotation_products(g60(), vecs[:, 4:], creases=(4, 5))  # R5 R6; rho3 and rho4 are wrapped already
-    keep = live & ((np.sqrt(np.square(last - M).sum(axis=(1, 2))) < DEFAULT_TOL) | flat)
+    keep = live & ((_frobenius_distance(last, M) < DEFAULT_TOL) | flat)
     reason = np.where(bad, OUT_OF_RANGE, np.where(off, OFF_CURVE, np.where(keep, SOLVED, NO_COMPLETION)))
     return Solved(vecs[keep], np.flatnonzero(keep), reason)
 
@@ -722,7 +707,7 @@ def _solve_back(B, r4, r5, r6, bad) -> Solved:
     rho3 = _turn(rho2, (B[:, 0] * _P3).sum(axis=1), B[:, 0, 2])  # B[:, 0] = B^T c1
     vecs = FAMILIES[FoldModel.FULLY_GENERAL].vector(rho1, rho2, rho3, r4[drive], r5[drive], r6[drive])
     front = rotation_products(g60(), vecs[:, :3], creases=(0, 1, 2))  # rho1 and rho3 are wrapped already
-    closes = np.sqrt(np.square(front - B).sum(axis=(1, 2))) < DEFAULT_TOL
+    closes = _frobenius_distance(front, B) < DEFAULT_TOL
     reason = np.where(bad, OUT_OF_RANGE, NO_SOLUTION)
     reason[drive[closes]] = SOLVED
     return Solved(vecs[closes], drive[closes], reason)

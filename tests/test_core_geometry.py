@@ -397,8 +397,8 @@ def test_kernel_bits_equal_the_crease_at_a_time_product_on_fans():
 
 @pytest.mark.parametrize("n", [0, 1, 5, 16, 700, 2047, 2048, 2049, 5000])
 def test_kernel_bits_equal_the_crease_at_a_time_product_across_blocks(n):
-    """Every crease order the package uses, orders that do not step by one, both frames settings, and row counts
-    on both sides of a block edge."""
+    """Every crease order the package uses, orders with a gap, a repeat or a negative index, both frames
+    settings, and row counts on both sides of a block edge."""
     rng = np.random.default_rng(n)
     for creases in (None, (5, 4, 3), (0, 1, 2), (3, 2, 1, 0), (4, 5), (3,), (), (5, 0, 2), (2, 2), (-1, 0)):
         m = 6 if creases is None else len(creases)
