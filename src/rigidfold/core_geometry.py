@@ -161,12 +161,15 @@ _BLOCK_ROWS = 2048  # rows per Rodrigues build, so a large batch's temporaries s
 def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool = False) -> np.ndarray:
     """Batched products of crease rotations, each built by Rodrigues' formula.
 
-    ``angles`` is an (N, m) array.  Row r gives the product R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1])
-    over the crease indices ``creases`` (default: the whole fan in order, m = n).  Returns the (N, 3, 3) products,
-    identities when m = 0; with ``frames`` the (N, m, 3, 3) running products instead.  The m rotations
-    c I + s K + (1 - c) u u^T of a block of ``_BLOCK_ROWS`` rows are built at once, summed in that order, and
-    multiplied one crease at a time, so memory stays O(N) without frames.  Rows are independent: a row gives
-    the same bits whatever else is in the batch, on either side of a block edge.
+    ``angles`` is an (N, m) array.  Row r gives the product
+    R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
+    indices ``creases`` (default: the whole fan in order, m = n).  Returns
+    the (N, 3, 3) products, identities when m = 0; with ``frames`` the
+    (N, m, 3, 3) running products instead.  The m rotations c I + s K + (1 - c) u u^T
+    of a block of ``_BLOCK_ROWS`` rows are built at once, summed in that order, and
+    multiplied one crease at a time, so memory stays O(N) without frames.
+    Rows are independent: a row gives the same bits whatever else is in the batch,
+    on either side of a block edge.
     """
     rho = np.asarray(angles, dtype=float)
     m = pattern.n if creases is None else len(creases)

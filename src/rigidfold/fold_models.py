@@ -380,8 +380,13 @@ def _opposites_third(kxy: float, kyz: float, kxz: float, x, y):
     return wrap_angles(2.0 * np.arctan2(num, den)), np.hypot(num, den) < ROUNDOFF
 
 
-def opposites_solve(alpha: float, beta: float, rho1: float | None = None, rho2: float | None = None,
-                    rho3: float | None = None) -> OppositesSolution:
+def opposites_solve(
+    alpha: float,
+    beta: float,
+    rho1: float | None = None,
+    rho2: float | None = None,
+    rho3: float | None = None,
+) -> OppositesSolution:
     """Solve the bilinear half-angle relation of the opposites family.
 
     Exactly two of the three angles must be given.  The relation
@@ -425,7 +430,11 @@ def _igloo_fraction(alpha: float, beta: float, rho2, rho3):
     sg, cg = math.sin(alpha + beta), math.cos(alpha + beta)
     s2, c2 = np.sin(rho2), np.cos(rho2)
     s3, c3 = np.sin(rho3), np.cos(rho3)
-    num = sa * sb * sg * c3 + cb * (sa * cg - ca * sg * c2 * c3) + ca * (sb * cg * c2 + sg * s2 * s3)
+    num = (
+        sa * sb * sg * c3
+        + cb * (sa * cg - ca * sg * c2 * c3)
+        + ca * (sb * cg * c2 + sg * s2 * s3)
+    )
     den = sb * cg * s2 - sg * (cb * s2 * c3 + c2 * s3)
     return num, den
 
@@ -498,8 +507,11 @@ def _igloo_1dof_rows(alpha: float, beta: float, mode: int, rho4):
         rho1 = -4.0 * np.arctan(pb * t)
         rho2 = -0.5 * rho4 + 2.0 * np.arctan(pa * pb * t)
         num = 2.0 * math.cos(0.5 * alpha) * np.sin(0.5 * rho4)
-        den = (np.cos(0.5 * alpha + beta + 0.5 * rho4) + np.cos(0.5 * alpha + beta - 0.5 * rho4)
-               - 2.0 * math.sin(0.5 * alpha))
+        den = (
+            np.cos(0.5 * alpha + beta + 0.5 * rho4)
+            + np.cos(0.5 * alpha + beta - 0.5 * rho4)
+            - 2.0 * math.sin(0.5 * alpha)
+        )
     return (rho1, rho2, _half_angle_branch(num, den), rho4), SOLVED
 
 
