@@ -163,7 +163,7 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
 
     ``angles`` is an (N, m) array.  Row r gives the product
     R(c_0, angles[r, 0]) @ ... @ R(c_{m-1}, angles[r, m-1]) over the crease
-    indices ``creases`` (default: the whole fan in order, m = n).  Returns
+    indices ``creases`` in [0, n) (default: the whole fan in order, m = n).  Returns
     the (N, 3, 3) products, identities when m = 0; with ``frames`` the
     (N, m, 3, 3) running products instead.  The m rotations c I + s K + (1 - c) u u^T
     of a block of ``_BLOCK_ROWS`` rows are built at once, summed in that order, and
@@ -175,6 +175,9 @@ def rotation_products(pattern: CreasePattern, angles, creases=None, frames: bool
     m = pattern.n if creases is None else len(creases)
     if rho.ndim != 2 or rho.shape[1] != m:
         raise DomainError(f"expected an (N, {m}) angle array, got shape {rho.shape}")
+    for i in () if creases is None else creases:
+        if not 0 <= i < pattern.n:
+            raise DomainError(f"crease index {i} is outside [0, {pattern.n})")
     if m == 0:
         return np.empty((len(rho), 0, 3, 3)) if frames else np.tile(_I3, (len(rho), 1, 1))
     cross, outer = (pattern.cross, pattern.outer) if creases is None else (

@@ -460,28 +460,27 @@ def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
     together the branch is ambiguous and the two one-sided continuations
     are reported.
     """
-    FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)
-    check_fold_angle(rho2, "rho2")
-    check_fold_angle(rho3, "rho3")
-    rho1, ambiguous = _igloo_half(alpha, beta, float(rho2), float(rho3))
-    if ambiguous:
-        sides, stuck = _igloo_half(alpha, beta, rho2 + np.array([AMBIGUITY_PROBE, -AMBIGUITY_PROBE]), float(rho3))
-        raise BranchAmbiguityError(
-            f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}",
-            candidates=[float(c) for c in sides[~stuck]],
-        )
-    return float(rho1)
+    return _igloo_completion(alpha, beta, rho2, rho3, False)
 
 
 def igloo_rho4(alpha: float, beta: float, rho2: float, rho3: float) -> float:
     """Completing angle on the middle crease; the vertex flipped end for end, so a 0/0 is probed along rho3."""
-    FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)
+    return _igloo_completion(alpha, beta, rho2, rho3, True)
+
+
+def _igloo_completion(alpha: float, beta: float, rho2: float, rho3: float, flip: bool) -> float:
+    FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)  # the flipped sectors are the same six
     check_fold_angle(rho2, "rho2")
     check_fold_angle(rho3, "rho3")
-    try:
-        return igloo_rho1(PI - alpha - beta, beta, rho3, rho2)
-    except BranchAmbiguityError as e:  # the flipped call names the drives the other way round
-        raise BranchAmbiguityError(f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}", e.candidates) from None
+    a, x, y = (PI - alpha - beta, float(rho3), float(rho2)) if flip else (alpha, float(rho2), float(rho3))
+    rho, ambiguous = _igloo_half(a, beta, x, y)
+    if ambiguous:
+        sides, stuck = _igloo_half(a, beta, x + np.array([AMBIGUITY_PROBE, -AMBIGUITY_PROBE]), y)
+        raise BranchAmbiguityError(
+            f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}",
+            candidates=[float(c) for c in sides[~stuck]],
+        )
+    return float(rho)
 
 
 def _igloo_rows(alpha: float, beta: float, rho2, rho3):

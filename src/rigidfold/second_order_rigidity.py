@@ -38,18 +38,20 @@ class ModeSolution:
     pairwise distinct, or None when every real ray merges two classes (the
     ray belongs to a coarser coloring).  ``witness`` (such a ray),
     ``velocities`` and ``foldable`` are built from the solve's eigenpairs
-    on first access; the row's own arrays are sliced out of its group's
-    stack only then.
+    on first access; the row's own arrays are sliced out of the stack that
+    all rows share only then.
     """
 
     color_pattern: tuple[int, ...]
     dof: int | None
-    _rows: tuple = field(repr=False)  # (L, Q, E, eigenvalues and class-space eigenvectors of Qn), stacked
+    _stack: tuple = field(repr=False)  # (L, Q, E, eigenvalues and class-space eigenvectors of Qn), padded to n
     _row: int = field(repr=False)  # this coloring's row of the stack
 
     @cached_property
     def _cone(self) -> tuple:
-        return tuple(a[self._row] for a in self._rows)
+        L, Q, E, lam, V = (a[self._row] for a in self._stack)
+        k, m = max(self.color_pattern), np.count_nonzero(~np.isnan(lam))
+        return L[:, :k], Q[:k, :k], E[:, :k], lam[:m], V[:k, :m]
 
     @cached_property
     def _witness_point(self) -> np.ndarray | None:
@@ -151,15 +153,14 @@ def _class_list(color_pattern) -> list[int]:
     return out
 
 
-def _reduced_systems(pattern: CreasePattern, groups):
-    """Stacked (L, Q, E) per group of (B, n) label arrays sharing a class count k."""
+def _reduced_systems(pattern: CreasePattern, labels: np.ndarray):
+    """Stacked (L, Q, E) of (B, n) label rows; E is zero past each row's k classes."""
     th = pattern.crease_angles
     C = np.vstack([np.cos(th), np.sin(th)])
     S = np.triu(np.sin(th[None] - th[:, None]), 1)  # S[i, j] = sin(th_j - th_i), i < j
-    for labels in groups:
-        E = (labels[:, :, None] == np.arange(1, labels.max() + 1)).astype(float)
-        M = E.transpose(0, 2, 1) @ S @ E
-        yield C @ E, 0.5 * (M + M.transpose(0, 2, 1)), E
+    E = (labels[:, :, None] == np.arange(1, pattern.n + 1)).astype(float)
+    M = E.transpose(0, 2, 1) @ S @ E
+    return C @ E, 0.5 * (M + M.transpose(0, 2, 1)), E
 
 
 def _checked_labels(pattern: CreasePattern, color_pattern) -> list[int]:
@@ -178,8 +179,10 @@ def symmetry_reduced_system(pattern: CreasePattern, color_pattern):
     holds.  E is the n-by-k class indicator, so the full velocity vector
     is E x.
     """
-    L, Q, E = next(_reduced_systems(pattern, [np.array([_checked_labels(pattern, color_pattern)])]))
-    return L[0], Q[0], E[0]
+    cls = _checked_labels(pattern, color_pattern)
+    L, Q, E = _reduced_systems(pattern, np.array([cls]))
+    k = max(cls)
+    return L[0, :, :k], Q[0, :k, :k], E[0, :, :k]
 
 
 def _normalize_ray(v: np.ndarray) -> np.ndarray | None:
@@ -219,33 +222,31 @@ def solve_modes(pattern: CreasePattern, colorings) -> list[ModeSolution]:
     Only the decision and the DOF run here; each ``ModeSolution`` builds
     its witness and rays when they are read.  No real ray means not foldable.
 
-    The systems are stacked by class count k: one ``svd`` per k, one
-    ``eigh`` per (k, rank of L), and one array decision over every coloring.
+    Each row is padded to n classes, whatever else is in the batch: one
+    ``svd`` per class count k, one ``eigh`` per null-space dimension m.
     """
     labels = [_checked_labels(pattern, c) for c in colorings]
     if not labels:
         return []
     lab = np.array(labels)
-    ks = lab.max(axis=1)
-    K = int(ks.max())
-    lam_all, V_all = np.full((len(lab), K), np.nan), np.zeros((len(lab), K, K))  # each row padded to K
-    stacks, stack_of, row_of = [], np.zeros(len(lab), dtype=int), np.zeros(len(lab), dtype=int)
-    groups = [np.flatnonzero(ks == k) for k in np.unique(ks)]
-    for group, (L, Q, E) in zip(groups, _reduced_systems(pattern, [lab[g] for g in groups])):
-        _, sv, vt = np.linalg.svd(L)
-        ranks = np.sum(sv > ROUNDOFF, axis=1)
-        for rank in np.unique(ranks).tolist():
-            at = np.flatnonzero(ranks == rank)
-            N = vt[at, rank:].transpose(0, 2, 1)  # k x m null-space bases, m may be 0
-            lam, W = np.linalg.eigh(N.transpose(0, 2, 1) @ Q[at] @ N)
-            V = N @ W  # eigenvectors of Qn in class coordinates
-            rows, (k, m) = group[at], N.shape[1:]
-            lam_all[rows, :m], V_all[rows, :k, :m] = lam, V
-            stack_of[rows], row_of[rows] = len(stacks), np.arange(len(rows))
-            stacks.append((L[at], Q[at], E[at], lam, V))
-    dofs = _decide(lam_all, V_all, ks)
-    return [ModeSolution(tuple(cls), None if dof < 0 else dof, stacks[s], r)
-            for cls, dof, s, r in zip(labels, dofs, stack_of.tolist(), row_of.tolist())]
+    ks, B, n = lab.max(axis=1), len(lab), pattern.n
+    L, Q, E = _reduced_systems(pattern, lab)
+    vt, rank = np.zeros((B, n, n)), np.zeros(B, dtype=int)  # right singular vectors, zero past k
+    for k in np.unique(ks).tolist():
+        at = np.flatnonzero(ks == k)
+        _, sv, vt[at, :k, :k] = np.linalg.svd(L[at, :, :k])
+        rank[at] = np.count_nonzero(sv > ROUNDOFF, axis=1)
+    src = rank[:, None] + np.arange(n)  # column j of the null(L) basis N is row rank + j of vt, while < k
+    N = vt[np.arange(B)[:, None], np.minimum(src, n - 1)].transpose(0, 2, 1)
+    N, ms = np.where((src < ks[:, None])[:, None], N, 0.0), ks - rank
+    Qn, lam, W = N.transpose(0, 2, 1) @ Q @ N, np.full((B, n), np.nan), np.zeros((B, n, n))
+    for m in np.unique(ms).tolist():
+        at = np.flatnonzero(ms == m)
+        lam[at, :m], W[at, :m, :m] = np.linalg.eigh(Qn[at, :m, :m])
+    V = N @ W  # eigenvectors of Qn in class coordinates
+    stack = (L, Q, E, lam, V)
+    return [ModeSolution(tuple(cls), None if dof < 0 else dof, stack, row)
+            for row, (cls, dof) in enumerate(zip(labels, _decide(lam, V, ks)))]
 
 
 def symmetric_mode_solve(pattern: CreasePattern, color_pattern) -> ModeSolution:
@@ -266,8 +267,8 @@ def _cone_points(lam: np.ndarray, V: np.ndarray) -> list[np.ndarray]:
 
 
 def _decide(lam: np.ndarray, V: np.ndarray, k: np.ndarray) -> list[int]:
-    """Each row's DOF (-1 for none) from the eigenpairs of its Qn, padded to the
-    widest class count K: lam (B, K) is NaN past the row's m eigenvalues, and
+    """Each row's DOF (-1 for none) from the eigenpairs of its Qn, padded to a
+    common class count K: lam (B, K) is NaN past the row's m eigenvalues, and
     V (B, K, K) is zero past its k classes and m columns.
 
     The DOF is dim null(L) = m, less one where Qn is indefinite.  At a

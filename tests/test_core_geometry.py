@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -397,10 +398,10 @@ def test_kernel_bits_equal_the_crease_at_a_time_product_on_fans():
 
 @pytest.mark.parametrize("n", [0, 1, 5, 16, 700, 2047, 2048, 2049, 5000])
 def test_kernel_bits_equal_the_crease_at_a_time_product_across_blocks(n):
-    """Every crease order the package uses, orders with a gap, a repeat or a negative index, both frames
+    """Every crease order the package uses, orders with a gap or a repeat, both frames
     settings, and row counts on both sides of a block edge."""
     rng = np.random.default_rng(n)
-    for creases in (None, (5, 4, 3), (0, 1, 2), (3, 2, 1, 0), (4, 5), (3,), (), (5, 0, 2), (2, 2), (-1, 0)):
+    for creases in (None, (5, 4, 3), (0, 1, 2), (3, 2, 1, 0), (4, 5), (3,), (), (5, 0, 2), (2, 2)):
         m = 6 if creases is None else len(creases)
         rho = rng.uniform(-math.pi, math.pi, (n, m))
         rho.flat[:60] = np.resize(_SPECIAL_ANGLES, min(60, rho.size))
@@ -413,6 +414,13 @@ def test_an_empty_chain_is_the_identity():
     assert np.array_equal(rotation_products(g60(), rho, creases=()), np.tile(np.eye(3), (3, 1, 1)))
     assert rotation_products(g60(), rho, creases=(), frames=True).shape == (3, 0, 3, 3)
     assert rotation_products(g60(), np.zeros((0, 0)), creases=()).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("creases, bad", [((-1, 0), -1), ((6,), 6), ((5, 6), 6)])
+def test_kernel_rejects_a_crease_index_outside_the_fan(creases, bad):
+    """A negative index does not wrap to a crease counted from the end, and one past the fan names itself."""
+    with pytest.raises(DomainError, match=re.escape(f"crease index {bad} is outside [0, 6)")):
+        rotation_products(g60(), np.zeros((2, len(creases))), creases=creases)
 
 
 def test_kernel_rejects_a_wrong_angle_shape():

@@ -375,6 +375,15 @@ def test_igloo_partial_relations_name_the_bad_drive(fn, bad):
         fn(1.0, 1.0, drives["rho2"], drives["rho3"])
 
 
+@pytest.mark.parametrize("fn", [igloo_rho1, igloo_rho4])
+def test_igloo_partial_relations_check_their_sectors_once(fn, monkeypatch):
+    """igloo_rho4 flips the vertex without building a second FoldMode: its sectors are the same six."""
+    checks, real = [], FoldMode.__post_init__
+    monkeypatch.setattr(FoldMode, "__post_init__", lambda self: checks.append(self) or real(self))
+    fn(1.0, 0.8, 0.3, 0.2)
+    assert [(f.model, f.alpha, f.beta) for f in checks] == [(FoldModel.IGLOO2DOF, 1.0, 0.8)]
+
+
 def test_igloo_ambiguity_names_the_callers_drives():
     """At a 0/0 fraction both completions name rho2 and rho3 as given; igloo_rho4's
     candidates are those of the flipped vertex, probed along its first drive (rho3)."""

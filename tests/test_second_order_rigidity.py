@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from census_oracle import census_dofs, decide
+from census_oracle import census_solutions, decide
 
 from rigidfold.core_geometry import CreasePattern, closure_residual, g60, rotation_products
 from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel
@@ -312,20 +312,24 @@ def test_batched_solve_equals_the_one_row_solves(sectors_deg):
     assert solve_modes(pattern, []) == []
 
 
-def test_stacked_decision_gives_the_per_row_dof():
-    """The one array decision gives every coloring the DOF of the per-row loop it
-    replaced (``census_oracle``), on g60, off 60 degrees and on 100 seeded random
-    six-crease fans."""
+def test_padded_solve_equals_the_per_group_solve():
+    """The one padded pass gives every coloring the solution of the per-(k, rank)
+    solve it replaced (``census_oracle``): the same DOF, witness and every ray, on
+    g60, off 60 degrees, on 100 seeded random six-crease fans and on seeded 4-, 5-
+    and 8-crease fans, which pad to n != 6."""
     rng = np.random.default_rng(26)
     patterns = [G, *(CreasePattern.from_sectors(np.radians(s)) for s in OFF_60),
                 *(CreasePattern.from_sectors(s / s.sum() * 2.0 * math.pi) for s in rng.uniform(0.5, 1.5, (100, 6)))]
-    colorings = list(_restricted_growth(6))
-    foldable = 0
+    patterns += [CreasePattern.from_sectors(s / s.sum() * 2.0 * math.pi)
+                 for n, count in ((4, 5), (5, 5), (8, 1)) for s in rng.uniform(0.5, 1.5, (count, n))]
+    foldable = rays = 0
     for pattern in patterns:
-        dofs = [sol.dof for sol in solve_modes(pattern, colorings)]
-        assert dofs == census_dofs(pattern, colorings)
-        foldable += sum(dof is not None for dof in dofs)
-    assert foldable > 1000
+        colorings = list(_restricted_growth(pattern.n))
+        solutions = solve_modes(pattern, colorings)
+        assert solutions == census_solutions(pattern, colorings)
+        foldable += sum(sol.dof is not None for sol in solutions)
+        rays += sum(len(sol.velocities) for sol in solutions)
+    assert foldable > 1000 and rays > foldable
 
 
 def test_stacked_decision_gives_the_per_row_dof_on_coarse_eigenpairs():
