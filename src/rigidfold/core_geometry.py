@@ -122,10 +122,20 @@ class CreasePattern:
 
     @classmethod
     def from_sectors(cls, sector_angles) -> "CreasePattern":
-        """Build the pattern with crease 1 on the +x axis."""
+        """The pattern with crease 1 on the +x axis: one shared, read-only instance per sector sequence.
+
+        Equal float bits give the same object, whether they come as a list, a
+        tuple or an array; the last ``SHARED_LAYOUTS`` sequences used are kept.
+        A refused sequence raises on every call: no failure is kept.
+        """
         sectors = np.asarray(sector_angles, dtype=float)
         if sectors.ndim != 1:
             raise DomainError("sector angles must form a 1-d sequence")
+        return _shared_layout(cls, sectors.tobytes())
+
+    @classmethod
+    def _build(cls, sectors: np.ndarray) -> "CreasePattern":
+        """Check a 1-d sector array and build its pattern, a new instance on every call."""
         if not np.all(np.isfinite(sectors)):
             raise DomainError("sector angles must be finite")
         if not np.all(sectors > 0):
@@ -145,6 +155,16 @@ class CreasePattern:
     @property
     def crease_angles(self) -> np.ndarray:
         return np.arctan2(self.creases[:, 1], self.creases[:, 0])
+
+
+SHARED_LAYOUTS = 64  # sector sequences from_sectors keeps, about 2 kB each at degree 6; least recent go first
+
+
+@functools.lru_cache(maxsize=SHARED_LAYOUTS)
+def _shared_layout(cls: type, bits: bytes) -> CreasePattern:
+    """The pattern of the float64 sectors ``bits``; an exception is not cached, so a refused sequence is
+    checked again on every call."""
+    return cls._build(np.frombuffer(bits))
 
 
 _G60 = CreasePattern.from_sectors(np.full(6, np.pi / 3.0))

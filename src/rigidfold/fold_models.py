@@ -109,7 +109,7 @@ class FoldMode:
 
     @functools.cached_property
     def pattern(self) -> CreasePattern:
-        """The family's crease pattern at these sectors, built on first read."""
+        """The crease pattern at these sectors: the shared instance of ``from_sectors``."""
         sectors = FAMILIES[self.model].sectors(self)
         return g60() if sectors is None else CreasePattern.from_sectors(sectors)
 

@@ -12,7 +12,7 @@ import pytest
 from rigidfold import cli
 from rigidfold.cli import main
 from rigidfold.config_space import CurveTrace, Samples, trace_implicit_curve
-from rigidfold.core_geometry import CreasePattern, closure_residual, wrap_angles
+from rigidfold.core_geometry import CreasePattern, _shared_layout, closure_residual, wrap_angles
 from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel, two_pair_curve_gradient, two_pair_curve_residual
 
 TRIFOLD_RHO1 = 4.0 * math.atan((2.0 + math.sqrt(3.0)) * math.tan(0.1))
@@ -333,6 +333,17 @@ def test_sweep_builds_its_crease_pattern_once(tmp_path, capsys, monkeypatch, fmt
     built, real = [], CreasePattern.from_sectors
     monkeypatch.setattr(CreasePattern, "from_sectors", classmethod(lambda cls, s: built.append(1) or real(s)))
     assert run(capsys, "sweep", "trifold", "--beta", "50", "-n", "4", "-o", str(tmp_path / f"s.{fmt}"))[0] == 0
+    assert len(built) == 1
+
+
+def test_commands_in_one_process_build_their_crease_pattern_once(tmp_path, capsys, monkeypatch):
+    """Two folds and a sweep of the trifold at one beta share one layout: one build between them."""
+    _shared_layout.cache_clear()
+    built, real = [], CreasePattern._build
+    monkeypatch.setattr(CreasePattern, "_build", classmethod(lambda cls, s: built.append(1) or real(s)))
+    for _ in range(2):
+        assert run(capsys, "fold", "trifold", "--beta", "50", "--drive", "0.3")[0] == 0
+    assert run(capsys, "sweep", "trifold", "--beta", "50", "-n", "4", "-o", str(tmp_path / "s.csv"))[0] == 0
     assert len(built) == 1
 
 

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from cone_oracle import cone_self_intersections
 from rigidfold.config_space import make_sample
 from rigidfold.core_geometry import (
+    SHARED_LAYOUTS,
     CreasePattern,
+    _shared_layout,
     closure_residual,
     closure_residuals,
     crease_images,
@@ -369,6 +371,71 @@ def test_g60_is_one_read_only_pattern():
     with pytest.raises(ValueError):
         g60().sector_angles[0] = 1.0
     assert g60().creases[0, 0] == 1.0
+
+
+_FAN = [0.9, 1.3, 0.6, 2.0 * math.pi - 2.8]
+
+
+def _count_builds(monkeypatch) -> list:
+    """A list that grows by one each time from_sectors builds a pattern rather than share one."""
+    built, real = [], CreasePattern._build
+    monkeypatch.setattr(CreasePattern, "_build", classmethod(lambda cls, s: built.append(1) or real(s)))
+    return built
+
+
+def test_one_sector_sequence_is_one_shared_pattern():
+    """A list, a tuple and an array of the same float bits give one object; one ulp away gives another."""
+    pat = CreasePattern.from_sectors(_FAN)
+    assert CreasePattern.from_sectors(tuple(_FAN)) is pat
+    assert CreasePattern.from_sectors(np.array(_FAN)) is pat
+    assert CreasePattern.from_sectors(np.stack([_FAN, _FAN], axis=1)[:, 0]) is pat  # a strided view
+    nudged = CreasePattern.from_sectors([math.nextafter(_FAN[0], 1.0)] + _FAN[1:])
+    assert nudged is not pat and nudged != pat
+
+
+def test_a_shared_pattern_stays_read_only():
+    pat = CreasePattern.from_sectors(_FAN)
+    before = [a.tobytes() for a in (pat.creases, pat.sector_angles, pat.cross, pat.outer)]
+    again = CreasePattern.from_sectors(list(_FAN))
+    for a in (again.creases, again.sector_angles, again.cross, again.outer):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    assert [a.tobytes() for a in (pat.creases, pat.sector_angles, pat.cross, pat.outer)] == before
+
+
+@pytest.mark.parametrize("sectors, message, builds", [
+    ([math.nan, 1.0, 1.0, 2.0 * math.pi - 2.0], "sector angles must be finite", 2),
+    ([0.0, 1.0, 2.0, 2.0 * math.pi - 3.0], "sector angles must be positive", 2),
+    ([1.0, 1.0, 1.0, 1.0], "sector angles must sum to 2*pi", 2),
+    ([[math.pi / 3.0] * 3] * 2, "sector angles must form a 1-d sequence", 0),
+], ids=["nan", "zero", "sum", "2-d"])
+def test_a_refused_sequence_raises_on_every_call(monkeypatch, sectors, message, builds):
+    """No failure is kept: each call checks the sectors again, and the 1-d check comes before the table."""
+    built = _count_builds(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(DomainError) as exc:
+            CreasePattern.from_sectors(sectors)
+        assert str(exc.value) == message
+    assert len(built) == builds
+
+
+def test_the_table_never_holds_more_than_its_bound(monkeypatch):
+    """The least recently used sequence is dropped first, and a dropped one is built again."""
+    _shared_layout.cache_clear()
+    fans = [[1.0 + k * 1e-6, 1.0, 1.0, 2.0 * math.pi - 3.0 - k * 1e-6] for k in range(SHARED_LAYOUTS + 1)]
+    kept = [CreasePattern.from_sectors(f) for f in fans[:-1]]
+    assert _shared_layout.cache_info().currsize == SHARED_LAYOUTS
+    assert CreasePattern.from_sectors(fans[0]) is kept[0]  # now the most recently used
+    built = _count_builds(monkeypatch)
+    CreasePattern.from_sectors(fans[-1])
+    info = _shared_layout.cache_info()
+    assert info.currsize == info.maxsize == SHARED_LAYOUTS
+    assert CreasePattern.from_sectors(fans[0]) is kept[0]
+    assert CreasePattern.from_sectors(fans[2]) is kept[2]
+    again = CreasePattern.from_sectors(fans[1])
+    assert again is not kept[1] and again == kept[1]
+    assert len(built) == 2 and _shared_layout.cache_info().currsize == SHARED_LAYOUTS
 
 
 _SPECIAL_ANGLES = [0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300]

@@ -21,7 +21,7 @@ import rigidfold
 from rigidfold import tolerances
 from rigidfold.cli import _table_text
 from rigidfold.config_space import samples_to_obj, sweep_model, trace_implicit_curve
-from rigidfold.core_geometry import CreasePattern, g60
+from rigidfold.core_geometry import CreasePattern, _shared_layout, g60
 from rigidfold.errors import BranchAmbiguityError
 from rigidfold.fold_models import (
     FAMILIES,
@@ -86,7 +86,11 @@ SITES = _default_sites()
 
 @contextlib.contextmanager
 def _rebound(name: str, value: float):
-    """``name`` set to ``value`` in every module that imports it and in every default written as it."""
+    """``name`` set to ``value`` in every module that imports it and in every default written as it.
+
+    The shared sector layouts are dropped on entry and on exit, so every pattern read inside is built,
+    and checked, under ``value``, and none checked under it outlives the block.
+    """
     original = getattr(tolerances, name)
     modules = [m for m in MODULES if vars(m).get(name) is original]
     sites = [(fn, i) for fn, i, n in SITES if n == name]
@@ -95,6 +99,7 @@ def _rebound(name: str, value: float):
         setattr(m, name, value)
     for fn, i in sites:
         fn.__defaults__ = fn.__defaults__[:i] + (value,) + fn.__defaults__[i + 1:]
+    _shared_layout.cache_clear()
     try:
         yield
     finally:
@@ -102,6 +107,7 @@ def _rebound(name: str, value: float):
             setattr(m, name, original)
         for (fn, _), defaults in zip(sites, saved):
             fn.__defaults__ = defaults
+        _shared_layout.cache_clear()
 
 
 def _counts(model: FoldModel, n: int, obj: bool = False) -> tuple[int, ...]:
