@@ -74,7 +74,6 @@ from .fold_models import (
     two_pair_complete,
     two_pair_curve_gradient,
     two_pair_curve_residual,
-    two_pair_pattern,
     two_pair_solve,
 )
 from .second_order_rigidity import (

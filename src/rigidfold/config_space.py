@@ -29,7 +29,6 @@ from .core_geometry import (
     g60,
     rotation_products,
     self_intersections,
-    wrap_angles,
 )
 from .errors import DomainError, OutOfRangeError
 from .fold_models import AMBIGUOUS, FAMILIES, NO_SOLUTION, FoldMode, _solve_back
@@ -224,16 +223,14 @@ def _node_directions(fn, p: tuple[float, float], r: float) -> np.ndarray:
     return np.column_stack([np.cos(t), np.sin(t)])
 
 
-def _correct(fn, q, tol: float, gradient=None) -> tuple[tuple[float, float], float | None]:
+def _correct(fn, q, tol: float, gradient) -> tuple[tuple[float, float], float | None]:
     """Newton along the gradient (orthogonal to the tangent); near-singular
     gradients leave the point as predicted so the walker crosses nodes.
 
-    ``gradient(x, y)`` returns fn's two partial derivatives; by default they
-    are central differences of fn.  Returns the corrected point and fn
-    there, or None in place of fn when the corrector diverged.
+    ``gradient(x, y)`` returns fn's two partial derivatives.  Returns the
+    corrected point and fn there, or None in place of fn when the corrector
+    diverged.
     """
-    if gradient is None:
-        gradient = functools.partial(_central_gradient, fn)
     x, y = float(q[0]), float(q[1])
     for _ in range(25):
         f = fn(x, y)
@@ -548,7 +545,7 @@ def samples_to_obj(samples, pattern: CreasePattern | None) -> tuple[str, int]:
     if (flat.width[kept] != n).any():
         raise DomainError(f"expected {n} folding angles, got {flat.width[kept][flat.width[kept] != n][0]}")
     rows = flat.rho[kept, :n].reshape(len(kept), n)  # (0, n) also when no row is kept and every row is narrower
-    residuals, frames = folded_frames(pat, wrap_angles(rows))
+    residuals, frames = folded_frames(pat, rows)
     closes = ~(residuals > np.fmax(DEFAULT_TOL, flat.residual[kept] * 2))  # else from a different pattern
     kept = kept[closes]
     fan = np.array([c for i in range(n) for c in (0, 1 + i, 1 + (i + 1) % n)])  # face corners; 0 is the apex

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotClosedError, OutOfRangeError
-from .tolerances import DEFAULT_TOL, INPUT_SLACK, ROUNDOFF, SECTOR_AGREE, TRIANGLE_EPS
+from .tolerances import DEFAULT_TOL, INPUT_SLACK, ROUNDOFF, TRIANGLE_EPS
 
 _I3 = np.eye(3)
 _I3.setflags(write=False)
@@ -46,12 +46,12 @@ def check_fold_angle(rho: float, name: str = "drive"):
         raise OutOfRangeError(f"{name} must lie in [-pi, pi], got {rho}")
 
 
-def as_fold_angles(angles, n: int | None = None) -> np.ndarray:
-    """Validate and normalize a folding-angle vector."""
+def as_fold_angles(angles, n: int) -> np.ndarray:
+    """Validate ``n`` folding angles and wrap them into [-pi, pi]."""
     rho = np.asarray(angles, dtype=float)
     if rho.ndim != 1:
         raise DomainError("folding angles must form a 1-d sequence")
-    if n is not None and rho.size != n:
+    if rho.size != n:
         raise DomainError(f"expected {n} folding angles, got {rho.size}")
     return wrap_angles(rho)
 
@@ -74,7 +74,7 @@ class CreasePattern:
     """
 
     creases: np.ndarray
-    sector_angles: np.ndarray = field(default=None)  # type: ignore[assignment]
+    sector_angles: np.ndarray = field(init=False)
     cross: np.ndarray = field(init=False, repr=False, compare=False)
     outer: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -90,20 +90,12 @@ class CreasePattern:
             raise DomainError("creases must be unit vectors")
         if np.any(np.abs(creases[:, 2]) > INPUT_SLACK):
             raise DomainError("creases must lie in the xy-plane")
-        self._fill(creases, self.sector_angles)
-
-    def _fill(self, creases: np.ndarray, given=None) -> "CreasePattern":
-        """Check the order of finite unit creases in the xy-plane, set all four arrays and return self."""
         thetas = np.unwrap(np.arctan2(creases[:, 1], creases[:, 0]))
         # np.unwrap reads a step over half a turn as a step back; its steps modulo one turn are the
         # counterclockwise gaps, which make one turn only when the creases go round once counterclockwise
         sectors = np.mod(np.diff(np.append(thetas, thetas[0] + 2.0 * np.pi)), 2.0 * np.pi)
         if np.any(sectors <= 0) or abs(sectors.sum() - 2.0 * np.pi) > INPUT_SLACK:
             raise DomainError("creases must be in counterclockwise order")
-        if given is not None:
-            given = np.asarray(given, dtype=float)
-            if given.shape != sectors.shape or not np.all(np.abs(given - sectors) <= SECTOR_AGREE):
-                raise DomainError("sector_angles disagree with crease directions")
         cross = np.zeros((len(creases), 9))
         cross[:, _CROSS_SLOTS] = creases[:, _CROSS_AXES] * _CROSS_SIGNS  # -0.0 where the axis is 0.0
         object.__setattr__(self, "creases", _read_only(creases))
@@ -111,7 +103,6 @@ class CreasePattern:
         object.__setattr__(self, "cross", _read_only(cross.reshape(-1, 3, 3)))
         outer = creases[:, :, None] * creases[:, None, :] + 0.0  # + 0.0: every zero product is +0.0
         object.__setattr__(self, "outer", _read_only(outer))
-        return self
 
     def __eq__(self, other) -> bool:
         """Patterns are equal when their creases are; anything else is unequal."""
@@ -143,10 +134,7 @@ class CreasePattern:
         if abs(sectors.sum() - 2.0 * np.pi) > INPUT_SLACK:
             raise DomainError("sector angles must sum to 2*pi")
         thetas = np.concatenate([[0.0], np.cumsum(sectors[:-1])])
-        if len(thetas) < 3:
-            raise DomainError("a vertex needs at least three creases")
-        creases = np.stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)], axis=1)
-        return object.__new__(cls)._fill(creases)  # finite unit creases in the xy-plane: only their order is checked
+        return cls(np.stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)], axis=1))
 
     @property
     def n(self) -> int:
@@ -271,13 +259,13 @@ def crease_images(pattern: CreasePattern, frames: np.ndarray) -> np.ndarray:
     return np.einsum("...kij,kj->...ki", frames, pattern.creases)
 
 
-def folded_geometry(pattern: CreasePattern, angles, tol: float = DEFAULT_TOL) -> FoldedState:
-    """Folded frames and crease images; raises NotClosedError if the residual exceeds ``tol``."""
+def folded_geometry(pattern: CreasePattern, angles) -> FoldedState:
+    """Folded frames and crease images; raises NotClosedError if the residual exceeds ``DEFAULT_TOL``."""
     residuals, frames = folded_frames(pattern, as_fold_angles(angles, pattern.n)[None])
     residual, frames = float(residuals[0]), frames[0]
-    if residual > tol:
+    if residual > DEFAULT_TOL:
         raise NotClosedError(
-            f"folding angles do not close (residual {residual:.3e} > {tol:.1e})",
+            f"folding angles do not close (residual {residual:.3e} > {DEFAULT_TOL:.1e})",
             residual=residual,
         )
     return FoldedState(face_frames=frames, crease_images=crease_images(pattern, frames), residual=residual)

@@ -534,10 +534,6 @@ _SIN3, _COS3 = np.cross(_C5, _C6), _C6 - (_C5 @ _C6) * _C5
 _SIN4, _COS4 = np.cross(_C6, _C5), _C5 - (_C5 @ _C6) * _C6
 
 
-def two_pair_pattern() -> CreasePattern:
-    return g60()
-
-
 def two_pair_curve_residual(rho1, rho2):
     """Defect of the (rho1, rho2) relation; its zero set is the model's curve.
 

@@ -17,8 +17,6 @@ ON_CURVE = 1e-7
 DEFAULT_TOL = 1e-8
 # A crease length, crease height or sector sum this close to 1, 0 or 2 pi is exact input.
 INPUT_SLACK = 1e-9
-# Given sector angles this close to the crease directions' sectors agree with them.
-SECTOR_AGREE = 1e-8
 # A signed distance or sector size of a folded fan below this is contact, not overlap.
 TRIANGLE_EPS = 1e-9
 # An order-condition defect, class gap or singular value of the census below this is zero.

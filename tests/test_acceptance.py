@@ -5,6 +5,7 @@ then asserts.  Expected values are frozen; nothing here adapts to what the
 code happens to return.
 """
 
+import functools
 import math
 import time
 
@@ -13,6 +14,7 @@ import pytest
 
 from general_oracle import general_c3_image, general_rho2
 from rigidfold.config_space import (
+    _central_gradient,
     _correct,
     admissible_region,
     make_sample,
@@ -34,7 +36,6 @@ from rigidfold.fold_models import (
     trifold_multiplier,
     two_pair_complete,
     two_pair_curve_residual,
-    two_pair_pattern,
 )
 from rigidfold.second_order_rigidity import ray_class_values, symmetric_mode_solve
 from rigidfold.symmetry_enumeration import canonical_form, classify_g60
@@ -193,7 +194,7 @@ def test_criterion_5_two_pair_curve():
         for x in axis for y in axis
     )
 
-    pat, fam = two_pair_pattern(), FAMILIES[FoldModel.TWOPAIR]
+    pat, fam = g60(), FAMILIES[FoldModel.TWOPAIR]
     blue_ok = True
     for s in trace.samples:
         comps = two_pair_complete(float(s.rho[0]), float(s.rho[1]))
@@ -205,7 +206,8 @@ def test_criterion_5_two_pair_curve():
             if smp.residual >= 1e-8 or not smp.valid:
                 blue_ok = False
 
-    seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10)
+    seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10,
+                       functools.partial(_central_gradient, two_pair_curve_residual))
     red_ok = False
     for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1])):
         vec = fam.vector(seed[0], seed[1], r3, r4)

@@ -1,6 +1,7 @@
 """Sweeps, implicit-curve tracing, admissible masks, and exporters."""
 
 import csv
+import functools
 import inspect
 import io
 import json
@@ -16,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 import sample_oracle
 from cone_oracle import cone_self_intersections
 from general_oracle import general_solve_full_closure
-from rigidfold import config_space, fold_models
+from rigidfold import config_space, core_geometry, fold_models
 from rigidfold.config_space import (
     AdmissibleRegion,
     ConfigSample,
     Samples,
+    _central_gradient,
     _correct,
     admissible_region,
     as_samples,
@@ -38,6 +40,8 @@ from rigidfold.config_space import (
 )
 from rigidfold.core_geometry import (
     as_fold_angles,
+    closure_residual,
+    closure_residuals,
     crease_images,
     folded_frames,
     folded_geometry,
@@ -54,7 +58,6 @@ from rigidfold.fold_models import (
     two_pair_complete,
     two_pair_curve_gradient,
     two_pair_curve_residual,
-    two_pair_pattern,
 )
 from rigidfold.tolerances import ROUNDOFF
 from triangle_oracle import triangle_self_intersects
@@ -95,7 +98,7 @@ def test_sweep_verdicts_match_the_triangle_oracle(mode):
     result = sweep_model(mode, 8 if len(fam.drives) == 2 else 80)  # grids are n by n
     closing = [s for s in result if s.residual < 1e-8]
     assert closing
-    states = [folded_geometry(pattern, s.rho, tol=1e-8) for s in closing]
+    states = [folded_geometry(pattern, s.rho) for s in closing]
     want = [triangle_self_intersects(pattern, st) for st in states]
     assert self_intersections(pattern, np.stack([st.crease_images for st in states])).tolist() == want
     assert [s.valid for s in closing] == [not w for w in want]
@@ -120,10 +123,11 @@ def test_criterion_3_sweep_verdicts_match_the_cone_oracle(model, n):
 
 def test_two_pair_red_state_intersects():
     """Criterion 5's red state closes, and some completion of it self-intersects."""
-    seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10)
-    pattern = two_pair_pattern()
+    seed, _ = _correct(two_pair_curve_residual, np.array([-1.7999, -2.0473]), 1e-10,
+                       functools.partial(_central_gradient, two_pair_curve_residual))
+    pattern = g60()
     fam = FAMILIES[FoldModel.TWOPAIR]
-    states = [folded_geometry(pattern, fam.vector(seed[0], seed[1], r3, r4), tol=1e-8)
+    states = [folded_geometry(pattern, fam.vector(seed[0], seed[1], r3, r4))
               for r3, r4 in two_pair_complete(float(seed[0]), float(seed[1]))]
     verdicts = self_intersections(pattern, np.stack([st.crease_images for st in states]))
     assert verdicts.tolist() == [triangle_self_intersects(pattern, st) for st in states]
@@ -299,7 +303,19 @@ def test_no_solve_takes_a_tolerance():
               general_fold, fold_models.almost_general, admissible_region]
     solves += [make_samples, make_sample, sweep_model, render, export, samples_to_obj]
     solves += [f.solve for f in FAMILIES.values()]
+    solves += [folded_geometry, folded_frames, closure_residual, closure_residuals]
     assert [f for f in solves if "tol" in inspect.signature(f).parameters] == []
+
+
+def test_folded_geometry_reads_the_closure_bound_when_called(monkeypatch):
+    """A vector just off closure is refused by ``folded_geometry`` where ``make_sample`` reads it as invalid."""
+    monkeypatch.setattr(core_geometry, "DEFAULT_TOL", 1e-12)
+    monkeypatch.setattr(config_space, "DEFAULT_TOL", 1e-12)
+    v = general_fold(0.3, 0.5, 0.7)[0]
+    v[5] += 1e-10  # rho6
+    assert not make_sample(G, v).valid
+    with pytest.raises(NotClosedError):
+        folded_geometry(G, v)
 
 
 # --- tracing -------------------------------------------------------------------
@@ -570,19 +586,18 @@ def test_obj_export_skips_invalid_samples(tmp_path):
 
 
 def _obj_one_sample_at_a_time(flat, pattern, tol=1e-8):
-    """The obj text built with one folded_geometry call per sample."""
+    """The obj text built with one folded_frames call per sample."""
     lines, skipped, offset = [], 0, 0
     for m, s in enumerate(flat):
         if not s.valid or s.residual >= tol:
             skipped += 1
             continue
-        try:
-            state = folded_geometry(pattern, s.rho, tol=max(tol, s.residual * 2))
-        except NotClosedError:
+        residuals, frames = folded_frames(pattern, np.asarray(s.rho, dtype=float)[None])
+        if residuals[0] > max(tol, s.residual * 2):
             skipped += 1
             continue
         lines += [f"o sample_{m:04d}", "v 0 0 0"]
-        lines += ["v " + " ".join(f"{float(c):.12g}" for c in tip) for tip in state.crease_images]
+        lines += ["v " + " ".join(f"{float(c):.12g}" for c in tip) for tip in crease_images(pattern, frames)[0]]
         k = pattern.n
         lines += [f"f {offset + 1} {offset + 2 + i} {offset + 2 + (i + 1) % k}" for i in range(k)]
         offset += pattern.n + 1

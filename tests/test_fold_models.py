@@ -63,7 +63,6 @@ from rigidfold.fold_models import (
     two_pair_curve_gradient,
     two_pair_curve_residual,
     two_pair_node_loop,
-    two_pair_pattern,
     two_pair_quartic,
     two_pair_solve,
 )
@@ -493,7 +492,7 @@ def _on_curve_point(rho1: float, lo: float, hi: float) -> float:
 
 
 def test_two_pair_completion_closes_off_origin():
-    pat = two_pair_pattern()
+    pat = g60()
     r2 = _on_curve_point(1.5, -2.356, -2.094)
     comps = two_pair_complete(1.5, r2)
     assert comps

@@ -2,15 +2,14 @@
 
 The sensitivity test moves one constant by a factor of 10 either way,
 wherever the package holds it, and checks that the census, the sweeps and
-the trace do not notice.  The guard test keeps exponent literals out of
-every other module, so a new threshold has to be named there too.
+the trace do not notice.  One guard keeps exponent literals out of every
+other module, so a new threshold has to be named there too; another keeps
+tolerances out of defaults, so every reader sees a moved constant.
 """
 
 import ast
 import contextlib
 import importlib
-import inspect
-import textwrap
 import tokenize
 from pathlib import Path
 
@@ -21,10 +20,9 @@ import rigidfold
 from rigidfold import tolerances
 from rigidfold.cli import _table_text
 from rigidfold.config_space import samples_to_obj, sweep_model, trace_implicit_curve
-from rigidfold.core_geometry import CreasePattern, _shared_layout, g60
+from rigidfold.core_geometry import _shared_layout, g60
 from rigidfold.errors import BranchAmbiguityError
 from rigidfold.fold_models import (
-    FAMILIES,
     FoldMode,
     FoldModel,
     igloo_rho1,
@@ -48,65 +46,23 @@ PATTERNS = [p for k in range(1, 7) for p in enumerate_patterns(k)]
 TETRA = float(np.arccos(-1.0 / 3.0))  # the igloo fraction is 0/0 at (rho2, rho3) = (TETRA, TETRA)
 
 
-def _functions(module):
-    """The module's own functions and the methods of its own classes."""
-    for obj in vars(module).values():
-        if getattr(obj, "__module__", None) != module.__name__:
-            continue
-        if inspect.isfunction(obj):
-            yield obj
-        elif inspect.isclass(obj):
-            yield from (f for f in vars(obj).values() if inspect.isfunction(f))
-
-
-def _default_sites() -> list[tuple]:
-    """(function, index into its ``__defaults__``, constant name) of each default written as a tolerance.
-
-    Equal floats written in one module are one object, so identity alone
-    cannot tell ``DEFAULT_TOL`` from ``SECTOR_AGREE``: a function holding a
-    tolerance object is read back from its source for the name.
-    """
-    held = {id(getattr(tolerances, name)) for name in NAMES}
-    sites = []
-    for module in MODULES:
-        for fn in _functions(module):
-            assert not any(id(v) in held for v in (fn.__kwdefaults__ or {}).values()), fn
-            if not any(id(v) in held for v in fn.__defaults__ or ()):
-                continue
-            written = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].args.defaults
-            for i, node in enumerate(written):
-                if isinstance(node, ast.Name) and node.id in NAMES:
-                    assert fn.__defaults__[i] is getattr(tolerances, node.id), (fn, node.id)
-                    sites.append((fn, i, node.id))
-    return sites
-
-
-SITES = _default_sites()
-
-
 @contextlib.contextmanager
 def _rebound(name: str, value: float):
-    """``name`` set to ``value`` in every module that imports it and in every default written as it.
+    """``name`` set to ``value`` in every module that imports it.
 
     The shared sector layouts are dropped on entry and on exit, so every pattern read inside is built,
     and checked, under ``value``, and none checked under it outlives the block.
     """
     original = getattr(tolerances, name)
     modules = [m for m in MODULES if vars(m).get(name) is original]
-    sites = [(fn, i) for fn, i, n in SITES if n == name]
-    saved = [fn.__defaults__ for fn, _ in sites]
     for m in modules:
         setattr(m, name, value)
-    for fn, i in sites:
-        fn.__defaults__ = fn.__defaults__[:i] + (value,) + fn.__defaults__[i + 1:]
     _shared_layout.cache_clear()
     try:
         yield
     finally:
         for m in modules:
             setattr(m, name, original)
-        for (fn, _), defaults in zip(sites, saved):
-            fn.__defaults__ = defaults
         _shared_layout.cache_clear()
 
 
@@ -132,7 +88,7 @@ def _igloo_candidates() -> list[float]:
 
 def _observed() -> dict:
     """What the census, the sweeps, the trace and the resch patch give, plus one reader of each
-    tolerance those leave unread: ray counts, obj skips, the igloo 0/0 report, a pattern given its sectors."""
+    tolerance those leave unread: ray counts, obj skips, the igloo 0/0 report."""
     return {
         "census": _table_text(classify_g60()),
         "rays": [len(sol.velocities) for sol in solve_modes(g60(), PATTERNS)],
@@ -143,7 +99,6 @@ def _observed() -> dict:
         "central-difference trace": len(trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0)).samples),
         "resch": [len(resch_fold(t)) for t in RESCH_DRIVES.tolist()],  # raises where a vertex does not close
         "igloo 0/0": _igloo_candidates(),
-        "given sectors": CreasePattern(g60().creases, np.full(6, np.pi / 3.0)).sector_angles.tolist(),
     }
 
 
@@ -156,13 +111,25 @@ def baseline() -> dict:
     return seen
 
 
-def test_the_public_tolerances_are_importable_where_they_were_and_bound_as_defaults():
+def test_the_public_tolerances_are_importable_where_they_were():
     from rigidfold import config_space, core_geometry, fold_models
 
     assert core_geometry.TRIANGLE_EPS is tolerances.TRIANGLE_EPS
     assert core_geometry.DEFAULT_TOL is fold_models.DEFAULT_TOL is config_space.DEFAULT_TOL is tolerances.DEFAULT_TOL
-    assert "DEFAULT_TOL" in {name for _, _, name in SITES}
-    assert len(NAMES) <= 11
+    assert len(NAMES) <= 10
+
+
+def test_no_function_holds_a_tolerance_as_a_default():
+    """A default is bound once, at import, where moving the constant does not reach it: every
+    function, method and lambda in the package reads its tolerances when called."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = filter(None, node.args.defaults + node.args.kw_defaults)  # None: a keyword with no default
+                found += [f"{path.name}:{d.lineno}" for d in defaults
+                          if any(getattr(n, "id", getattr(n, "attr", None)) in NAMES for n in ast.walk(d))]
+    assert found == []
 
 
 @pytest.mark.parametrize("factor", [10.0, 0.1])
