@@ -107,6 +107,17 @@ def test_non_finite_creases_and_sectors_are_rejected(bad):
         CreasePattern(creases)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: CreasePattern(g60().creases, np.full(6, math.pi / 3.0)),
+    lambda: CreasePattern(g60().creases, sector_angles=np.full(6, math.pi / 3.0)),
+    lambda: folded_geometry(g60(), CLOSING, tol=1.0),
+], ids=["positional sectors", "keyword sectors", "closure bound"])
+def test_a_pattern_takes_its_creases_alone_and_a_closed_fold_its_angles_alone(call):
+    """Sectors are read from the creases and the closure bound is DEFAULT_TOL: neither is an argument."""
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_patterns_compare_by_creases():
     a = CreasePattern.from_sectors([math.pi / 3.0] * 6)
     assert a == g60() and not a != g60()
