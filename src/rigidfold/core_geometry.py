@@ -47,12 +47,14 @@ def check_fold_angle(rho: float, name: str = "drive"):
 
 
 def as_fold_angles(angles, n: int) -> np.ndarray:
-    """Validate ``n`` folding angles and wrap them into [-pi, pi]."""
+    """Validate ``n`` finite folding angles and wrap them into [-pi, pi]."""
     rho = np.asarray(angles, dtype=float)
     if rho.ndim != 1:
         raise DomainError("folding angles must form a 1-d sequence")
     if rho.size != n:
         raise DomainError(f"expected {n} folding angles, got {rho.size}")
+    if not np.isfinite(rho).all():
+        raise DomainError("folding angles must be finite")
     return wrap_angles(rho)
 
 

@@ -42,11 +42,7 @@ class NoSolutionError(NumericalError):
 
 
 class BranchAmbiguityError(NumericalError):
-    """Both branches of a two-branch solve degenerate simultaneously."""
-
-    def __init__(self, message: str, candidates: list[float] | None = None):
-        super().__init__(message)
-        self.candidates = candidates or []
+    """A half-angle fraction is 0/0 at the drive, so its completion is undetermined."""
 
 
 class InconsistentPointError(NumericalError):

@@ -43,7 +43,7 @@ from .errors import (
     OutOfRangeError,
     SingularParameterError,
 )
-from .tolerances import AMBIGUITY_PROBE, DEFAULT_TOL, ON_CURVE, ROUNDOFF
+from .tolerances import DEFAULT_TOL, ON_CURVE, ROUNDOFF
 
 PI = math.pi
 
@@ -452,35 +452,21 @@ def _igloo_half(alpha: float, beta: float, rho2, rho3):
 
 
 def igloo_rho1(alpha: float, beta: float, rho2: float, rho3: float) -> float:
-    """Completing angle on the first crease of the mirror-symmetric igloo.
+    """Completing angle on the first crease of the mirror-symmetric igloo: angle 1 of the family's row.
 
     The half-angle tangent is a ratio of trigonometric polynomials in the
     two free angles; the branch with cos(rho1/2) >= 0 is the one realized
-    by the symmetric folded state.  When numerator and denominator vanish
-    together the branch is ambiguous and the two one-sided continuations
-    are reported.
+    by the symmetric folded state.  A drive where either completion's
+    fraction is 0/0 has no determined state and raises.
     """
-    return _igloo_completion(alpha, beta, rho2, rho3, False)
+    f = FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)
+    return float(FAMILIES[f.model].fold(f, (rho2, rho3))[0][0])
 
 
 def igloo_rho4(alpha: float, beta: float, rho2: float, rho3: float) -> float:
-    """Completing angle on the middle crease; the vertex flipped end for end, so a 0/0 is probed along rho3."""
-    return _igloo_completion(alpha, beta, rho2, rho3, True)
-
-
-def _igloo_completion(alpha: float, beta: float, rho2: float, rho3: float, flip: bool) -> float:
-    FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)  # the flipped sectors are the same six
-    check_fold_angle(rho2, "rho2")
-    check_fold_angle(rho3, "rho3")
-    a, x, y = (PI - alpha - beta, float(rho3), float(rho2)) if flip else (alpha, float(rho2), float(rho3))
-    rho, ambiguous = _igloo_half(a, beta, x, y)
-    if ambiguous:
-        sides, stuck = _igloo_half(a, beta, x + np.array([AMBIGUITY_PROBE, -AMBIGUITY_PROBE]), y)
-        raise BranchAmbiguityError(
-            f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}",
-            candidates=[float(c) for c in sides[~stuck]],
-        )
-    return float(rho)
+    """Completing angle on the middle crease: angle 4 of the family's row, refused where ``igloo_rho1`` is."""
+    f = FoldMode(FoldModel.IGLOO2DOF, 1, alpha, beta)
+    return float(FAMILIES[f.model].fold(f, (rho2, rho3))[0][3])
 
 
 def _igloo_rows(alpha: float, beta: float, rho2, rho3):
@@ -800,11 +786,9 @@ def resch_fold(t: float) -> dict[str, np.ndarray]:
     drives the three 1-DOF igloo vertices (mode 2) through the shared
     crease, and the outer three vertices are the igloo rows at the (rho2,
     rho3) they share with their neighbors.  All vertices sit on 60-degree
-    patterns.
+    patterns.  A drive the trifold row refuses (past ``trifold_drive_limit``,
+    or outside [-pi, pi]) raises the trifold's error.
     """
-    limit = _trifold_drive_limit(PI / 3.0)
-    if not abs(t) <= limit + ROUNDOFF:
-        raise OutOfRangeError(f"drive {t} outside reachable interval [-{limit}, {limit}]")
     center = FAMILIES[FoldModel.TRIFOLD].fold(FoldMode(FoldModel.TRIFOLD), (t,))[0]
     inner = FAMILIES[FoldModel.IGLOO1DOF].fold(FoldMode(FoldModel.IGLOO1DOF, 2), (center[0],))[0]
     outer = FAMILIES[FoldModel.IGLOO2DOF].fold(FoldMode(FoldModel.IGLOO2DOF), inner[1:3])[0]

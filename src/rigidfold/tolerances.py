@@ -5,8 +5,7 @@ singular values), closure residuals (Frobenius distances of a loop product
 from the identity, judged by ``DEFAULT_TOL`` alone) or distances on the
 unit sphere.  Each one moves by a factor of 10 either way without changing
 the census, the sweeps, the trace or the resch patch
-(``tests/test_tolerances.py``); only the igloo 0/0 candidates move, with
-``AMBIGUITY_PROBE``.  This module imports nothing from the package.
+(``tests/test_tolerances.py``).  This module imports nothing from the package.
 """
 
 # An O(1) quantity in double precision counts as zero, or as at its bound, below this.
@@ -27,5 +26,3 @@ DEDUPE_STEP = 1e-6
 NODE_GRAD_TOL = 1e-6
 # Step of the walker's central-difference gradient.
 DIFF_STEP = 1e-6
-# Distance off a 0/0 igloo drive at which its one-sided continuations are read (they move with it).
-AMBIGUITY_PROBE = 1e-6

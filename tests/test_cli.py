@@ -249,7 +249,8 @@ DOMAIN_ERRORS = [
     (["export", "{empty}", "-o", "{tmp}/out.obj"], "nothing to export"),
     (["export", "{samples}", "--model", "degree4", "-o", "{tmp}/out.obj"], "expected 4 folding angles, got 6"),
     (["fold", "degree4", "--drive", "nan"], "drive must lie in [-pi, pi], got nan"),
-    (["resch", "--drive", "nan"], "drive nan outside reachable interval"),
+    (["resch", "--drive", "nan"], "drive must lie in [-pi, pi], got nan"),
+    (["resch", "--drive", "2"], "drive 2.0 maps outside [-pi, pi]; reachable |drive| <= 1.0471975511965976"),
     (["region", "--rho6", "nan"], "rho6 must lie in [-pi, pi], got nan"),
     (["region", "--rho6", "5"], "rho6 must lie in [-pi, pi], got 5.0"),
     (["trace", "--seed1", "nan"], "seed1 must lie in [-pi, pi], got nan"),

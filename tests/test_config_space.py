@@ -39,7 +39,6 @@ from rigidfold.config_space import (
     write_text,
 )
 from rigidfold.core_geometry import (
-    as_fold_angles,
     closure_residual,
     closure_residuals,
     crease_images,
@@ -662,7 +661,7 @@ def _reference_obj(flat, pattern, tol=1e-8):
     kept = [m for m, s in enumerate(flat) if s.valid and not s.residual >= tol]
     lines, written = [], 0
     if kept:
-        rows = np.array([as_fold_angles(flat[m].rho, pattern.n) for m in kept])
+        rows = np.array([flat[m].rho for m in kept])  # folded_frames wraps them
         residuals, frames = folded_frames(pattern, rows)
         for m, residual, tips in zip(kept, residuals, crease_images(pattern, frames)):
             if residual > max(tol, flat[m].residual * 2):

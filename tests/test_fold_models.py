@@ -351,6 +351,37 @@ def test_opposites_solve_returns_no_negative_zero(given):
 
 # --- igloo --------------------------------------------------------------------
 
+# 0/0 points of the igloo fraction at three sector pairs: both completions' fractions vanish there
+IGLOO_AMBIGUOUS = {(PI / 3.0, PI / 3.0): (1.9106332362490182, 1.9106332362490188),
+                   (1.0, 0.8): (1.320986754366246, 2.1493629417097346),
+                   (0.9, 1.2): (1.9638024167176962, 2.1474791631953942)}
+
+
+@pytest.mark.parametrize("sectors", list(IGLOO_AMBIGUOUS), ids=str)
+def test_igloo_completions_are_the_family_rows(sectors):
+    """igloo_rho1 and igloo_rho4 are angles 1 and 4 of ``Family.fold``'s row bit for bit, and refuse what it
+    refuses with the same error: 200 seeded drives (some outside [-pi, pi]), NaN and the +/- 0/0 points."""
+    fam, mode = FAMILIES[FoldModel.IGLOO2DOF], FoldMode(FoldModel.IGLOO2DOF, 1, *sectors)
+    ambiguous = IGLOO_AMBIGUOUS[sectors]
+    drives = [*np.random.default_rng(7).uniform(-3.3, 3.3, (200, 2)).tolist(),
+              ambiguous, (-ambiguous[0], -ambiguous[1]), (math.nan, 0.3), (0.0, 0.0)]
+
+    def outcome(call):
+        try:
+            return np.array([call()]).tobytes()
+        except RigidFoldError as err:
+            return type(err), str(err)
+
+    refused = set()
+    for rho2, rho3 in drives:
+        for fn, i in ((igloo_rho1, 0), (igloo_rho4, 3)):
+            expected = outcome(lambda: fam.fold(mode, (rho2, rho3))[0][i])
+            assert outcome(lambda: fn(*sectors, rho2, rho3)) == expected, (fn.__name__, rho2, rho3)
+            if isinstance(expected, tuple):
+                refused.add(expected[0])
+    assert refused == {OutOfRangeError, BranchAmbiguityError}
+
+
 def test_igloo_completion_closes_on_a_grid():
     a, b = 1.0, 0.8
     pat = igloo_pattern(a, b)
@@ -376,7 +407,7 @@ def test_igloo_partial_relations_name_the_bad_drive(fn, bad):
 
 @pytest.mark.parametrize("fn", [igloo_rho1, igloo_rho4])
 def test_igloo_partial_relations_check_their_sectors_once(fn, monkeypatch):
-    """igloo_rho4 flips the vertex without building a second FoldMode: its sectors are the same six."""
+    """Each completion reads the family's row through one FoldMode: igloo_rho4 builds no flipped one."""
     checks, real = [], FoldMode.__post_init__
     monkeypatch.setattr(FoldMode, "__post_init__", lambda self: checks.append(self) or real(self))
     fn(1.0, 0.8, 0.3, 0.2)
@@ -384,18 +415,14 @@ def test_igloo_partial_relations_check_their_sectors_once(fn, monkeypatch):
 
 
 def test_igloo_ambiguity_names_the_callers_drives():
-    """At a 0/0 fraction both completions name rho2 and rho3 as given; igloo_rho4's
-    candidates are those of the flipped vertex, probed along its first drive (rho3)."""
+    """At a 0/0 fraction, at either tetrahedral drive pair, both completions name rho2 and rho3 as given."""
     tetra = (1.9106332362490182, 1.9106332362490188)  # doubles either side of arccos(-1/3)
-    for rho2, rho3 in (tetra, tetra[::-1]):
+    for rho2, rho3 in (tetra, tetra[::-1], (-tetra[0], -tetra[1]), (-tetra[1], -tetra[0])):
         message = f"half-angle fraction is 0/0 at rho2={rho2}, rho3={rho3}"
         for fn in (igloo_rho1, igloo_rho4):
             with pytest.raises(BranchAmbiguityError) as err:
                 fn(PI / 3.0, PI / 3.0, rho2, rho3)
-            assert str(err.value) == message and len(err.value.candidates) == 2
-        with pytest.raises(BranchAmbiguityError) as flipped:
-            igloo_rho1(PI - PI / 3.0 - PI / 3.0, PI / 3.0, rho3, rho2)
-        assert err.value.candidates == flipped.value.candidates
+            assert str(err.value) == message
 
 
 def test_igloo_1dof_closes_and_matches_completion():
@@ -800,7 +827,7 @@ def test_resch_flat_at_zero():
 
 def test_resch_rejects_out_of_range_drive():
     limit = trifold_drive_limit(PI / 3.0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(OutOfRangeError, match=f"reachable \\|drive\\| <= {limit}$"):
         resch_fold(limit + 1e-3)
 
 

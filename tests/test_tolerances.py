@@ -21,11 +21,9 @@ from rigidfold import tolerances
 from rigidfold.cli import _table_text
 from rigidfold.config_space import samples_to_obj, sweep_model, trace_implicit_curve
 from rigidfold.core_geometry import _shared_layout, g60
-from rigidfold.errors import BranchAmbiguityError
 from rigidfold.fold_models import (
     FoldMode,
     FoldModel,
-    igloo_rho1,
     resch_fold,
     trifold_drive_limit,
     two_pair_curve_gradient,
@@ -43,7 +41,6 @@ GRIDS = (FoldModel.OPPOSITES, FoldModel.IGLOO2DOF, FoldModel.ALMOST_GENERAL)
 CRITERION_3 = [(model, 32 if model in GRIDS else 1000) for model in FoldModel]
 RESCH_DRIVES = np.linspace(-1.0, 1.0, 9) * trifold_drive_limit(np.pi / 3.0)
 PATTERNS = [p for k in range(1, 7) for p in enumerate_patterns(k)]
-TETRA = float(np.arccos(-1.0 / 3.0))  # the igloo fraction is 0/0 at (rho2, rho3) = (TETRA, TETRA)
 
 
 @contextlib.contextmanager
@@ -74,21 +71,9 @@ def _counts(model: FoldModel, n: int, obj: bool = False) -> tuple[int, ...]:
     return len(samples), int(samples.valid.sum()), *skipped
 
 
-def _igloo_candidates() -> list[float]:
-    """The one-sided rho1 continuations reported at a 0/0 igloo drive, in units of ``AMBIGUITY_PROBE``.
-
-    They are read that far off the drive, so they move with it: about half
-    of it to each side.  At a tenth of today's probe roundoff is 7% of
-    them; at a hundredth it flips their signs.
-    """
-    with pytest.raises(BranchAmbiguityError) as err:
-        igloo_rho1(np.pi / 3.0, np.pi / 3.0, TETRA, TETRA)
-    return np.round(np.array(err.value.candidates) / tolerances.AMBIGUITY_PROBE, 1).tolist()
-
-
 def _observed() -> dict:
     """What the census, the sweeps, the trace and the resch patch give, plus one reader of each
-    tolerance those leave unread: ray counts, obj skips, the igloo 0/0 report."""
+    tolerance those leave unread: ray counts and obj skips."""
     return {
         "census": _table_text(classify_g60()),
         "rays": [len(sol.velocities) for sol in solve_modes(g60(), PATTERNS)],
@@ -98,7 +83,6 @@ def _observed() -> dict:
                                           gradient=two_pair_curve_gradient).samples),
         "central-difference trace": len(trace_implicit_curve(two_pair_curve_residual, (0.0, 0.0)).samples),
         "resch": [len(resch_fold(t)) for t in RESCH_DRIVES.tolist()],  # raises where a vertex does not close
-        "igloo 0/0": _igloo_candidates(),
     }
 
 
@@ -107,7 +91,6 @@ def baseline() -> dict:
     seen = _observed()
     assert seen["census"] == CENSUS
     assert seen["trace"] == 46
-    assert seen["igloo 0/0"] == [-0.5, 0.5]
     return seen
 
 
@@ -116,7 +99,7 @@ def test_the_public_tolerances_are_importable_where_they_were():
 
     assert core_geometry.TRIANGLE_EPS is tolerances.TRIANGLE_EPS
     assert core_geometry.DEFAULT_TOL is fold_models.DEFAULT_TOL is config_space.DEFAULT_TOL is tolerances.DEFAULT_TOL
-    assert len(NAMES) <= 10
+    assert len(NAMES) <= 9
 
 
 def test_no_function_holds_a_tolerance_as_a_default():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rigidfold.config_space import Samples
-from rigidfold.core_geometry import closure_residual, folded_frames, g60
+from rigidfold.core_geometry import closure_residual, folded_frames, folded_geometry, g60
 from rigidfold.errors import DomainError, OutOfRangeError, SingularParameterError
 from rigidfold.fold_models import (
     FoldMode,
@@ -43,6 +43,10 @@ VELOCITIES = "expected 6 velocities, got shape (5,)"
     (lambda: degree4_multipliers(PI - 1e-13, 1e-13), SingularParameterError, "degenerate sector pair alpha="),
     (lambda: closure_residual(g60(), [[0.0] * 6]), DomainError, "folding angles must form a 1-d sequence"),
     (lambda: closure_residual(g60(), [0.0] * 5), DomainError, "expected 6 folding angles, got 5"),
+    (lambda: closure_residual(g60(), [0.0] * 5 + [math.nan]), DomainError, "folding angles must be finite"),
+    (lambda: closure_residual(g60(), [math.inf] + [0.0] * 5), DomainError, "folding angles must be finite"),
+    (lambda: folded_geometry(g60(), [math.nan] * 6), DomainError, "folding angles must be finite"),
+    (lambda: folded_geometry(g60(), [0.0] * 5 + [-math.inf]), DomainError, "folding angles must be finite"),
     (lambda: folded_frames(g60(), [0.0] * 6), DomainError, "folding-angle rows must form a 2-d array"),
     (lambda: Samples(np.zeros((2, 6)), np.zeros(1), np.zeros(2, dtype=bool), [0, 0]), ValueError,
      "sample columns differ in length"),
@@ -55,7 +59,8 @@ VELOCITIES = "expected 6 velocities, got shape (5,)"
 ], ids=["opposites_pattern", "igloo_pattern", "pleat_multiplier-0", "pleat_multiplier-pi", "bowtie_pattern",
         "bowtie_multiplier", "bowtie_pattern-float", "bowtie_multiplier-float", "FoldMode-general-nan",
         "FoldMode-twopair-nan", "FoldMode-almost-general-nan", "degree4_multipliers", "closure_residual-2d",
-        "closure_residual-5",
+        "closure_residual-5", "closure_residual-nan", "closure_residual-inf", "folded_geometry-nan",
+        "folded_geometry-inf",
         "folded_frames-1d", "Samples", "canonical_form", "enumerate_patterns-0", "enumerate_patterns-7",
         "first_order_matrix", "second_order_matrix", "solve_modes"])
 def test_a_public_validator_refuses_its_bad_input(call, error, message):
