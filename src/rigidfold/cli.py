@@ -18,7 +18,7 @@ import numpy as np
 from . import config_space as cs
 from . import fold_models as fm
 from .core_geometry import check_fold_angle, g60, wrap_angles
-from .errors import OutOfRangeError, RigidFoldError
+from .errors import NoSolutionError, OutOfRangeError, RigidFoldError
 from .symmetry_enumeration import classify_g60
 
 _MODELS = {m.value: m for m in fm.FoldModel}
@@ -225,7 +225,10 @@ def _write_samples(samples, args, fmt: str, pattern) -> int:
 
 def cmd_sweep(args) -> int:
     fmt, mode = _infer_format(args, ("csv", "json", "obj"), "csv"), _fold_mode(args)
-    return _write_samples(cs.sweep_model(mode, args.n), args, fmt, mode.pattern)
+    samples = cs.sweep_model(mode, args.n)
+    if not len(samples):
+        raise NoSolutionError(f"{args.model} has no closing state at any of its drives for n = {args.n}")
+    return _write_samples(samples, args, fmt, mode.pattern)
 
 
 def cmd_trace(args) -> int:

@@ -56,11 +56,11 @@ class ConfigSample:
 
 @dataclass(frozen=True, eq=False)
 class Samples:
-    """Sampled folded states as columns: angles (N, w), closure defect, validity and branch tag.
+    """Sampled folded states as columns: angles (N, n), closure defect, validity and branch tag.
 
-    Row i holds ``width[i]`` angles (w by default), then NaN.  An integer
+    Every row holds the same n angles, those of one vertex.  An integer
     index, ``len`` and iteration give ``ConfigSample`` rows; any other index
-    gives the selected rows, their angles cut to the widest of them.
+    gives the selected rows.
     Records, rows or lists of rows are equal when their json export is.
     A branch tag is an int or a str, as the loader reads it; any other one
     (a bool too) raises ``OutOfRangeError`` when the record is built.
@@ -70,12 +70,11 @@ class Samples:
     residual: np.ndarray
     valid: np.ndarray
     branch: list
-    width: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.width is None:
-            object.__setattr__(self, "width", np.full(len(self.rho), self.rho.shape[1]))
-        if not len(self.rho) == len(self.residual) == len(self.valid) == len(self.branch) == len(self.width):
+        if self.rho.ndim != 2:
+            raise ValueError(f"sample angles must be an (N, n) array, got shape {self.rho.shape}")
+        if not len(self.rho) == len(self.residual) == len(self.valid) == len(self.branch):
             raise ValueError("sample columns differ in length")
         wrong = np.flatnonzero(_faulty(self.branch, {int, str}))  # what the loader refuses: a bool too
         if len(wrong):
@@ -87,12 +86,9 @@ class Samples:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return ConfigSample(self.rho[key, :self.width[key]], float(self.residual[key]), bool(self.valid[key]),
-                                self.branch[key])
+            return ConfigSample(self.rho[key], float(self.residual[key]), bool(self.valid[key]), self.branch[key])
         rows = np.arange(len(self))[key]
-        width = self.width[rows]
-        return Samples(self.rho[rows, :width.max(initial=0)], self.residual[rows], self.valid[rows],
-                       [self.branch[i] for i in rows.tolist()], width)
+        return Samples(self.rho[rows], self.residual[rows], self.valid[rows], [self.branch[i] for i in rows.tolist()])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -125,16 +121,17 @@ class ExportReport:
 
 
 def as_samples(samples) -> Samples:
-    """A ``Samples`` record from one, or from ConfigSample rows."""
+    """A ``Samples`` record from one, or from ConfigSample rows of one angle count (else OutOfRangeError)."""
     if isinstance(samples, Samples):
         return samples
     rows = [samples] if isinstance(samples, ConfigSample) else list(samples)
     angles = [np.asarray(s.rho, dtype=float) for s in rows]
-    width = np.array([len(a) for a in angles], dtype=int)
-    rho = np.full((len(rows), width.max(initial=0)), np.nan)
-    rho[np.arange(rho.shape[1]) < width[:, None]] = np.concatenate([[], *angles])
-    return Samples(rho, np.array([s.residual for s in rows], dtype=float),
-                   np.array([bool(s.valid) for s in rows], dtype=bool), [s.branch for s in rows], width)
+    odd = [i for i, a in enumerate(angles) if len(a) != len(angles[0])]
+    if odd:
+        raise OutOfRangeError(f"sample {odd[0]} has {len(angles[odd[0]])} angles "
+                              f"where the samples before it have {len(angles[0])}")
+    return Samples(np.stack(angles) if rows else np.empty((0, 0)), np.array([s.residual for s in rows], dtype=float),
+                   np.array([bool(s.valid) for s in rows], dtype=bool), [s.branch for s in rows])
 
 
 def make_samples(pattern: CreasePattern, rows, branches) -> Samples:
@@ -402,13 +399,10 @@ def _keys(k: int) -> list[str]:
     return [f"rho{i + 1}" for i in range(k)] + ["residual", "valid", "branch"]
 
 
-def _fill(template, sep: str, flat: Samples, angles: np.ndarray, *fields) -> str:
-    """Row i's ``template(width[i])`` filled with its first width[i] ``angles``, then its ``fields``: one ``%``."""
-    templates = {k: template(k) for k in set(flat.width.tolist())}
+def _fill(row: str, sep: str, angles: np.ndarray, *fields) -> str:
+    """One ``row`` template per row, filled with its ``angles``, then its ``fields``: one ``%``."""
     cells = np.concatenate([angles, *map(_column, fields)], axis=1)  # object: Python floats, ints and strings
-    kept = np.ones(cells.shape, dtype=bool)
-    kept[:, :angles.shape[1]] = np.arange(angles.shape[1]) < flat.width[:, None]
-    return sep.join(map(templates.__getitem__, flat.width.tolist())) % tuple(cells[kept])
+    return sep.join([row] * len(cells)) % tuple(cells.ravel())
 
 
 def _csv_field(text: str) -> str:
@@ -418,26 +412,23 @@ def _csv_field(text: str) -> str:
 
 
 def samples_to_csv(samples) -> str:
-    """One row per sample: angles, residual, valid, branch; floats to 12 significant digits.
-
-    A row narrower than the header gets its blank angle columns before ``residual``.
-    """
+    """One row per sample: angles, residual, valid, branch; floats to 12 significant digits."""
     flat = as_samples(samples)
-    w = flat.rho.shape[1]
-    body = _fill(lambda k: "%.12g," * k + "," * (w - k) + "%.12g,%s,%s", "\n", flat, flat.rho,
+    n = flat.rho.shape[1]
+    body = _fill("%.12g," * n + "%.12g,%s,%s", "\n", flat.rho,
                  flat.residual.tolist(), np.where(flat.valid, "true", "false").tolist(),
                  [_csv_field(b) if isinstance(b, str) else b for b in flat.branch])
-    return ",".join(_keys(w)) + f"\n{body}\n"
+    return ",".join(_keys(n)) + f"\n{body}\n"
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling of these reprs
 
 
 def samples_to_json(samples) -> str:
-    """The text of ``json.dumps(records, indent=1)``, one ``%`` template per angle count.
+    """The text of ``json.dumps(records, indent=1)``, one ``%`` template per row.
 
     Floats are filled in as their repr, as json.dumps writes them; the rows
-    holding a non-finite value (or NaN padding) respell it as json.dumps does.
+    holding a non-finite value respell it as json.dumps does.
     """
     flat = as_samples(samples)
     if not len(flat):
@@ -446,7 +437,7 @@ def samples_to_json(samples) -> str:
     text = _column(list(map(repr, fields.ravel().tolist()))).reshape(fields.shape)
     for i in np.flatnonzero(~np.isfinite(fields).all(axis=1)).tolist():
         text[i] = [_JSON_NON_FINITE.get(t, t) for t in text[i]]
-    body = _fill(lambda k: " {\n" + ",\n".join(f'  "{key}": %s' for key in _keys(k)) + "\n }", ",\n", flat,
+    body = _fill(" {\n" + ",\n".join(f'  "{key}": %s' for key in _keys(flat.rho.shape[1])) + "\n }", ",\n",
                  text[:, :-1], text[:, -1].tolist(), np.where(flat.valid, "true", "false").tolist(),
                  [json.dumps(b) if isinstance(b, str) else b for b in flat.branch])
     return f"[\n{body}\n]\n"
@@ -481,8 +472,9 @@ def load_samples_json(path: str) -> Samples:
     """Inverse of the json export; residuals round-trip bit-exactly.
 
     The records of each key set are checked and gathered column by column.
-    Input that is not a json array of sample records raises OutOfRangeError
-    naming the file, the first bad record and its first fault.
+    Input that is not a json array of sample records, all with the angle
+    count of the first readable one, raises OutOfRangeError naming the
+    file, the first bad record and its first fault.
     """
     with open(path) as fh:
         try:
@@ -498,11 +490,12 @@ def load_samples_json(path: str) -> Samples:
     keys = list(map(tuple, map(data.__getitem__, records.tolist())))
     layouts = {k: _angle_keys(k) for k in dict.fromkeys(keys)}
     group = np.fromiter(map({k: g for g, k in enumerate(layouts)}.__getitem__, keys), dtype=int, count=len(keys))
-    w = max((len(angles) for angles, wrong in layouts.values() if not wrong), default=0)
-    rho, residual, valid = np.full((n, w), np.nan), np.zeros(n), np.zeros(n, dtype=bool)
-    branch, width = np.zeros(n, dtype=object), np.zeros(n, dtype=int)
+    w = next((len(angles) for angles, wrong in layouts.values() if not wrong), 0)  # first readable key set's count
+    rho, residual, valid, branch = np.zeros((n, w)), np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=object)
     for g, (angles, wrong) in enumerate(layouts.values()):
         rows = records[group == g]
+        if not wrong and len(angles) != w:
+            wrong = f"has {len(angles)} angles where the records before it have {w}"
         fault[rows] = wrong
         if wrong:
             continue
@@ -517,14 +510,14 @@ def load_samples_json(path: str) -> Samples:
         ok = ~(not_number | not_flag)
         rows, columns = rows[ok], [list(compress(column, ok)) for column in columns]
         values = np.array(columns[:-2], dtype=float)  # angle columns, then the residual
-        rho[rows, :len(angles)], residual[rows] = values[:-1].T, values[-1]
-        valid[rows], branch[rows], width[rows] = columns[-2], _column(columns[-1])[:, 0], len(angles)
-    finite = (np.isfinite(rho) | (np.arange(w) >= width[:, None])).all(axis=1) & np.isfinite(residual)
+        rho[rows], residual[rows] = values[:-1].T, values[-1]
+        valid[rows], branch[rows] = columns[-2], _column(columns[-1])[:, 0]
+    finite = np.isfinite(rho).all(axis=1) & np.isfinite(residual)
     fault[valid & ~finite] = "is flagged valid but has an angle or residual that is not finite"
     bad = np.flatnonzero(fault != "")
     if len(bad):
         raise OutOfRangeError(f"{path}: record {bad[0]} {fault[bad[0]]}")
-    return Samples(rho, residual, valid, branch.tolist(), width)
+    return Samples(rho, residual, valid, branch.tolist())
 
 
 def samples_to_obj(samples, pattern: CreasePattern | None) -> tuple[str, int]:
@@ -537,14 +530,15 @@ def samples_to_obj(samples, pattern: CreasePattern | None) -> tuple[str, int]:
     tips to 12 significant digits and the fan of sector faces.
     """
     flat = as_samples(samples)
-    if pattern is None and (flat.width != 6).any():
+    k = flat.rho.shape[1]
+    if pattern is None and len(flat) and k != 6:
         raise OutOfRangeError("obj export needs an explicit pattern for non-6-crease samples")
     pat = g60() if pattern is None else pattern
     n = pat.n
     kept = np.flatnonzero(flat.valid & ~(flat.residual >= DEFAULT_TOL))  # NaN: re-fold decides
-    if (flat.width[kept] != n).any():
-        raise DomainError(f"expected {n} folding angles, got {flat.width[kept][flat.width[kept] != n][0]}")
-    rows = flat.rho[kept, :n].reshape(len(kept), n)  # (0, n) also when no row is kept and every row is narrower
+    if len(kept) and k != n:
+        raise DomainError(f"expected {n} folding angles, got {k}")
+    rows = flat.rho[kept].reshape(len(kept), n)  # (0, n) also when no row is kept and the rows have another count
     residuals, frames = folded_frames(pat, rows)
     closes = ~(residuals > np.fmax(DEFAULT_TOL, flat.residual[kept] * 2))  # else from a different pattern
     kept = kept[closes]

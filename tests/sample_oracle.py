@@ -4,9 +4,10 @@ This is the loader that ``config_space.load_samples_json`` replaced: it
 checks one record at a time and builds one ``ConfigSample`` per record,
 where the columnar loader checks and gathers whole columns.  The
 differential tests require both to accept the same files and to reject the
-others with the same message and record index, apart from the two records
-the columnar loader refuses on purpose (a true/false branch, and angle keys
-other than rho1..rhoN).
+others with the same message and record index, apart from the three records
+the columnar loader refuses on purpose (a true/false branch, angle keys
+other than rho1..rhoN, and an angle count other than the first readable
+record's).
 """
 
 import json

@@ -435,6 +435,38 @@ def test_numerical_error_exits_3(capsys):
     assert "error:" in err
 
 
+def test_a_sweep_with_no_closing_state_is_a_numerical_failure(tmp_path, capsys):
+    """almost-general's 2 x 2 grid is the four (+/-pi, +/-pi) corners, and none of them closes."""
+    out = tmp_path / "ag.csv"
+    code, stdout, err = run(capsys, "sweep", "almost-general", "-n", "2", "-o", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == "error: almost-general has no closing state at any of its drives for n = 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("drives", [
+    ["--rho4=6.19e-04", "--rho5=-7.75e-04", "--rho6=1.27e-04"],
+    pytest.param(["--rho4=6.19e-07", "--rho5=-7.75e-07", "--rho6=1.27e-07"], marks=pytest.mark.xfail(
+        strict=True, reason="near the flat state the general solve judges its double root and existence to an "
+                            "absolute 1e-12, so it reports a state that does not exist")),
+], ids=["1e-4", "1e-7"])
+def test_general_fold_reports_no_state_along_a_drive_direction_that_has_none(capsys, drives):
+    """This drive direction has no general state at any scale from 1e-1 down to 1e-5."""
+    code, _, err = run(capsys, "fold", "general", *drives)
+    assert code == 3 and "no closing branch" in err
+
+
+def test_export_refuses_a_file_of_mixed_angle_counts(tmp_path, capsys):
+    src, out = tmp_path / "mixed.json", tmp_path / "x.csv"
+    records = [{"rho1": 0.0, "rho2": 0.0, "rho3": 0.0, "rho4": 0.0, "rho5": 0.0, "rho6": 0.0, "residual": 0.0,
+                "valid": True, "branch": 0}, {"rho1": 0.0, "rho2": 0.0, "rho3": 0.0, "rho4": 0.0, "residual": 0.0,
+                                              "valid": False, "branch": 0}]
+    src.write_text(json.dumps(records, indent=1))
+    assert run(capsys, "export", str(src), "-o", str(out)) == (
+        2, "", f"error: {src}: record 1 has 4 angles where the records before it have 6\n")
+    assert not out.exists()
+
+
 def test_io_error_exits_4(capsys):
     code, _, err = run(capsys, "export", "/nonexistent/samples.json")
     assert code == 4

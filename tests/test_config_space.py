@@ -161,17 +161,46 @@ def test_rows_are_equal_when_their_json_is():
 @pytest.mark.parametrize("key", [[False, True, True], [True, False, False], slice(1, None), slice(0, 0),
                                  np.array([2, 0]), [-1], np.array([False, False, True])], ids=repr)
 def test_selecting_rows_equals_rebuilding_the_record_from_them(key):
-    """Rows of a mixed 6/4-angle record, selected by any non-integer index, are the record the
-    selected ``ConfigSample`` rows rebuild: angle columns cut to the widest selected row."""
-    mixed = as_samples([make_sample(G, np.zeros(6), 1),
-                        ConfigSample(np.array([0.1, -0.0, 0.3, 5e-324]), 2.0, False, "b"),
-                        ConfigSample(np.array([np.inf, 0.5, 0.0, 1.0]), 0.0, True, 3)])
-    got = mixed[key]
-    want = as_samples([mixed[i] for i in np.arange(3)[key].tolist()])
-    assert got.rho.shape == want.rho.shape and got.width.tolist() == want.width.tolist()
-    assert got.rho[~np.isnan(want.rho)].tobytes() == want.rho[~np.isnan(want.rho)].tobytes()
+    """Rows of a 6-angle record, selected by any non-integer index, are the record the selected
+    ``ConfigSample`` rows rebuild; no rows rebuild an empty record of the same six angle columns."""
+    record = as_samples([make_sample(G, np.zeros(6), 1),
+                         ConfigSample(np.array([0.1, -0.0, 0.3, 5e-324, 0.2, 0.0]), 2.0, False, "b"),
+                         ConfigSample(np.array([np.inf, 0.5, 0.0, 1.0, -0.0, 0.5]), 0.0, True, 3)])
+    got, rows = record[key], [record[i] for i in np.arange(3)[key].tolist()]
+    want = as_samples(rows) if rows else Samples(np.empty((0, 6)), np.empty(0), np.empty(0, dtype=bool), [])
+    assert got.rho.shape == want.rho.shape
+    assert got.rho.tobytes() == want.rho.tobytes()
     assert samples_to_csv(got) == samples_to_csv(want)
     assert samples_to_json(got) == samples_to_json(want)
+
+
+def test_a_record_holds_one_angle_count():
+    """Rows of 6 and of 4 angles make no record, so no writer meets them; a record's angles are an (N, n) array."""
+    rows = [make_sample(G, np.zeros(6)), make_sample(G, np.zeros(6)), ConfigSample(np.zeros(4), 0.0, False, 1)]
+    for build in (as_samples, samples_to_json, samples_to_csv, lambda r: samples_to_obj(r, G)):
+        with pytest.raises(OutOfRangeError, match="^sample 2 has 4 angles where the samples before it have 6$"):
+            build(rows)
+    with pytest.raises(ValueError, match=re.escape("sample angles must be an (N, n) array, got shape (3,)")):
+        Samples(np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool), [0, 0, 0])
+
+
+def _record(k: int, **fields) -> dict:
+    return {**{f"rho{i + 1}": 0.0 for i in range(k)}, "residual": 0.0, "valid": False, "branch": 0, **fields}
+
+
+@pytest.mark.parametrize("records, fault", [
+    ([_record(6), _record(4)], "record 1 has 4 angles where the records before it have 6"),
+    ([_record(6), _record(6), _record(1), _record(4)], "record 2 has 1 angles where the records before it have 6"),
+    ([_record(6), _record(4, rho1="x")], "record 1 has 4 angles where the records before it have 6"),
+    ([_record(6), _record(6, rho1="x"), _record(4)], "record 1 has an angle or residual that is not a number"),
+    ([{"rho1": 0.0}, _record(4), _record(6)], "record 0 has no 'residual'"),
+    ([_record(6, branch=True), _record(4)], "record 0 needs a true/false valid and an integer or string branch"),
+], ids=["6-then-4", "6-6-1-4", "count-before-values", "lower-record-first", "bad-key-set-first", "bad-flag-first"])
+def test_loader_refuses_a_record_of_another_angle_count(tmp_path, records, fault):
+    """Every record has the angle count of the first readable one; a record of another count is refused
+    as a bad key set is, and the lowest faulty record is reported."""
+    path = tmp_path / "mixed.json"
+    assert _load(load_samples_json, path, records) == f"{path}: {fault}"
 
 
 def test_long_sweep_is_fast():
@@ -636,12 +665,11 @@ def test_csv_uses_twelve_significant_digits():
 
 def _reference_csv(flat):
     """Each row's cells through ``csv.writer``, which quotes a cell as RFC 4180 asks."""
-    width = max(len(s.rho) for s in flat)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([f"rho{i + 1}" for i in range(width)] + ["residual", "valid", "branch"])
+    writer.writerow([f"rho{i + 1}" for i in range(len(flat[0].rho))] + ["residual", "valid", "branch"])
     for s in flat:
-        angles = [f"{float(x):.12g}" for x in s.rho] + [""] * (width - len(s.rho))
+        angles = [f"{float(x):.12g}" for x in s.rho]
         writer.writerow(angles + [f"{s.residual:.12g}", "true" if s.valid else "false", str(s.branch)])
     return out.getvalue()
 
@@ -676,7 +704,7 @@ def _reference_obj(flat, pattern, tol=1e-8):
 
 
 def _reference_corpus():
-    """(samples, pattern) groups: every family's sweeps, a 600-sample general mix, edge values."""
+    """(samples, pattern) groups: every family's sweeps, a 600-sample general mix, edge values at 6 and 4 angles."""
     groups = []
     for model in FoldModel:
         fam = FAMILIES[model]
@@ -696,7 +724,8 @@ def _reference_corpus():
         ConfigSample(np.array([1e300, -1e300, 123456789012345.0, 0.5, 0.25, 0.0]), 1e-20, True, "x"),
     ]
     groups.append((edge, G))
-    groups.append((edge + [ConfigSample(np.array([0.1, -0.0, nan, 5e-324]), 2, False, "four")], None))
+    groups.append(([ConfigSample(np.array([0.1, -0.0, nan, 5e-324]), 2, False, "four"),
+                    ConfigSample(np.array([inf, 1.0 / 3.0, -1e-300, 0.0]), nan, True, "x")], None))
     groups.append(([s for s in general if not s.valid][:5], G))  # every obj sample skipped
     return groups
 
@@ -783,17 +812,31 @@ def _load(loader, path, records):
         return str(e)
 
 
-def _newly_rejected(rec, path) -> str:
-    """The fault the columnar loader reports in a record the oracle passes through: a true/false
-    branch, or angle keys other than rho1..rhoN; '' when the two loaders agree on the record."""
+def _angle_keys(rec) -> list[str]:
+    """The rhoN keys of a record with every sample field, in angle order; [] for any other record."""
     if not isinstance(rec, dict) or any(k not in rec for k in ("residual", "valid", "branch")):
-        return ""
+        return []
     try:
-        angles = sorted((k for k in rec if k.startswith("rho")), key=lambda k: int(k[3:]))
+        return sorted((k for k in rec if k.startswith("rho")), key=lambda k: int(k[3:]))
     except ValueError:
+        return []
+
+
+def _readable(angles) -> bool:
+    return bool(angles) and angles == [f"rho{i + 1}" for i in range(len(angles))]
+
+
+def _newly_rejected(rec, path, count) -> str:
+    """The fault the columnar loader reports in a record the oracle passes through: angle keys
+    other than rho1..rhoN, an angle count other than ``count`` (that of the first record with
+    readable keys), or a true/false branch; '' when the two loaders agree on the record."""
+    angles = _angle_keys(rec)
+    if not angles:
         return ""
-    if angles and angles != [f"rho{i + 1}" for i in range(len(angles))]:
+    if not _readable(angles):
         return _KEY_FAULT
+    if len(angles) != count:
+        return f"has {len(angles)} angles where the records before it have {count}"
     numbers = not isinstance(_load(sample_oracle.load_samples_json, path, [{**rec, "valid": False, "branch": 0}]), str)
     return _FLAG_FAULT if numbers and type(rec["valid"]) is bool and type(rec["branch"]) is bool else ""
 
@@ -801,8 +844,9 @@ def _newly_rejected(rec, path) -> str:
 def _expected(records, path):
     """The oracle's result, except that the first record it passes but the columnar loader refuses
     ends the file with that record's fault."""
+    count = next((len(a) for a in map(_angle_keys, records) if _readable(a)), 0)
     for j, rec in enumerate(records):
-        fault = _newly_rejected(rec, path)
+        fault = _newly_rejected(rec, path, count)
         if fault:
             before = _load(sample_oracle.load_samples_json, path, records[:j])
             return before if isinstance(before, str) else f"{path}: record {j} {fault}"
@@ -852,7 +896,7 @@ def _records(draw):
 @given(st.lists(_records(), max_size=8))
 def test_columnar_loader_matches_the_record_oracle(tmp_path_factory, records):
     """Same files accepted, same rows loaded, same message and record index for the rest,
-    apart from the two records only the columnar loader refuses."""
+    apart from the three records only the columnar loader refuses."""
     path = tmp_path_factory.getbasetemp() / "records.json"
     got, want = _load(load_samples_json, path, records), _expected(records, path)
     if isinstance(want, str):

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rigidfold import symmetry_enumeration
+from rigidfold.config_space import make_samples, sweep_model
 from rigidfold.core_geometry import folded_geometry, g60, self_intersects
 from rigidfold.errors import OutOfRangeError
-from rigidfold.fold_models import FAMILIES, FoldModel
+from rigidfold.fold_models import FAMILIES, FoldMode, FoldModel
+from rigidfold.tolerances import DEFAULT_TOL
 from rigidfold.symmetry_enumeration import (
     NAMED_PATTERNS,
     NAMED_REPRESENTATIVES,
@@ -178,6 +181,22 @@ def test_each_named_family_coloring_is_its_census_key():
         (1, 1, 2, 3, 4, 5): "almost general",
         (1, 2, 3, 4, 5, 6): "fully general",
     }
+
+
+def test_the_vertex_symmetry_group_maps_family_rows_to_family_rows():
+    """The 12 relabellings of the equal-sector vertex, each with and without negating every angle,
+    map the sweep rows of every 60-degree family and mode to states that close below DEFAULT_TOL
+    and keep the row's self-intersection verdict; rows at +/-pi included."""
+    records = [sweep_model(mode, 40 if len(fam.drives) == 1 or fam.loop is not None else 12)
+               for model, fam in FAMILIES.items() for mode in (FoldMode(model, m) for m in fam.modes)
+               if mode.pattern.n == 6]
+    rho, valid = np.concatenate([r.rho for r in records]), np.concatenate([r.valid for r in records])
+    assert len(records) == 11 and 0 < valid.sum() < len(valid) and (np.abs(rho) == math.pi).any()
+    relabel = np.array([[g(i) for i in range(6)] for g in symmetry_enumeration._DIHEDRAL])
+    images = np.concatenate([rho[:, relabel], -rho[:, relabel]], axis=1).reshape(-1, 6)  # row i: images 24i..24i+23
+    judged = make_samples(g60(), images, [0] * len(images))
+    assert len(relabel) == 12 and (judged.residual < DEFAULT_TOL).all()
+    assert np.array_equal(judged.valid, np.repeat(valid, 24))
 
 
 def test_color_pattern_validation_and_str():
