@@ -17,7 +17,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -368,7 +368,8 @@ def write_text(path: str, text: str) -> None:
 
     open(path, "w") would cut an existing file to zero first, after which ext4 blocks its close on a disk flush.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "w", newline="\n") as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "w", encoding="utf-8",
+              newline="\n") as fh:
         fh.write(text)
         if os.path.isfile(path):  # a pipe or device has no length to cut
             fh.truncate()
@@ -471,12 +472,11 @@ def _faulty(column, types: set, lo=1, hi=0) -> np.ndarray:
 def load_samples_json(path: str) -> Samples:
     """Inverse of the json export; residuals round-trip bit-exactly.
 
-    The records of each key set are checked and gathered column by column.
-    Input that is not a json array of sample records, all with the angle
-    count of the first readable one, raises OutOfRangeError naming the
-    file, the first bad record and its first fault.
+    The records come in runs of one key order; each key order's values are one flat list, each column a strided slice.
+    Input that is not a json array of sample records, all with the angle count of the first readable one,
+    raises OutOfRangeError naming the file, the first bad record and its first fault.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as e:
@@ -487,28 +487,33 @@ def load_samples_json(path: str) -> Samples:
     fault = np.full(n, "", dtype=object)  # each record's first fault
     fault[np.fromiter(map(type, data), dtype=object, count=n) != dict] = "is not an object"
     records = np.flatnonzero(fault == "")
-    keys = list(map(tuple, map(data.__getitem__, records.tolist())))
-    layouts = {k: _angle_keys(k) for k in dict.fromkeys(keys)}
-    group = np.fromiter(map({k: g for g, k in enumerate(layouts)}.__getitem__, keys), dtype=int, count=len(keys))
+    dicts = list(map(data.__getitem__, records.tolist()))
+    keys = list(map(tuple, dicts))  # json shares its key strings, so equal tuples compare by identity
+    starts = list(compress(range(len(keys)), map(operator.ne, keys, [None, *keys])))
+    runs = {}  # each key tuple's runs, in order of first appearance
+    for a, b in zip(starts, [*starts[1:], len(keys)]):
+        runs.setdefault(keys[a], []).append(slice(a, b))
+    layouts = {k: _angle_keys(k) for k in runs}
     w = next((len(angles) for angles, wrong in layouts.values() if not wrong), 0)  # first readable key set's count
     rho, residual, valid, branch = np.zeros((n, w)), np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=object)
-    for g, (angles, wrong) in enumerate(layouts.values()):
-        rows = records[group == g]
+    for key, (angles, wrong) in layouts.items():
+        rows = np.concatenate([records[run] for run in runs[key]])
         if not wrong and len(angles) != w:
             wrong = f"has {len(angles)} angles where the records before it have {w}"
         fault[rows] = wrong
         if wrong:
             continue
-        columns = list(zip(*map(operator.itemgetter(*angles, "residual", "valid", "branch"),
-                                map(data.__getitem__, rows.tolist()))))
+        flat = list(chain.from_iterable(map(dict.values, chain.from_iterable(dicts[run] for run in runs[key]))))
+        columns = [flat[key.index(name)::len(key)] for name in (*angles, "residual", "valid", "branch")]
         not_number = _faulty(columns[-3], {float, bool}, -sys.float_info.max, sys.float_info.max)
         for column in columns[:-3]:
             not_number |= _faulty(column, {float, bool}, -2**63, 2**64 - 1)
         not_flag = _faulty(columns[-2], {bool}) | _faulty(columns[-1], {int, str})
-        fault[rows[not_flag]] = "needs a true/false valid and an integer or string branch"
-        fault[rows[not_number]] = "has an angle or residual that is not a number"
-        ok = ~(not_number | not_flag)
-        rows, columns = rows[ok], [list(compress(column, ok)) for column in columns]
+        failed = not_number | not_flag
+        if failed.any():
+            fault[rows[not_flag]] = "needs a true/false valid and an integer or string branch"
+            fault[rows[not_number]] = "has an angle or residual that is not a number"
+            rows, columns = rows[~failed], [list(compress(column, ~failed)) for column in columns]
         values = np.array(columns[:-2], dtype=float)  # angle columns, then the residual
         rho[rows], residual[rows] = values[:-1].T, values[-1]
         valid[rows], branch[rows] = columns[-2], _column(columns[-1])[:, 0]

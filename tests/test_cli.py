@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -693,3 +696,17 @@ def test_obj_export_counts_invalid_and_foreign_samples_apart(tmp_path, capsys):
     code, _, err = run(capsys, "export", str(both), "-o", str(out))
     assert (code, err) == (0, f"skipped {invalid} invalid samples\nskipped 8 {FOREIGN}\n")
     assert out.read_text().count("o sample_") == len(records) - invalid
+
+
+def test_commands_read_and_write_utf8_whatever_the_locale(tmp_path):
+    """Every file is opened as UTF-8, so no command leans on the locale's default encoding:
+    each exits 0 with a missing ``encoding`` turned into an error."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for argv in (["sweep", "general", "-n", "8", "-o", "s.json"], ["export", "s.json", "-o", "s.csv"],
+                 ["export", "s.json", "-o", "e.json"], ["export", "s.json", "-o", "s.obj"],
+                 ["region", "--rho6", "0.8", "-n", "5", "-o", "m.csv"], ["table", "-o", "t.txt"]):
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                               "-m", "rigidfold.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv, done.stderr)
+    assert (tmp_path / "e.json").read_bytes() == (tmp_path / "s.json").read_bytes()

@@ -933,6 +933,30 @@ def test_columnar_loader_matches_the_record_oracle_on_edge_records(tmp_path, rec
     assert got == want if isinstance(want, str) else samples_to_json(got) == samples_to_json(want)
 
 
+def test_loader_reads_key_order_runs_at_workload_size(tmp_path):
+    """A 600-record general sweep with every odd record's keys reversed and a third key order from record 400 on:
+    400 one-record runs of two key orders, then one run of 200.  The loader reads it as the record oracle does,
+    exports the canonical file's csv, and names the lowest faulty record inside any run."""
+    canonical = json.loads(samples_to_json(sweep_model(FoldMode(FoldModel.FULLY_GENERAL), 600)))
+    records = [dict(reversed(rec.items())) if i % 2 else rec for i, rec in enumerate(canonical[:400])]
+    records += [dict(sorted(rec.items())) for rec in canonical[400:]]  # branch, residual, rho1..rho6, valid
+    assert len({tuple(rec) for rec in records}) == 3
+    path = tmp_path / "runs.json"
+    got, want = _load(load_samples_json, path, records), _load(sample_oracle.load_samples_json, path, records)
+    assert isinstance(got, Samples) and len(got) == len(want) == 600
+    for a, b in zip(got, want):
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+        assert (a.valid, a.branch, type(a.branch)) == (b.valid, b.branch, type(b.branch))
+    assert samples_to_csv(got) == samples_to_csv(_load(load_samples_json, tmp_path / "canonical.json", canonical))
+    string_angle = [*records[:450], {**records[450], "rho3": "0.5"}, *records[451:]]
+    assert _load(load_samples_json, path, string_angle) == \
+        f"{path}: record 450 has an angle or residual that is not a number"
+    four_angles = [*records[:500], {k: v for k, v in records[500].items() if k not in ("rho5", "rho6")}, *records[501:]]
+    assert _load(load_samples_json, path, four_angles) == \
+        f"{path}: record 500 has 4 angles where the records before it have 6"
+
+
 def test_loader_refuses_what_the_record_oracle_renumbered_or_read_as_an_integer(tmp_path):
     """The two files the record-by-record loader read but could not write back unchanged."""
     base = {"rho1": 0.1, "rho2": 0.2, "residual": 0.0, "valid": False, "branch": 0}
