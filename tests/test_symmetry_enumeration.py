@@ -183,37 +183,37 @@ def test_each_named_family_coloring_is_its_census_key():
     }
 
 
-def _seeded_rows(fam, mode, rng) -> np.ndarray:
-    """The rows of one seeded batch of 64 drives inside the family's own drive range, failed drives skipped;
-    twopair's batch is its node loop at 29 points, a count the default sweep does not take."""
+def _seeded_record(fam, mode, rng):
+    """One seeded batch of 64 drives inside the family's own drive range, failed drives skipped, judged on
+    the family's own pattern as ``sweep_model`` judges its rows; twopair's batch is its node loop at 29 points,
+    a count the default sweep does not take."""
     if fam.loop is not None:
         drives = fam.loop(29)
     else:
         bound = fam.limit(mode.alpha, mode.beta) if len(fam.drives) == 1 else math.pi
         drives = rng.uniform(-bound, bound, (64, len(fam.drives)))
-    return fam.rows(mode, drives, skip=tuple(REASON_ERRORS))[0]
+    return make_samples(mode.pattern, *fam.rows(mode, drives, skip=tuple(REASON_ERRORS)))
 
 
 def test_the_vertex_symmetry_group_maps_family_rows_to_family_rows():
     """The 12 relabellings of the equal-sector vertex, each with and without negating every angle,
     map the rows of every 60-degree family and mode to states that close below DEFAULT_TOL and keep
-    the row's self-intersection verdict: the sweep rows, with rows at +/-pi, and one fixed seeded batch."""
+    the verdict the family recorded for the row: the sweep rows, with rows at +/-pi, and one fixed seeded batch."""
     modes = [(fam, mode) for model, fam in FAMILIES.items() for mode in (FoldMode(model, m) for m in fam.modes)
              if mode.pattern.n == 6]
-    records = [sweep_model(mode, 40 if len(fam.drives) == 1 or fam.loop is not None else 12) for fam, mode in modes]
-    default = np.concatenate([r.rho for r in records])
     rng = np.random.default_rng(34)
-    seeded = np.concatenate([_seeded_rows(fam, mode, rng) for fam, mode in modes])
+    default = [sweep_model(mode, 40 if len(fam.drives) == 1 or fam.loop is not None else 12) for fam, mode in modes]
+    seeded = [_seeded_record(fam, mode, rng) for fam, mode in modes]
     relabel = np.array([[g(i) for i in range(6)] for g in symmetry_enumeration._DIHEDRAL])
-    assert len(modes) == 11 and len(relabel) == 12 and (np.abs(default) == math.pi).any()
-    for rho in (default, seeded):
-        valid = make_samples(g60(), rho, [0] * len(rho)).valid
-        assert 0 < valid.sum() < len(valid)
+    assert len(modes) == 11 and len(relabel) == 12
+    for records, count in ((default, 824), (seeded, 737)):
+        rho, valid = np.concatenate([r.rho for r in records]), np.concatenate([r.valid for r in records])
+        assert len(rho) == count and 0 < valid.sum() < len(valid)
         images = np.concatenate([rho[:, relabel], -rho[:, relabel]], axis=1).reshape(-1, 6)  # row i: 24i..24i+23
         judged = make_samples(g60(), images, [0] * len(images))
         assert (judged.residual < DEFAULT_TOL).all()
         assert np.array_equal(judged.valid, np.repeat(valid, 24))
-    assert len(default) == 824 and len(seeded) == 737
+    assert (np.abs(np.concatenate([r.rho for r in default])) == math.pi).any()
 
 
 def test_color_pattern_validation_and_str():
